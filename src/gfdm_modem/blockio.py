@@ -73,18 +73,20 @@ def read_samples(path: str | Path, fmt: str | None = None) -> np.ndarray:
             raise ConfigError(f"{path} is not a text CSV sample file") from None
         if not values:
             raise ConfigError(f"no samples in {path}")
-        return np.asarray(values, dtype=np.complex128)
-
-    raw = path.read_bytes()
-    if len(raw) >= _HEADER.size and raw[:8] == MAGIC:
-        _, count, _flags = _HEADER.unpack_from(raw)
-        payload = raw[_HEADER.size :]
-        if len(payload) < 16 * count:
-            raise ConfigError(f"{path} truncated: header promises {count} samples")
-        payload = payload[: 16 * count]
+        samples = np.asarray(values, dtype=np.complex128)
     else:
-        payload = raw
-    if len(payload) == 0 or len(payload) % 16:
-        raise ConfigError(f"{path} does not hold interleaved float64 re/im pairs")
-    inter = np.frombuffer(payload, dtype="<f8")
-    return (inter[0::2] + 1j * inter[1::2]).astype(np.complex128)
+        raw = path.read_bytes()
+        if len(raw) >= _HEADER.size and raw[:8] == MAGIC:
+            _, count, _flags = _HEADER.unpack_from(raw)
+            payload = raw[_HEADER.size :]
+            if len(payload) < 16 * count:
+                raise ConfigError(f"{path} truncated: header promises {count} samples")
+            payload = payload[: 16 * count]
+        else:
+            payload = raw
+        if len(payload) == 0 or len(payload) % 16:
+            raise ConfigError(f"{path} does not hold interleaved float64 re/im pairs")
+        samples = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    if not np.isfinite(samples).all():
+        raise ConfigError(f"{path} holds non-finite samples")
+    return samples

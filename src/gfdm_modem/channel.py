@@ -4,6 +4,11 @@ The noise generator is fully specified so runs are reproducible anywhere:
 sample i draws two 64-bit words from a splitmix64 stream seeded by the user,
 maps them to uniforms, and applies the Box-Muller transform.  Identical seeds
 give bit-identical noise.
+
+:func:`uniform64` specifies one word of the stream; :func:`uniform64_array`
+computes many as ``uint64`` arrays, equal word for word.  The Box-Muller
+transcendentals use ``math.log``/``math.cos``/``math.sin`` per sample, not
+numpy's vectorised kernels, whose last bit may depend on the CPU.
 """
 
 from __future__ import annotations
@@ -24,9 +29,13 @@ __all__ = [
     "fd_equalize_zf",
     "gaussian_pairs",
     "uniform64",
+    "uniform64_array",
 ]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,23 +78,40 @@ def remove_cp(y: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
 
 def uniform64(seed: int, index: int) -> float:
     """Uniform in (0, 1) from word ``index`` of the splitmix64 stream."""
-    state = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    state = (seed + (index + 1) * _GAMMA) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     z ^= z >> 31
     # 53-bit mantissa, offset keeps the value strictly positive for log().
     return ((z >> 11) + 0.5) / (1 << 53)
 
 
+def uniform64_array(seed: int, start: int, count: int) -> np.ndarray:
+    """Words ``start .. start+count-1`` of :func:`uniform64`, bit for bit.
+
+    ``uint64`` arithmetic wraps modulo 2**64, which is exactly the masking of
+    the scalar form; ``z >> 11`` fits the float64 mantissa, so the conversion
+    and the power-of-two scaling are exact.
+    """
+    index = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK64) + index * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) / (1 << 53)
+
+
 def gaussian_pairs(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """``count`` standard complex Gaussians (unit variance per complex sample)."""
+    u = uniform64_array(seed, offset, 2 * count)
+    # sqrt and products are correctly rounded in IEEE 754, so numpy matches
+    # the scalar arithmetic; the transcendentals stay on math.* per sample.
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), np.float64, count))
+    theta = (2 * math.pi * u[1::2]).tolist()
     out = np.empty(count, dtype=np.complex128)
-    for i in range(count):
-        u1 = uniform64(seed, offset + 2 * i)
-        u2 = uniform64(seed, offset + 2 * i + 1)
-        r = math.sqrt(-2.0 * math.log(u1))
-        out[i] = complex(r * math.cos(2 * math.pi * u2), r * math.sin(2 * math.pi * u2))
+    out.real = r * np.fromiter(map(math.cos, theta), np.float64, count)
+    out.imag = r * np.fromiter(map(math.sin, theta), np.float64, count)
     return out / math.sqrt(2.0)
 
 

@@ -16,6 +16,7 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "load_config"]
 _RX_KINDS = ("zf", "mf")
 _ARCHS = ("fft", "direct")
 _DOMAINS = ("td", "fd")
+_SEED_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,9 @@ class RunConfig:
                 f"{len(self.channel_taps)} taps exceed the interference-free bound "
                 f"n_cp + 1 = {self.n_cp + 1}"
             )
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not 0 <= self.seed <= _SEED_MAX:
+            # The noise stream takes the seed modulo 2**64; a larger one would alias.
+            raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
         if self.l_max < 1:
             raise ConfigError("l_max must be at least 1")
         # Re-run the upstream set validation early so bad configs fail at parse time.

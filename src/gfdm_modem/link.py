@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, channel, direct_modem, fft_modem, reference
-from .channel import ChannelSpec, uniform64
+from .channel import ChannelSpec, uniform64_array
 from .config import RunConfig
 from .numerics import MulCounter, dft
 from .pulses import PrototypePulse, make_prototype, tx_window, window_pair
@@ -28,7 +28,7 @@ _SYMBOL_STREAM_OFFSET = 1 << 40  # keeps symbol draws clear of the noise draws
 
 def qpsk_symbols(seed: int, count: int) -> np.ndarray:
     """Deterministic unit-power QPSK symbols."""
-    idx = [int(uniform64(seed, _SYMBOL_STREAM_OFFSET + i) * 4) % 4 for i in range(count)]
+    idx = (uniform64_array(seed, _SYMBOL_STREAM_OFFSET, count) * 4).astype(np.intp) % 4
     return _QPSK[idx]
 
 

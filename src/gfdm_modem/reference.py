@@ -127,10 +127,7 @@ def map_symbols(d_on: np.ndarray, params: GfdmParams) -> np.ndarray:
             f"expected {params.n_active} symbols for the active set, got {d_on.size}"
         )
     grid = np.zeros((params.k, params.m), dtype=np.complex128)
-    it = iter(d_on)
-    for m in params.m_on:
-        for k in params.k_on:
-            grid[k, m] = next(it)
+    grid[np.ix_(params.k_on, params.m_on)] = d_on.reshape(len(params.k_on), -1, order="F")
     return grid
 
 
@@ -138,7 +135,7 @@ def demap_symbols(grid: np.ndarray, params: GfdmParams) -> np.ndarray:
     """Gather the active grid positions back into a symbol vector."""
     if grid.shape != (params.k, params.m):
         raise ConfigError(f"grid shape {grid.shape} does not match {params.k}x{params.m}")
-    return np.array([grid[k, m] for m in params.m_on for k in params.k_on], dtype=np.complex128)
+    return grid[np.ix_(params.k_on, params.m_on)].astype(np.complex128).ravel(order="F")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,6 @@
-"""Tests for framing, the multipath channel, and the one-tap equalizer."""
+"""Tests for framing, the multipath channel, the noise stream, and the one-tap equalizer."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,11 +13,14 @@ from gfdm_modem.channel import (
     fd_equalize_zf,
     gaussian_pairs,
     remove_cp,
+    uniform64,
+    uniform64_array,
 )
 from gfdm_modem.errors import ConfigError, SingularChannel
 from gfdm_modem.numerics import dft
 from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
 from gfdm_modem.fft_modem import demodulate_fd, modulate_td
+from gfdm_modem.link import qpsk_symbols
 
 
 def circular_convolve(x, taps):
@@ -84,6 +89,51 @@ class TestApplyChannel:
         var = float(np.mean(np.abs(noise) ** 2))
         assert abs(var - 1.0) < 0.05
         assert abs(float(np.mean(noise.real))) < 0.02
+
+
+# Golden values of the reproducibility promise: identical seeds give identical
+# noise and symbols on every platform and in every release.  Digests are taken
+# over little-endian complex128 bytes.
+GOLDEN = {
+    0: (
+        "0x1.c4415072f63bap-1",
+        "46088d67722a5fccb132867cfaeb06423976db81767c104ed3d5f16d27744e80",
+        "cf772a055df6e67190b8ad4ec3a6232d92be8e206f62cff168c2cc49e70ebd14",
+    ),
+    1: (
+        "0x1.22145bd91204cp-1",
+        "77384062ba2edf4a95db5cce74e34d4689a3ca636d690f54870076155cc5ce36",
+        "6e3b7fa525365d8056e831a085256ca58c36ffb90f13d7fa6f014f91ba3f0da5",
+    ),
+    2**64 - 1: (
+        "0x1.c9b2e2ee36ca6p-1",
+        "43058e26512443294210763f9d82c995d57b989306ea887a85dd1c5779d61441",
+        "060c8d0005fdd5375f0e9c9ae8403c660f8c948487e2df8ac5102a259adf971c",
+    ),
+}
+
+
+def _digest(a):
+    return hashlib.sha256(np.asarray(a, dtype="<c16").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+class TestStreamGolden:
+    def test_first_uniform(self, seed):
+        assert uniform64(seed, 0).hex() == GOLDEN[seed][0]
+
+    def test_gaussian_digest(self, seed):
+        assert _digest(gaussian_pairs(seed, 4112)) == GOLDEN[seed][1]
+
+    def test_qpsk_digest(self, seed):
+        assert _digest(qpsk_symbols(seed, 4096)) == GOLDEN[seed][2]
+
+    @pytest.mark.parametrize("start", [0, 2**40])
+    def test_array_matches_scalar_word_for_word(self, seed, start):
+        got = uniform64_array(seed, start, 5000)
+        want = np.array([uniform64(seed, start + i) for i in range(5000)])
+        assert got.dtype == np.float64
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 class TestEqualizer:

@@ -203,6 +203,24 @@ class TestCommands:
         assert main(["modulate", "--config", str(cfg), "--in", str(sym),
                      "--out", str(tmp_path / "o.bin")]) == 2
 
+    @pytest.mark.parametrize("fmt,bad", [("csv", complex(np.nan, 0)), ("bin", complex(0, np.inf))])
+    def test_modulate_non_finite_input_exits_2(self, tmp_path, capsys, fmt, bad):
+        cfg = write_config(tmp_path)
+        sym = tmp_path / f"sym.{fmt}"
+        sent = qpsk_symbols(3, 32)
+        sent[5] = bad
+        blockio.write_samples(sym, sent, fmt)
+        out = tmp_path / "o.bin"
+        assert main(["modulate", "--config", str(cfg), "--in", str(sym), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed,code", [(2**64 - 1, 0), (2**64, 2), (2**71, 2)])
+    def test_loopback_seed_bounded_to_u64(self, tmp_path, seed, code):
+        # The noise stream takes the seed modulo 2**64, so a larger one would alias.
+        cfg = write_config(tmp_path, seed=seed, snr_db=20.0)
+        assert main(["loopback", "--config", str(cfg)]) == code
+
     def test_loopback_command(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, k=16, m=16,

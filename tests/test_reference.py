@@ -96,6 +96,21 @@ class TestSymbolMapping:
         d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         assert_allclose(demap_symbols(map_symbols(d, params), params), d)
 
+    def test_partial_unsorted_sets_pin_subcarrier_fastest_order(self):
+        # Active sets are given unsorted; symbols fill sorted positions with
+        # the subcarrier index running fastest.
+        params = GfdmParams(8, 4, k_on=(5, 0, 3), m_on=(3, 1))
+        d = np.arange(1, 7) * (1 - 0.5j)
+        expect = np.zeros((8, 4), dtype=complex)
+        expect[0, 1], expect[3, 1], expect[5, 1] = d[0], d[1], d[2]
+        expect[0, 3], expect[3, 3], expect[5, 3] = d[3], d[4], d[5]
+        grid = map_symbols(d, params)
+        assert grid.dtype == np.complex128
+        assert (grid == expect).all()
+        noisy = random_grid(params, 4)
+        want = [noisy[k, m] for m in (1, 3) for k in (0, 3, 5)]
+        assert (demap_symbols(noisy, params) == want).all()
+
     def test_size_mismatch(self):
         with pytest.raises(ConfigError):
             map_symbols(np.ones(3), GfdmParams(4, 2))
