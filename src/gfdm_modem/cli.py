@@ -9,6 +9,7 @@ binary or CSV block format.  Exit codes: 0 success, 2 validation problem,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -137,7 +138,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="gfdm-modem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

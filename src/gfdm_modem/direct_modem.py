@@ -7,8 +7,11 @@ The time-domain flavour always runs M chains; the frequency-domain flavour
 runs one chain per occupied subcarrier band of the pulse spectrum, which is
 where sparse pulses pay off.
 
-Chains are a hardware concept; this functional model evaluates them
-sequentially in ascending index order so results are reproducible.
+Chains are a hardware concept.  This functional model stores each chain set
+as one read-only stack: the time-domain set is a zero-copy view of the cyclic
+shifts of one base matrix, the frequency-domain set a broadcast of its band
+rows.  All L chains of a pass are one contraction over a cyclic-shift view,
+and the counter still charges L*N multiplications per pass.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
 from .numerics import MulCounter, dft, polyphase
@@ -51,20 +55,39 @@ class DirectLimits:
 class DirectPulseSet:
     """Prestored chain matrices for one direction and domain.
 
-    ``domain`` is ``"TD"`` (matrices K x M, one per subsymbol shift) or
-    ``"FD"`` (matrices M x K, one per occupied subcarrier band listed in
-    ``partitions``).
+    ``taps`` is a read-only ``(L, rows, cols)`` stack: for ``"TD"`` the M
+    cyclic column shifts of one K x M matrix (a view, not copies), for
+    ``"FD"`` one M x K matrix per occupied subcarrier band listed in
+    ``partitions``, each its band row broadcast across the K columns.
     """
 
     domain: str
     direction: str
     params: GfdmParams
-    mats: tuple[np.ndarray, ...]
+    taps: np.ndarray
     partitions: tuple[int, ...]
 
     @property
+    def mats(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.taps)
+
+    @property
     def overlap(self) -> int:
-        return len(self.mats)
+        return len(self.taps)
+
+
+def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...] | None = None) -> np.ndarray:
+    """Stack whose slice ``i`` is ``np.roll(a, shifts[i], axis=1)``.
+
+    All ``cols`` shifts in ascending order (the default) are a read-only,
+    zero-copy view of ``[a, a]``; a proper subset is gathered from that view.
+    """
+    cols = a.shape[1]
+    windows = sliding_window_view(np.concatenate([a, a], axis=1), cols, axis=1)
+    view = windows[:, cols:0:-1].transpose(1, 0, 2)
+    if shifts is None or shifts == tuple(range(cols)):
+        return view
+    return view[list(shifts)]
 
 
 def _check_block(params: GfdmParams, limits: DirectLimits) -> None:
@@ -81,8 +104,7 @@ def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits
     p = pulse.params
     _check_block(p, limits)
     base = p.k * polyphase(pulse.time, p.m, p.k).T
-    mats = tuple(np.roll(base, m, axis=1) for m in range(p.m))
-    return DirectPulseSet("TD", "mod", p, mats, tuple(range(p.m)))
+    return DirectPulseSet("TD", "mod", p, _cyclic_shifts(base), tuple(range(p.m)))
 
 
 def precompute_fd_mod(
@@ -93,9 +115,10 @@ def precompute_fd_mod(
 ) -> DirectPulseSet:
     """Chain matrices for frequency-domain modulation.
 
-    One matrix per occupied subcarrier band of the pulse spectrum: K copies of
-    that band of the transposed polyphase of ``g_f``.  ``force_full`` keeps
-    all K bands regardless of sparsity (the generic, non-sparse engine).
+    One matrix per occupied subcarrier band of the pulse spectrum: that band
+    of the transposed polyphase of ``g_f`` broadcast across K columns.
+    ``force_full`` keeps all K bands regardless of sparsity (the generic,
+    non-sparse engine).
     """
     p = pulse.params
     _check_block(p, limits)
@@ -109,8 +132,8 @@ def precompute_fd_mod(
         raise OverlapTooLarge(
             f"pulse occupies {len(parts)} subcarrier bands, only {limits.l_max} chains available"
         )
-    mats = tuple(np.tile(vg[l, :][:, None], (1, p.k)) for l in parts)
-    return DirectPulseSet("FD", "mod", p, mats, parts)
+    taps = np.broadcast_to(vg[list(parts), :, None], (len(parts), p.m, p.k))
+    return DirectPulseSet("FD", "mod", p, taps, parts)
 
 
 def precompute_td_demod(
@@ -121,8 +144,7 @@ def precompute_td_demod(
     params = GfdmParams(w.shape[0], w.shape[1])
     _check_block(params, limits)
     base = (dft(w.T, inverse=True) / params.m).T  # K x M receive-pulse polyphase, transposed
-    mats = tuple(np.roll(base, m, axis=1) for m in range(params.m))
-    return DirectPulseSet("TD", "demod", params, mats, tuple(range(params.m)))
+    return DirectPulseSet("TD", "demod", params, _cyclic_shifts(base), tuple(range(params.m)))
 
 
 def precompute_fd_demod(
@@ -152,8 +174,8 @@ def precompute_fd_demod(
             f"receive pulse occupies {len(parts)} subcarrier bands, only "
             f"{limits.l_max} chains available"
         )
-    mats = tuple(np.tile(spec[l, :][:, None], (1, params.k)) / params.k for l in parts)
-    return DirectPulseSet("FD", "demod", params, mats, parts)
+    taps = np.broadcast_to(spec[list(parts), :, None] / params.k, (len(parts), params.m, params.k))
+    return DirectPulseSet("FD", "demod", params, taps, parts)
 
 
 def _check_set(pset: DirectPulseSet, domain: str, direction: str, limits: DirectLimits) -> None:
@@ -180,11 +202,9 @@ def direct_modulate_td(
     if grid.shape != (p.k, p.m):
         raise ConfigError(f"grid shape {grid.shape} does not match {p.k}x{p.m}")
     spread = dft(np.asarray(grid, dtype=np.complex128), inverse=True, counter=counter) / p.k
-    acc = np.zeros((p.k, p.m), dtype=np.complex128)
-    for m in range(p.m):
-        acc += pset.mats[m] * spread[:, [m]]
-        if counter is not None:
-            counter.add(p.n)
+    acc = np.einsum("mkp,km->kp", pset.taps, spread)
+    if counter is not None:
+        counter.add(pset.overlap * p.n)
     return acc.flatten(order="F")
 
 
@@ -201,11 +221,9 @@ def direct_modulate_fd(
     if grid.shape != (p.k, p.m):
         raise ConfigError(f"grid shape {grid.shape} does not match {p.k}x{p.m}")
     spread = dft(np.asarray(grid, dtype=np.complex128).T, counter=counter)  # M x K
-    acc = np.zeros((p.m, p.k), dtype=np.complex128)
-    for mat, l in zip(pset.mats, pset.partitions):
-        acc += mat * np.roll(spread, l, axis=1)
-        if counter is not None:
-            counter.add(p.n)
+    acc = np.einsum("lmk,lmk->mk", pset.taps, _cyclic_shifts(spread, pset.partitions))
+    if counter is not None:
+        counter.add(pset.overlap * p.n)
     xf = acc.flatten(order="F")
     if emit_time:
         return dft(xf, inverse=True, counter=counter) / p.n
@@ -225,11 +243,9 @@ def direct_demodulate_td(
     if y.size != p.n:
         raise ConfigError(f"block length {y.size} does not match N={p.n}")
     vy = polyphase(y, p.m, p.k).T  # K x M, column m is polyphase component m
-    acc = np.zeros((p.k, p.m), dtype=np.complex128)
-    for m in range(p.m):
-        acc += pset.mats[m] * vy[:, [m]]
-        if counter is not None:
-            counter.add(p.n)
+    acc = np.einsum("mkp,km->kp", pset.taps, vy)
+    if counter is not None:
+        counter.add(pset.overlap * p.n)
     return dft(acc, counter=counter)
 
 
@@ -246,9 +262,7 @@ def direct_demodulate_fd(
     if yf.size != p.n:
         raise ConfigError(f"block length {yf.size} does not match N={p.n}")
     vy = polyphase(yf, p.k, p.m).T  # M x K
-    acc = np.zeros((p.m, p.k), dtype=np.complex128)
-    for mat, l in zip(pset.mats, pset.partitions):
-        acc += mat * np.roll(vy, l, axis=1)
-        if counter is not None:
-            counter.add(p.n)
+    acc = np.einsum("lmk,lmk->mk", pset.taps, _cyclic_shifts(vy, pset.partitions))
+    if counter is not None:
+        counter.add(pset.overlap * p.n)
     return (dft(acc, inverse=True, counter=counter) / p.m).T

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gfdm_modem import blockio
-from gfdm_modem.cli import main
+from gfdm_modem.cli import _build_parser, main
 from gfdm_modem.config import RunConfig, emit_config, parse_config
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.link import qpsk_symbols, run_loopback
@@ -195,6 +195,25 @@ class TestCommands:
         assert main(["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est)]) == 0
         got = blockio.read_samples(est)
         assert np.abs(got - sent).max() <= 1e-9
+
+    def test_consecutive_calls_share_no_parsed_state(self, tmp_path):
+        # The parser is built once per process; options given to one call
+        # (--format csv, --arch direct) must not leak into the next.
+        assert _build_parser() is _build_parser()
+        cfg = write_config(tmp_path, k=8, m=4, n_cp=8, arch="fft")
+        sym = tmp_path / "sym.bin"
+        sent = qpsk_symbols(11, 32)
+        blockio.write_samples(sym, sent)
+        block = tmp_path / "block.csv"
+        est = tmp_path / "est"  # no suffix: the format falls back to binary
+        assert main(["modulate", "--config", str(cfg), "--in", str(sym), "--out", str(block),
+                     "--format", "csv", "--arch", "direct", "--domain", "fd"]) == 0
+        assert main(["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est)]) == 0
+        assert block.read_text().startswith("index,re,im\n")
+        assert est.read_bytes().startswith(blockio.MAGIC)
+        assert np.abs(blockio.read_samples(est) - sent).max() <= 1e-9
+        args = _build_parser().parse_args(["loopback", "--config", str(cfg)])
+        assert (args.format, args.arch, args.domain) == (None, None, None)
 
     def test_modulate_empty_input_fails(self, tmp_path):
         cfg = write_config(tmp_path)

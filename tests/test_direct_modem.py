@@ -213,3 +213,65 @@ class TestInstrumentation:
         counter = MulCounter()
         direct_demodulate_fd(np.ones(params.n, complex), pset, counter=counter)
         assert counter.count == params.k * fft_mul_count(params.m) + pset.overlap * params.n
+
+
+class TestAliasing:
+    """Chain sets are shared read-only views; nothing may write through them."""
+
+    @staticmethod
+    def all_passes(params, force_full):
+        pulse = make_prototype("RC", params, 0.5, 0.5)
+        w_td = window_pair(pulse, "TD", "ZF").w_rx
+        w_fd = window_pair(pulse, "FD", "ZF").w_rx
+        grid = random_grid(params, 30)
+        rng = np.random.default_rng(31)
+        y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
+        yf = dft(y)
+        limits = DirectLimits(l_max=max(params.k, params.m))
+        inputs = {"time": pulse.time, "freq": pulse.freq, "w_td": w_td, "w_fd": w_fd,
+                  "grid": grid, "y": y, "yf": yf}
+        before = {name: arr.copy() for name, arr in inputs.items()}
+        psets = {
+            "td-mod": precompute_td_mod(pulse, limits),
+            "fd-mod": precompute_fd_mod(pulse, limits, force_full=force_full),
+            "td-demod": precompute_td_demod(w_td, limits),
+            "fd-demod": precompute_fd_demod(w_fd, limits, force_full=force_full),
+        }
+        runs = {
+            "td-mod": lambda: direct_modulate_td(grid, psets["td-mod"], limits),
+            "fd-mod": lambda: direct_modulate_fd(grid, psets["fd-mod"], limits, emit_time=True),
+            "td-demod": lambda: direct_demodulate_td(y, psets["td-demod"], limits),
+            "fd-demod": lambda: direct_demodulate_fd(yf, psets["fd-demod"], limits),
+        }
+        return inputs, before, psets, runs
+
+    @pytest.mark.parametrize("force_full", [False, True])
+    def test_taps_and_mats_are_read_only(self, force_full):
+        _, _, psets, _ = self.all_passes(GfdmParams(8, 4), force_full)
+        for name, pset in psets.items():
+            assert not pset.taps.flags.writeable, name
+            with pytest.raises(ValueError):
+                pset.taps[0, 0, 0] = 1.0
+            for mat in pset.mats:
+                assert not mat.flags.writeable, name
+                with pytest.raises(ValueError):
+                    mat[0, 0] = 1.0
+
+    @pytest.mark.parametrize("force_full", [False, True])
+    def test_inputs_and_sets_left_bit_identical(self, force_full):
+        inputs, before, psets, runs = self.all_passes(GfdmParams(8, 4), force_full)
+        taps_before = {name: np.array(pset.taps) for name, pset in psets.items()}
+        first = {name: run() for name, run in runs.items()}
+        for name, out in first.items():
+            # Scribbling on one result must not reach any set, input or later result.
+            for pset in psets.values():
+                assert not np.shares_memory(out, pset.taps), name
+            out[...] = np.nan
+        second = {name: run() for name, run in runs.items()}
+        for name, arr in inputs.items():
+            assert np.array_equal(arr, before[name]), name
+        for name, pset in psets.items():
+            assert np.array_equal(pset.taps, taps_before[name]), name
+        for name, run in runs.items():
+            assert np.array_equal(second[name], run()), name
+            assert np.isfinite(second[name]).all(), name
