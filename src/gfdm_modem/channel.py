@@ -7,12 +7,14 @@ give bit-identical noise.
 
 :func:`uniform64` specifies one word of the stream; :func:`uniform64_array`
 computes many as ``uint64`` arrays, equal word for word.  The Box-Muller
-transcendentals use ``math.log``/``math.cos``/``math.sin`` per sample, not
-numpy's vectorised kernels, whose last bit may depend on the CPU.
+transcendentals are ``math.log`` and ``cmath.exp(j*theta)`` (the libm ``cos``
+and ``sin`` of ``math.cos``/``math.sin``, times 1.0) per sample, not numpy's
+vectorised kernels, whose last bit may depend on the CPU.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -106,12 +108,14 @@ def gaussian_pairs(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """``count`` standard complex Gaussians (unit variance per complex sample)."""
     u = uniform64_array(seed, offset, 2 * count)
     # sqrt and products are correctly rounded in IEEE 754, so numpy matches
-    # the scalar arithmetic; the transcendentals stay on math.* per sample.
+    # the scalar arithmetic; the transcendentals stay on math/cmath per sample.
     r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), np.float64, count))
-    theta = (2 * math.pi * u[1::2]).tolist()
+    j_theta = np.zeros(count, dtype=np.complex128)
+    j_theta.imag = 2 * math.pi * u[1::2]
+    trig = np.fromiter(map(cmath.exp, j_theta.tolist()), np.complex128, count)
     out = np.empty(count, dtype=np.complex128)
-    out.real = r * np.fromiter(map(math.cos, theta), np.float64, count)
-    out.imag = r * np.fromiter(map(math.sin, theta), np.float64, count)
+    out.real = r * trig.real
+    out.imag = r * trig.imag
     return out / math.sqrt(2.0)
 
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .numerics import is_pow2
-from .pulses import PULSE_KINDS, GfdmParams
+from .pulses import GfdmParams, check_pulse_spec
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "load_config"]
 
@@ -39,14 +38,9 @@ class RunConfig:
     l_max: int = 16
 
     def __post_init__(self) -> None:
-        if not (is_pow2(self.k) and is_pow2(self.m)):
-            raise ConfigError(f"K and M must be powers of two, got K={self.k}, M={self.m}")
-        if self.pulse.upper() not in PULSE_KINDS:
-            raise ConfigError(f"unknown pulse kind {self.pulse!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"rolloff must be in [0, 1], got {self.alpha}")
-        if self.delta not in (0.0, 0.5):
-            raise ConfigError(f"frequency-grid shift must be 0 or 1/2, got {self.delta}")
+        # The modem's own geometry and pulse rules, run so bad configs fail at parse time.
+        self.params  # noqa: B018
+        check_pulse_spec(self.pulse.upper(), self.alpha, self.delta)
         if self.rx not in _RX_KINDS:
             raise ConfigError(f"rx must be one of {_RX_KINDS}, got {self.rx!r}")
         if self.arch not in _ARCHS:
@@ -68,8 +62,6 @@ class RunConfig:
             raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
         if self.l_max < 1:
             raise ConfigError("l_max must be at least 1")
-        # Re-run the upstream set validation early so bad configs fail at parse time.
-        self.params  # noqa: B018
 
     @property
     def params(self) -> GfdmParams:

@@ -36,6 +36,8 @@ __all__ = [
     "preset",
     "single_stage_config",
     "run_pipeline",
+    "run_modulator",
+    "run_demodulator",
     "modulate_td",
     "modulate_fd",
     "demodulate_td",
@@ -183,18 +185,25 @@ def run_pipeline(cfg: ArchConfig, stream: np.ndarray, counter: MulCounter | None
     return s
 
 
-def _params_for(window: np.ndarray, grid: np.ndarray | None = None) -> GfdmParams:
-    k, m = window.shape
-    if grid is not None and grid.shape != (k, m):
-        raise ConfigError(f"grid shape {grid.shape} does not match window {window.shape}")
-    return GfdmParams(k, m)
+def run_modulator(cfg: ArchConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
+    """Block of a K x M symbol grid through a ``TD_MOD`` or ``FD_MOD`` table."""
+    td = cfg.mode == "TD_MOD"
+    shape = cfg.window.T.shape if td else cfg.window.shape
+    if np.shape(grid) != shape:
+        raise ConfigError(f"grid shape {np.shape(grid)} does not match window {shape}")
+    return run_pipeline(cfg, np.asarray(grid).flatten(order="F" if td else "C"), counter)
+
+
+def run_demodulator(cfg: ArchConfig, block: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
+    """K x M grid estimate of a block through a ``TD_DEMOD`` or ``FD_DEMOD`` table."""
+    out = run_pipeline(cfg, block, counter).reshape(cfg.window.shape)
+    return out.T if cfg.mode == "TD_DEMOD" else out
 
 
 def modulate_td(grid: np.ndarray, w_tx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Time-domain block from a K x M symbol grid and the TD transmit window."""
-    params = _params_for(np.asarray(w_tx), np.asarray(grid))
-    cfg = preset("TD_MOD", params, np.asarray(w_tx).T)
-    return run_pipeline(cfg, np.asarray(grid).flatten(order="F"), counter)
+    w = np.asarray(w_tx)
+    return run_modulator(preset("TD_MOD", GfdmParams(*w.shape), w.T), grid, counter)
 
 
 def modulate_fd(
@@ -209,27 +218,22 @@ def modulate_fd(
     final N-point inverse stage runs and the output equals
     :func:`modulate_td` of the matching TD window.
     """
-    params = _params_for(np.asarray(w_tx), np.asarray(grid))
-    cfg = preset("FD_MOD", params, np.asarray(w_tx))
+    w = np.asarray(w_tx)
+    cfg = preset("FD_MOD", GfdmParams(*w.shape), w)
     if not emit_time:
         cfg = replace(cfg, stages=cfg.stages[:3] + (replace(cfg.stages[3], enabled=False),))
-    return run_pipeline(cfg, np.asarray(grid).flatten(order="C"), counter)
+    return run_modulator(cfg, grid, counter)
 
 
 def demodulate_fd(yf_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate from a frequency-domain equalized block."""
     w = np.asarray(w_rx)
-    params = _params_for(w)
-    cfg = preset("FD_DEMOD", params, w)
-    out = run_pipeline(cfg, yf_eq, counter)
-    return out.reshape((params.m, params.k), order="F").T
+    return run_demodulator(preset("FD_DEMOD", GfdmParams(*w.shape), w), yf_eq, counter)
 
 
 def demodulate_td(y_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate from a time-domain equalized block."""
     w = np.asarray(w_rx)
-    params = _params_for(w)
-    cfg = preset("TD_DEMOD", params, w.T)
+    cfg = preset("TD_DEMOD", GfdmParams(*w.shape), w.T)
     cfg = replace(cfg, stages=(replace(cfg.stages[0], enabled=False),) + cfg.stages[1:])
-    out = run_pipeline(cfg, y_eq, counter)
-    return out.reshape((params.k, params.m), order="F")
+    return run_demodulator(cfg, y_eq, counter)

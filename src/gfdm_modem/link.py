@@ -1,8 +1,13 @@
 """End-to-end evaluation chain: map, modulate, frame, channel, equalize, demodulate.
 
-The chain is assembled from a run configuration and meters every modem
-transform and window product on one counter, so the measured total can be
-reconciled against the closed-form figures.  The direct frequency-domain
+As the modem loads its stage tables and window memories when reconfigured, a
+configuration is built once into a read-only :class:`ModemPlan` that later
+blocks stream through.  Its key is the fields the modem depends on: ``k, m,
+pulse, alpha, delta, rx, arch, domain, k_on, m_on, l_max`` (not the seed, SNR,
+channel or prefix).  Only the last plan used is held.  A failed build raises
+on every call and leaves the held plan in place.  The chain meters every
+modem transform and window product on one counter, so the measured total can
+be reconciled against the closed-form figures.  The direct frequency-domain
 route runs its generic full-band chain set here; the sparse short-cut is a
 library feature exercised separately.
 """
@@ -10,6 +15,7 @@ library feature exercised separately.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +24,10 @@ from . import analysis, channel, direct_modem, fft_modem, reference
 from .channel import ChannelSpec, uniform64_array
 from .config import RunConfig
 from .numerics import MulCounter, dft
-from .pulses import PrototypePulse, make_prototype, tx_window, window_pair
+from .pulses import GfdmParams, make_prototype, tx_window, window_pair
 
-__all__ = ["LoopbackReport", "run_loopback", "modulate_block", "demodulate_block", "qpsk_symbols"]
+__all__ = ["LoopbackReport", "ModemPlan", "plan_for", "run_loopback", "modulate_block",
+           "demodulate_block", "qpsk_symbols"]
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 _SYMBOL_STREAM_OFFSET = 1 << 40  # keeps symbol draws clear of the noise draws
@@ -32,66 +39,82 @@ def qpsk_symbols(seed: int, count: int) -> np.ndarray:
     return _QPSK[idx]
 
 
-def _pulse_for(cfg: RunConfig) -> PrototypePulse:
-    return make_prototype(cfg.pulse.upper(), cfg.params, cfg.alpha, cfg.delta)
+@dataclass(frozen=True, eq=False)
+class ModemPlan:
+    """A configured modem: geometry, cost kind and both engine tables (FFT presets or chain sets)."""
+
+    params: GfdmParams
+    kind: str
+    mod: fft_modem.ArchConfig | direct_modem.DirectPulseSet
+    demod: fft_modem.ArchConfig | direct_modem.DirectPulseSet
+    limits: direct_modem.DirectLimits | None = None
+
+    @classmethod
+    def build(cls, cfg: RunConfig) -> ModemPlan:
+        """Synthesize the pulse and derive the tables; the pulse is not kept."""
+        params, d, rx = cfg.params, cfg.domain.upper(), cfg.rx.upper()
+        pulse = make_prototype(cfg.pulse.upper(), params, cfg.alpha, cfg.delta)
+        if cfg.arch == "fft":
+            w_tx = tx_window(pulse, d)
+            mod = fft_modem.preset(f"{d}_MOD", params, w_tx.T if d == "TD" else w_tx)
+            demod = fft_modem.preset("FD_DEMOD", params, window_pair(pulse, "FD", rx).w_rx)
+            mod.window.flags.writeable = demod.window.flags.writeable = False
+            return cls(params, f"FFT_{d}_FD", mod, demod)
+        limits = direct_modem.DirectLimits(l_max=cfg.l_max)
+        if d == "TD":
+            mod = direct_modem.precompute_td_mod(pulse, limits)
+            demod = direct_modem.precompute_td_demod(window_pair(pulse, d, rx).w_rx, limits)
+        else:
+            mod = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
+            demod = direct_modem.precompute_fd_demod(window_pair(pulse, d, rx).w_rx, limits, force_full=True)
+        return cls(params, f"DIR_{d}_{d}", mod, demod, limits)
+
+    def modulate(self, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
+        """Time-domain core block of a K x M symbol grid."""
+        if isinstance(self.mod, fft_modem.ArchConfig):
+            return fft_modem.run_modulator(self.mod, grid, counter)
+        if self.mod.domain == "TD":
+            return direct_modem.direct_modulate_td(grid, self.mod, self.limits, counter)
+        return direct_modem.direct_modulate_fd(grid, self.mod, self.limits, emit_time=True, counter=counter)
+
+    def demodulate(self, yf_eq: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
+        """Grid estimate from the frequency-domain equalized block.
+
+        The FFT pipeline always demodulates in the frequency domain (the equalizer
+        transform is the only extra one); the direct engine in the domain it modulated in.
+        """
+        if isinstance(self.demod, fft_modem.ArchConfig):
+            return fft_modem.run_demodulator(self.demod, yf_eq, counter)
+        if self.demod.domain == "TD":
+            y_eq = dft(yf_eq, inverse=True, counter=counter) / self.params.n
+            return direct_modem.direct_demodulate_td(y_eq, self.demod, self.limits, counter)
+        return direct_modem.direct_demodulate_fd(yf_eq, self.demod, self.limits, counter)
 
 
-def _cm_kind(cfg: RunConfig) -> str:
-    return {
-        ("fft", "td"): "FFT_TD_FD",
-        ("fft", "fd"): "FFT_FD_FD",
-        ("direct", "td"): "DIR_TD_TD",
-        ("direct", "fd"): "DIR_FD_FD",
-    }[(cfg.arch, cfg.domain)]
+_plan_key = operator.attrgetter("k", "m", "pulse", "alpha", "delta", "rx", "arch", "domain",
+                                "k_on", "m_on", "l_max")
+# One (key, plan) tuple, replaced whole: a reader never pairs a key with another
+# key's plan.  Holding more plans costs memory for every configuration ever run.
+_loaded: tuple[tuple, ModemPlan | None] = ((), None)
 
 
-def modulate_block(
-    cfg: RunConfig,
-    grid: np.ndarray,
-    pulse: PrototypePulse | None = None,
-    counter: MulCounter | None = None,
-) -> np.ndarray:
+def plan_for(cfg: RunConfig) -> ModemPlan:
+    """The loaded plan when ``cfg`` has its key, else a new plan, which is loaded."""
+    global _loaded
+    key = _plan_key(cfg)
+    if _loaded[0] != key:
+        _loaded = (key, ModemPlan.build(cfg))
+    return _loaded[1]
+
+
+def modulate_block(cfg: RunConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Time-domain core block for the configured architecture and domain."""
-    pulse = pulse or _pulse_for(cfg)
-    if cfg.arch == "fft":
-        w_tx = tx_window(pulse, cfg.domain.upper())
-        if cfg.domain == "td":
-            return fft_modem.modulate_td(grid, w_tx, counter)
-        return fft_modem.modulate_fd(grid, w_tx, emit_time=True, counter=counter)
-    limits = direct_modem.DirectLimits(l_max=cfg.l_max)
-    if cfg.domain == "td":
-        pset = direct_modem.precompute_td_mod(pulse, limits)
-        return direct_modem.direct_modulate_td(grid, pset, limits, counter)
-    pset = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
-    return direct_modem.direct_modulate_fd(grid, pset, limits, emit_time=True, counter=counter)
+    return plan_for(cfg).modulate(grid, counter)
 
 
-def demodulate_block(
-    cfg: RunConfig,
-    yf_eq: np.ndarray,
-    pulse: PrototypePulse | None = None,
-    counter: MulCounter | None = None,
-) -> np.ndarray:
-    """Grid estimate from the frequency-domain equalized block.
-
-    The FFT pipeline always demodulates in the frequency domain, which makes
-    the equalizer transform the only extra one on the link; the direct engine
-    demodulates in the domain it modulated in.
-    """
-    pulse = pulse or _pulse_for(cfg)
-    if cfg.arch == "fft":
-        wp = window_pair(pulse, "FD", cfg.rx.upper())
-        return fft_modem.demodulate_fd(yf_eq, wp.w_rx, counter)
-    limits = direct_modem.DirectLimits(l_max=cfg.l_max)
-    if cfg.domain == "td":
-        # Time-domain receiver: bring the equalized block back first.
-        wp = window_pair(pulse, "TD", cfg.rx.upper())
-        y_eq = dft(yf_eq, inverse=True, counter=counter) / cfg.n
-        pset = direct_modem.precompute_td_demod(wp.w_rx, limits)
-        return direct_modem.direct_demodulate_td(y_eq, pset, limits, counter)
-    wp = window_pair(pulse, "FD", cfg.rx.upper())
-    pset = direct_modem.precompute_fd_demod(wp.w_rx, limits, force_full=True)
-    return direct_modem.direct_demodulate_fd(yf_eq, pset, limits, counter)
+def demodulate_block(cfg: RunConfig, yf_eq: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
+    """Grid estimate from the frequency-domain equalized block."""
+    return plan_for(cfg).demodulate(yf_eq, counter)
 
 
 @dataclass(frozen=True)
@@ -120,20 +143,20 @@ class LoopbackReport:
 
 def run_loopback(cfg: RunConfig) -> LoopbackReport:
     """One full block through the evaluation chain of the configured link."""
-    params = cfg.params
-    pulse = _pulse_for(cfg)
+    plan = plan_for(cfg)
+    params = plan.params
     d_on = qpsk_symbols(cfg.seed, params.n_active)
     grid = reference.map_symbols(d_on, params)
 
     counter = MulCounter()
-    x = modulate_block(cfg, grid, pulse, counter)
+    x = plan.modulate(grid, counter)
     framed = channel.add_cp(x, cfg.n_cp, cfg.n_cs)
     received = channel.apply_channel(
         framed, ChannelSpec(np.asarray(cfg.channel_taps), cfg.snr_db, cfg.seed)
     )
     core = channel.remove_cp(received, cfg.n_cp, cfg.n_cs)
     yf_eq = channel.fd_equalize_zf(core, np.asarray(cfg.channel_taps), counter=counter)
-    grid_hat = demodulate_block(cfg, yf_eq, pulse, counter)
+    grid_hat = plan.demodulate(yf_eq, counter)
     d_hat = reference.demap_symbols(grid_hat, params)
 
     if cfg.rx == "mf":
@@ -148,14 +171,13 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
     sent = np.sign(d_on.real) + 1j * np.sign(d_on.imag)
     ser = float(np.mean(hard != sent))
 
-    kind = _cm_kind(cfg)
     return LoopbackReport(
-        kind=kind,
+        kind=plan.kind,
         k=cfg.k,
         m=cfg.m,
         n_symbols=params.n_active,
         nmse=nmse,
         ser=ser,
         measured_cm=counter.count,
-        formula_cm=analysis.cm_count(kind, cfg.k, cfg.m),
+        formula_cm=analysis.cm_count(plan.kind, cfg.k, cfg.m),
     )

@@ -27,6 +27,7 @@ __all__ = [
     "PrototypePulse",
     "WindowPair",
     "PULSE_KINDS",
+    "check_pulse_spec",
     "make_prototype",
     "shift_pulse",
     "tx_window",
@@ -55,9 +56,9 @@ class GfdmParams:
             raise ConfigError(f"K and M must be powers of two, got K={self.k}, M={self.m}")
         k_on = tuple(sorted(set(self.k_on))) if self.k_on else tuple(range(self.k))
         m_on = tuple(sorted(set(self.m_on))) if self.m_on else tuple(range(self.m))
-        if not k_on or any(not 0 <= i < self.k for i in k_on):
+        if not k_on or k_on[0] < 0 or k_on[-1] >= self.k:
             raise ConfigError(f"active subcarrier set out of range for K={self.k}: {k_on}")
-        if not m_on or any(not 0 <= i < self.m for i in m_on):
+        if not m_on or m_on[0] < 0 or m_on[-1] >= self.m:
             raise ConfigError(f"active subsymbol set out of range for M={self.m}: {m_on}")
         object.__setattr__(self, "k_on", k_on)
         object.__setattr__(self, "m_on", m_on)
@@ -104,6 +105,16 @@ def _rc_profile(u: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
+def check_pulse_spec(kind: str, alpha: float, delta: float) -> None:
+    """Reject an unknown pulse kind, a rolloff outside [0, 1] or a shift other than 0 or 1/2."""
+    if kind not in PULSE_KINDS:
+        raise ConfigError(f"unknown pulse kind {kind!r}, expected one of {PULSE_KINDS}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"rolloff must be in [0, 1], got {alpha}")
+    if delta not in (0.0, 0.5):
+        raise ConfigError(f"frequency-grid shift must be 0 or 1/2, got {delta}")
+
+
 def make_prototype(kind: str, params: GfdmParams, alpha: float = 0.0, delta: float = 0.0) -> PrototypePulse:
     """Synthesize a prototype pulse.
 
@@ -117,13 +128,7 @@ def make_prototype(kind: str, params: GfdmParams, alpha: float = 0.0, delta: flo
     on an even/even geometry) is not an error here; it surfaces when a
     zero-forcing receive window is requested.
     """
-    if kind not in PULSE_KINDS:
-        raise ConfigError(f"unknown pulse kind {kind!r}, expected one of {PULSE_KINDS}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"rolloff must be in [0, 1], got {alpha}")
-    if delta not in (0.0, 0.5):
-        raise ConfigError(f"frequency-grid shift must be 0 or 1/2, got {delta}")
-
+    check_pulse_spec(kind, alpha, delta)
     k, m, n = params.k, params.m, params.n
     if kind in ("RC", "RRC"):
         if k < 2:

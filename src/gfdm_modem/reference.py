@@ -83,7 +83,8 @@ def _condition_estimate(mat: np.ndarray, iters: int = 150) -> float:
     v /= np.linalg.norm(v)
 
     def gram(u: np.ndarray) -> np.ndarray:
-        return mat.conj().T @ (mat @ u)
+        # A^H (A u) without the N x N conjugate copy that mat.conj().T makes.
+        return ((mat @ u).conj() @ mat).conj()
 
     lam_max = 0.0
     for _ in range(iters):

@@ -9,6 +9,7 @@ from gfdm_modem.numerics import dft
 from gfdm_modem.pulses import GfdmParams, PrototypePulse, make_prototype, shift_pulse
 from gfdm_modem.reference import (
     MultiPulseComponent,
+    _condition_estimate,
     build_matrix,
     compose_multipulse,
     demap_symbols,
@@ -71,6 +72,49 @@ class TestOracleReceivers:
 
     def test_even_even_sharp_rolloff_is_singular(self):
         mm = build_matrix(make_prototype("RC", GfdmParams(4, 4), 0.0, 0.0))
+        with pytest.raises(SingularMatrix):
+            oracle_demod_zf(mm, np.ones(16, dtype=complex))
+
+
+def _condition_estimate_conj_copy(mat, iters=150):
+    """The estimate as first written: the Gram product through an N x N conjugate copy."""
+    n = mat.shape[0]
+    rng = np.random.default_rng(0x5EED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    lam_max = 0.0
+    for _ in range(iters):
+        w = mat.conj().T @ (mat @ v)
+        lam_max = float(np.linalg.norm(w))
+        if lam_max == 0.0:
+            return np.inf
+        v = w / lam_max
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    shift_gain = 0.0
+    for _ in range(iters):
+        w = lam_max * u - mat.conj().T @ (mat @ u)
+        shift_gain = float(np.linalg.norm(w))
+        if shift_gain == 0.0:
+            break
+        u = w / shift_gain
+    lam_min = max(lam_max - shift_gain, 0.0)
+    return np.inf if lam_min == 0.0 else lam_max / lam_min
+
+
+class TestConditionEstimate:
+    @pytest.mark.parametrize("k,m", [(8, 4), (16, 16), (16, 32)])
+    def test_equals_conjugate_copy_form(self, k, m):
+        mat = build_matrix(make_prototype("RC", GfdmParams(k, m), 0.5, 0.5)).mat
+        est = _condition_estimate(mat)
+        assert np.isfinite(est) and est > 1.0
+        # Only the summation order of the Gram product differs.
+        assert est == pytest.approx(_condition_estimate_conj_copy(mat), rel=1e-12)
+
+    def test_singular_window_matrix_stays_infinite(self):
+        mm = build_matrix(make_prototype("RC", GfdmParams(4, 4), 0.0, 0.0))
+        assert _condition_estimate(mm.mat) == np.inf
+        assert _condition_estimate_conj_copy(mm.mat) == np.inf
         with pytest.raises(SingularMatrix):
             oracle_demod_zf(mm, np.ones(16, dtype=complex))
 
