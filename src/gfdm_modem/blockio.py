@@ -3,7 +3,10 @@
 Binary layout: an optional 16-byte header (magic ``GFDMBLK1``, little-endian
 u32 sample count, u32 flags) followed by interleaved re/im float64 pairs,
 little-endian.  Readers accept headerless files and fall back to treating the
-whole payload as samples.  CSV rows are ``index,re,im`` with a header line.
+whole payload as samples.  CSV rows are ``index,re,im``; only the first line
+may be a header, and any later line that is not a sample is an error.  Input
+files are recognized by suffix (:func:`guess_format`); a file with any other
+suffix is CSV when it starts with the ``index,re,im`` header, else binary.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = ["MAGIC", "write_samples", "read_samples", "guess_format"]
 
 MAGIC = b"GFDMBLK1"
 _HEADER = struct.Struct("<8sII")
+_CSV_HEADER = "index,re,im"
 
 
 def guess_format(path: str | Path, fallback: str = "bin") -> str:
@@ -28,6 +32,15 @@ def guess_format(path: str | Path, fallback: str = "bin") -> str:
     if suffix in (".bin", ".dat", ".raw"):
         return "bin"
     return fallback
+
+
+def _sniff_format(path: Path) -> str:
+    """Format of an existing file: by suffix, else CSV if it starts with the CSV header."""
+    fmt = guess_format(path, fallback="")
+    if fmt:
+        return fmt
+    with path.open("rb") as fh:
+        return "csv" if fh.read(len(_CSV_HEADER)) == _CSV_HEADER.encode() else "bin"
 
 
 def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin", header: bool = True) -> None:
@@ -43,7 +56,7 @@ def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin", header: 
             fh.write(inter.tobytes())
     elif fmt == "csv":
         with path.open("w") as fh:
-            fh.write("index,re,im\n")
+            fh.write(_CSV_HEADER + "\n")
             for i, v in enumerate(vec):
                 fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
     else:
@@ -52,23 +65,19 @@ def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin", header: 
 
 def read_samples(path: str | Path, fmt: str | None = None) -> np.ndarray:
     path = Path(path)
-    fmt = fmt or guess_format(path)
+    fmt = fmt or _sniff_format(path)
     if fmt == "csv":
         values = []
         try:
             with path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+                for row, line in enumerate(filter(None, map(str.strip, fh))):
                     cells = line.split(",")
                     try:
-                        re_v, im_v = float(cells[1]), float(cells[2])
+                        values.append(complex(float(cells[1]), float(cells[2])))
                     except (IndexError, ValueError):
-                        if not values:  # header line
+                        if row == 0:  # header line
                             continue
                         raise ConfigError(f"malformed CSV sample line: {line!r}") from None
-                    values.append(complex(re_v, im_v))
         except UnicodeDecodeError:
             raise ConfigError(f"{path} is not a text CSV sample file") from None
         if not values:

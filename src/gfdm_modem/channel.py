@@ -25,6 +25,7 @@ from .numerics import MulCounter, dft
 
 __all__ = [
     "ChannelSpec",
+    "check_snr_db",
     "add_cp",
     "remove_cp",
     "apply_channel",
@@ -40,6 +41,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_snr_db(snr_db: float) -> None:
+    """Reject an SNR that is neither finite nor ``+inf`` (noiseless): NaN and ``-inf`` name no channel."""
+    if not (math.isfinite(snr_db) or snr_db == math.inf):
+        raise ConfigError(f"snr_db must be finite or +inf (noiseless), got {snr_db}")
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """Impulse response, per-sample SNR in dB (``inf`` for noiseless), seed."""
@@ -52,6 +59,7 @@ class ChannelSpec:
         taps = np.atleast_1d(np.asarray(self.taps, dtype=np.complex128))
         if taps.ndim != 1 or taps.size < 1:
             raise ConfigError("channel needs at least one tap")
+        check_snr_db(self.snr_db)
         object.__setattr__(self, "taps", taps)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     SingularWindow,
 )
 from .numerics import is_pow2
-from .pulses import make_prototype, window_pair
+from .pulses import rx_window
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -46,15 +46,15 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _cmd_pulse(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    pulse = make_prototype(cfg.pulse.upper(), cfg.params, cfg.alpha, cfg.delta)
-    wp = window_pair(pulse, cfg.domain.upper(), cfg.rx.upper())
+    wave = link.waveform_for(cfg)
+    w_tx = wave.w_tx(cfg.domain.upper())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     arrays = {
-        "pulse_time": pulse.time,
-        "pulse_freq": pulse.freq,
-        "w_tx": wp.w_tx,
-        "w_rx": wp.w_rx,
+        "pulse_time": wave.pulse.time,
+        "pulse_freq": wave.pulse.freq,
+        "w_tx": w_tx,
+        "w_rx": rx_window(w_tx, cfg.rx.upper()),
     }
     written = []
     for name, data in arrays.items():

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .channel import check_snr_db
 from .errors import ConfigError
 from .pulses import GfdmParams, check_pulse_spec
 
@@ -57,6 +58,7 @@ class RunConfig:
                 f"{len(self.channel_taps)} taps exceed the interference-free bound "
                 f"n_cp + 1 = {self.n_cp + 1}"
             )
+        check_snr_db(self.snr_db)
         if not 0 <= self.seed <= _SEED_MAX:
             # The noise stream takes the seed modulo 2**64; a larger one would alias.
             raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")

@@ -1,15 +1,20 @@
 """End-to-end evaluation chain: map, modulate, frame, channel, equalize, demodulate.
 
-As the modem loads its stage tables and window memories when reconfigured, a
-configuration is built once into a read-only :class:`ModemPlan` that later
-blocks stream through.  Its key is the fields the modem depends on: ``k, m,
-pulse, alpha, delta, rx, arch, domain, k_on, m_on, l_max`` (not the seed, SNR,
-channel or prefix).  Only the last plan used is held.  A failed build raises
-on every call and leaves the held plan in place.  The chain meters every
-modem transform and window product on one counter, so the measured total can
-be reconciled against the closed-form figures.  The direct frequency-domain
-route runs its generic full-band chain set here; the sparse short-cut is a
-library feature exercised separately.
+As the modem loads its pulse and window memories and its stage tables when
+reconfigured, the configuration is held in two read-only levels that later
+blocks stream through.  The :class:`Waveform` is the prototype pulse and its
+time- and frequency-domain transmit windows, keyed by ``k, m, pulse, alpha,
+delta, k_on, m_on``.  The :class:`ModemPlan` is the geometry, the cost kind
+and both engine tables, keyed by those fields plus ``rx, arch, domain,
+l_max``; it is derived from the held waveform, so a switch of engine, domain
+or receiver synthesizes no pulse and transforms no transmit window.  Neither
+key holds the seed, SNR, channel or prefix.  Each level holds one slot, the
+last one used.  A failed plan build raises on every call and leaves the held
+plan in place (the waveform it was derived from may stay loaded).  The chain
+meters every modem transform and window product on one counter, so the
+measured total can be reconciled against the closed-form figures.  The direct
+frequency-domain route runs its generic full-band chain set here; the sparse
+short-cut is a library feature exercised separately.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from . import analysis, channel, direct_modem, fft_modem, reference
 from .channel import ChannelSpec, uniform64_array
 from .config import RunConfig
 from .numerics import MulCounter, dft
-from .pulses import GfdmParams, make_prototype, tx_window, window_pair
+from .pulses import GfdmParams, PrototypePulse, make_prototype, rx_window, tx_window
 
-__all__ = ["LoopbackReport", "ModemPlan", "plan_for", "run_loopback", "modulate_block",
-           "demodulate_block", "qpsk_symbols"]
+__all__ = ["LoopbackReport", "Waveform", "ModemPlan", "waveform_for", "plan_for", "run_loopback",
+           "modulate_block", "demodulate_block", "qpsk_symbols"]
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 _SYMBOL_STREAM_OFFSET = 1 << 40  # keeps symbol draws clear of the noise draws
@@ -37,6 +42,28 @@ def qpsk_symbols(seed: int, count: int) -> np.ndarray:
     """Deterministic unit-power QPSK symbols."""
     idx = (uniform64_array(seed, _SYMBOL_STREAM_OFFSET, count) * 4).astype(np.intp) % 4
     return _QPSK[idx]
+
+
+@dataclass(frozen=True, eq=False)
+class Waveform:
+    """The prototype pulse and its TD and FD transmit windows, all read-only."""
+
+    pulse: PrototypePulse
+    w_td: np.ndarray
+    w_fd: np.ndarray
+
+    @classmethod
+    def build(cls, cfg: RunConfig) -> Waveform:
+        """Synthesize the pulse and both transmit windows, and make them read-only."""
+        pulse = make_prototype(cfg.pulse.upper(), cfg.params, cfg.alpha, cfg.delta)
+        wave = cls(pulse, tx_window(pulse, "TD"), tx_window(pulse, "FD"))
+        for arr in (pulse.time, pulse.freq, wave.w_td, wave.w_fd):
+            arr.flags.writeable = False
+        return wave
+
+    def w_tx(self, domain: str) -> np.ndarray:
+        """Transmit window of the processing domain ``"TD"`` or ``"FD"``."""
+        return self.w_td if domain == "TD" else self.w_fd
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,22 +78,22 @@ class ModemPlan:
 
     @classmethod
     def build(cls, cfg: RunConfig) -> ModemPlan:
-        """Synthesize the pulse and derive the tables; the pulse is not kept."""
-        params, d, rx = cfg.params, cfg.domain.upper(), cfg.rx.upper()
-        pulse = make_prototype(cfg.pulse.upper(), params, cfg.alpha, cfg.delta)
+        """Derive the tables from the loaded waveform, each receive window from its transmit window."""
+        wave = waveform_for(cfg)
+        pulse, params, d, rx = wave.pulse, wave.pulse.params, cfg.domain.upper(), cfg.rx.upper()
         if cfg.arch == "fft":
-            w_tx = tx_window(pulse, d)
+            w_tx = wave.w_tx(d)
             mod = fft_modem.preset(f"{d}_MOD", params, w_tx.T if d == "TD" else w_tx)
-            demod = fft_modem.preset("FD_DEMOD", params, window_pair(pulse, "FD", rx).w_rx)
+            demod = fft_modem.preset("FD_DEMOD", params, rx_window(wave.w_fd, rx))
             mod.window.flags.writeable = demod.window.flags.writeable = False
             return cls(params, f"FFT_{d}_FD", mod, demod)
         limits = direct_modem.DirectLimits(l_max=cfg.l_max)
         if d == "TD":
             mod = direct_modem.precompute_td_mod(pulse, limits)
-            demod = direct_modem.precompute_td_demod(window_pair(pulse, d, rx).w_rx, limits)
+            demod = direct_modem.precompute_td_demod(rx_window(wave.w_td, rx), limits)
         else:
             mod = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
-            demod = direct_modem.precompute_fd_demod(window_pair(pulse, d, rx).w_rx, limits, force_full=True)
+            demod = direct_modem.precompute_fd_demod(rx_window(wave.w_fd, rx), limits, force_full=True)
         return cls(params, f"DIR_{d}_{d}", mod, demod, limits)
 
     def modulate(self, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
@@ -91,11 +118,22 @@ class ModemPlan:
         return direct_modem.direct_demodulate_fd(yf_eq, self.demod, self.limits, counter)
 
 
+_waveform_key = operator.attrgetter("k", "m", "pulse", "alpha", "delta", "k_on", "m_on")
 _plan_key = operator.attrgetter("k", "m", "pulse", "alpha", "delta", "rx", "arch", "domain",
                                 "k_on", "m_on", "l_max")
-# One (key, plan) tuple, replaced whole: a reader never pairs a key with another
-# key's plan.  Holding more plans costs memory for every configuration ever run.
+# One (key, content) tuple per level, replaced whole: a reader never pairs a key
+# with another key's content.  Holding more costs memory for every configuration ever run.
+_waveform: tuple[tuple, Waveform | None] = ((), None)
 _loaded: tuple[tuple, ModemPlan | None] = ((), None)
+
+
+def waveform_for(cfg: RunConfig) -> Waveform:
+    """The loaded waveform when ``cfg`` has its key, else a new waveform, which is loaded."""
+    global _waveform
+    key = _waveform_key(cfg)
+    if _waveform[0] != key:
+        _waveform = (key, Waveform.build(cfg))
+    return _waveform[1]
 
 
 def plan_for(cfg: RunConfig) -> ModemPlan:

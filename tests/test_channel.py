@@ -57,6 +57,15 @@ class TestFraming:
 
 
 class TestApplyChannel:
+    @pytest.mark.parametrize("snr", [np.nan, -np.inf])
+    def test_spec_rejects_nan_and_negative_infinite_snr(self, snr):
+        with pytest.raises(ConfigError, match="snr_db must be finite or"):
+            ChannelSpec(np.array([1.0]), snr)
+
+    @pytest.mark.parametrize("snr", [np.inf, -30.0, 0.0, 1e300])
+    def test_spec_accepts_finite_and_noiseless_snr(self, snr):
+        assert ChannelSpec(np.array([1.0]), snr).snr_db == snr
+
     def test_identity_channel(self):
         x = np.arange(8, dtype=complex)
         y = apply_channel(x, ChannelSpec(np.array([1.0])))

@@ -64,6 +64,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(k=4, m=4, alpha=1.5)
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinite_snr(self, snr):
+        # Neither names a channel; both used to run a noiseless link.
+        with pytest.raises(ConfigError, match="snr_db must be finite or"):
+            RunConfig(k=4, m=4, snr_db=snr)
+
 
 class TestBlockIo:
     def test_binary_round_trip_is_bit_exact(self, tmp_path):
@@ -99,6 +105,26 @@ class TestBlockIo:
         path.write_bytes(b"GFDMBLK1" + b"\x10\x00\x00\x00" + b"\x00\x00\x00\x00" + b"12")
         with pytest.raises(ConfigError):
             blockio.read_samples(path)
+
+
+    def test_csv_only_first_line_may_be_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,re,im\n0,1.0,abc\njunk\n1,2.0,3.0\n2,4.0,5.0\n")
+        with pytest.raises(ConfigError, match="malformed CSV sample line: '0,1.0,abc'"):
+            blockio.read_samples(path)
+
+    def test_headerless_csv_accepted(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("\n0,1.0,2.0\n\n1,-3.5,0.25\n")
+        assert blockio.read_samples(path).tolist() == [1 + 2j, -3.5 + 0.25j]
+
+    def test_unknown_suffix_recognized_by_content(self, tmp_path):
+        data = np.array([1 + 2j, -3.5 + 0.25j, 0.125 - 1j, 2.0 + 0j])
+        blockio.write_samples(tmp_path / "a.txt", data, "csv")
+        blockio.write_samples(tmp_path / "b.txt", data, "bin")
+        blockio.write_samples(tmp_path / "c.txt", data, "bin", header=False)
+        for name in ("a.txt", "b.txt", "c.txt"):
+            assert blockio.read_samples(tmp_path / name).tolist() == data.tolist()
 
 
 class TestLoopback:
@@ -214,6 +240,33 @@ class TestCommands:
         assert np.abs(blockio.read_samples(est) - sent).max() <= 1e-9
         args = _build_parser().parse_args(["loopback", "--config", str(cfg)])
         assert (args.format, args.arch, args.domain) == (None, None, None)
+
+    def test_modulate_malformed_csv_line_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        sym = tmp_path / "sym.csv"
+        blockio.write_samples(sym, qpsk_symbols(3, 32), "csv")
+        sym.write_text(sym.read_text() + "junk\n")
+        out = tmp_path / "o.bin"
+        assert main(["modulate", "--config", str(cfg), "--in", str(sym), "--out", str(out)]) == 2
+        assert "malformed CSV sample line: 'junk'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_modulate_reads_csv_by_content(self, tmp_path):
+        cfg = write_config(tmp_path)
+        sent = qpsk_symbols(4, 32)
+        for name in ("symbols.csv", "symbols.txt"):
+            blockio.write_samples(tmp_path / name, sent, "csv")
+            assert main(["modulate", "--config", str(cfg), "--in", str(tmp_path / name),
+                         "--out", str(tmp_path / f"{name}.bin")]) == 0
+        block = (tmp_path / "symbols.csv.bin").read_bytes()
+        assert (tmp_path / "symbols.txt.bin").read_bytes() == block
+
+    @pytest.mark.parametrize("snr", ["-inf", "nan", math.nan, -math.inf])
+    def test_non_finite_snr_exits_2(self, tmp_path, capsys, snr):
+        # JSON NaN / -Infinity literals and the "nan" / "-inf" strings.
+        cfg = write_config(tmp_path, k=4, m=4, snr_db=snr)
+        assert main(["loopback", "--config", str(cfg)]) == 2
+        assert "snr_db must be finite or +inf" in capsys.readouterr().err
 
     def test_modulate_empty_input_fails(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,4 +1,4 @@
-"""Tests for the configured modem: plan reuse, read-only tables, errors, and the AWGN chain."""
+"""Tests for the configured modem: waveform and plan reuse, read-only tables, errors, and the AWGN chain."""
 
 import json
 import math
@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gfdm_modem import blockio, direct_modem, fft_modem, link
+from gfdm_modem import blockio, direct_modem, fft_modem, link, pulses
 from gfdm_modem.analysis import cm_count
 from gfdm_modem.channel import fd_equalize_zf
 from gfdm_modem.cli import main
@@ -125,6 +127,131 @@ class TestPlanReuse:
         want = engine_block(cfg, grid, None)
         assert again[0].tobytes() == want[0].tobytes()
         assert again[1].tobytes() == want[1].tobytes()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of pulse syntheses and of Zak transforms (each transmit window is one)."""
+    count = {"make_prototype": 0, "zak": 0}
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            count[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(link, "make_prototype", "make_prototype")
+    counted(pulses, "zak_time", "zak")
+    counted(pulses, "zak_freq", "zak")
+    return count
+
+
+def waveform_arrays(wave):
+    return [wave.pulse.time, wave.pulse.freq, wave.w_td, wave.w_fd]
+
+
+#: Configurations on three waveforms (the last differs from the first only in k_on),
+#: each under every engine, domain and receiver and two chain budgets.
+WAVE_POOL = [
+    RunConfig(**wave, rx=rx, arch=arch, domain=domain, l_max=l_max, channel_taps=TAPS, n_cp=4)
+    for wave in (dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5),
+                 dict(k=4, m=8, pulse="rrc", alpha=0.3, delta=0.5),
+                 dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5, k_on=(1, 2, 3)))
+    for arch, domain, rx in ENGINES
+    for l_max in (8, 16)
+]
+
+
+def assert_block_matches_engines(cfg, seed, builds=None):
+    """Link block equals fresh engine builds; returns the ``builds`` counts the link itself spent."""
+    grid = grid_for(cfg, seed)
+    got_counter, want_counter = MulCounter(), MulCounter()
+    before = dict(builds or {})
+    got = link_block(cfg, grid, got_counter)
+    spent = {name: builds[name] - n for name, n in before.items()}
+    want = engine_block(cfg, grid, want_counter)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got_counter.count == want_counter.count == cm_count(KINDS[cfg.arch, cfg.domain], cfg.k, cfg.m)
+    return spent
+
+
+class TestWaveformReuse:
+    def test_engine_domain_rx_and_l_max_switches_keep_the_waveform(self, builds):
+        link.plan_for(RunConfig(k=4, m=4, rx="mf"))  # load another waveform first
+        base = RunConfig(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5, channel_taps=TAPS, n_cp=4)
+        seq = [replace(base, arch=arch, domain=domain, rx=rx, l_max=l_max)
+               for l_max in (16, 8) for arch, domain, rx in ENGINES]
+        spent = [assert_block_matches_engines(cfg, i, builds) for i, cfg in enumerate(seq + seq[::-1])]
+        assert spent[0] == {"make_prototype": 1, "zak": 2}  # one pulse, its TD and FD windows
+        assert all(s == {"make_prototype": 0, "zak": 0} for s in spent[1:])
+
+    @pytest.mark.parametrize(
+        "field,value,new_pulse",
+        [("k", 4, True), ("m", 8, True), ("pulse", "rrc", True), ("alpha", 0.25, True),
+         ("delta", 0.0, True), ("k_on", (1, 2), True), ("m_on", (0,), True),
+         ("rx", "zf", False), ("arch", "direct", False), ("domain", "fd", False), ("l_max", 4, False)],
+    )
+    def test_each_waveform_field_loads_a_new_pulse(self, builds, field, value, new_pulse):
+        cfg = RunConfig(k=8, m=4, rx="mf")  # mf: delta=0 leaves the window singular for zf
+        link.plan_for(cfg)
+        wave = link.waveform_for(cfg)
+        before = dict(builds)
+        other = replace(cfg, **{field: value})
+        link.plan_for(other)
+        assert builds["make_prototype"] - before["make_prototype"] == int(new_pulse)
+        assert builds["zak"] - before["zak"] == 2 * int(new_pulse)
+        assert (link.waveform_for(other) is not wave) == new_pulse
+        pulse = link.waveform_for(other).pulse
+        assert (pulse.kind, pulse.params, pulse.alpha, pulse.delta) == (
+            other.pulse.upper(), other.params, other.alpha, other.delta)
+
+    @pytest.mark.parametrize("arch,domain,rx", ENGINES)
+    def test_waveform_arrays_reject_writes_and_share_no_memory_with_outputs(self, arch, domain, rx):
+        cfg = RunConfig(k=8, m=4, rx=rx, arch=arch, domain=domain)
+        outputs = link_block(cfg, grid_for(cfg, 3), None)
+        wave = link.waveform_for(cfg)
+        for arr in waveform_arrays(wave):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            assert not any(np.shares_memory(out, arr) for out in outputs)
+
+    def test_singular_zf_on_a_new_waveform_raises_twice_and_keeps_plans(self, builds):
+        good = RunConfig(k=4, m=4, pulse="rc", alpha=0.5, delta=0.5, channel_taps=TAPS, n_cp=4)
+        plan = link.plan_for(good)
+        singular = RunConfig(k=4, m=4, pulse="rc", alpha=0.0, delta=0.0, rx="zf", channel_taps=TAPS, n_cp=4)
+        before = builds["make_prototype"]
+        for _ in range(2):
+            with pytest.raises(SingularWindow):
+                link.run_loopback(singular)
+        assert builds["make_prototype"] == before + 1  # the valid waveform stays loaded
+        assert link.plan_for(good) is plan
+        rep = link.run_loopback(good)
+        assert rep.ser == 0.0 and rep.cm_match
+        # A good configuration on either waveform still builds and runs.
+        for cfg in (replace(singular, rx="mf"), replace(singular, rx="mf", arch="direct"),
+                    replace(good, domain="fd")):
+            assert_block_matches_engines(cfg, 5)
+
+    def test_failed_waveform_build_raises_twice_and_keeps_both_slots(self):
+        good = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4)
+        plan, wave = link.plan_for(good), link.waveform_for(good)
+        bad = RunConfig(k=1, m=4, pulse="rc")  # the raised-cosine grid needs K >= 2
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="needs K >= 2"):
+                link.run_loopback(bad)
+            with pytest.raises(ConfigError, match="needs K >= 2"):
+                link.waveform_for(bad)
+        assert link.waveform_for(good) is wave and link.plan_for(good) is plan
+        assert_block_matches_engines(replace(good, arch="direct", rx="mf"), 6)
+
+    @given(st.lists(st.sampled_from(WAVE_POOL), min_size=1, max_size=10))
+    def test_any_order_equals_fresh_builds(self, seq):
+        for i, cfg in enumerate(seq):
+            assert_block_matches_engines(cfg, i)
 
 
 class TestPlanErrors:
