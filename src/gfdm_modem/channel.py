@@ -26,6 +26,7 @@ from .numerics import MulCounter, dft
 __all__ = [
     "ChannelSpec",
     "check_snr_db",
+    "check_taps",
     "add_cp",
     "remove_cp",
     "apply_channel",
@@ -47,6 +48,16 @@ def check_snr_db(snr_db: float) -> None:
         raise ConfigError(f"snr_db must be finite or +inf (noiseless), got {snr_db}")
 
 
+def check_taps(taps) -> np.ndarray:
+    """The impulse response as a 1-D complex array; reject one that is empty or not finite."""
+    t = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
+    if t.ndim != 1 or t.size < 1:
+        raise ConfigError("channel needs at least one tap")
+    if not np.isfinite(t).all():
+        raise ConfigError(f"channel taps must be finite, got {t.tolist()}")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """Impulse response, per-sample SNR in dB (``inf`` for noiseless), seed."""
@@ -56,11 +67,8 @@ class ChannelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        taps = np.atleast_1d(np.asarray(self.taps, dtype=np.complex128))
-        if taps.ndim != 1 or taps.size < 1:
-            raise ConfigError("channel needs at least one tap")
+        object.__setattr__(self, "taps", check_taps(self.taps))
         check_snr_db(self.snr_db)
-        object.__setattr__(self, "taps", taps)
 
 
 def add_cp(x: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
@@ -153,7 +161,7 @@ def fd_equalize_zf(
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     h = np.zeros(y.size, dtype=np.complex128)
-    t = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
+    t = check_taps(taps)
     if t.size > y.size:
         raise ConfigError("more channel taps than block samples")
     h[: t.size] = t

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import check_snr_db
+from .channel import check_snr_db, check_taps
 from .errors import ConfigError
 from .pulses import GfdmParams, check_pulse_spec
 
@@ -51,8 +51,7 @@ class RunConfig:
         n = self.k * self.m
         if not 0 <= self.n_cp <= n or not 0 <= self.n_cs <= n:
             raise ConfigError("prefix/suffix lengths must lie in [0, N]")
-        if len(self.channel_taps) < 1:
-            raise ConfigError("channel needs at least one tap")
+        check_taps(self.channel_taps)
         if len(self.channel_taps) > self.n_cp + 1:
             raise ConfigError(
                 f"{len(self.channel_taps)} taps exceed the interference-free bound "
@@ -86,6 +85,13 @@ def _as_taps(raw) -> tuple[complex, ...]:
     return tuple(taps)
 
 
+def _as_int(name: str, value) -> int:
+    """An integral number; a boolean, a fraction or a non-finite number is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -104,22 +110,22 @@ def parse_config(data: dict) -> RunConfig:
         snr = math.inf
     try:
         return RunConfig(
-            k=int(data["k"]),
-            m=int(data["m"]),
+            k=_as_int("k", data["k"]),
+            m=_as_int("m", data["m"]),
             pulse=str(data.get("pulse", "rc")).lower(),
             alpha=float(data.get("alpha", 0.5)),
             delta=float(data.get("delta", 0.5)),
             rx=str(data.get("rx", "zf")).lower(),
             arch=str(data.get("arch", "fft")).lower(),
             domain=str(data.get("domain", "td")).lower(),
-            k_on=tuple(int(i) for i in data["k_on"]) if data.get("k_on") else None,
-            m_on=tuple(int(i) for i in data["m_on"]) if data.get("m_on") else None,
-            n_cp=int(data.get("n_cp", 0)),
-            n_cs=int(data.get("n_cs", 0)),
+            k_on=tuple(_as_int("k_on", i) for i in data["k_on"]) if data.get("k_on") else None,
+            m_on=tuple(_as_int("m_on", i) for i in data["m_on"]) if data.get("m_on") else None,
+            n_cp=_as_int("n_cp", data.get("n_cp", 0)),
+            n_cs=_as_int("n_cs", data.get("n_cs", 0)),
             channel_taps=_as_taps(data.get("channel_taps", [1.0])),
             snr_db=float(snr),
-            seed=int(data.get("seed", 0)),
-            l_max=int(data.get("l_max", 16)),
+            seed=_as_int("seed", data.get("seed", 0)),
+            l_max=_as_int("l_max", data.get("l_max", 16)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc

@@ -10,7 +10,7 @@ where sparse pulses pay off.
 Chains are a hardware concept.  This functional model stores each chain set
 as one read-only stack: the time-domain set is a zero-copy view of the cyclic
 shifts of one base matrix, the frequency-domain set a broadcast of its band
-rows.  All L chains of a pass are one contraction over a cyclic-shift view,
+rows.  Each pass is one batched row x shift-stack product over read-only views,
 and the counter still charges L*N multiplications per pass.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
 from .numerics import MulCounter, dft, polyphase
@@ -83,11 +83,19 @@ def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...] | None = None) -> np.n
     zero-copy view of ``[a, a]``; a proper subset is gathered from that view.
     """
     cols = a.shape[1]
-    windows = sliding_window_view(np.concatenate([a, a], axis=1), cols, axis=1)
-    view = windows[:, cols:0:-1].transpose(1, 0, 2)
+    doubled = np.concatenate([a, a], axis=1)
+    s_row, s_col = doubled.strides
+    view = as_strided(doubled[:, cols:], (cols, len(a), cols), (-s_col, s_row, s_col), writeable=False)
     if shifts is None or shifts == tuple(range(cols)):
         return view
     return view[list(shifts)]
+
+
+def _chain_pass(rows: np.ndarray, stack: np.ndarray, counter: MulCounter | None) -> np.ndarray:
+    """Output row ``i``: ``rows[i]``, its L chain inputs, times the L x cols matrix ``stack[:, i]``."""
+    if counter is not None:
+        counter.add(stack.size)  # one multiplication per stack entry: L*N
+    return np.matmul(rows[:, None, :], stack.transpose(1, 0, 2))[:, 0, :]
 
 
 def _check_block(params: GfdmParams, limits: DirectLimits) -> None:
@@ -202,9 +210,7 @@ def direct_modulate_td(
     if grid.shape != (p.k, p.m):
         raise ConfigError(f"grid shape {grid.shape} does not match {p.k}x{p.m}")
     spread = dft(np.asarray(grid, dtype=np.complex128), inverse=True, counter=counter) / p.k
-    acc = np.einsum("mkp,km->kp", pset.taps, spread)
-    if counter is not None:
-        counter.add(pset.overlap * p.n)
+    acc = _chain_pass(spread, pset.taps, counter)
     return acc.flatten(order="F")
 
 
@@ -221,9 +227,7 @@ def direct_modulate_fd(
     if grid.shape != (p.k, p.m):
         raise ConfigError(f"grid shape {grid.shape} does not match {p.k}x{p.m}")
     spread = dft(np.asarray(grid, dtype=np.complex128).T, counter=counter)  # M x K
-    acc = np.einsum("lmk,lmk->mk", pset.taps, _cyclic_shifts(spread, pset.partitions))
-    if counter is not None:
-        counter.add(pset.overlap * p.n)
+    acc = _chain_pass(pset.taps[:, :, 0].T, _cyclic_shifts(spread, pset.partitions), counter)
     xf = acc.flatten(order="F")
     if emit_time:
         return dft(xf, inverse=True, counter=counter) / p.n
@@ -243,9 +247,7 @@ def direct_demodulate_td(
     if y.size != p.n:
         raise ConfigError(f"block length {y.size} does not match N={p.n}")
     vy = polyphase(y, p.m, p.k).T  # K x M, column m is polyphase component m
-    acc = np.einsum("mkp,km->kp", pset.taps, vy)
-    if counter is not None:
-        counter.add(pset.overlap * p.n)
+    acc = _chain_pass(vy, pset.taps, counter)
     return dft(acc, counter=counter)
 
 
@@ -262,7 +264,5 @@ def direct_demodulate_fd(
     if yf.size != p.n:
         raise ConfigError(f"block length {yf.size} does not match N={p.n}")
     vy = polyphase(yf, p.k, p.m).T  # M x K
-    acc = np.einsum("lmk,lmk->mk", pset.taps, _cyclic_shifts(vy, pset.partitions))
-    if counter is not None:
-        counter.add(pset.overlap * p.n)
+    acc = _chain_pass(pset.taps[:, :, 0].T, _cyclic_shifts(vy, pset.partitions), counter)
     return (dft(acc, inverse=True, counter=counter) / p.m).T

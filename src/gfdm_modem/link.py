@@ -3,24 +3,24 @@
 As the modem loads its pulse and window memories and its stage tables when
 reconfigured, the configuration is held in two read-only levels that later
 blocks stream through.  The :class:`Waveform` is the prototype pulse and its
-time- and frequency-domain transmit windows, keyed by ``k, m, pulse, alpha,
-delta, k_on, m_on``.  The :class:`ModemPlan` is the geometry, the cost kind
-and both engine tables, keyed by those fields plus ``rx, arch, domain,
-l_max``; it is derived from the held waveform, so a switch of engine, domain
-or receiver synthesizes no pulse and transforms no transmit window.  Neither
-key holds the seed, SNR, channel or prefix.  Each level holds one slot, the
-last one used.  A failed plan build raises on every call and leaves the held
-plan in place (the waveform it was derived from may stay loaded).  The chain
-meters every modem transform and window product on one counter, so the
-measured total can be reconciled against the closed-form figures.  The direct
-frequency-domain route runs its generic full-band chain set here; the sparse
-short-cut is a library feature exercised separately.
+time- and frequency-domain transmit windows, keyed by the geometry (``k, m``
+and the sorted, de-duplicated ``k_on, m_on``) and ``pulse, alpha, delta``.
+The :class:`ModemPlan` is the geometry, the cost kind and both engine tables,
+keyed by those fields plus ``rx, arch, domain, l_max``; it is derived from the
+held waveform, so a switch of engine, domain or receiver synthesizes no pulse
+and transforms no transmit window.  Neither key holds the seed, SNR, channel
+or prefix.  Each level holds one slot, the last one used.  A failed plan build
+raises on every call and leaves the held plan in place (the waveform it was
+derived from may stay loaded).  The chain meters every modem transform and
+window product on one counter, so the measured total can be reconciled
+against the closed-form figures.  The direct frequency-domain route runs its
+generic full-band chain set here; the sparse short-cut is a library feature
+exercised separately.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +118,16 @@ class ModemPlan:
         return direct_modem.direct_demodulate_fd(yf_eq, self.demod, self.limits, counter)
 
 
-_waveform_key = operator.attrgetter("k", "m", "pulse", "alpha", "delta", "k_on", "m_on")
-_plan_key = operator.attrgetter("k", "m", "pulse", "alpha", "delta", "rx", "arch", "domain",
-                                "k_on", "m_on", "l_max")
+def _waveform_key(cfg: RunConfig) -> tuple:
+    # GfdmParams sorts and de-duplicates the active sets: k_on=(2, 1) keys as (1, 2),
+    # None as the full range.
+    return (cfg.params, cfg.pulse, cfg.alpha, cfg.delta)
+
+
+def _plan_key(cfg: RunConfig) -> tuple:
+    return (*_waveform_key(cfg), cfg.rx, cfg.arch, cfg.domain, cfg.l_max)
+
+
 # One (key, content) tuple per level, replaced whole: a reader never pairs a key
 # with another key's content.  Holding more costs memory for every configuration ever run.
 _waveform: tuple[tuple, Waveform | None] = ((), None)

@@ -10,12 +10,14 @@ from gfdm_modem.channel import (
     ChannelSpec,
     add_cp,
     apply_channel,
+    check_taps,
     fd_equalize_zf,
     gaussian_pairs,
     remove_cp,
     uniform64,
     uniform64_array,
 )
+from gfdm_modem.config import RunConfig
 from gfdm_modem.errors import ConfigError, SingularChannel
 from gfdm_modem.numerics import dft
 from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
@@ -65,6 +67,19 @@ class TestApplyChannel:
     @pytest.mark.parametrize("snr", [np.inf, -30.0, 0.0, 1e300])
     def test_spec_accepts_finite_and_noiseless_snr(self, snr):
         assert ChannelSpec(np.array([1.0]), snr).snr_db == snr
+
+    @pytest.mark.parametrize("taps", [[np.nan], [1.0, np.inf], [complex(0.0, -np.inf)], [complex(np.nan, 1.0)]])
+    def test_non_finite_taps_rejected_everywhere(self, taps):
+        for build in (lambda: check_taps(taps), lambda: ChannelSpec(np.array(taps)),
+                      lambda: fd_equalize_zf(np.ones(8, complex), np.array(taps)),
+                      lambda: RunConfig(k=4, m=4, n_cp=2, channel_taps=tuple(map(complex, taps)))):
+            with pytest.raises(ConfigError, match="channel taps must be finite"):
+                build()
+
+    @pytest.mark.parametrize("taps", [[], np.ones((2, 1))])
+    def test_empty_or_matrix_taps_rejected(self, taps):
+        with pytest.raises(ConfigError, match="at least one tap"):
+            check_taps(taps)
 
     def test_identity_channel(self):
         x = np.arange(8, dtype=complex)

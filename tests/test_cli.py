@@ -287,6 +287,37 @@ class TestCommands:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("taps", [[[math.nan, 0.0], [0.1, 0.0]], [[math.inf, 0.0]], [[1.0, -math.inf]]])
+    def test_non_finite_channel_taps_exit_2(self, tmp_path, capsys, taps):
+        # JSON NaN / Infinity literals; they used to run and report nmse=nan.
+        cfg = write_config(tmp_path, channel_taps=taps)
+        assert main(["loopback", "--config", str(cfg)]) == 2
+        assert "channel taps must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,raw",
+        [("k", "8.9"), ("m", "4.5"), ("seed", "1.7"), ("n_cp", "true"), ("n_cs", "false"),
+         ("l_max", "16.5"), ("k_on", "[1.5, 2]"), ("m_on", "[0, true]"), ("k", "Infinity"),
+         ("l_max", "1e400"), ("seed", "NaN")],
+    )
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, field, raw):
+        # Each used to be truncated (k 8.9 ran K=8, n_cp true ran 1) or to escape as an OverflowError.
+        path = write_config(tmp_path)
+        data = json.loads(path.read_text())
+        data[field] = "RAW"
+        path.write_text(json.dumps(data).replace('"RAW"', raw))
+        assert main(["loopback", "--config", str(path)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_integral_floats_run_as_integers(self, tmp_path, capsys):
+        ints = dict(k=8, m=4, n_cp=8, n_cs=1, seed=3, l_max=16, k_on=[1, 2], m_on=[0, 3])
+        reports = []
+        for fields in (ints, {name: (list(map(float, v)) if isinstance(v, list) else float(v))
+                              for name, v in ints.items()}):
+            assert main(["loopback", "--config", str(write_config(tmp_path, **fields))]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("seed,code", [(2**64 - 1, 0), (2**64, 2), (2**71, 2)])
     def test_loopback_seed_bounded_to_u64(self, tmp_path, seed, code):
         # The noise stream takes the seed modulo 2**64, so a larger one would alias.

@@ -1,5 +1,7 @@
 """Tests for the parallel multiply-accumulate (direct-convolution) engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -275,3 +277,40 @@ class TestAliasing:
         for name, run in runs.items():
             assert np.array_equal(second[name], run()), name
             assert np.isfinite(second[name]).all(), name
+
+
+class TestChainAllocation:
+    """Each pass reads its L*N stack of cyclic shifts in place; no pass materialises it."""
+
+    GEOMETRIES = [GfdmParams(32, 64), GfdmParams(64, 32)]  # N=2048, l_max=64: up to 64 chains
+
+    @pytest.mark.parametrize("params", GEOMETRIES)
+    def test_peak_allocation_stays_below_a_materialised_stack(self, params):
+        _, _, psets, runs = TestAliasing.all_passes(params, force_full=True)
+        limit = 16 * params.n * 16  # 512 KB; the stack of 32 or 64 chains is 1 or 2 MB
+        for name, run in runs.items():
+            assert psets[name].overlap * params.n * 16 >= 2 * limit, name
+            run()  # first use of each numpy kernel is not per-block cost
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (name, peak)
+
+    @pytest.mark.parametrize("params", GEOMETRIES)
+    def test_td_stack_handed_to_the_kernel_is_the_stored_taps(self, monkeypatch, params):
+        _, _, psets, runs = TestAliasing.all_passes(params, force_full=True)
+        stacks = []
+        matmul = np.matmul
+
+        def spy(rows, stack, *args, **kwargs):
+            stacks.append(stack)
+            return matmul(rows, stack, *args, **kwargs)
+        monkeypatch.setattr(np, "matmul", spy)
+        for name in ("td-mod", "td-demod"):
+            stacks.clear()
+            runs[name]()
+            assert len(stacks) == 1, name
+            assert np.shares_memory(stacks[0], psets[name].taps), name

@@ -208,6 +208,20 @@ class TestWaveformReuse:
         assert (pulse.kind, pulse.params, pulse.alpha, pulse.delta) == (
             other.pulse.upper(), other.params, other.alpha, other.delta)
 
+    @pytest.mark.parametrize(
+        "first,second",
+        [(dict(k_on=(1, 2)), dict(k_on=(2, 1))), (dict(k_on=None), dict(k_on=tuple(range(8)))),
+         (dict(m_on=(3, 0, 3)), dict(m_on=(0, 3))), (dict(m_on=None), dict(m_on=(3, 2, 1, 0)))],
+    )
+    def test_equal_active_sets_share_waveform_and_plan(self, builds, first, second):
+        a, b = RunConfig(k=8, m=4, **first), RunConfig(k=8, m=4, **second)
+        assert a.params == b.params
+        plan, wave = link.plan_for(a), link.waveform_for(a)
+        before = dict(builds)
+        assert link.plan_for(b) is plan and link.waveform_for(b) is wave
+        assert link.plan_for(a) is plan
+        assert builds == before
+
     @pytest.mark.parametrize("arch,domain,rx", ENGINES)
     def test_waveform_arrays_reject_writes_and_share_no_memory_with_outputs(self, arch, domain, rx):
         cfg = RunConfig(k=8, m=4, rx=rx, arch=arch, domain=domain)
