@@ -43,22 +43,24 @@ def _sniff_format(path: Path) -> str:
         return "csv" if fh.read(len(_CSV_HEADER)) == _CSV_HEADER.encode() else "bin"
 
 
+def _is_sample(cells: list[str]) -> bool:
+    """Whether the second and third cells of a split CSV line parse as floats."""
+    try:
+        float(cells[1]), float(cells[2])
+    except (IndexError, ValueError):
+        return False
+    return True
+
+
 def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin", header: bool = True) -> None:
     vec = np.asarray(data, dtype=np.complex128).reshape(-1, order="F")
     path = Path(path)
     if fmt == "bin":
-        inter = np.empty(2 * vec.size, dtype="<f8")
-        inter[0::2] = vec.real
-        inter[1::2] = vec.imag
-        with path.open("wb") as fh:
-            if header:
-                fh.write(_HEADER.pack(MAGIC, vec.size, 0))
-            fh.write(inter.tobytes())
+        head = _HEADER.pack(MAGIC, vec.size, 0) if header else b""
+        path.write_bytes(head + vec.astype("<c16").tobytes())
     elif fmt == "csv":
-        with path.open("w") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for i, v in enumerate(vec):
-                fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
+        rows = zip(range(vec.size), vec.real.tolist(), vec.imag.tolist())
+        path.write_text(_CSV_HEADER + "\n" + "".join(f"{i},{re!r},{im!r}\n" for i, re, im in rows))
     else:
         raise ConfigError(f"unknown sample format {fmt!r}, expected 'bin' or 'csv'")
 
@@ -67,22 +69,21 @@ def read_samples(path: str | Path, fmt: str | None = None) -> np.ndarray:
     path = Path(path)
     fmt = fmt or _sniff_format(path)
     if fmt == "csv":
-        values = []
         try:
-            with path.open() as fh:
-                for row, line in enumerate(filter(None, map(str.strip, fh))):
-                    cells = line.split(",")
-                    try:
-                        values.append(complex(float(cells[1]), float(cells[2])))
-                    except (IndexError, ValueError):
-                        if row == 0:  # header line
-                            continue
-                        raise ConfigError(f"malformed CSV sample line: {line!r}") from None
+            rows = [line.split(",") for line in map(str.strip, path.read_text().split("\n")) if line]
         except UnicodeDecodeError:
             raise ConfigError(f"{path} is not a text CSV sample file") from None
-        if not values:
+        if rows and not _is_sample(rows[0]):
+            del rows[0]  # only row 0 may be a header
+        if not rows:
             raise ConfigError(f"no samples in {path}")
-        samples = np.asarray(values, dtype=np.complex128)
+        samples = np.empty(len(rows), dtype=np.complex128)
+        try:
+            samples.real = list(map(float, [cells[1] for cells in rows]))
+            samples.imag = list(map(float, [cells[2] for cells in rows]))
+        except (IndexError, ValueError):
+            bad = ",".join(next(cells for cells in rows if not _is_sample(cells)))
+            raise ConfigError(f"malformed CSV sample line: {bad!r}") from None
     else:
         raw = path.read_bytes()
         if len(raw) >= _HEADER.size and raw[:8] == MAGIC:

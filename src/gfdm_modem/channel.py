@@ -10,6 +10,14 @@ computes many as ``uint64`` arrays, equal word for word.  The Box-Muller
 transcendentals are ``math.log`` and ``cmath.exp(j*theta)`` (the libm ``cos``
 and ``sin`` of ``math.cos``/``math.sin``, times 1.0) per sample, not numpy's
 vectorised kernels, whose last bit may depend on the CPU.
+
+:func:`apply_channel` convolves by shifted adds, one whole-array multiply-add
+per tap, rather than with ``np.convolve``, whose complex path does one BLAS dot
+per output sample.  The equalizer treats the N-point channel response as a
+configuration table: :func:`channel_response` holds the last one built, keyed by
+the taps, N and the null-bin threshold, read-only, in one slot replaced whole.
+A failed build (too many taps, a null bin) raises on every call and leaves the
+held response in place.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ __all__ = [
     "remove_cp",
     "apply_channel",
     "fd_equalize_zf",
+    "channel_response",
     "gaussian_pairs",
     "uniform64",
     "uniform64_array",
@@ -140,7 +149,10 @@ def apply_channel(x_framed: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     plus circularly symmetric Gaussian noise at the configured per-sample SNR.
     """
     x = np.asarray(x_framed, dtype=np.complex128).reshape(-1)
-    y = np.convolve(x, spec.taps)[: x.size]
+    taps, n = spec.taps, x.size
+    y = taps[0] * x
+    for j in range(1, min(taps.size, n)):
+        y[j:] += taps[j] * x[: n - j]
     if math.isfinite(spec.snr_db):
         power = float(np.mean(np.abs(x) ** 2))
         sigma2 = power / (10.0 ** (spec.snr_db / 10.0))
@@ -156,16 +168,31 @@ def fd_equalize_zf(
 ) -> np.ndarray:
     """One-tap zero-forcing equalizer; output stays in the frequency domain.
 
-    Only the N-point transform is metered, the per-bin division is part of the
-    equalizer and outside the modem cost accounting.
+    Only the N-point transform of ``y`` is metered, the per-bin division is part
+    of the equalizer and outside the modem cost accounting.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    h = np.zeros(y.size, dtype=np.complex128)
-    t = check_taps(taps)
-    if t.size > y.size:
-        raise ConfigError("more channel taps than block samples")
-    h[: t.size] = t
-    hf = dft(h)
-    if np.abs(hf).min() <= eps:
-        raise SingularChannel("channel frequency response has a null bin")
+    hf = channel_response(taps, y.size, eps)
     return dft(y, counter=counter) / hf
+
+
+# One (key, response) tuple, replaced whole, as ``link`` holds its waveform and plan.
+_response: tuple[tuple, np.ndarray | None] = ((), None)
+
+
+def channel_response(taps, n: int, eps: float = 1e-8) -> np.ndarray:
+    """The held read-only N-point response of the taps, built anew when taps, N or eps change."""
+    global _response
+    t = check_taps(taps)
+    key = (t.tobytes(), n, eps)
+    if _response[0] != key:
+        if t.size > n:
+            raise ConfigError("more channel taps than block samples")
+        h = np.zeros(n, dtype=np.complex128)
+        h[: t.size] = t
+        hf = dft(h)
+        if np.abs(hf).min() <= eps:
+            raise SingularChannel("channel frequency response has a null bin")
+        hf.flags.writeable = False
+        _response = (key, hf)
+    return _response[1]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,15 @@ class RunConfig:
     l_max: int = 16
 
     def __post_init__(self) -> None:
+        # The one integer rule: a boolean or a non-integral value is refused, never truncated.
+        # Numpy integers are held as int, so keys, cost formulas and JSON output see one type.
+        for name in ("k", "m", "n_cp", "n_cs", "seed", "l_max", "k_on", "m_on"):
+            value, many = getattr(self, name), name in ("k_on", "m_on")
+            for item in (value or ()) if many else (value,):
+                if isinstance(item, bool) or not isinstance(item, numbers.Integral):
+                    raise ConfigError(f"{name} must be an integer, got {item!r}")
+            if value or not many:
+                object.__setattr__(self, name, tuple(map(int, value)) if many else int(value))
         # The modem's own geometry and pulse rules, run so bad configs fail at parse time.
         self.params  # noqa: B018
         check_pulse_spec(self.pulse.upper(), self.alpha, self.delta)
@@ -85,11 +95,9 @@ def _as_taps(raw) -> tuple[complex, ...]:
     return tuple(taps)
 
 
-def _as_int(name: str, value) -> int:
-    """An integral number; a boolean, a fraction or a non-finite number is refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _as_int(value):
+    """An integral float such as ``8.0`` as an int; anything else as given, for ``RunConfig`` to judge."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -110,22 +118,22 @@ def parse_config(data: dict) -> RunConfig:
         snr = math.inf
     try:
         return RunConfig(
-            k=_as_int("k", data["k"]),
-            m=_as_int("m", data["m"]),
+            k=_as_int(data["k"]),
+            m=_as_int(data["m"]),
             pulse=str(data.get("pulse", "rc")).lower(),
             alpha=float(data.get("alpha", 0.5)),
             delta=float(data.get("delta", 0.5)),
             rx=str(data.get("rx", "zf")).lower(),
             arch=str(data.get("arch", "fft")).lower(),
             domain=str(data.get("domain", "td")).lower(),
-            k_on=tuple(_as_int("k_on", i) for i in data["k_on"]) if data.get("k_on") else None,
-            m_on=tuple(_as_int("m_on", i) for i in data["m_on"]) if data.get("m_on") else None,
-            n_cp=_as_int("n_cp", data.get("n_cp", 0)),
-            n_cs=_as_int("n_cs", data.get("n_cs", 0)),
+            k_on=tuple(_as_int(i) for i in data["k_on"]) if data.get("k_on") else None,
+            m_on=tuple(_as_int(i) for i in data["m_on"]) if data.get("m_on") else None,
+            n_cp=_as_int(data.get("n_cp", 0)),
+            n_cs=_as_int(data.get("n_cs", 0)),
             channel_taps=_as_taps(data.get("channel_taps", [1.0])),
             snr_db=float(snr),
-            seed=_as_int("seed", data.get("seed", 0)),
-            l_max=_as_int("l_max", data.get("l_max", 16)),
+            seed=_as_int(data.get("seed", 0)),
+            l_max=_as_int(data.get("l_max", 16)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc

@@ -11,7 +11,10 @@ held waveform, so a switch of engine, domain or receiver synthesizes no pulse
 and transforms no transmit window.  Neither key holds the seed, SNR, channel
 or prefix.  Each level holds one slot, the last one used.  A failed plan build
 raises on every call and leaves the held plan in place (the waveform it was
-derived from may stay loaded).  The chain meters every modem transform and
+derived from may stay loaded).  The chain's other configuration-only tables are
+held the same way: the symbol gather index on the geometry
+(``GfdmParams.active_index``) and the channel response in the equalizer
+(``channel.channel_response``).  The chain meters every modem transform and
 window product on one counter, so the measured total can be reconciled
 against the closed-form figures.  The direct frequency-domain route runs its
 generic full-band chain set here; the sparse short-cut is a library feature
@@ -120,8 +123,8 @@ class ModemPlan:
 
 def _waveform_key(cfg: RunConfig) -> tuple:
     # GfdmParams sorts and de-duplicates the active sets: k_on=(2, 1) keys as (1, 2),
-    # None as the full range.
-    return (cfg.params, cfg.pulse, cfg.alpha, cfg.delta)
+    # None as the full range; the pulse kind keys in the upper case it is built in.
+    return (cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta)
 
 
 def _plan_key(cfg: RunConfig) -> tuple:

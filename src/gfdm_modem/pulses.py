@@ -16,6 +16,7 @@ window of the same domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,13 @@ class GfdmParams:
     @property
     def n_active(self) -> int:
         return len(self.k_on) * len(self.m_on)
+
+    @cached_property
+    def active_index(self) -> np.ndarray:
+        """Read-only flat (row-major) grid index of the active positions, subcarrier index fastest."""
+        index = (np.asarray(self.k_on)[:, None] * self.m + np.asarray(self.m_on)).ravel(order="F")
+        index.flags.writeable = False
+        return index
 
 
 @dataclass(frozen=True, eq=False)

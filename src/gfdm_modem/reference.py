@@ -127,16 +127,16 @@ def map_symbols(d_on: np.ndarray, params: GfdmParams) -> np.ndarray:
         raise ConfigError(
             f"expected {params.n_active} symbols for the active set, got {d_on.size}"
         )
-    grid = np.zeros((params.k, params.m), dtype=np.complex128)
-    grid[np.ix_(params.k_on, params.m_on)] = d_on.reshape(len(params.k_on), -1, order="F")
-    return grid
+    grid = np.zeros(params.n, dtype=np.complex128)
+    grid[params.active_index] = d_on
+    return grid.reshape(params.k, params.m)
 
 
 def demap_symbols(grid: np.ndarray, params: GfdmParams) -> np.ndarray:
     """Gather the active grid positions back into a symbol vector."""
     if grid.shape != (params.k, params.m):
         raise ConfigError(f"grid shape {grid.shape} does not match {params.k}x{params.m}")
-    return grid[np.ix_(params.k_on, params.m_on)].astype(np.complex128).ravel(order="F")
+    return grid.reshape(-1)[params.active_index].astype(np.complex128, copy=False)
 
 
 @dataclass(frozen=True, eq=False)

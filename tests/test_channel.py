@@ -4,12 +4,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gfdm_modem import channel
 from gfdm_modem.channel import (
     ChannelSpec,
     add_cp,
     apply_channel,
+    channel_response,
     check_taps,
     fd_equalize_zf,
     gaussian_pairs,
@@ -19,7 +23,7 @@ from gfdm_modem.channel import (
 )
 from gfdm_modem.config import RunConfig
 from gfdm_modem.errors import ConfigError, SingularChannel
-from gfdm_modem.numerics import dft
+from gfdm_modem.numerics import MulCounter, dft
 from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
 from gfdm_modem.fft_modem import demodulate_fd, modulate_td
 from gfdm_modem.link import qpsk_symbols
@@ -182,3 +186,151 @@ class TestEqualizer:
         y = np.ones(8, dtype=complex)
         with pytest.raises(SingularChannel):
             fd_equalize_zf(y, np.array([1.0, -1.0]))  # zero response at DC
+
+
+def per_block_fd_equalize_zf(y, taps, eps=1e-8, counter=None):
+    """The equalizer as it was before the response was held: the response is built on every call."""
+    y = np.asarray(y, dtype=np.complex128).reshape(-1)
+    h = np.zeros(y.size, dtype=np.complex128)
+    t = check_taps(taps)
+    if t.size > y.size:
+        raise ConfigError("more channel taps than block samples")
+    h[: t.size] = t
+    hf = dft(h)
+    if np.abs(hf).min() <= eps:
+        raise SingularChannel("channel frequency response has a null bin")
+    return dft(y, counter=counter) / hf
+
+
+def random_complex(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+finite_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestShiftedAddConvolution:
+    @given(st.integers(1, 96), st.lists(finite_complex, min_size=1, max_size=120), st.integers(0, 2**32 - 1))
+    @example(1, [2.0 - 1j], 0)  # one sample, one tap
+    @example(3, [1.0, 0.5j, -0.25, 0.1, 0.2], 1)  # more taps than samples
+    @example(2064, [1.0, 0.45 - 0.2j, -0.1 + 0.3j, 0.05], 2)  # a clean-mix framed block
+    def test_matches_np_convolve(self, n, taps, seed):
+        x = random_complex(np.random.default_rng(seed), n)
+        taps = np.array(taps, dtype=np.complex128)
+        got = apply_channel(x, ChannelSpec(taps))
+        want = np.convolve(x, taps)[:n]
+        # Each output is a sum of at most len(taps) products; bound its rounding by the sum of magnitudes.
+        scale = np.convolve(np.abs(x), np.abs(taps))[:n]
+        assert got.shape == want.shape and got.dtype == np.complex128
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+    def test_input_is_left_alone(self):
+        x = random_complex(np.random.default_rng(4), 40)
+        before = x.copy()
+        y = apply_channel(x, ChannelSpec(np.array([0.5, 1.0, -0.25j])))
+        assert (x == before).all() and not np.shares_memory(x, y)
+
+    def test_noise_rides_on_the_convolution(self):
+        x = random_complex(np.random.default_rng(5), 64)
+        taps = np.array([1.0, 0.4 - 0.2j])
+        clean = apply_channel(x, ChannelSpec(taps))
+        noisy = apply_channel(x, ChannelSpec(taps, snr_db=10.0, seed=9))
+        sigma = np.sqrt(np.mean(np.abs(x) ** 2) / 10.0)
+        assert noisy.tobytes() == (clean + sigma * gaussian_pairs(9, 64)).tobytes()
+
+
+HELD_TAPS = np.array([1.0, 0.45 - 0.2j, -0.1 + 0.3j, 0.05])
+
+
+@pytest.fixture
+def response_builds(monkeypatch):
+    """Counts the N-point transforms of channel taps (each one is a response build).
+
+    The equalizer hands its block transform a ``counter`` keyword; a response build does not.
+    """
+    count = [0]
+    original = channel.dft
+
+    def counted(x, *args, **kwargs):
+        count[0] += "counter" not in kwargs
+        return original(x, *args, **kwargs)
+    monkeypatch.setattr(channel, "dft", counted)
+    return count
+
+
+class TestHeldResponse:
+    def test_equal_taps_n_and_eps_reuse_the_response(self, response_builds):
+        held = channel_response(HELD_TAPS, 64)
+        for taps in (HELD_TAPS.copy(), list(HELD_TAPS), tuple(HELD_TAPS)):
+            assert channel_response(taps, 64, 1e-8) is held
+            fd_equalize_zf(np.ones(64), taps, counter=MulCounter())
+        assert response_builds[0] == 1
+
+    @pytest.mark.parametrize(
+        "base,taps,n,eps",
+        [(HELD_TAPS, HELD_TAPS * 2, 64, 1e-8), (HELD_TAPS, np.append(HELD_TAPS, 0.0), 64, 1e-8),
+         (np.array([1.0, 0.0]), np.array([1.0, -0.0]), 64, 1e-8), (HELD_TAPS, HELD_TAPS, 128, 1e-8),
+         (HELD_TAPS, HELD_TAPS, 64, 1e-3)],
+    )
+    def test_each_of_taps_n_and_eps_rebuilds(self, response_builds, base, taps, n, eps):
+        base = channel_response(base, 64)
+        built = response_builds[0]
+        other = channel_response(taps, n, eps)
+        assert other is not base and response_builds[0] == built + 1
+        assert channel_response(taps, n, eps) is other and response_builds[0] == built + 1
+        y = random_complex(np.random.default_rng(6), n)
+        assert fd_equalize_zf(y, taps, eps).tobytes() == per_block_fd_equalize_zf(y, taps, eps).tobytes()
+
+    @pytest.mark.parametrize(
+        "taps,exc",
+        [(np.array([1.0, -1.0]), SingularChannel), (np.ones(9), ConfigError),
+         (np.array([np.nan]), ConfigError)],
+    )
+    def test_failed_build_raises_every_call_and_keeps_the_held_response(self, response_builds, taps, exc):
+        held = channel_response(HELD_TAPS, 8)
+        y = random_complex(np.random.default_rng(7), 8)
+        want = per_block_fd_equalize_zf(y, HELD_TAPS)
+        for _ in range(2):
+            counter = MulCounter()
+            with pytest.raises(exc):
+                fd_equalize_zf(y, taps, counter=counter)
+            assert counter.count == 0
+        assert channel_response(HELD_TAPS, 8) is held
+        assert fd_equalize_zf(y, HELD_TAPS).tobytes() == want.tobytes()
+
+    def test_response_rejects_writes(self):
+        held = channel_response(HELD_TAPS, 16)
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0] = 0.0
+
+    def test_output_shares_no_memory_with_the_response(self):
+        y = random_complex(np.random.default_rng(8), 16)
+        out = fd_equalize_zf(y, HELD_TAPS)
+        held = channel_response(HELD_TAPS, 16)
+        before = held.copy()
+        assert not np.shares_memory(out, held)
+        out[:] = 0.0
+        assert held.tobytes() == before.tobytes()
+
+    # Tap sets for the reuse property: identity, a delay, four taps, a null at DC, a signed zero,
+    # a near-null that only a large eps refuses, and nine taps (too many for N = 8).
+    POOL = [np.array([1.0]), np.array([0.0, 1.0]), HELD_TAPS, np.array([1.0, -1.0]), np.array([1.0, -0.0]),
+            np.array([1.0, 0.999]), random_complex(np.random.default_rng(9), 9)]
+
+    STEPS = st.tuples(st.integers(0, len(POOL) - 1), st.sampled_from([1, 8, 16, 64]),
+                      st.sampled_from([1e-8, 1e-2]), st.integers(0, 2**32 - 1))
+
+    @given(st.lists(STEPS, min_size=1, max_size=12))
+    def test_any_sequence_is_bit_identical_to_a_per_block_build(self, steps):
+        for index, n, eps, seed in steps:
+            taps, y = self.POOL[index], random_complex(np.random.default_rng(seed), n)
+            results = []
+            for equalize in (fd_equalize_zf, per_block_fd_equalize_zf):
+                counter = MulCounter()
+                try:
+                    out = equalize(y, taps, eps, counter).tobytes()
+                except (ConfigError, SingularChannel) as exc:
+                    out = type(exc)
+                results.append((out, counter.count))
+            assert results[0] == results[1]

@@ -71,6 +71,43 @@ class TestConfig:
             RunConfig(k=4, m=4, snr_db=snr)
 
 
+class TestIntegerRule:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("k", True), ("m", 4.0), ("k", 8.9), ("seed", True), ("seed", 1.7), ("seed", np.float64(2.0)),
+         ("n_cp", True), ("n_cs", False), ("l_max", 16.5), ("l_max", np.bool_(True)), ("seed", "1"),
+         ("k_on", (1, True)), ("k_on", (1.0,)), ("m_on", (0, 0.5)), ("m_on", ("1",)), ("k", math.inf)],
+    )
+    def test_booleans_and_non_integral_values_are_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            RunConfig(**{"k": 8, "m": 4, field: value})
+
+    def test_seed_and_n_cp_booleans_are_refused(self):
+        with pytest.raises(ConfigError, match="n_cp must be an integer, got True"):
+            RunConfig(k=8, m=4, seed=True, n_cp=True)
+        with pytest.raises(ConfigError, match="seed must be an integer, got True"):
+            RunConfig(k=8, m=4, seed=True)
+
+    def test_numpy_integers_are_accepted_and_held_as_int(self):
+        ints = dict(k=8, m=4, n_cp=4, n_cs=1, seed=7, l_max=16, k_on=(1, 2), m_on=(0, 3))
+        np_ints = dict(k=np.int64(8), m=np.int32(4), n_cp=np.int16(4), n_cs=np.uint8(1), seed=np.uint64(7),
+                       l_max=np.int8(16), k_on=(np.int64(1), 2), m_on=[0, np.intp(3)])
+        cfg = RunConfig(**np_ints)
+        assert cfg == RunConfig(**ints) and emit_config(cfg) == emit_config(RunConfig(**ints))
+        held = (cfg.k, cfg.m, cfg.n_cp, cfg.n_cs, cfg.seed, cfg.l_max, *cfg.k_on, *cfg.m_on)
+        assert all(type(v) is int for v in held)
+        for arch in ("fft", "direct"):
+            assert run_loopback(RunConfig(**np_ints, arch=arch)) == run_loopback(RunConfig(**ints, arch=arch))
+
+    def test_parse_config_converts_integral_floats_then_applies_the_rule(self):
+        cfg = parse_config({"k": 8.0, "m": 4.0, "seed": 3.0, "n_cp": 2.0, "k_on": [1.0, 2]})
+        assert cfg == RunConfig(k=8, m=4, seed=3, n_cp=2, k_on=(1, 2))
+        assert all(type(v) is int for v in (cfg.k, cfg.m, cfg.seed, cfg.n_cp, *cfg.k_on))
+        for field, raw in (("k", "8"), ("seed", 1.5), ("n_cs", True), ("m_on", [0, "1"])):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                parse_config({"k": 8, "m": 4, field: raw})
+
+
 class TestBlockIo:
     def test_binary_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

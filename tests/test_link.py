@@ -222,6 +222,16 @@ class TestWaveformReuse:
         assert link.plan_for(a) is plan
         assert builds == before
 
+    @pytest.mark.parametrize("first,second", [("RC", "rc"), ("rrc", "RRC"), ("Rect_TD", "rect_td")])
+    def test_pulse_kind_in_any_case_shares_waveform_and_plan(self, builds, first, second):
+        a = RunConfig(k=8, m=4, pulse=first, alpha=0.0, delta=0.0, rx="mf")
+        b = replace(a, pulse=second)
+        plan, wave = link.plan_for(a), link.waveform_for(a)
+        before = dict(builds)
+        assert link.plan_for(b) is plan and link.waveform_for(b) is wave
+        assert link.run_loopback(b) == link.run_loopback(a)
+        assert builds == before
+
     @pytest.mark.parametrize("arch,domain,rx", ENGINES)
     def test_waveform_arrays_reject_writes_and_share_no_memory_with_outputs(self, arch, domain, rx):
         cfg = RunConfig(k=8, m=4, rx=rx, arch=arch, domain=domain)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gfdm_modem.errors import ConfigError, SingularMatrix
@@ -158,6 +160,61 @@ class TestSymbolMapping:
     def test_size_mismatch(self):
         with pytest.raises(ConfigError):
             map_symbols(np.ones(3), GfdmParams(4, 2))
+
+
+def ix_map_symbols(d_on, params):
+    """Scatter through ``np.ix_`` of the active sets, as map_symbols did before the held index."""
+    d_on = np.asarray(d_on).reshape(-1)
+    grid = np.zeros((params.k, params.m), dtype=np.complex128)
+    grid[np.ix_(params.k_on, params.m_on)] = d_on.reshape(len(params.k_on), -1, order="F")
+    return grid
+
+
+def ix_demap_symbols(grid, params):
+    """Gather through ``np.ix_`` of the active sets, as demap_symbols did before the held index."""
+    return grid[np.ix_(params.k_on, params.m_on)].astype(np.complex128).ravel(order="F")
+
+
+@st.composite
+def geometries(draw):
+    """K x M with drawn active sets: partial, unsorted and repeated entries, or None for the full range."""
+    k, m = 2 ** draw(st.integers(0, 6)), 2 ** draw(st.integers(0, 6))
+    k_on = draw(st.none() | st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k))
+    m_on = draw(st.none() | st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))
+    return GfdmParams(k, m, tuple(k_on or ()), tuple(m_on or ()))
+
+
+class TestHeldGatherIndex:
+    @given(geometries(), st.integers(0, 2**32 - 1))
+    def test_map_and_demap_equal_the_ix_copies_bit_for_bit(self, params, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(params.n_active) + 1j * rng.standard_normal(params.n_active)
+        got, want = map_symbols(d, params), ix_map_symbols(d, params)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        grid = random_grid(params, seed + 1)
+        wide = np.zeros((params.k, 3 * params.m), dtype=np.complex128)
+        wide[:, ::3] = grid
+        # C order, Fortran order, a strided view and a real grid all gather the same positions.
+        for g in (grid, np.asfortranarray(grid), wide[:, ::3], grid.real.copy()):
+            got, want = demap_symbols(g, params), ix_demap_symbols(g, params)
+            assert got.dtype == want.dtype == np.complex128 and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, g) and got.flags.writeable
+
+    def test_index_is_held_per_params_and_read_only(self):
+        params = GfdmParams(8, 4, k_on=(5, 0, 3), m_on=(3, 1))
+        index = params.active_index
+        assert params.active_index is index
+        assert index.tolist() == [k * 4 + m for m in (1, 3) for k in (0, 3, 5)]
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+        out = demap_symbols(random_grid(params, 5), params)
+        assert not np.shares_memory(out, index) and not np.shares_memory(map_symbols(out, params), index)
+
+    def test_equal_params_stay_equal_once_the_index_is_held(self):
+        a, b = GfdmParams(8, 4, k_on=(2, 1)), GfdmParams(8, 4, k_on=(1, 2))
+        a.active_index  # noqa: B018
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
 
 
 class TestMultiPulse:
