@@ -11,6 +11,7 @@ against the instrumented counter of an actual run.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -84,8 +85,13 @@ def _geometry(k: int, m: int) -> tuple[int, int, int, int]:
 
 
 def cm_count(kind: str, k: int, m: int, l: int | None = None) -> int:
-    """Total complex multiplications of one modulate-equalize-demodulate block."""
+    """Total complex multiplications of one modulate-equalize-demodulate block.
+
+    The band overlap ``l``, when given, must be a positive integer.
+    """
     n, log_k, log_m, log_n = _geometry(k, m)
+    if l is not None and (isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1):
+        raise ConfigError(f"the band overlap L must be a positive integer, got {l!r}")
     if kind == "FFT_TD_FD":
         return 2 * n * log_n + 2 * n
     if kind == "FFT_TD_TD":

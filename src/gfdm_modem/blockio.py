@@ -2,11 +2,13 @@
 
 Binary layout: an optional 16-byte header (magic ``GFDMBLK1``, little-endian
 u32 sample count, u32 flags) followed by interleaved re/im float64 pairs,
-little-endian.  Readers accept headerless files and fall back to treating the
-whole payload as samples.  CSV rows are ``index,re,im``; only the first line
-may be a header, and any later line that is not a sample is an error.  Input
-files are recognized by suffix (:func:`guess_format`); a file with any other
-suffix is CSV when it starts with the ``index,re,im`` header, else binary.
+little-endian.  A header's count must match the payload exactly, neither
+truncated nor followed by extra bytes.  Readers accept headerless files and
+fall back to treating the whole payload as samples.  CSV rows are
+``index,re,im``; only the first line may be a header, and any later line that
+is not a sample is an error.  Input files are recognized by suffix
+(:func:`guess_format`); a file with any other suffix is CSV when it starts
+with the ``index,re,im`` header, else binary.
 """
 
 from __future__ import annotations
@@ -89,9 +91,9 @@ def read_samples(path: str | Path, fmt: str | None = None) -> np.ndarray:
         if len(raw) >= _HEADER.size and raw[:8] == MAGIC:
             _, count, _flags = _HEADER.unpack_from(raw)
             payload = raw[_HEADER.size :]
-            if len(payload) < 16 * count:
-                raise ConfigError(f"{path} truncated: header promises {count} samples")
-            payload = payload[: 16 * count]
+            if len(payload) != 16 * count:
+                what = "truncated" if len(payload) < 16 * count else "longer than its header"
+                raise ConfigError(f"{path} {what}: header promises {count} samples")
         else:
             payload = raw
         if len(payload) == 0 or len(payload) % 16:

@@ -6,10 +6,11 @@ maps them to uniforms, and applies the Box-Muller transform.  Identical seeds
 give bit-identical noise.
 
 :func:`uniform64` specifies one word of the stream; :func:`uniform64_array`
-computes many as ``uint64`` arrays, equal word for word.  The Box-Muller
-transcendentals are ``math.log`` and ``cmath.exp(j*theta)`` (the libm ``cos``
-and ``sin`` of ``math.cos``/``math.sin``, times 1.0) per sample, not numpy's
-vectorised kernels, whose last bit may depend on the CPU.
+computes many from the ``uint64`` words of :func:`splitmix64_words`, equal word
+for word.  The Box-Muller transcendentals are ``math.log`` and
+``cmath.exp(j*theta)`` (the libm ``cos`` and ``sin`` of ``math.cos``/``math.sin``,
+times 1.0) per sample, not numpy's vectorised kernels, whose last bit may depend
+on the CPU.
 
 :func:`apply_channel` convolves by shifted adds, one whole-array multiply-add
 per tap, rather than with ``np.convolve``, whose complex path does one BLAS dot
@@ -41,6 +42,7 @@ __all__ = [
     "fd_equalize_zf",
     "channel_response",
     "gaussian_pairs",
+    "splitmix64_words",
     "uniform64",
     "uniform64_array",
 ]
@@ -114,18 +116,23 @@ def uniform64(seed: int, index: int) -> float:
     return ((z >> 11) + 0.5) / (1 << 53)
 
 
-def uniform64_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Words ``start .. start+count-1`` of :func:`uniform64`, bit for bit.
-
-    ``uint64`` arithmetic wraps modulo 2**64, which is exactly the masking of
-    the scalar form; ``z >> 11`` fits the float64 mantissa, so the conversion
-    and the power-of-two scaling are exact.
-    """
+def splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
+    """Words ``z`` of :func:`uniform64` at ``start .. start+count-1``; ``uint64`` wraps as the scalar mask."""
     index = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + index * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
+    return z
+
+
+def uniform64_array(seed: int, start: int, count: int) -> np.ndarray:
+    """Words ``start .. start+count-1`` of :func:`uniform64`, bit for bit.
+
+    ``z >> 11`` fits the float64 mantissa, so the conversion and the
+    power-of-two scaling are exact.
+    """
+    z = splitmix64_words(seed, start, count)
     return ((z >> np.uint64(11)).astype(np.float64) + 0.5) / (1 << 53)
 
 
@@ -173,7 +180,9 @@ def fd_equalize_zf(
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     hf = channel_response(taps, y.size, eps)
-    return dft(y, counter=counter) / hf
+    yf = dft(y, counter=counter)
+    yf /= hf
+    return yf
 
 
 # One (key, response) tuple, replaced whole, as ``link`` holds its waveform and plan.

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .channel import check_snr_db, check_taps
@@ -49,6 +51,21 @@ class RunConfig:
                     raise ConfigError(f"{name} must be an integer, got {item!r}")
             if value or not many:
                 object.__setattr__(self, name, tuple(map(int, value)) if many else int(value))
+        # The type rule of the other fields: real numbers (not booleans) held as float,
+        # names as str, and taps as a sequence of numbers that are neither str nor bool.
+        for name in ("alpha", "delta", "snr_db"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for name in ("pulse", "rx", "arch", "domain"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        taps = self.channel_taps
+        if not isinstance(taps, Iterable) or any(
+            isinstance(t, (str, bool)) or not isinstance(t, numbers.Number) for t in taps
+        ):
+            raise ConfigError(f"channel_taps must be a sequence of numbers, got {taps!r}")
         # The modem's own geometry and pulse rules, run so bad configs fail at parse time.
         self.params  # noqa: B018
         check_pulse_spec(self.pulse.upper(), self.alpha, self.delta)
@@ -74,7 +91,7 @@ class RunConfig:
         if self.l_max < 1:
             raise ConfigError("l_max must be at least 1")
 
-    @property
+    @cached_property
     def params(self) -> GfdmParams:
         return GfdmParams(self.k, self.m, self.k_on or (), self.m_on or ())
 

@@ -209,7 +209,8 @@ def direct_modulate_td(
     p = pset.params
     if grid.shape != (p.k, p.m):
         raise ConfigError(f"grid shape {grid.shape} does not match {p.k}x{p.m}")
-    spread = dft(np.asarray(grid, dtype=np.complex128), inverse=True, counter=counter) / p.k
+    spread = dft(np.asarray(grid, dtype=np.complex128), inverse=True, counter=counter)
+    spread /= p.k
     acc = _chain_pass(spread, pset.taps, counter)
     return acc.flatten(order="F")
 
@@ -230,7 +231,9 @@ def direct_modulate_fd(
     acc = _chain_pass(pset.taps[:, :, 0].T, _cyclic_shifts(spread, pset.partitions), counter)
     xf = acc.flatten(order="F")
     if emit_time:
-        return dft(xf, inverse=True, counter=counter) / p.n
+        xt = dft(xf, inverse=True, counter=counter)
+        xt /= p.n
+        return xt
     return xf
 
 
@@ -265,4 +268,6 @@ def direct_demodulate_fd(
         raise ConfigError(f"block length {yf.size} does not match N={p.n}")
     vy = polyphase(yf, p.k, p.m).T  # M x K
     acc = _chain_pass(pset.taps[:, :, 0].T, _cyclic_shifts(vy, pset.partitions), counter)
-    return (dft(acc, inverse=True, counter=counter) / p.m).T
+    grid_hat = dft(acc, inverse=True, counter=counter)
+    grid_hat /= p.m
+    return grid_hat.T

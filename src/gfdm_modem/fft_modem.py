@@ -16,6 +16,12 @@ Presets reproduce the four canonical configurations.  Streams between stages
 are column-major vectors of the current logical matrix.  Inverse stages of the
 presets carry their ``1/size`` factor so that all block scaling lives in the
 stage table; hand-built stages default to the unnormalized kernel.
+
+As in hardware, the memories move no data: between stages the stream is a 2-D
+array read row by row, and a memory is a strided transposed view of it.  Each
+stage transforms its chunk rows and scales its own fresh output in place; the
+window is read in stream layout as a view of the held matrix.  Only the output
+is flattened, copied where its layout needs it.
 """
 
 from __future__ import annotations
@@ -141,28 +147,23 @@ def preset(mode: str, params: GfdmParams, window: np.ndarray) -> ArchConfig:
     return ArchConfig(mode, stages, mem_a, mem_b, window)
 
 
-def _run_stage(stream: np.ndarray, stage: StageConfig, counter: MulCounter | None) -> np.ndarray:
+def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) -> np.ndarray:
     if not stage.enabled:
-        return stream
-    if stream.size % stage.size:
-        raise ConfigError(
-            f"stream length {stream.size} is not a multiple of stage size {stage.size}"
-        )
-    chunks = stream.reshape(-1, stage.size).T
-    out = dft(chunks, inverse=stage.inverse, counter=counter)
+        return s
+    if s.size % stage.size:
+        raise ConfigError(f"stream length {s.size} is not a multiple of stage size {stage.size}")
+    out = dft(s.reshape(-1, stage.size).T, inverse=stage.inverse, counter=counter)
     if stage.scale != 1.0:
-        out = out * stage.scale
-    return out.T.reshape(-1)
+        out *= stage.scale
+    return out.T
 
 
-def _run_memory(stream: np.ndarray, mem: MemoryConfig | None) -> np.ndarray:
+def _run_memory(s: np.ndarray, mem: MemoryConfig | None) -> np.ndarray:
     if mem is None or not mem.transpose:
-        return stream
-    if stream.size != mem.rows * mem.cols:
-        raise ConfigError(
-            f"stream length {stream.size} does not fill a {mem.rows}x{mem.cols} memory"
-        )
-    return stream.reshape((mem.rows, mem.cols), order="F").reshape(-1)
+        return s
+    if s.size != mem.rows * mem.cols:
+        raise ConfigError(f"stream length {s.size} does not fill a {mem.rows}x{mem.cols} memory")
+    return s.reshape(mem.cols, mem.rows).T
 
 
 def run_pipeline(cfg: ArchConfig, stream: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
@@ -176,13 +177,13 @@ def run_pipeline(cfg: ArchConfig, stream: np.ndarray, counter: MulCounter | None
             raise ConfigError(
                 f"stream length {s.size} does not match window size {cfg.window.size}"
             )
-        s = s * cfg.window.flatten(order="F")
+        s = s * cfg.window.T.reshape(s.shape)
         if counter is not None:
             counter.add(s.size)
     s = _run_stage(s, cfg.stages[2], counter)
     s = _run_memory(s, cfg.mem_b)
     s = _run_stage(s, cfg.stages[3], counter)
-    return s
+    return s.reshape(-1)
 
 
 def run_modulator(cfg: ArchConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:

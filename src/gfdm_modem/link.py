@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, channel, direct_modem, fft_modem, reference
-from .channel import ChannelSpec, uniform64_array
+from .channel import ChannelSpec, splitmix64_words
 from .config import RunConfig
 from .numerics import MulCounter, dft
 from .pulses import GfdmParams, PrototypePulse, make_prototype, rx_window, tx_window
@@ -42,9 +42,14 @@ _SYMBOL_STREAM_OFFSET = 1 << 40  # keeps symbol draws clear of the noise draws
 
 
 def qpsk_symbols(seed: int, count: int) -> np.ndarray:
-    """Deterministic unit-power QPSK symbols."""
-    idx = (uniform64_array(seed, _SYMBOL_STREAM_OFFSET, count) * 4).astype(np.intp) % 4
-    return _QPSK[idx]
+    """Deterministic unit-power QPSK symbols, ``floor(4u) % 4`` of each stream word ``u``.
+
+    The index is the top two bits of the integer word ``z`` after a carry of 2**11
+    when its top bit is set: there ``(z >> 11) + 0.5`` rounds half to even in ``u``.
+    """
+    z = splitmix64_words(seed, _SYMBOL_STREAM_OFFSET, count)
+    z += (z >> np.uint64(63)) << np.uint64(11)
+    return _QPSK[z >> np.uint64(62)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +121,8 @@ class ModemPlan:
         if isinstance(self.demod, fft_modem.ArchConfig):
             return fft_modem.run_demodulator(self.demod, yf_eq, counter)
         if self.demod.domain == "TD":
-            y_eq = dft(yf_eq, inverse=True, counter=counter) / self.params.n
+            y_eq = dft(yf_eq, inverse=True, counter=counter)
+            y_eq /= self.params.n
             return direct_modem.direct_demodulate_td(y_eq, self.demod, self.limits, counter)
         return direct_modem.direct_demodulate_fd(yf_eq, self.demod, self.limits, counter)
 
@@ -215,9 +221,8 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
             d_hat = d_hat / gain
     err = d_hat - d_on
     nmse = float(np.vdot(err, err).real / np.vdot(d_on, d_on).real)
-    hard = np.sign(d_hat.real) + 1j * np.sign(d_hat.imag)
-    sent = np.sign(d_on.real) + 1j * np.sign(d_on.imag)
-    ser = float(np.mean(hard != sent))
+    wrong = (np.sign(d_hat.real) != np.sign(d_on.real)) | (np.sign(d_hat.imag) != np.sign(d_on.imag))
+    ser = float(np.count_nonzero(wrong) / wrong.size)
 
     return LoopbackReport(
         kind=plan.kind,

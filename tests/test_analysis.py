@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gfdm_modem.analysis import (
@@ -135,3 +136,16 @@ class TestSweep:
     def test_all_kinds(self):
         rows = sweep(list(ARCH_KINDS), [(16, 16)], l=2)
         assert len(rows) == len(ARCH_KINDS)
+
+
+class TestOverlapRule:
+    @pytest.mark.parametrize("l", [0, -3, 1.5, 2.0, True, "2"])
+    def test_overlap_below_one_or_not_an_integer_is_refused(self, l):
+        with pytest.raises(ConfigError, match="band overlap L must be a positive integer"):
+            cm_count("DIR_FD_FD_SPARSE", 8, 8, l)
+        with pytest.raises(ConfigError, match="band overlap L"):
+            sweep(["DIR_FD_FD_SPARSE"], [(8, 8)], l=l)
+
+    def test_numpy_integers_and_overlaps_above_k_keep_their_rows(self):
+        assert cm_count("DIR_FD_FD_SPARSE", 8, 8, np.int64(2)) == cm_count("DIR_FD_FD_SPARSE", 8, 8, 2)
+        assert cm_count("DIR_FD_FD_SPARSE", 4, 8, 9) == 32 * 5 + 32 * 3 + 2 * 9 * 32

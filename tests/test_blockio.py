@@ -153,3 +153,30 @@ class TestReaderRules:
             blockio.read_samples(path)
         with pytest.raises(ConfigError, match="malformed CSV sample line: 'junk'"):
             per_line_read_csv(path)
+
+
+class TestHeaderCount:
+    """A header's sample count must match the payload: neither truncated nor followed by extra bytes."""
+
+    DATA = np.array([1 + 2j, -3.5 + 0.25j, 0.125 - 1j, 2.0 + 0j])
+
+    @pytest.mark.parametrize("tail", [b"garbage-tail-not-samples", b"\x00", bytes(16), bytes(15)])
+    def test_extra_bytes_after_the_promised_samples_are_refused(self, tmp_path, tail):
+        path = tmp_path / "long.bin"
+        blockio.write_samples(path, self.DATA)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(ConfigError, match="longer than its header: header promises 4 samples"):
+            blockio.read_samples(path)
+
+    def test_exact_length_and_headerless_files_read_as_before(self, tmp_path):
+        blockio.write_samples(tmp_path / "exact.bin", self.DATA)
+        blockio.write_samples(tmp_path / "raw.bin", self.DATA, header=False)
+        for name in ("exact.bin", "raw.bin"):
+            assert blockio.read_samples(tmp_path / name).tobytes() == self.DATA.tobytes()
+
+    def test_truncated_payload_is_still_refused(self, tmp_path):
+        path = tmp_path / "short.bin"
+        blockio.write_samples(path, self.DATA)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ConfigError, match="truncated: header promises 4 samples"):
+            blockio.read_samples(path)

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gfdm_modem
 from gfdm_modem import blockio
 from gfdm_modem.cli import _build_parser, main
 from gfdm_modem.config import RunConfig, emit_config, parse_config
@@ -392,3 +398,80 @@ class TestCommands:
         assert main(["analyze", "--kinds", "all", "--n", "1024"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 1 + 7 * 11  # header + kinds x factorizations
+
+
+class TestTypeRule:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("alpha", True), ("delta", False), ("snr_db", True), ("snr_db", "10"), ("alpha", "0.5"),
+         ("delta", None), ("alpha", np.bool_(True)), ("pulse", 3), ("rx", None), ("arch", b"fft"),
+         ("domain", 1), ("channel_taps", "abc"), ("channel_taps", (1.0, "0.5")),
+         ("channel_taps", (True,)), ("channel_taps", 1.0), ("channel_taps", ([1.0, 0.0],))],
+    )
+    def test_wrong_type_is_a_config_error_naming_the_field(self, field, value):
+        # Each used to construct (alpha=True) or to escape as TypeError, AttributeError or ValueError.
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(k=8, m=4, n_cp=1, **{field: value})
+
+    def test_real_fields_are_held_as_float(self):
+        cfg = RunConfig(k=8, m=4, alpha=np.float64(0.25), delta=np.float32(0.5), snr_db=10, n_cp=3,
+                        channel_taps=(1, 0.5, 0.1j, np.complex128(0.2)))
+        assert [type(getattr(cfg, name)) for name in ("alpha", "delta", "snr_db")] == [float] * 3
+        assert (cfg.alpha, cfg.delta, cfg.snr_db) == (0.25, 0.5, 10.0)
+
+    def test_parse_config_output_is_unchanged(self, tmp_path):
+        data = json.loads(write_config(tmp_path, alpha=1, snr_db=12, channel_taps=[1, [0.5, 0.25]]).read_text())
+        cfg = parse_config(data)
+        assert cfg == RunConfig(k=8, m=4, alpha=1.0, snr_db=12.0, n_cp=8, seed=1,
+                                channel_taps=(1 + 0j, 0.5 + 0.25j))
+        assert type(cfg.alpha) is float and all(type(t) is complex for t in cfg.channel_taps)
+
+    def test_params_built_once_per_config_object(self):
+        cfg = RunConfig(k=8, m=4, k_on=(3, 1))
+        assert cfg.params is cfg.params and cfg.params.k_on == (1, 3)
+        other = replace(cfg, k=16)
+        assert other.params is not cfg.params and other.params.k == 16 and cfg.params.k == 8
+
+
+class TestCliRefusals:
+    def test_demodulate_refuses_binary_with_extra_bytes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        sym, block, est = tmp_path / "sym.bin", tmp_path / "block.bin", tmp_path / "est.bin"
+        blockio.write_samples(sym, qpsk_symbols(1, 32))
+        assert main(["modulate", "--config", str(cfg), "--in", str(sym), "--out", str(block)]) == 0
+        block.write_bytes(block.read_bytes() + b"garbage-tail-not-samples")
+        capsys.readouterr()
+        assert main(["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est)]) == 2
+        assert "longer than its header" in capsys.readouterr().err
+        assert not est.exists()
+
+    @pytest.mark.parametrize("overlap", ["-3", "0"])
+    def test_analyze_overlap_below_one_exits_2(self, capsys, overlap):
+        # --overlap -3 used to exit 0 with negative counts in the sparse rows.
+        assert main(["analyze", "--n", "8", "--overlap", overlap]) == 2
+        captured = capsys.readouterr()
+        assert "band overlap L must be a positive integer" in captured.err and captured.out == ""
+
+    def test_analyze_default_and_large_overlap_rows_unchanged(self, capsys):
+        assert main(["analyze", "--kinds", "DIR_FD_FD_SPARSE", "--n", "8"]) == 0
+        assert "DIR_FD_FD_SPARSE,8,1,8,56,,,,ok" in capsys.readouterr().out
+        assert main(["analyze", "--kinds", "DIR_FD_FD_SPARSE", "--n", "8", "--overlap", "9"]) == 0
+        assert "DIR_FD_FD_SPARSE,8,1,8,168,,,,ok" in capsys.readouterr().out
+
+
+class TestProcessExitCodes:
+    @pytest.mark.parametrize(
+        "overrides,code,stderr",
+        [({}, 0, ""), ({"k": "eight"}, 2, "invalid configuration"),
+         ({"k": 4, "m": 4, "alpha": 0.0, "delta": 0.0}, 3, "numerical error")],
+    )
+    def test_module_entry_point_exits_with_main_code(self, tmp_path, overrides, code, stderr):
+        src = str(Path(gfdm_modem.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfdm_modem.cli", "loopback", "--config", str(write_config(tmp_path, **overrides))],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert stderr in proc.stderr
+        assert ("(match)" in proc.stdout) == (code == 0)
