@@ -7,10 +7,11 @@ give bit-identical noise.
 
 :func:`uniform64` specifies one word of the stream; :func:`uniform64_array`
 computes many from the ``uint64`` words of :func:`splitmix64_words`, equal word
-for word.  The Box-Muller transcendentals are ``math.log`` and
-``cmath.exp(j*theta)`` (the libm ``cos`` and ``sin`` of ``math.cos``/``math.sin``,
-times 1.0) per sample, not numpy's vectorised kernels, whose last bit may depend
-on the CPU.
+for word.  The Box-Muller transcendentals are ``math.log`` per sample and numpy's
+complex128 ``exp(j*theta)``: a generic loop calling libm ``cexp`` per element,
+with no CPU-dispatched kernel, so it returns the libm ``cos`` and ``sin`` of
+``cmath.exp`` bit for bit.  numpy's float64 ``log`` is CPU-dispatched (its last
+bit may depend on the CPU), so the logarithm stays on ``math``.
 
 :func:`apply_channel` convolves by shifted adds, one whole-array multiply-add
 per tap, rather than with ``np.convolve``, whose complex path does one BLAS dot
@@ -23,8 +24,8 @@ held response in place.
 
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,9 @@ from .numerics import MulCounter, dft
 
 __all__ = [
     "ChannelSpec",
+    "check_seed",
     "check_snr_db",
+    "snr_ratio",
     "check_taps",
     "add_cp",
     "remove_cp",
@@ -59,6 +62,30 @@ def check_snr_db(snr_db: float) -> None:
         raise ConfigError(f"snr_db must be finite or +inf (noiseless), got {snr_db}")
 
 
+def snr_ratio(snr_db: float) -> float:
+    """The linear SNR ``10 ** (snr_db / 10)``; reject a finite SNR whose ratio overflows or is 0."""
+    check_snr_db(snr_db)
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if math.isfinite(snr_db) and not 0.0 < ratio < math.inf:
+        fault = "overflows" if ratio else "is 0"
+        raise ConfigError(f"snr_db {snr_db} is out of range: 10 ** (snr_db / 10) {fault}")
+    return ratio
+
+
+def check_seed(seed) -> int:
+    """The noise seed as an int; reject a bool, a non-integer, or one outside the stream's 64 bits."""
+    # type() first: a ChannelSpec is built per block, and the ABC check is several times slower.
+    if type(seed) is not int and (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed <= _MASK64:
+        # The noise stream takes the seed modulo 2**64; a larger one would alias.
+        raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {seed}")
+    return int(seed)
+
+
 def check_taps(taps) -> np.ndarray:
     """The impulse response as a 1-D complex array; reject one that is empty or not finite."""
     t = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
@@ -80,6 +107,7 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "taps", check_taps(self.taps))
         check_snr_db(self.snr_db)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def add_cp(x: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
@@ -139,12 +167,13 @@ def uniform64_array(seed: int, start: int, count: int) -> np.ndarray:
 def gaussian_pairs(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """``count`` standard complex Gaussians (unit variance per complex sample)."""
     u = uniform64_array(seed, offset, 2 * count)
-    # sqrt and products are correctly rounded in IEEE 754, so numpy matches
-    # the scalar arithmetic; the transcendentals stay on math/cmath per sample.
+    # sqrt and products are correctly rounded, so numpy matches the scalar arithmetic.
+    # numpy's complex128 exp is not CPU-dispatched (libm cexp per element, the cos/sin
+    # of cmath.exp); its float64 log is, so log stays on math per sample.
     r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), np.float64, count))
     j_theta = np.zeros(count, dtype=np.complex128)
     j_theta.imag = 2 * math.pi * u[1::2]
-    trig = np.fromiter(map(cmath.exp, j_theta.tolist()), np.complex128, count)
+    trig = np.exp(j_theta)
     out = np.empty(count, dtype=np.complex128)
     out.real = r * trig.real
     out.imag = r * trig.imag
@@ -162,7 +191,9 @@ def apply_channel(x_framed: np.ndarray, spec: ChannelSpec) -> np.ndarray:
         y[j:] += taps[j] * x[: n - j]
     if math.isfinite(spec.snr_db):
         power = float(np.mean(np.abs(x) ** 2))
-        sigma2 = power / (10.0 ** (spec.snr_db / 10.0))
+        sigma2 = power / snr_ratio(spec.snr_db)
+        if not math.isfinite(sigma2):
+            raise ConfigError(f"noise variance {sigma2} is not finite (power {power}, snr_db {spec.snr_db})")
         y = y + math.sqrt(sigma2) * gaussian_pairs(spec.seed, x.size)
     return y
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .channel import check_snr_db, check_taps
+from .channel import check_seed, check_taps, snr_ratio
 from .errors import ConfigError
 from .pulses import GfdmParams, check_pulse_spec
 
@@ -19,7 +19,6 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "load_config"]
 _RX_KINDS = ("zf", "mf")
 _ARCHS = ("fft", "direct")
 _DOMAINS = ("td", "fd")
-_SEED_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -44,13 +43,15 @@ class RunConfig:
     def __post_init__(self) -> None:
         # The one integer rule: a boolean or a non-integral value is refused, never truncated.
         # Numpy integers are held as int, so keys, cost formulas and JSON output see one type.
-        for name in ("k", "m", "n_cp", "n_cs", "seed", "l_max", "k_on", "m_on"):
+        # The seed's rule, with its 64-bit range, is channel.check_seed, shared with ChannelSpec.
+        for name in ("k", "m", "n_cp", "n_cs", "l_max", "k_on", "m_on"):
             value, many = getattr(self, name), name in ("k_on", "m_on")
             for item in (value or ()) if many else (value,):
                 if isinstance(item, bool) or not isinstance(item, numbers.Integral):
                     raise ConfigError(f"{name} must be an integer, got {item!r}")
             if value or not many:
                 object.__setattr__(self, name, tuple(map(int, value)) if many else int(value))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         # The type rule of the other fields: real numbers (not booleans) held as float,
         # names as str, and taps as a sequence of numbers that are neither str nor bool.
         for name in ("alpha", "delta", "snr_db"):
@@ -84,10 +85,7 @@ class RunConfig:
                 f"{len(self.channel_taps)} taps exceed the interference-free bound "
                 f"n_cp + 1 = {self.n_cp + 1}"
             )
-        check_snr_db(self.snr_db)
-        if not 0 <= self.seed <= _SEED_MAX:
-            # The noise stream takes the seed modulo 2**64; a larger one would alias.
-            raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
+        snr_ratio(self.snr_db)  # the SNR rule, and for a finite SNR the range of its ratio
         if self.l_max < 1:
             raise ConfigError("l_max must be at least 1")
 
@@ -152,7 +150,7 @@ def parse_config(data: dict) -> RunConfig:
             seed=_as_int(data.get("seed", 0)),
             l_max=_as_int(data.get("l_max", 16)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc
 
 
