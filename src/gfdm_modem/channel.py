@@ -57,8 +57,13 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def check_snr_db(snr_db: float) -> None:
-    """Reject an SNR that is neither finite nor ``+inf`` (noiseless): NaN and ``-inf`` name no channel."""
-    if not (math.isfinite(snr_db) or snr_db == math.inf):
+    """Reject an SNR that is neither finite nor ``+inf`` (noiseless): NaN, ``-inf`` and an
+    integer beyond float range name no channel."""
+    try:
+        ok = math.isfinite(snr_db) or snr_db == math.inf
+    except OverflowError:
+        ok, snr_db = False, "an integer beyond float range"
+    if not ok:
         raise ConfigError(f"snr_db must be finite or +inf (noiseless), got {snr_db}")
 
 
@@ -88,7 +93,10 @@ def check_seed(seed) -> int:
 
 def check_taps(taps) -> np.ndarray:
     """The impulse response as a 1-D complex array; reject one that is empty or not finite."""
-    t = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
+    try:
+        t = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
+    except OverflowError:
+        raise ConfigError("channel taps must be finite, got an integer beyond float range") from None
     if t.ndim != 1 or t.size < 1:
         raise ConfigError("channel needs at least one tap")
     if not np.isfinite(t).all():

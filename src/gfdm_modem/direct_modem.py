@@ -10,8 +10,10 @@ where sparse pulses pay off.
 Chains are a hardware concept.  This functional model stores each chain set
 as one read-only stack: the time-domain set is a zero-copy view of the cyclic
 shifts of one base matrix, the frequency-domain set a broadcast of its band
-rows.  Each pass is one batched row x shift-stack product over read-only views,
-and the counter still charges L*N multiplications per pass.
+rows.  The chains compute what the FFT pipeline's stage 1 -> window -> stage 2
+computes, so this module builds and checks the chain sets and each pass runs
+as its mode's :mod:`fft_modem` stage table with the stack in the window slot
+(:func:`chain_table`); the counter charges L*N multiplications per pass.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
+from .fft_modem import ArchConfig, _cyclic_shifts, bypass, preset, run_demodulator, run_modulator
 from .numerics import MulCounter, dft, polyphase
 from .pulses import GfdmParams, PrototypePulse
 
@@ -32,6 +34,7 @@ __all__ = [
     "precompute_fd_mod",
     "precompute_td_demod",
     "precompute_fd_demod",
+    "chain_table",
     "direct_modulate_td",
     "direct_modulate_fd",
     "direct_demodulate_td",
@@ -76,31 +79,35 @@ class DirectPulseSet:
         return len(self.taps)
 
 
-def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...] | None = None) -> np.ndarray:
-    """Stack whose slice ``i`` is ``np.roll(a, shifts[i], axis=1)``.
-
-    All ``cols`` shifts in ascending order (the default) are a read-only,
-    zero-copy view of ``[a, a]``; a proper subset is gathered from that view.
-    """
-    cols = a.shape[1]
-    doubled = np.concatenate([a, a], axis=1)
-    s_row, s_col = doubled.strides
-    view = as_strided(doubled[:, cols:], (cols, len(a), cols), (-s_col, s_row, s_col), writeable=False)
-    if shifts is None or shifts == tuple(range(cols)):
-        return view
-    return view[list(shifts)]
-
-
-def _chain_pass(rows: np.ndarray, stack: np.ndarray, counter: MulCounter | None) -> np.ndarray:
-    """Output row ``i``: ``rows[i]``, its L chain inputs, times the L x cols matrix ``stack[:, i]``."""
-    if counter is not None:
-        counter.add(stack.size)  # one multiplication per stack entry: L*N
-    return np.matmul(rows[:, None, :], stack.transpose(1, 0, 2))[:, 0, :]
-
-
-def _check_block(params: GfdmParams, limits: DirectLimits) -> None:
+def _check_block(params: GfdmParams, limits: DirectLimits) -> GfdmParams:
     if params.n > limits.n_max:
         raise ConfigError(f"block length {params.n} exceeds the {limits.n_max}-point FFT limit")
+    return params
+
+
+def _shift_set(direction: str, params: GfdmParams, base: np.ndarray) -> DirectPulseSet:
+    """A time-domain set: the M cyclic column shifts of the K x M ``base``, as a view."""
+    shifts = tuple(range(params.m))
+    return DirectPulseSet("TD", direction, params, _cyclic_shifts(base, shifts), shifts)
+
+
+def _band_set(
+    direction: str, params: GfdmParams, bands: np.ndarray, limits: DirectLimits, tol: float, force_full: bool
+) -> DirectPulseSet:
+    """A frequency-domain set: each occupied row of the K x M ``bands`` (all K with
+    ``force_full``) broadcast across K columns, one chain each."""
+    if force_full:
+        parts = tuple(range(params.k))
+    else:
+        band_on = np.abs(bands).max(axis=1) > tol * np.abs(bands).max()
+        parts = tuple(int(i) for i in np.flatnonzero(band_on))
+    if len(parts) > limits.l_max:
+        raise OverlapTooLarge(
+            f"{'receive ' if direction == 'demod' else ''}pulse occupies {len(parts)} subcarrier bands, "
+            f"only {limits.l_max} chains available"
+        )
+    taps = np.broadcast_to(bands[list(parts), :, None], (len(parts), params.m, params.k))
+    return DirectPulseSet("FD", direction, params, taps, parts)
 
 
 def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits()) -> DirectPulseSet:
@@ -109,10 +116,8 @@ def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits
     Matrix m is the scaled transposed polyphase of the pulse with its columns
     cyclically shifted by m, so chain m sees the pulse aligned to subsymbol m.
     """
-    p = pulse.params
-    _check_block(p, limits)
-    base = p.k * polyphase(pulse.time, p.m, p.k).T
-    return DirectPulseSet("TD", "mod", p, _cyclic_shifts(base), tuple(range(p.m)))
+    p = _check_block(pulse.params, limits)
+    return _shift_set("mod", p, p.k * polyphase(pulse.time, p.m, p.k).T)
 
 
 def precompute_fd_mod(
@@ -128,31 +133,15 @@ def precompute_fd_mod(
     ``force_full`` keeps all K bands regardless of sparsity (the generic,
     non-sparse engine).
     """
-    p = pulse.params
-    _check_block(p, limits)
-    vg = polyphase(pulse.freq, p.k, p.m)
-    if force_full:
-        parts = tuple(range(p.k))
-    else:
-        band_on = np.abs(vg).max(axis=1) > tol * np.abs(pulse.freq).max()
-        parts = tuple(int(i) for i in np.flatnonzero(band_on))
-    if len(parts) > limits.l_max:
-        raise OverlapTooLarge(
-            f"pulse occupies {len(parts)} subcarrier bands, only {limits.l_max} chains available"
-        )
-    taps = np.broadcast_to(vg[list(parts), :, None], (len(parts), p.m, p.k))
-    return DirectPulseSet("FD", "mod", p, taps, parts)
+    p = _check_block(pulse.params, limits)
+    return _band_set("mod", p, polyphase(pulse.freq, p.k, p.m), limits, tol, force_full)
 
 
-def precompute_td_demod(
-    w_rx: np.ndarray, limits: DirectLimits = DirectLimits()
-) -> DirectPulseSet:
+def precompute_td_demod(w_rx: np.ndarray, limits: DirectLimits = DirectLimits()) -> DirectPulseSet:
     """Chain matrices for time-domain demodulation from the TD receive window."""
     w = np.asarray(w_rx, dtype=np.complex128)
-    params = GfdmParams(w.shape[0], w.shape[1])
-    _check_block(params, limits)
-    base = (dft(w.T, inverse=True) / params.m).T  # K x M receive-pulse polyphase, transposed
-    return DirectPulseSet("TD", "demod", params, _cyclic_shifts(base), tuple(range(params.m)))
+    params = _check_block(GfdmParams(*w.shape), limits)
+    return _shift_set("demod", params, (dft(w.T, inverse=True) / params.m).T)  # K x M receive-pulse polyphase
 
 
 def precompute_fd_demod(
@@ -169,33 +158,18 @@ def precompute_fd_demod(
     bands and needs the full chain set.
     """
     w = np.asarray(w_rx, dtype=np.complex128)
-    params = GfdmParams(w.shape[0], w.shape[1])
-    _check_block(params, limits)
-    spec = dft(w)  # K x M, row l is band l of the receive pulse spectrum
-    if force_full:
-        parts = tuple(range(params.k))
-    else:
-        band_on = np.abs(spec).max(axis=1) > tol * np.abs(spec).max()
-        parts = tuple(int(i) for i in np.flatnonzero(band_on))
-    if len(parts) > limits.l_max:
-        raise OverlapTooLarge(
-            f"receive pulse occupies {len(parts)} subcarrier bands, only "
-            f"{limits.l_max} chains available"
-        )
-    taps = np.broadcast_to(spec[list(parts), :, None] / params.k, (len(parts), params.m, params.k))
-    return DirectPulseSet("FD", "demod", params, taps, parts)
+    params = _check_block(GfdmParams(*w.shape), limits)
+    return _band_set("demod", params, dft(w) / params.k, limits, tol, force_full)  # row l: band l
 
 
-def _check_set(pset: DirectPulseSet, domain: str, direction: str, limits: DirectLimits) -> None:
-    if pset.domain != domain or pset.direction != direction:
-        raise ConfigError(
-            f"pulse set is {pset.domain}/{pset.direction}, needed {domain}/{direction}"
-        )
+def chain_table(pset: DirectPulseSet, mode: str, limits: DirectLimits = DirectLimits()) -> ArchConfig:
+    """The stage table that runs ``pset`` in ``mode``, once the set fits the mode and ``limits``."""
+    if f"{pset.domain}_{pset.direction.upper()}" != mode:
+        raise ConfigError(f"pulse set is {pset.domain}/{pset.direction}, needed {mode}")
     if pset.overlap > limits.l_max:
-        raise ChainLimitExceeded(
-            f"{pset.overlap} chains needed, only {limits.l_max} available"
-        )
+        raise ChainLimitExceeded(f"{pset.overlap} chains needed, only {limits.l_max} available")
     _check_block(pset.params, limits)
+    return preset(mode, pset.params, pset.taps, pset.partitions if pset.domain == "FD" else None)
 
 
 def direct_modulate_td(
@@ -205,14 +179,7 @@ def direct_modulate_td(
     counter: MulCounter | None = None,
 ) -> np.ndarray:
     """Time-domain block via K-point IDFT bank plus M multiply-accumulate chains."""
-    _check_set(pset, "TD", "mod", limits)
-    p = pset.params
-    if grid.shape != (p.k, p.m):
-        raise ConfigError(f"grid shape {grid.shape} does not match {p.k}x{p.m}")
-    spread = dft(np.asarray(grid, dtype=np.complex128), inverse=True, counter=counter)
-    spread /= p.k
-    acc = _chain_pass(spread, pset.taps, counter)
-    return acc.flatten(order="F")
+    return run_modulator(chain_table(pset, "TD_MOD", limits), grid, counter)
 
 
 def direct_modulate_fd(
@@ -222,19 +189,9 @@ def direct_modulate_fd(
     emit_time: bool = False,
     counter: MulCounter | None = None,
 ) -> np.ndarray:
-    """Frequency-domain block via M-point DFT bank plus per-band chains."""
-    _check_set(pset, "FD", "mod", limits)
-    p = pset.params
-    if grid.shape != (p.k, p.m):
-        raise ConfigError(f"grid shape {grid.shape} does not match {p.k}x{p.m}")
-    spread = dft(np.asarray(grid, dtype=np.complex128).T, counter=counter)  # M x K
-    acc = _chain_pass(pset.taps[:, :, 0].T, _cyclic_shifts(spread, pset.partitions), counter)
-    xf = acc.flatten(order="F")
-    if emit_time:
-        xt = dft(xf, inverse=True, counter=counter)
-        xt /= p.n
-        return xt
-    return xf
+    """Frequency-domain block via M-point DFT bank plus per-band chains (time block with ``emit_time``)."""
+    cfg = chain_table(pset, "FD_MOD", limits)
+    return run_modulator(cfg if emit_time else bypass(cfg, 3), grid, counter)
 
 
 def direct_demodulate_td(
@@ -243,15 +200,8 @@ def direct_demodulate_td(
     limits: DirectLimits = DirectLimits(),
     counter: MulCounter | None = None,
 ) -> np.ndarray:
-    """Grid estimate from a time-domain equalized block."""
-    _check_set(pset, "TD", "demod", limits)
-    p = pset.params
-    y = np.asarray(y_eq, dtype=np.complex128).reshape(-1)
-    if y.size != p.n:
-        raise ConfigError(f"block length {y.size} does not match N={p.n}")
-    vy = polyphase(y, p.m, p.k).T  # K x M, column m is polyphase component m
-    acc = _chain_pass(vy, pset.taps, counter)
-    return dft(acc, counter=counter)
+    """Grid estimate from a time-domain equalized block (the table's N-point IDFT bypassed)."""
+    return run_demodulator(bypass(chain_table(pset, "TD_DEMOD", limits), 0), y_eq, counter)
 
 
 def direct_demodulate_fd(
@@ -261,13 +211,4 @@ def direct_demodulate_fd(
     counter: MulCounter | None = None,
 ) -> np.ndarray:
     """Grid estimate from a frequency-domain equalized block."""
-    _check_set(pset, "FD", "demod", limits)
-    p = pset.params
-    yf = np.asarray(yf_eq, dtype=np.complex128).reshape(-1)
-    if yf.size != p.n:
-        raise ConfigError(f"block length {yf.size} does not match N={p.n}")
-    vy = polyphase(yf, p.k, p.m).T  # M x K
-    acc = _chain_pass(pset.taps[:, :, 0].T, _cyclic_shifts(vy, pset.partitions), counter)
-    grid_hat = dft(acc, inverse=True, counter=counter)
-    grid_hat /= p.m
-    return grid_hat.T
+    return run_demodulator(chain_table(pset, "FD_DEMOD", limits), yf_eq, counter)

@@ -2,15 +2,22 @@
 
 One engine covers time-domain and frequency-domain modulation and
 demodulation.  The sample stream passes through four configurable transform
-stages, two transpose memories, and one window multiplier:
+stages, two transpose memories, and one window step:
 
     stage[0] -> memory A -> stage[1] -> window -> stage[2] -> memory B -> stage[3]
 
 Each stage runs batched radix-2 transforms over consecutive chunks of the
 stream and can be disabled (pass-through).  A memory writes the stream into a
 matrix column by column and reads it back row by row, i.e. it transposes; its
-indexing can also be disabled.  The window multiplier consumes its stored
-matrix in the same column-major stream order.
+indexing can also be disabled.  The window step consumes the stream column by
+column as its matrix: one multiplier with an elementwise window, or L
+multiply-accumulate chains with an ``(L, rows, cols)`` stack.  Stage 1 ->
+window -> stage 2 is a circular convolution, which the chains compute
+directly, so the direct architecture's tables are the presets with a chain
+stack, stages 1 and 2 disabled and no memories:
+
+    TD_MOD: K-IDFT -> chains              FD_MOD: M-DFT -> chains -> N-IDFT
+    TD_DEMOD: N-IDFT -> chains -> K-DFT   FD_DEMOD: chains -> M-IDFT
 
 Presets reproduce the four canonical configurations.  Streams between stages
 are column-major vectors of the current logical matrix.  Inverse stages of the
@@ -20,8 +27,9 @@ stage table; hand-built stages default to the unnormalized kernel.
 As in hardware, the memories move no data: between stages the stream is a 2-D
 array read row by row, and a memory is a strided transposed view of it.  Each
 stage transforms its chunk rows and scales its own fresh output in place; the
-window is read in stream layout as a view of the held matrix.  Only the output
-is flattened, copied where its layout needs it.
+window is read in stream layout as a view of the held matrix, the chains read
+their stack and the stream's cyclic shifts in place.  Only the output is
+flattened, copied where its layout needs it.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 from .numerics import MulCounter, dft, is_pow2
@@ -40,6 +49,7 @@ __all__ = [
     "ArchConfig",
     "MODES",
     "preset",
+    "bypass",
     "single_stage_config",
     "run_pipeline",
     "run_modulator",
@@ -78,13 +88,18 @@ class MemoryConfig:
 
 @dataclass(frozen=True, eq=False)
 class ArchConfig:
-    """Full pipeline configuration in execution order."""
+    """Full pipeline configuration in execution order.
+
+    ``window`` is a ``rows x cols`` window or an ``(L, rows, cols)`` chain stack;
+    ``partitions`` lists the bands of a frequency-domain stack.
+    """
 
     mode: str
     stages: tuple[StageConfig, StageConfig, StageConfig, StageConfig]
     mem_a: MemoryConfig | None = None
     mem_b: MemoryConfig | None = None
     window: np.ndarray | None = None
+    partitions: tuple[int, ...] | None = None
 
 
 def single_stage_config(size: int, inverse: bool, scale: float = 1.0) -> ArchConfig:
@@ -96,55 +111,48 @@ def single_stage_config(size: int, inverse: bool, scale: float = 1.0) -> ArchCon
     )
 
 
-def preset(mode: str, params: GfdmParams, window: np.ndarray) -> ArchConfig:
+def bypass(cfg: ArchConfig, *indices: int) -> ArchConfig:
+    """``cfg`` with the stages at ``indices`` disabled (passed through)."""
+    stages = tuple(replace(s, enabled=False) if i in indices else s for i, s in enumerate(cfg.stages))
+    return replace(cfg, stages=stages)
+
+
+def preset(
+    mode: str, params: GfdmParams, window: np.ndarray, partitions: tuple[int, ...] | None = None
+) -> ArchConfig:
     """Canonical stage table for one of the four operating modes.
 
     The window argument must already be laid out for the mode: the
     time-domain modes store the transposed (M x K) window, the
-    frequency-domain modes the plain K x M window.
+    frequency-domain modes the plain K x M window.  A chain stack (with the
+    frequency-domain ``partitions``) gives the direct table; with no memory
+    before it, its matrices are K x M in the time domain, M x K in frequency.
     """
     k, m, n = params.k, params.m, params.n
     window = np.asarray(window, dtype=np.complex128)
-    want = (m, k) if mode in ("TD_MOD", "TD_DEMOD") else (k, m)
+    chains = window.ndim == 3
+    want = (m, k) if (mode in ("TD_MOD", "TD_DEMOD")) != chains else (k, m)
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if window.shape != want:
+    if window.ndim not in (2, 3) or window.shape[-2:] != want:
         raise ConfigError(f"mode {mode} stores a {want[0]}x{want[1]} window, got {window.shape}")
 
-    if mode == "TD_MOD":
-        stages = (
-            StageConfig(k, inverse=True, scale=1.0 / k),
-            StageConfig(m),
-            StageConfig(m, inverse=True, scale=1.0 / m),
-            StageConfig(n, enabled=False),
-        )
-        mem_a, mem_b = MemoryConfig(k, m), MemoryConfig(m, k)
-    elif mode == "FD_MOD":
-        stages = (
-            StageConfig(m),
-            StageConfig(k, inverse=True, scale=1.0 / k),
-            StageConfig(k),
-            StageConfig(n, inverse=True, scale=1.0 / n),
-        )
-        mem_a, mem_b = MemoryConfig(m, k), MemoryConfig(k, m)
-    elif mode == "TD_DEMOD":
-        stages = (
-            StageConfig(n, inverse=True, scale=1.0 / n),
-            StageConfig(m),
-            StageConfig(m, inverse=True, scale=1.0 / m),
-            StageConfig(k),
-        )
-        mem_a, mem_b = MemoryConfig(k, m), MemoryConfig(m, k)
-    else:  # FD_DEMOD
-        stages = (
-            StageConfig(n, inverse=True, scale=1.0 / n, enabled=False),
-            StageConfig(k, inverse=True, scale=1.0 / k),
-            StageConfig(k),
-            StageConfig(m, inverse=True, scale=1.0 / m),
-        )
-        mem_a, mem_b = MemoryConfig(m, k), MemoryConfig(k, m)
+    def stage(size: int, inverse: bool = False, enabled: bool = True) -> StageConfig:
+        return StageConfig(size, inverse, enabled, 1.0 / size if inverse else 1.0)
 
-    return ArchConfig(mode, stages, mem_a, mem_b, window)
+    mid = not chains  # chains compute stage 1 -> window -> stage 2 themselves
+    if mode == "TD_MOD":
+        stages = (stage(k, True), stage(m, False, mid), stage(m, True, mid), stage(n, enabled=False))
+    elif mode == "FD_MOD":
+        stages = (stage(m), stage(k, True, mid), stage(k, False, mid), stage(n, True))
+    elif mode == "TD_DEMOD":
+        stages = (stage(n, True), stage(m, False, mid), stage(m, True, mid), stage(k))
+    else:  # FD_DEMOD
+        stages = (stage(n, True, False), stage(k, True, mid), stage(k, False, mid), stage(m, True))
+    if chains:
+        return ArchConfig(mode, stages, None, None, window, partitions)
+    # Memory A writes the transposed window shape, so the window reads its stream in place.
+    return ArchConfig(mode, stages, MemoryConfig(*want[::-1]), MemoryConfig(*want), window)
 
 
 def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) -> np.ndarray:
@@ -166,6 +174,44 @@ def _run_memory(s: np.ndarray, mem: MemoryConfig | None) -> np.ndarray:
     return s.reshape(mem.cols, mem.rows).T
 
 
+def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
+    """Stack whose slice ``i`` is ``np.roll(a, shifts[i], axis=1)``.
+
+    All ``cols`` shifts in ascending order are a read-only,
+    zero-copy view of ``[a, a]``; a proper subset is gathered from that view.
+    """
+    cols = a.shape[1]
+    doubled = np.concatenate([a, a], axis=1)
+    s_row, s_col = doubled.strides
+    view = as_strided(doubled[:, cols:], (cols, len(a), cols), (-s_col, s_row, s_col), writeable=False)
+    if shifts == tuple(range(cols)):
+        return view
+    return view[list(shifts)]
+
+
+def _chain_pass(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Output row ``i``: ``rows[i]``, its L chain inputs, times the L x cols matrix ``stack[:, i]``."""
+    return np.matmul(rows[:, None, :], stack.transpose(1, 0, 2))[:, 0, :]
+
+
+def _run_window(s: np.ndarray, cfg: ArchConfig, counter: MulCounter | None) -> np.ndarray:
+    w = cfg.window
+    rows, cols = w.shape[-2:]
+    if s.size != rows * cols:
+        raise ConfigError(f"stream length {s.size} does not match window size {rows * cols}")
+    if w.ndim == 2:
+        s = s * w.T.reshape(s.shape)
+    else:
+        a = s.reshape(cols, rows).T  # the stream read column by column
+        if cfg.partitions is None:  # chain l: the stream times stored matrix l
+            s = _chain_pass(a, w).T
+        else:  # chain l: stored band row l times the stream's cyclic shift by partitions[l]
+            s = _chain_pass(w[:, :, 0].T, _cyclic_shifts(a, cfg.partitions)).T
+    if counter is not None:
+        counter.add(w.size)  # one multiplication per window entry: N, or L*N on L chains
+    return s
+
+
 def run_pipeline(cfg: ArchConfig, stream: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Push one block through the configured pipeline."""
     s = np.asarray(stream, dtype=np.complex128).reshape(-1)
@@ -173,32 +219,33 @@ def run_pipeline(cfg: ArchConfig, stream: np.ndarray, counter: MulCounter | None
     s = _run_memory(s, cfg.mem_a)
     s = _run_stage(s, cfg.stages[1], counter)
     if cfg.window is not None:
-        if s.size != cfg.window.size:
-            raise ConfigError(
-                f"stream length {s.size} does not match window size {cfg.window.size}"
-            )
-        s = s * cfg.window.T.reshape(s.shape)
-        if counter is not None:
-            counter.add(s.size)
+        s = _run_window(s, cfg, counter)
     s = _run_stage(s, cfg.stages[2], counter)
     s = _run_memory(s, cfg.mem_b)
     s = _run_stage(s, cfg.stages[3], counter)
     return s.reshape(-1)
 
 
+def _grid_shape(cfg: ArchConfig) -> tuple[int, int]:
+    """K x M: the TD modes stream the grid column by column, the FD modes row by row, and
+    memory A transposes it before a window; a chain matrix has no memory before it."""
+    rows, cols = cfg.window.shape[-2:]
+    return (cols, rows) if (cfg.window.ndim == 2) == cfg.mode.startswith("TD") else (rows, cols)
+
+
 def run_modulator(cfg: ArchConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Block of a K x M symbol grid through a ``TD_MOD`` or ``FD_MOD`` table."""
-    td = cfg.mode == "TD_MOD"
-    shape = cfg.window.T.shape if td else cfg.window.shape
+    shape = _grid_shape(cfg)
     if np.shape(grid) != shape:
         raise ConfigError(f"grid shape {np.shape(grid)} does not match window {shape}")
-    return run_pipeline(cfg, np.asarray(grid).flatten(order="F" if td else "C"), counter)
+    return run_pipeline(cfg, np.asarray(grid).flatten(order="F" if cfg.mode == "TD_MOD" else "C"), counter)
 
 
 def run_demodulator(cfg: ArchConfig, block: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate of a block through a ``TD_DEMOD`` or ``FD_DEMOD`` table."""
-    out = run_pipeline(cfg, block, counter).reshape(cfg.window.shape)
-    return out.T if cfg.mode == "TD_DEMOD" else out
+    k, m = _grid_shape(cfg)
+    out = run_pipeline(cfg, block, counter)
+    return out.reshape(m, k).T if cfg.mode == "TD_DEMOD" else out.reshape(k, m)
 
 
 def modulate_td(grid: np.ndarray, w_tx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
@@ -221,9 +268,7 @@ def modulate_fd(
     """
     w = np.asarray(w_tx)
     cfg = preset("FD_MOD", GfdmParams(*w.shape), w)
-    if not emit_time:
-        cfg = replace(cfg, stages=cfg.stages[:3] + (replace(cfg.stages[3], enabled=False),))
-    return run_modulator(cfg, grid, counter)
+    return run_modulator(cfg if emit_time else bypass(cfg, 3), grid, counter)
 
 
 def demodulate_fd(yf_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
@@ -235,6 +280,4 @@ def demodulate_fd(yf_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | Non
 def demodulate_td(y_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate from a time-domain equalized block."""
     w = np.asarray(w_rx)
-    cfg = preset("TD_DEMOD", GfdmParams(*w.shape), w.T)
-    cfg = replace(cfg, stages=(replace(cfg.stages[0], enabled=False),) + cfg.stages[1:])
-    return run_demodulator(cfg, y_eq, counter)
+    return run_demodulator(bypass(preset("TD_DEMOD", GfdmParams(*w.shape), w.T), 0), y_eq, counter)

@@ -5,20 +5,23 @@ reconfigured, the configuration is held in two read-only levels that later
 blocks stream through.  The :class:`Waveform` is the prototype pulse and its
 time- and frequency-domain transmit windows, keyed by the geometry (``k, m``
 and the sorted, de-duplicated ``k_on, m_on``) and ``pulse, alpha, delta``.
-The :class:`ModemPlan` is the geometry, the cost kind and both engine tables,
-keyed by those fields plus ``rx, arch, domain, l_max``; it is derived from the
-held waveform, so a switch of engine, domain or receiver synthesizes no pulse
-and transforms no transmit window.  Neither key holds the seed, SNR, channel
-or prefix.  Each level holds one slot, the last one used.  A failed plan build
-raises on every call and leaves the held plan in place (the waveform it was
-derived from may stay loaded).  The chain's other configuration-only tables are
-held the same way: the symbol gather index on the geometry
-(``GfdmParams.active_index``) and the channel response in the equalizer
-(``channel.channel_response``).  The chain meters every modem transform and
+The :class:`ModemPlan` is the geometry, the cost kind and the stage tables of
+both directions (FFT presets, or the same presets with a direct chain set in
+the window slot), keyed by those fields plus ``rx, arch, domain, l_max``; it
+is derived from the held waveform, so a switch of engine, domain or receiver
+synthesizes no pulse and transforms no transmit window.  Neither key holds the
+seed, SNR, channel or prefix.  Each level holds one slot, the last one used.  A
+failed plan build (a chain set over ``l_max`` too) raises on every call and
+leaves the held plan in place (the waveform it was derived from may stay
+loaded).  The chain's other configuration-only tables are held the same way:
+the symbol gather index on the geometry (``GfdmParams.active_index``) and the
+channel response in the equalizer (``channel.channel_response``).  The chain meters every modem transform and
 window product on one counter, so the measured total can be reconciled
-against the closed-form figures.  The direct frequency-domain route runs its
-generic full-band chain set here; the sparse short-cut is a library feature
-exercised separately.
+against the closed-form figures.  The FFT pipeline demodulates in the
+frequency domain, the direct engine in the domain it modulated in: its
+time-domain demodulator's stage 0 takes the equalized spectrum back to time.
+The direct frequency-domain route runs its generic full-band chain set here;
+the sparse short-cut is a library feature exercised separately.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from . import analysis, channel, direct_modem, fft_modem, reference
 from .channel import ChannelSpec, splitmix64_words
 from .config import RunConfig
-from .numerics import MulCounter, dft
+from .numerics import MulCounter
 from .pulses import GfdmParams, PrototypePulse, make_prototype, rx_window, tx_window
 
 __all__ = ["LoopbackReport", "Waveform", "ModemPlan", "waveform_for", "plan_for", "run_loopback",
@@ -76,13 +79,12 @@ class Waveform:
 
 @dataclass(frozen=True, eq=False)
 class ModemPlan:
-    """A configured modem: geometry, cost kind and both engine tables (FFT presets or chain sets)."""
+    """A configured modem: geometry, cost kind and the stage tables of both directions."""
 
     params: GfdmParams
     kind: str
-    mod: fft_modem.ArchConfig | direct_modem.DirectPulseSet
-    demod: fft_modem.ArchConfig | direct_modem.DirectPulseSet
-    limits: direct_modem.DirectLimits | None = None
+    mod: fft_modem.ArchConfig
+    demod: fft_modem.ArchConfig
 
     @classmethod
     def build(cls, cfg: RunConfig) -> ModemPlan:
@@ -102,29 +104,16 @@ class ModemPlan:
         else:
             mod = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
             demod = direct_modem.precompute_fd_demod(rx_window(wave.w_fd, rx), limits, force_full=True)
-        return cls(params, f"DIR_{d}_{d}", mod, demod, limits)
+        return cls(params, f"DIR_{d}_{d}", direct_modem.chain_table(mod, f"{d}_MOD", limits),
+                   direct_modem.chain_table(demod, f"{d}_DEMOD", limits))
 
     def modulate(self, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
         """Time-domain core block of a K x M symbol grid."""
-        if isinstance(self.mod, fft_modem.ArchConfig):
-            return fft_modem.run_modulator(self.mod, grid, counter)
-        if self.mod.domain == "TD":
-            return direct_modem.direct_modulate_td(grid, self.mod, self.limits, counter)
-        return direct_modem.direct_modulate_fd(grid, self.mod, self.limits, emit_time=True, counter=counter)
+        return fft_modem.run_modulator(self.mod, grid, counter)
 
     def demodulate(self, yf_eq: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
-        """Grid estimate from the frequency-domain equalized block.
-
-        The FFT pipeline always demodulates in the frequency domain (the equalizer
-        transform is the only extra one); the direct engine in the domain it modulated in.
-        """
-        if isinstance(self.demod, fft_modem.ArchConfig):
-            return fft_modem.run_demodulator(self.demod, yf_eq, counter)
-        if self.demod.domain == "TD":
-            y_eq = dft(yf_eq, inverse=True, counter=counter)
-            y_eq /= self.params.n
-            return direct_modem.direct_demodulate_td(y_eq, self.demod, self.limits, counter)
-        return direct_modem.direct_demodulate_fd(yf_eq, self.demod, self.limits, counter)
+        """Grid estimate from the frequency-domain equalized block."""
+        return fft_modem.run_demodulator(self.demod, yf_eq, counter)
 
 
 def _waveform_key(cfg: RunConfig) -> tuple:

@@ -334,3 +334,16 @@ class TestHeldResponse:
                     out = type(exc)
                 results.append((out, counter.count))
             assert results[0] == results[1]
+
+
+class TestSpecFloatRange:
+    @pytest.mark.parametrize(
+        "taps,snr_db,name",
+        [(np.array([1.0]), 10**400, "snr_db"), (np.array([1.0]), -10**400, "snr_db"),
+         ((10**400,), 10.0, "channel.taps"), ((1.0, -10**400), 10.0, "channel.taps")],
+        ids=["snr_db", "negative-snr_db", "tap", "negative-second-tap"],
+    )
+    def test_integer_beyond_float_range_is_a_config_error(self, taps, snr_db, name):
+        # Each used to escape as OverflowError from check_snr_db or check_taps.
+        with pytest.raises(ConfigError, match=name):
+            ChannelSpec(taps, snr_db)

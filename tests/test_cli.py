@@ -475,3 +475,18 @@ class TestProcessExitCodes:
         assert proc.returncode == code, proc.stderr
         assert stderr in proc.stderr
         assert ("(match)" in proc.stdout) == (code == 0)
+
+
+class TestFloatRange:
+    """A real field given an integer beyond float range is refused by the field's own rule."""
+
+    @pytest.mark.parametrize(
+        "field,value,name",
+        [("snr_db", 10**400, "snr_db"), ("snr_db", -10**400, "snr_db"), ("alpha", 10**400, "alpha"),
+         ("delta", 10**400, "delta"), ("channel_taps", (10**400,), "channel.taps")],
+        ids=["snr_db", "negative-snr_db", "alpha", "delta", "channel_taps"],
+    )
+    def test_run_config_refuses_integer_beyond_float_range(self, field, value, name):
+        # Each used to escape as OverflowError from float() or from the taps' complex conversion.
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(k=8, m=4, **{field: value})

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gfdm_modem import direct_modem
 from gfdm_modem.analysis import cm_count
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.fft_modem import (
     ArchConfig,
     MemoryConfig,
     StageConfig,
+    bypass,
     demodulate_fd,
     demodulate_td,
     modulate_fd,
@@ -244,3 +246,65 @@ class TestInstrumentation:
         spec = dft(x, counter=counter)
         demodulate_fd(spec, wp_fd.w_rx, counter)
         assert counter.count == cm_count("FFT_TD_FD", k, m)
+
+
+class TestChainPresets:
+    """The direct architecture's tables: each mode's preset with a chain stack in the window slot."""
+
+    #: Enabled stages per mode as (size, inverse), from K=8, M=4, N=32.
+    ENABLED = {
+        "TD_MOD": [(8, True)],
+        "FD_MOD": [(4, False), (32, True)],
+        "TD_DEMOD": [(32, True), (8, False)],
+        "FD_DEMOD": [(4, True)],
+    }
+
+    @staticmethod
+    def chain_sets(params):
+        pulse = make_prototype("RC", params, 0.5, 0.5)
+        limits = direct_modem.DirectLimits(l_max=max(params.k, params.m))
+        return {
+            "TD_MOD": direct_modem.precompute_td_mod(pulse, limits),
+            "FD_MOD": direct_modem.precompute_fd_mod(pulse, limits),
+            "TD_DEMOD": direct_modem.precompute_td_demod(window_pair(pulse, "TD", "MF").w_rx, limits),
+            "FD_DEMOD": direct_modem.precompute_fd_demod(window_pair(pulse, "FD", "MF").w_rx, limits),
+        }
+
+    @pytest.mark.parametrize("mode", list(ENABLED))
+    def test_stages_1_and_2_disabled_and_no_memories(self, mode):
+        params = GfdmParams(8, 4)
+        pset = self.chain_sets(params)[mode]
+        cfg = direct_modem.chain_table(pset, mode)
+        assert [(s.size, s.inverse) for s in cfg.stages if s.enabled] == self.ENABLED[mode]
+        assert not cfg.stages[1].enabled and not cfg.stages[2].enabled
+        assert cfg.mem_a is None and cfg.mem_b is None
+        assert cfg.window is pset.taps
+        assert cfg.partitions == (pset.partitions if mode.startswith("FD") else None)
+
+    @pytest.mark.parametrize("mode", list(ENABLED))
+    def test_window_step_charges_the_window_size(self, mode):
+        params = GfdmParams(8, 4)
+        pset = self.chain_sets(params)[mode]
+        chains = bypass(direct_modem.chain_table(pset, mode), 0, 3)
+        shape = (4, 8) if mode.startswith("TD") else (8, 4)
+        window = bypass(preset(mode, params, np.ones(shape)), 0, 1, 2, 3)
+        for cfg, want in ((chains, pset.overlap * params.n), (window, params.n)):
+            counter = MulCounter()
+            run_pipeline(cfg, np.ones(params.n, dtype=complex), counter)
+            assert counter.count == want
+
+    def test_chain_stack_laid_out_for_its_mode(self):
+        # With no memory A before them, chain matrices are K x M in TD and M x K in FD.
+        params = GfdmParams(8, 4)
+        with pytest.raises(ConfigError, match="8x4"):
+            preset("TD_MOD", params, np.ones((4, 4, 8)))
+        with pytest.raises(ConfigError, match="4x8"):
+            preset("FD_DEMOD", params, np.ones((2, 8, 4)), (0, 1))
+        with pytest.raises(ConfigError):
+            preset("TD_MOD", params, np.ones((1, 1, 8, 4)))
+
+    def test_bypass_leaves_the_table_it_was_given(self):
+        cfg = preset("FD_MOD", GfdmParams(8, 4), np.ones((8, 4)))
+        off = bypass(cfg, 3)
+        assert cfg.stages[3].enabled and not off.stages[3].enabled
+        assert off.stages[:3] == cfg.stages[:3] and off.window is cfg.window

@@ -14,7 +14,7 @@ from gfdm_modem.analysis import cm_count
 from gfdm_modem.channel import fd_equalize_zf
 from gfdm_modem.cli import main
 from gfdm_modem.config import RunConfig, emit_config
-from gfdm_modem.errors import ConfigError, SingularWindow
+from gfdm_modem.errors import ChainLimitExceeded, ConfigError, SingularWindow
 from gfdm_modem.numerics import MulCounter, dft
 from gfdm_modem.pulses import make_prototype, tx_window, window_pair
 
@@ -340,3 +340,21 @@ class TestAwgnSer:
         sigma = math.sqrt(p * (1 - p) / symbols)
         assert symbols >= 10_000
         assert abs(errors / symbols - p) <= 4 * sigma
+
+
+class TestChainLimitAtPlanBuild:
+    def test_too_many_chains_refused_every_call_and_keeps_loaded_plan(self, tmp_path):
+        # The chain count is checked when the tables are built, so the refused
+        # configuration never replaces the held plan.
+        good = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4)
+        plan = link.plan_for(good)
+        over = RunConfig(k=8, m=32, arch="direct", domain="td", l_max=16)
+        for _ in range(2):
+            with pytest.raises(ChainLimitExceeded, match="32 chains needed, only 16 available"):
+                link.run_loopback(over)
+            assert link.plan_for(good) is plan
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(emit_config(over)))
+        assert main(["loopback", "--config", str(path)]) == 2
+        assert link.plan_for(good) is plan
+        assert main(["loopback", "--config", str(path), "--arch", "fft"]) == 0
