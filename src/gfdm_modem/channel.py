@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .numerics import MulCounter, dft
 __all__ = [
     "ChannelSpec",
     "check_seed",
+    "check_real",
     "check_snr_db",
     "snr_ratio",
     "check_taps",
@@ -56,15 +58,23 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def check_snr_db(snr_db: float) -> None:
-    """Reject an SNR that is neither finite nor ``+inf`` (noiseless): NaN, ``-inf`` and an
-    integer beyond float range name no channel."""
+def check_real(name: str, value) -> float:
+    """``value`` as a float; reject a bool, a value that is not a real number, or one beyond float range."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
     try:
-        ok = math.isfinite(snr_db) or snr_db == math.inf
+        return float(value)
     except OverflowError:
-        ok, snr_db = False, "an integer beyond float range"
-    if not ok:
+        raise ConfigError(f"{name} must be a real number within float range") from None
+
+
+def check_snr_db(snr_db: float) -> float:
+    """The SNR as a float; reject one that is not a real number, or neither finite nor ``+inf``
+    (noiseless): NaN and ``-inf`` name no channel."""
+    snr_db = check_real("snr_db", snr_db)
+    if not (math.isfinite(snr_db) or snr_db == math.inf):
         raise ConfigError(f"snr_db must be finite or +inf (noiseless), got {snr_db}")
+    return snr_db
 
 
 def snr_ratio(snr_db: float) -> float:
@@ -92,7 +102,12 @@ def check_seed(seed) -> int:
 
 
 def check_taps(taps) -> np.ndarray:
-    """The impulse response as a 1-D complex array; reject one that is empty or not finite."""
+    """The impulse response as a 1-D complex array; reject one that is empty, not finite, or not an
+    ordered sequence of numbers (no str, bool or None); a numeric array is judged by dtype, with no loop."""
+    numeric = isinstance(taps, np.ndarray) and taps.dtype.kind in "iufc"
+    if not numeric and (isinstance(taps, (str, bytes)) or not isinstance(taps, Sequence)
+                        or any(isinstance(t, bool) or not isinstance(t, numbers.Number) for t in taps)):
+        raise ConfigError(f"channel_taps must be a sequence of numbers, got {taps!r}")
     try:
         t = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
     except OverflowError:
@@ -114,7 +129,7 @@ class ChannelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "taps", check_taps(self.taps))
-        check_snr_db(self.snr_db)
+        object.__setattr__(self, "snr_db", check_snr_db(self.snr_db))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 

@@ -5,12 +5,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .channel import check_seed, check_taps, snr_ratio
+from .channel import check_real, check_seed, check_snr_db, check_taps, snr_ratio
 from .errors import ConfigError
 from .pulses import GfdmParams, check_pulse_spec
 
@@ -52,24 +51,13 @@ class RunConfig:
             if value or not many:
                 object.__setattr__(self, name, tuple(map(int, value)) if many else int(value))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        # The type rule of the other fields: real numbers (not booleans) held as float,
-        # names as str, and taps as a sequence of numbers that are neither str nor bool.
-        for name in ("alpha", "delta", "snr_db"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:
-                raise ConfigError(f"{name} must be a real number within float range") from None
+        # Real numbers held as float, names as str; the real-number and taps rules are channel's.
+        for name in ("alpha", "delta"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        object.__setattr__(self, "snr_db", check_snr_db(self.snr_db))
         for name in ("pulse", "rx", "arch", "domain"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
-        taps = self.channel_taps
-        if not isinstance(taps, Iterable) or any(
-            isinstance(t, (str, bool)) or not isinstance(t, numbers.Number) for t in taps
-        ):
-            raise ConfigError(f"channel_taps must be a sequence of numbers, got {taps!r}")
         # The modem's own geometry and pulse rules, run so bad configs fail at parse time.
         self.params  # noqa: B018
         check_pulse_spec(self.pulse.upper(), self.alpha, self.delta)

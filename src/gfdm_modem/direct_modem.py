@@ -141,7 +141,7 @@ def precompute_td_demod(w_rx: np.ndarray, limits: DirectLimits = DirectLimits())
     """Chain matrices for time-domain demodulation from the TD receive window."""
     w = np.asarray(w_rx, dtype=np.complex128)
     params = _check_block(GfdmParams(*w.shape), limits)
-    return _shift_set("demod", params, (dft(w.T, inverse=True) / params.m).T)  # K x M receive-pulse polyphase
+    return _shift_set("demod", params, dft(w.T, inverse=True, normalized=True).T)  # K x M receive-pulse polyphase
 
 
 def precompute_fd_demod(
@@ -159,7 +159,7 @@ def precompute_fd_demod(
     """
     w = np.asarray(w_rx, dtype=np.complex128)
     params = _check_block(GfdmParams(*w.shape), limits)
-    return _band_set("demod", params, dft(w) / params.k, limits, tol, force_full)  # row l: band l
+    return _band_set("demod", params, dft(w, normalized=True), limits, tol, force_full)  # row l: band l
 
 
 def chain_table(pset: DirectPulseSet, mode: str, limits: DirectLimits = DirectLimits()) -> ArchConfig:

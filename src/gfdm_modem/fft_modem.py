@@ -19,25 +19,26 @@ stack, stages 1 and 2 disabled and no memories:
     TD_MOD: K-IDFT -> chains              FD_MOD: M-DFT -> chains -> N-IDFT
     TD_DEMOD: N-IDFT -> chains -> K-DFT   FD_DEMOD: chains -> M-IDFT
 
-Presets reproduce the four canonical configurations.  Streams between stages
-are column-major vectors of the current logical matrix.  Inverse stages of the
-presets carry their ``1/size`` factor so that all block scaling lives in the
-stage table; hand-built stages default to the unnormalized kernel.
+Presets reproduce the four canonical configurations; their stages depend only
+on (mode, K, M, chains), so each stage tuple is built once and shared.  Streams
+between stages are column-major vectors of the current logical matrix.  Inverse
+stages of the presets carry their ``1/size`` factor so that all block scaling
+lives in the stage table; hand-built stages default to the unnormalized kernel.
 
 As in hardware, the memories move no data: between stages the stream is a 2-D
 array read row by row, and a memory is a strided transposed view of it.  Each
-stage transforms its chunk rows and scales its own fresh output in place; the
-window is read in stream layout as a view of the held matrix, the chains read
-their stack and the stream's cyclic shifts in place.  Only the output is
-flattened, copied where its layout needs it.
+stage transforms its chunk rows, a ``1/size`` scale inside the transform call
+and any other scale on its fresh output in place; the window is read in stream
+layout as a view of the held matrix, the chains read their stack and a view of
+the stream's cyclic shifts.  Only the output is flattened, copied where needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 from .numerics import MulCounter, dft, is_pow2
@@ -117,6 +118,22 @@ def bypass(cfg: ArchConfig, *indices: int) -> ArchConfig:
     return replace(cfg, stages=stages)
 
 
+@cache
+def _preset_stages(mode: str, k: int, m: int, chains: bool) -> tuple[StageConfig, ...]:
+    """The four stages of a preset, built once per key and shared (power-of-two sizes keep keys few)."""
+    def stage(size: int, inverse: bool = False, enabled: bool = True) -> StageConfig:
+        return StageConfig(size, inverse, enabled, 1.0 / size if inverse else 1.0)
+
+    mid, n = not chains, k * m  # chains compute stage 1 -> window -> stage 2 themselves
+    if mode == "TD_MOD":
+        return (stage(k, True), stage(m, False, mid), stage(m, True, mid), stage(n, enabled=False))
+    if mode == "FD_MOD":
+        return (stage(m), stage(k, True, mid), stage(k, False, mid), stage(n, True))
+    if mode == "TD_DEMOD":
+        return (stage(n, True), stage(m, False, mid), stage(m, True, mid), stage(k))
+    return (stage(n, True, False), stage(k, True, mid), stage(k, False, mid), stage(m, True))  # FD_DEMOD
+
+
 def preset(
     mode: str, params: GfdmParams, window: np.ndarray, partitions: tuple[int, ...] | None = None
 ) -> ArchConfig:
@@ -128,7 +145,7 @@ def preset(
     frequency-domain ``partitions``) gives the direct table; with no memory
     before it, its matrices are K x M in the time domain, M x K in frequency.
     """
-    k, m, n = params.k, params.m, params.n
+    k, m = params.k, params.m
     window = np.asarray(window, dtype=np.complex128)
     chains = window.ndim == 3
     want = (m, k) if (mode in ("TD_MOD", "TD_DEMOD")) != chains else (k, m)
@@ -136,19 +153,7 @@ def preset(
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
     if window.ndim not in (2, 3) or window.shape[-2:] != want:
         raise ConfigError(f"mode {mode} stores a {want[0]}x{want[1]} window, got {window.shape}")
-
-    def stage(size: int, inverse: bool = False, enabled: bool = True) -> StageConfig:
-        return StageConfig(size, inverse, enabled, 1.0 / size if inverse else 1.0)
-
-    mid = not chains  # chains compute stage 1 -> window -> stage 2 themselves
-    if mode == "TD_MOD":
-        stages = (stage(k, True), stage(m, False, mid), stage(m, True, mid), stage(n, enabled=False))
-    elif mode == "FD_MOD":
-        stages = (stage(m), stage(k, True, mid), stage(k, False, mid), stage(n, True))
-    elif mode == "TD_DEMOD":
-        stages = (stage(n, True), stage(m, False, mid), stage(m, True, mid), stage(k))
-    else:  # FD_DEMOD
-        stages = (stage(n, True, False), stage(k, True, mid), stage(k, False, mid), stage(m, True))
+    stages = _preset_stages(mode, k, m, chains)
     if chains:
         return ArchConfig(mode, stages, None, None, window, partitions)
     # Memory A writes the transposed window shape, so the window reads its stream in place.
@@ -160,8 +165,9 @@ def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) ->
         return s
     if s.size % stage.size:
         raise ConfigError(f"stream length {s.size} is not a multiple of stage size {stage.size}")
-    out = dft(s.reshape(-1, stage.size).T, inverse=stage.inverse, counter=counter)
-    if stage.scale != 1.0:
+    normalized = stage.scale == 1.0 / stage.size  # the 1/size factor rides in the transform call
+    out = dft(s.reshape(-1, stage.size).T, stage.inverse, counter, normalized)
+    if stage.scale != 1.0 and not normalized:
         out *= stage.scale
     return out.T
 
@@ -177,13 +183,15 @@ def _run_memory(s: np.ndarray, mem: MemoryConfig | None) -> np.ndarray:
 def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
     """Stack whose slice ``i`` is ``np.roll(a, shifts[i], axis=1)``.
 
-    All ``cols`` shifts in ascending order are a read-only,
-    zero-copy view of ``[a, a]``; a proper subset is gathered from that view.
+    All ``cols`` shifts in ascending order are a read-only, zero-copy view of ``[a, a]``,
+    written row-major whatever the layout of ``a``; a proper subset is gathered from that view.
     """
-    cols = a.shape[1]
-    doubled = np.concatenate([a, a], axis=1)
-    s_row, s_col = doubled.strides
-    view = as_strided(doubled[:, cols:], (cols, len(a), cols), (-s_col, s_row, s_col), writeable=False)
+    rows, cols = a.shape
+    doubled = np.empty((rows, 2 * cols), a.dtype)
+    doubled[:, :cols] = doubled[:, cols:] = a
+    item = doubled.itemsize
+    view = np.ndarray((cols, rows, cols), a.dtype, doubled, cols * item, (-item, 2 * cols * item, item))
+    view.flags.writeable = False
     if shifts == tuple(range(cols)):
         return view
     return view[list(shifts)]

@@ -9,8 +9,8 @@ computes the values.
 Conventions
 -----------
 * The DFT matrix is ``F[a, b] = exp(-2j*pi*a*b/n)`` and the inverse kernel is
-  its conjugate ``F^H``.  Neither carries a ``1/n`` factor; every scale factor
-  in the modem equations is applied explicitly by the caller.
+  its conjugate ``F^H``.  Neither carries a ``1/n`` factor unless :func:`dft` is
+  asked for it (``normalized``); every other scale factor is the caller's.
 * ``polyphase(a, Q, P)`` is the row-major ``Q x P`` reshape, so row ``q`` holds
   ``a[q*P : (q+1)*P]`` and column ``p`` is ``a`` decimated by ``P`` with
   phase ``p``.
@@ -78,21 +78,25 @@ def fft_mul_count(n: int) -> int:
     return (n // 2) * (n.bit_length() - 1)
 
 
-def dft(x: np.ndarray, inverse: bool = False, counter: MulCounter | None = None) -> np.ndarray:
-    """Unnormalized transform along axis 0 of a 1-D or 2-D array.
+def dft(
+    x: np.ndarray, inverse: bool = False, counter: MulCounter | None = None, normalized: bool = False
+) -> np.ndarray:
+    """Transform along axis 0 of a 1-D or 2-D array, unnormalized unless ``normalized``.
 
     A 2-D input is treated as a batch of column vectors.  The counter is
-    charged :func:`fft_mul_count` per column.  No normalization is applied in
-    either direction.
+    charged :func:`fft_mul_count` per column.  ``normalized`` divides by ``n``
+    through ``numpy.fft``'s ``norm``: ``n`` is a power of two, so each value equals
+    the division afterwards (a zero keeps its sign), without its extra pass.
     """
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim not in (1, 2):
         raise ConfigError("dft expects a vector or a batch of column vectors")
     n = a.shape[0]
-    _require_pow2(n, "transform size")
-    out = np.fft.ifft(a, axis=0, norm="forward") if inverse else np.fft.fft(a, axis=0)
+    cost = fft_mul_count(n)  # the one power-of-two check
+    transform = np.fft.ifft if inverse else np.fft.fft
+    out = transform(a, axis=0, norm="backward" if normalized == inverse else "forward")
     if counter is not None:
-        counter.add(fft_mul_count(n) * (1 if a.ndim == 1 else a.shape[1]))
+        counter.add(cost * (1 if a.ndim == 1 else a.shape[1]))
     return out
 
 
@@ -125,4 +129,4 @@ def zak_time(a: np.ndarray, rows: int, cols: int, counter: MulCounter | None = N
 
 def zak_freq(af: np.ndarray, rows: int, cols: int, counter: MulCounter | None = None) -> np.ndarray:
     """Dual Zak transform of a spectrum: scaled inverse DFT down each polyphase column."""
-    return dft(polyphase(af, rows, cols), inverse=True, counter=counter) / rows
+    return dft(polyphase(af, rows, cols), inverse=True, counter=counter, normalized=True)

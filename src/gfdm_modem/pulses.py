@@ -147,11 +147,11 @@ def make_prototype(kind: str, params: GfdmParams, alpha: float = 0.0, delta: flo
         if kind == "RRC":
             prof = np.sqrt(prof)
         gf[q % n] = prof
-        g = dft(gf, inverse=True) / n
+        g = dft(gf, inverse=True, normalized=True)
     elif kind == "DIRICHLET":
         gf = np.zeros(n, dtype=np.complex128)
         gf[:m] = 1.0
-        g = dft(gf, inverse=True) / n
+        g = dft(gf, inverse=True, normalized=True)
     else:  # RECT_TD
         g = np.zeros(n, dtype=np.complex128)
         g[:k] = 1.0

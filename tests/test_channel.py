@@ -347,3 +347,76 @@ class TestSpecFloatRange:
         # Each used to escape as OverflowError from check_snr_db or check_taps.
         with pytest.raises(ConfigError, match=name):
             ChannelSpec(taps, snr_db)
+
+
+class TestSpecTypeRule:
+    """``ChannelSpec`` and ``RunConfig`` share channel's type rules: a value one refuses, so does
+    the other, with the same message, and neither lets a non-ConfigError escape."""
+
+    def test_string_tap_is_a_config_error(self):
+        # Used to escape as ValueError from the complex conversion.
+        with pytest.raises(ConfigError, match="channel_taps must be a sequence of numbers"):
+            ChannelSpec(("a",), 10.0)
+
+    def test_string_snr_is_a_config_error(self):
+        # Used to escape as TypeError from math.isfinite.
+        with pytest.raises(ConfigError, match="snr_db must be a real number"):
+            ChannelSpec((1.0,), "10")
+
+    def test_none_snr_is_a_config_error(self):
+        # Used to escape as TypeError from math.isfinite.
+        with pytest.raises(ConfigError, match="snr_db must be a real number"):
+            ChannelSpec((1.0,), None)
+
+    def test_none_tap_is_refused_as_a_type_not_as_nan(self):
+        # Used to read as NaN and be refused as "channel taps must be finite, got [nan]".
+        with pytest.raises(ConfigError, match="channel_taps must be a sequence of numbers"):
+            ChannelSpec((None,), 10.0)
+
+    def test_bool_tap_is_refused(self):
+        # Used to be accepted as the tap 1.
+        with pytest.raises(ConfigError, match="channel_taps must be a sequence of numbers"):
+            ChannelSpec((True,), 10.0)
+
+    def test_bool_snr_is_refused(self):
+        # Used to be accepted as 1 dB.
+        with pytest.raises(ConfigError, match="snr_db must be a real number"):
+            ChannelSpec((1.0,), True)
+
+    @pytest.mark.parametrize(
+        "taps,snr_db",
+        [(("a",), 10.0), ((None,), 10.0), ((True,), 10.0), ((1.0, np.bool_(False)), 10.0), ("", 10.0),
+         (([1, 2],), 10.0), ({1.0, 0.5}, 10.0), ((t for t in (1.0, 0.5)), 10.0), (b"\x01", 10.0),
+         (1.0, 10.0), ((1.0,), "10"), ((1.0,), None), ((1.0,), True), ((1.0,), np.bool_(True)),
+         ((1.0,), 10**400), ((1.0,), np.nan), ((1.0,), 1 + 2j)],
+    )
+    def test_run_config_and_spec_refuse_alike(self, taps, snr_db):
+        messages = []
+        for build in (lambda: ChannelSpec(taps, snr_db),
+                      lambda: RunConfig(k=4, m=4, n_cp=3, channel_taps=taps, snr_db=snr_db)):
+            with pytest.raises(ConfigError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "taps", [np.array([1.0, 0.5]), np.array([1, 0], dtype=np.int8), np.array([1 + 1j], dtype=np.complex64),
+                 (1, 0.5, 0.25j, np.float32(0.1), np.complex128(0.2)), [np.int64(1)]],
+    )
+    def test_numbers_of_any_numeric_type_are_accepted(self, taps):
+        spec = ChannelSpec(taps, 10)
+        assert spec.taps.dtype == np.complex128 and np.array_equal(spec.taps, np.asarray(taps, dtype=complex))
+        assert type(spec.snr_db) is float and spec.snr_db == 10.0
+
+    @pytest.mark.parametrize("dtype", [bool, object, "U1"])
+    def test_arrays_of_non_numbers_are_refused(self, dtype):
+        with pytest.raises(ConfigError, match="channel_taps must be a sequence of numbers"):
+            check_taps(np.array([True] if dtype is bool else [None] if dtype is object else ["1"], dtype=dtype))
+
+    def test_a_numeric_array_is_judged_by_its_dtype_without_a_per_tap_loop(self):
+        class NoIteration(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("taps iterated one by one")
+
+        taps = np.array([1.0, 0.5 - 0.25j]).view(NoIteration)
+        assert np.array_equal(ChannelSpec(taps, 10.0).taps, [1.0, 0.5 - 0.25j])

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gfdm_modem import direct_modem
 from gfdm_modem.analysis import cm_count
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.fft_modem import (
+    MODES,
     ArchConfig,
     MemoryConfig,
     StageConfig,
+    _cyclic_shifts,
     bypass,
     demodulate_fd,
     demodulate_td,
@@ -308,3 +312,110 @@ class TestChainPresets:
         off = bypass(cfg, 3)
         assert cfg.stages[3].enabled and not off.stages[3].enabled
         assert off.stages[:3] == cfg.stages[:3] and off.window is cfg.window
+
+
+def inline_stages(mode, k, m, chains):
+    """A preset's four stages built per call, as ``preset`` built them before it held them."""
+
+    def stage(size, inverse=False, enabled=True):
+        return StageConfig(size, inverse, enabled, 1.0 / size if inverse else 1.0)
+
+    n, mid = k * m, not chains
+    if mode == "TD_MOD":
+        return (stage(k, True), stage(m, False, mid), stage(m, True, mid), stage(n, enabled=False))
+    if mode == "FD_MOD":
+        return (stage(m), stage(k, True, mid), stage(k, False, mid), stage(n, True))
+    if mode == "TD_DEMOD":
+        return (stage(n, True), stage(m, False, mid), stage(m, True, mid), stage(k))
+    return (stage(n, True, False), stage(k, True, mid), stage(k, False, mid), stage(m, True))
+
+
+class TestHeldStageTuples:
+    """A preset's stage tuple depends only on (mode, K, M, chains): it is built once and shared."""
+
+    @staticmethod
+    def table(mode, k, m, chains, seed):
+        want = (m, k) if mode.startswith("TD") != chains else (k, m)
+        rng = np.random.default_rng(seed)
+        window = rng.standard_normal((3, *want) if chains else want) + 0j
+        return preset(mode, GfdmParams(k, m), window, (0, 1, 2) if chains and mode.startswith("FD") else None)
+
+    @pytest.mark.parametrize("chains", [False, True], ids=["window", "chains"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equal_keys_share_one_tuple_equal_to_an_inline_build(self, mode, chains):
+        first, second = self.table(mode, 8, 4, chains, 1), self.table(mode, 8, 4, chains, 2)
+        assert second.stages is first.stages
+        assert first.stages == inline_stages(mode, 8, 4, chains)
+        assert first.window is not second.window
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_key_field_gives_its_own_tuple(self, mode):
+        base = self.table(mode, 8, 4, False, 1).stages
+        for k, m, chains in ((16, 4, False), (8, 8, False), (4, 8, False), (8, 4, True)):
+            other = self.table(mode, k, m, chains, 1).stages
+            assert other is not base and other == inline_stages(mode, k, m, chains)
+        assert all(self.table(other, 8, 4, False, 1).stages is not base for other in MODES if other != mode)
+
+    def test_bypass_leaves_the_held_tuple_alone(self):
+        cfg = self.table("FD_MOD", 8, 4, False, 1)
+        cut = bypass(cfg, 3)
+        assert not cut.stages[3].enabled and cfg.stages[3].enabled
+        assert self.table("FD_MOD", 8, 4, False, 2).stages == inline_stages("FD_MOD", 8, 4, False)
+
+
+def rolled(a, shifts):
+    return np.stack([np.roll(a, s, axis=1) for s in shifts])
+
+
+class TestCyclicShifts:
+    """``_cyclic_shifts`` against an ``np.roll`` stack, for any input layout and shift tuple."""
+
+    @staticmethod
+    def laid_out(values, layout):
+        """``values`` in the named memory layout, plus the writable array that holds its memory."""
+        if layout == "C":
+            a = np.ascontiguousarray(values)
+            return a, a
+        if layout == "F":
+            a = np.asfortranarray(values)
+            return a, a
+        rows, cols = values.shape
+        if layout == "strided":
+            big = np.zeros((2 * rows, 3 * cols), dtype=values.dtype)
+            big[::2, ::3] = values
+            return big[::2, ::3], big
+        big = np.zeros((3 * cols, 2 * rows), dtype=values.dtype)  # "transposed-reversed"
+        big[::3, ::2] = values[::-1, ::-1].T
+        return big[::3, ::2].T[::-1, ::-1], big
+
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        layout=st.sampled_from(["C", "F", "strided", "transposed-reversed"]),
+        pick=st.one_of(st.none(), st.lists(st.integers(0, 63), min_size=1, max_size=8)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_a_roll_stack_and_is_a_read_only_snapshot(self, rows, cols, layout, pick, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        a, holder = self.laid_out(values, layout)
+        assert np.array_equal(a, values)
+        # None: all shifts ascending (the zero-copy view); else a subset in drawn order (gathered).
+        shifts = tuple(range(cols)) if pick is None else tuple(dict.fromkeys(p % cols for p in pick))
+        want = rolled(values, shifts)
+        got = _cyclic_shifts(a, shifts)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not np.shares_memory(got, holder)
+        if pick is None:
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0, 0] = 0
+            assert got.strides[2] == got.itemsize  # each shifted matrix reads its rows contiguously
+        holder[...] = 0  # a later write to the input does not reach the stack
+        assert np.array_equal(got, want)
+
+    def test_full_view_is_row_major_for_a_column_major_input(self):
+        a = np.asfortranarray(np.arange(12, dtype=complex).reshape(3, 4))
+        got = _cyclic_shifts(a, (0, 1, 2, 3))
+        assert got.strides[1:] == (2 * 4 * a.itemsize, a.itemsize)
+        assert np.array_equal(got, rolled(a, range(4)))

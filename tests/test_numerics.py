@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gfdm_modem.errors import ConfigError
@@ -140,6 +142,46 @@ class TestDft:
         x = np.ones(8, dtype=complex)
         dft(x)
         assert_allclose(x, np.ones(8))
+
+
+class TestNormalized:
+    """``normalized`` divides inside the transform call: for a power-of-two size every value equals
+    the unnormalized transform divided by ``n`` afterwards, and the charge is the same."""
+
+    @pytest.mark.parametrize("log2n", range(13))
+    @given(
+        batch=st.sampled_from([None, 1, 3]),
+        inverse=st.booleans(),
+        decade=st.integers(-300, 300),
+        spread=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=3, inverse=True, decade=300, spread=0, seed=1)
+    @example(batch=None, inverse=False, decade=-300, spread=0, seed=2)
+    def test_equal_to_dividing_afterwards(self, log2n, batch, inverse, decade, spread, seed):
+        n = 1 << log2n
+        shape = (n,) if batch is None else (n, batch)
+        rng = np.random.default_rng(seed)
+        # Entries span `spread` decades around 10**decade, all inside [1e-300, 1e300].
+        scale = 10.0 ** np.clip(decade + rng.uniform(-spread, spread, shape), -300, 300)
+        x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        before = x.copy()
+        c_norm, c_plain = MulCounter(), MulCounter()
+        got = dft(x, inverse, c_norm, normalized=True)
+        want = dft(x, inverse, c_plain) / n
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert c_norm.count == c_plain.count == fft_mul_count(n) * (batch or 1)
+        assert np.array_equal(x, before)
+
+    def test_keyword_default_is_unnormalized(self):
+        x = np.ones(8, dtype=complex)
+        assert_allclose(dft(x), [8] + [0] * 7, atol=0)
+        assert_allclose(dft(x, normalized=True), [1] + [0] * 7, atol=0)
+        assert_allclose(dft(dft(x, normalized=True), inverse=True), x, atol=0)
+
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ConfigError, match="power of two"):
+            dft(np.ones(12, dtype=complex), normalized=True)
 
 
 class TestPolyphase:
