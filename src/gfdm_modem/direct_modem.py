@@ -11,9 +11,10 @@ Chains are a hardware concept.  This functional model stores each chain set
 as one read-only stack: the time-domain set is a zero-copy view of the cyclic
 shifts of one base matrix, the frequency-domain set a broadcast of its band
 rows.  The chains compute what the FFT pipeline's stage 1 -> window -> stage 2
-computes, so this module builds and checks the chain sets and each pass runs
-as its mode's :mod:`fft_modem` stage table with the stack in the window slot
-(:func:`chain_table`); the counter charges L*N multiplications per pass.
+computes, so each ``precompute_*`` checks the block length against ``n_max``
+and the chain count against ``l_max``, and returns its mode's :mod:`fft_modem`
+stage table with the stack in the window slot; the counter charges L*N
+multiplications per pass.  The ``direct_*`` runners are one run of such a table.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ import numpy as np
 from .errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
 from .fft_modem import ArchConfig, _cyclic_shifts, bypass, preset, run_demodulator, run_modulator
 from .numerics import MulCounter, dft, polyphase
-from .pulses import GfdmParams, PrototypePulse
+from .pulses import GfdmParams, PrototypePulse, occupied_bands
 
 __all__ = [
     "DirectLimits",
-    "DirectPulseSet",
     "precompute_td_mod",
     "precompute_fd_mod",
     "precompute_td_demod",
     "precompute_fd_demod",
-    "chain_table",
     "direct_modulate_td",
     "direct_modulate_fd",
     "direct_demodulate_td",
@@ -54,103 +53,71 @@ class DirectLimits:
             raise ConfigError("direct-architecture limits must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class DirectPulseSet:
-    """Prestored chain matrices for one direction and domain.
-
-    ``taps`` is a read-only ``(L, rows, cols)`` stack: for ``"TD"`` the M
-    cyclic column shifts of one K x M matrix (a view, not copies), for
-    ``"FD"`` one M x K matrix per occupied subcarrier band listed in
-    ``partitions``, each its band row broadcast across the K columns.
-    """
-
-    domain: str
-    direction: str
-    params: GfdmParams
-    taps: np.ndarray
-    partitions: tuple[int, ...]
-
-    @property
-    def mats(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.taps)
-
-    @property
-    def overlap(self) -> int:
-        return len(self.taps)
-
-
 def _check_block(params: GfdmParams, limits: DirectLimits) -> GfdmParams:
     if params.n > limits.n_max:
         raise ConfigError(f"block length {params.n} exceeds the {limits.n_max}-point FFT limit")
     return params
 
 
-def _shift_set(direction: str, params: GfdmParams, base: np.ndarray) -> DirectPulseSet:
-    """A time-domain set: the M cyclic column shifts of the K x M ``base``, as a view."""
-    shifts = tuple(range(params.m))
-    return DirectPulseSet("TD", direction, params, _cyclic_shifts(base, shifts), shifts)
+def _shift_table(mode: str, params: GfdmParams, base: np.ndarray, limits: DirectLimits) -> ArchConfig:
+    """A time-domain table: the M cyclic column shifts of the K x M ``base``, as a view, one chain each."""
+    if params.m > limits.l_max:
+        raise ChainLimitExceeded(f"{params.m} chains needed, only {limits.l_max} available")
+    return preset(mode, params, _cyclic_shifts(base, tuple(range(params.m))))
 
 
-def _band_set(
-    direction: str, params: GfdmParams, bands: np.ndarray, limits: DirectLimits, tol: float, force_full: bool
-) -> DirectPulseSet:
-    """A frequency-domain set: each occupied row of the K x M ``bands`` (all K with
+def _band_table(
+    mode: str, params: GfdmParams, bands: np.ndarray, limits: DirectLimits, force_full: bool
+) -> ArchConfig:
+    """A frequency-domain table: each occupied row of the K x M ``bands`` (all K with
     ``force_full``) broadcast across K columns, one chain each."""
-    if force_full:
-        parts = tuple(range(params.k))
-    else:
-        band_on = np.abs(bands).max(axis=1) > tol * np.abs(bands).max()
-        parts = tuple(int(i) for i in np.flatnonzero(band_on))
+    parts = tuple(range(params.k)) if force_full else tuple(occupied_bands(bands).tolist())
     if len(parts) > limits.l_max:
         raise OverlapTooLarge(
-            f"{'receive ' if direction == 'demod' else ''}pulse occupies {len(parts)} subcarrier bands, "
+            f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
             f"only {limits.l_max} chains available"
         )
     taps = np.broadcast_to(bands[list(parts), :, None], (len(parts), params.m, params.k))
-    return DirectPulseSet("FD", direction, params, taps, parts)
+    return preset(mode, params, taps, parts)
 
 
-def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits()) -> DirectPulseSet:
-    """Chain matrices for time-domain modulation.
+def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits()) -> ArchConfig:
+    """Table for time-domain modulation.
 
-    Matrix m is the scaled transposed polyphase of the pulse with its columns
-    cyclically shifted by m, so chain m sees the pulse aligned to subsymbol m.
+    Chain matrix m is the scaled transposed polyphase of the pulse with its
+    columns cyclically shifted by m, so chain m sees the pulse aligned to
+    subsymbol m.
     """
     p = _check_block(pulse.params, limits)
-    return _shift_set("mod", p, p.k * polyphase(pulse.time, p.m, p.k).T)
+    return _shift_table("TD_MOD", p, p.k * polyphase(pulse.time, p.m, p.k).T, limits)
 
 
 def precompute_fd_mod(
-    pulse: PrototypePulse,
-    limits: DirectLimits = DirectLimits(),
-    tol: float = 1e-12,
-    force_full: bool = False,
-) -> DirectPulseSet:
-    """Chain matrices for frequency-domain modulation.
+    pulse: PrototypePulse, limits: DirectLimits = DirectLimits(), force_full: bool = False
+) -> ArchConfig:
+    """Table for frequency-domain modulation.
 
-    One matrix per occupied subcarrier band of the pulse spectrum: that band
-    of the transposed polyphase of ``g_f`` broadcast across K columns.
+    One chain matrix per occupied subcarrier band of the pulse spectrum: that
+    band of the transposed polyphase of ``g_f`` broadcast across K columns.
     ``force_full`` keeps all K bands regardless of sparsity (the generic,
     non-sparse engine).
     """
     p = _check_block(pulse.params, limits)
-    return _band_set("mod", p, polyphase(pulse.freq, p.k, p.m), limits, tol, force_full)
+    return _band_table("FD_MOD", p, polyphase(pulse.freq, p.k, p.m), limits, force_full)
 
 
-def precompute_td_demod(w_rx: np.ndarray, limits: DirectLimits = DirectLimits()) -> DirectPulseSet:
-    """Chain matrices for time-domain demodulation from the TD receive window."""
+def precompute_td_demod(w_rx: np.ndarray, limits: DirectLimits = DirectLimits()) -> ArchConfig:
+    """Table for time-domain demodulation from the TD receive window."""
     w = np.asarray(w_rx, dtype=np.complex128)
     params = _check_block(GfdmParams(*w.shape), limits)
-    return _shift_set("demod", params, dft(w.T, inverse=True, normalized=True).T)  # K x M receive-pulse polyphase
+    # K x M receive-pulse polyphase
+    return _shift_table("TD_DEMOD", params, dft(w.T, inverse=True, normalized=True).T, limits)
 
 
 def precompute_fd_demod(
-    w_rx: np.ndarray,
-    limits: DirectLimits = DirectLimits(),
-    tol: float = 1e-12,
-    force_full: bool = False,
-) -> DirectPulseSet:
-    """Chain matrices for frequency-domain demodulation from the FD receive window.
+    w_rx: np.ndarray, limits: DirectLimits = DirectLimits(), force_full: bool = False
+) -> ArchConfig:
+    """Table for frequency-domain demodulation from the FD receive window.
 
     The receive pulse spectrum is the columnwise forward transform of the
     window; its band occupancy decides the chain count.  A matched filter on a
@@ -159,56 +126,26 @@ def precompute_fd_demod(
     """
     w = np.asarray(w_rx, dtype=np.complex128)
     params = _check_block(GfdmParams(*w.shape), limits)
-    return _band_set("demod", params, dft(w, normalized=True), limits, tol, force_full)  # row l: band l
+    return _band_table("FD_DEMOD", params, dft(w, normalized=True), limits, force_full)  # row l: band l
 
 
-def chain_table(pset: DirectPulseSet, mode: str, limits: DirectLimits = DirectLimits()) -> ArchConfig:
-    """The stage table that runs ``pset`` in ``mode``, once the set fits the mode and ``limits``."""
-    if f"{pset.domain}_{pset.direction.upper()}" != mode:
-        raise ConfigError(f"pulse set is {pset.domain}/{pset.direction}, needed {mode}")
-    if pset.overlap > limits.l_max:
-        raise ChainLimitExceeded(f"{pset.overlap} chains needed, only {limits.l_max} available")
-    _check_block(pset.params, limits)
-    return preset(mode, pset.params, pset.taps, pset.partitions if pset.domain == "FD" else None)
-
-
-def direct_modulate_td(
-    grid: np.ndarray,
-    pset: DirectPulseSet,
-    limits: DirectLimits = DirectLimits(),
-    counter: MulCounter | None = None,
-) -> np.ndarray:
+def direct_modulate_td(grid: np.ndarray, table: ArchConfig, counter: MulCounter | None = None) -> np.ndarray:
     """Time-domain block via K-point IDFT bank plus M multiply-accumulate chains."""
-    return run_modulator(chain_table(pset, "TD_MOD", limits), grid, counter)
+    return run_modulator(table, grid, counter)
 
 
 def direct_modulate_fd(
-    grid: np.ndarray,
-    pset: DirectPulseSet,
-    limits: DirectLimits = DirectLimits(),
-    emit_time: bool = False,
-    counter: MulCounter | None = None,
+    grid: np.ndarray, table: ArchConfig, emit_time: bool = False, counter: MulCounter | None = None
 ) -> np.ndarray:
     """Frequency-domain block via M-point DFT bank plus per-band chains (time block with ``emit_time``)."""
-    cfg = chain_table(pset, "FD_MOD", limits)
-    return run_modulator(cfg if emit_time else bypass(cfg, 3), grid, counter)
+    return run_modulator(table if emit_time else bypass(table, 3), grid, counter)
 
 
-def direct_demodulate_td(
-    y_eq: np.ndarray,
-    pset: DirectPulseSet,
-    limits: DirectLimits = DirectLimits(),
-    counter: MulCounter | None = None,
-) -> np.ndarray:
+def direct_demodulate_td(y_eq: np.ndarray, table: ArchConfig, counter: MulCounter | None = None) -> np.ndarray:
     """Grid estimate from a time-domain equalized block (the table's N-point IDFT bypassed)."""
-    return run_demodulator(bypass(chain_table(pset, "TD_DEMOD", limits), 0), y_eq, counter)
+    return run_demodulator(bypass(table, 0), y_eq, counter)
 
 
-def direct_demodulate_fd(
-    yf_eq: np.ndarray,
-    pset: DirectPulseSet,
-    limits: DirectLimits = DirectLimits(),
-    counter: MulCounter | None = None,
-) -> np.ndarray:
+def direct_demodulate_fd(yf_eq: np.ndarray, table: ArchConfig, counter: MulCounter | None = None) -> np.ndarray:
     """Grid estimate from a frequency-domain equalized block."""
-    return run_demodulator(chain_table(pset, "FD_DEMOD", limits), yf_eq, counter)
+    return run_demodulator(table, yf_eq, counter)

@@ -26,7 +26,10 @@ class SingularChannel(GfdmError):
 
 
 class ChainLimitExceeded(GfdmError):
-    """A direct-convolution run needs more parallel multiplier chains than available."""
+    """A direct-convolution table needs more parallel multiplier chains than available.
+
+    Raised when the time-domain table is built, after the block-length check.
+    """
 
 
 class OverlapTooLarge(GfdmError):

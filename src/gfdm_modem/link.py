@@ -6,12 +6,13 @@ blocks stream through.  The :class:`Waveform` is the prototype pulse and its
 time- and frequency-domain transmit windows, keyed by the geometry (``k, m``
 and the sorted, de-duplicated ``k_on, m_on``) and ``pulse, alpha, delta``.
 The :class:`ModemPlan` is the geometry, the cost kind and the stage tables of
-both directions (FFT presets, or the same presets with a direct chain set in
-the window slot), keyed by those fields plus ``rx, arch, domain, l_max``; it
-is derived from the held waveform, so a switch of engine, domain or receiver
-synthesizes no pulse and transforms no transmit window.  Neither key holds the
-seed, SNR, channel or prefix.  Each level holds one slot, the last one used.  A
-failed plan build (a chain set over ``l_max`` too) raises on every call and
+both directions (FFT presets, or the tables ``direct_modem.precompute_*``
+return: the same presets with a chain stack in the window slot), keyed by
+those fields plus ``rx, arch, domain, l_max``; it is derived from the held
+waveform, so a switch of engine, domain or receiver synthesizes no pulse and
+transforms no transmit window.  Neither key holds the seed, SNR, channel or
+prefix.  Each level holds one slot, the last one used.  A failed plan build
+(a direct block over ``n_max`` or ``l_max`` too) raises on every call and
 leaves the held plan in place (the waveform it was derived from may stay
 loaded).  The chain's other configuration-only tables are held the same way:
 the symbol gather index on the geometry (``GfdmParams.active_index``) and the
@@ -104,8 +105,7 @@ class ModemPlan:
         else:
             mod = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
             demod = direct_modem.precompute_fd_demod(rx_window(wave.w_fd, rx), limits, force_full=True)
-        return cls(params, f"DIR_{d}_{d}", direct_modem.chain_table(mod, f"{d}_MOD", limits),
-                   direct_modem.chain_table(demod, f"{d}_DEMOD", limits))
+        return cls(params, f"DIR_{d}_{d}", mod, demod)
 
     def modulate(self, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
         """Time-domain core block of a K x M symbol grid."""

@@ -31,7 +31,6 @@ __all__ = [
     "fft_mul_count",
     "is_pow2",
     "polyphase",
-    "unpolyphase",
     "zak_time",
     "zak_freq",
 ]
@@ -112,14 +111,6 @@ def polyphase(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
             f"polyphase needs a vector of length {rows}*{cols}={rows * cols}, got shape {v.shape}"
         )
     return v.reshape(rows, cols)
-
-
-def unpolyphase(mat: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`polyphase` (row-major flatten)."""
-    m = np.asarray(mat)
-    if m.ndim != 2:
-        raise ConfigError("unpolyphase expects a matrix")
-    return m.reshape(-1)
 
 
 def zak_time(a: np.ndarray, rows: int, cols: int, counter: MulCounter | None = None) -> np.ndarray:

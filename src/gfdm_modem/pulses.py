@@ -34,6 +34,7 @@ __all__ = [
     "tx_window",
     "rx_window",
     "window_pair",
+    "occupied_bands",
     "freq_overlap",
 ]
 
@@ -41,6 +42,9 @@ PULSE_KINDS = ("RC", "RRC", "DIRICHLET", "RECT_TD")
 
 #: Below this magnitude a zero-forcing window entry counts as singular.
 SINGULAR_EPS = 1e-8
+
+#: A subcarrier band whose peak magnitude is at most this fraction of the spectrum peak is empty.
+BAND_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -212,16 +216,24 @@ def window_pair(pulse: PrototypePulse, domain: str, rx_kind: str, eps: float = S
     return WindowPair(w_tx, rx_window(w_tx, rx_kind, eps), rx_kind, domain)
 
 
-def freq_overlap(pulse: PrototypePulse, tol: float = 1e-12) -> int:
+def occupied_bands(bands: np.ndarray) -> np.ndarray:
+    """Indices of the occupied rows of a K x M band matrix (row l: subcarrier band l).
+
+    A band is occupied when its peak magnitude exceeds ``BAND_EPS`` times the
+    peak of the whole matrix.
+    """
+    peaks = np.abs(bands).max(axis=1)
+    return np.flatnonzero(peaks > BAND_EPS * peaks.max())
+
+
+def freq_overlap(pulse: PrototypePulse) -> int:
     """Number of consecutive subcarrier bands covering the pulse spectrum.
 
     The spectrum is split into K bands of M bins.  Returns the smallest L such
-    that all bins with ``|g_f| > tol * max|g_f|`` fall inside L cyclically
-    consecutive bands.
+    that all :func:`occupied_bands` fall inside L cyclically consecutive bands.
     """
     k, m = pulse.params.k, pulse.params.m
-    mags = np.abs(pulse.freq).reshape(k, m)
-    active = np.flatnonzero(mags.max(axis=1) > tol * np.abs(pulse.freq).max())
+    active = occupied_bands(pulse.freq.reshape(k, m))
     count = active.size
     if count == 0:
         return 0

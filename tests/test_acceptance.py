@@ -98,15 +98,15 @@ def test_criterion_1_oracle_equivalence():
     problems = []
     for sys_ in systems():
         pulse = sys_["pulse"]
-        set_td = precompute_td_mod(pulse, LIMITS)
-        set_fd = precompute_fd_mod(pulse, LIMITS)
+        table_td = precompute_td_mod(pulse, LIMITS)
+        table_fd = precompute_fd_mod(pulse, LIMITS)
         for i, grid in enumerate(sys_["grids"]):
             ref = sys_["refs"][i]
             scale = np.abs(ref).max()
             paths = {
                 "fft": fft_modem.modulate_td(grid, sys_["w_td"]),
-                "direct-td": direct_modulate_td(grid, set_td, LIMITS),
-                "direct-fd": direct_modulate_fd(grid, set_fd, LIMITS, emit_time=True),
+                "direct-td": direct_modulate_td(grid, table_td),
+                "direct-fd": direct_modulate_fd(grid, table_fd, emit_time=True),
             }
             for name, got in paths.items():
                 err = np.abs(got - ref).max() / scale

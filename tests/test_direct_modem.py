@@ -17,7 +17,7 @@ from gfdm_modem.direct_modem import (
     precompute_td_demod,
     precompute_td_mod,
 )
-from gfdm_modem.errors import ChainLimitExceeded, OverlapTooLarge
+from gfdm_modem.errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
 from gfdm_modem.fft_modem import demodulate_fd, modulate_fd, modulate_td
 from gfdm_modem.fft_modem import demodulate_td as fft_demodulate_td
 from gfdm_modem.numerics import MulCounter, dft, fft_mul_count, polyphase
@@ -34,25 +34,25 @@ class TestPrecomputeMod:
     def test_td_base_matrix(self):
         params = GfdmParams(8, 4)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        pset = precompute_td_mod(pulse)
+        table = precompute_td_mod(pulse)
         base = params.k * polyphase(pulse.time, params.m, params.k).T
-        assert_allclose(pset.mats[0], base, atol=1e-14)
-        assert len(pset.mats) == params.m
+        assert_allclose(table.window[0], base, atol=1e-14)
+        assert len(table.window) == params.m
 
     def test_td_shift_structure(self):
         pulse = make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)
-        pset = precompute_td_mod(pulse)
+        table = precompute_td_mod(pulse)
         for m in range(4):
             for p in range(4):
-                assert_allclose(pset.mats[m][:, p], pset.mats[0][:, (p - m) % 4], atol=1e-14)
+                assert_allclose(table.window[m][:, p], table.window[0][:, (p - m) % 4], atol=1e-14)
 
     def test_fd_partition_counts(self):
-        assert precompute_fd_mod(make_prototype("DIRICHLET", GfdmParams(8, 4))).overlap == 1
-        assert precompute_fd_mod(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)).overlap == 2
+        assert len(precompute_fd_mod(make_prototype("DIRICHLET", GfdmParams(8, 4))).window) == 1
+        assert len(precompute_fd_mod(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)).window) == 2
 
     def test_fd_replicated_columns(self):
-        pset = precompute_fd_mod(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5))
-        for mat in pset.mats:
+        table = precompute_fd_mod(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5))
+        for mat in table.window:
             assert_allclose(mat, np.tile(mat[:, [0]], (1, 8)), atol=1e-14)
 
     def test_fd_overlap_limit(self):
@@ -61,7 +61,7 @@ class TestPrecomputeMod:
         time[0] = 1.0  # impulse occupies all 64 bands
         pulse = make_prototype("RC", params, 0.5, 0.5)
         full = type(pulse)(pulse.kind, params, 0.5, 0.5, time, dft(time))
-        with pytest.raises(OverlapTooLarge):
+        with pytest.raises(OverlapTooLarge, match="^pulse occupies 64 subcarrier bands, only 16 chains available$"):
             precompute_fd_mod(full, DirectLimits(l_max=16))
 
 
@@ -91,11 +91,18 @@ class TestModulate:
         assert np.abs(got - expect).max() <= 1e-12
 
     def test_chain_limit(self):
+        # The chain count is refused when the table is built, after the block length.
         params = GfdmParams(32, 64)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        pset = precompute_td_mod(pulse, DirectLimits(l_max=64))
-        with pytest.raises(ChainLimitExceeded):
-            direct_modulate_td(random_grid(params, 3), pset, DirectLimits(l_max=16))
+        w_rx = window_pair(pulse, "TD", "ZF").w_rx
+        with pytest.raises(ChainLimitExceeded, match="^64 chains needed, only 16 available$"):
+            precompute_td_mod(pulse, DirectLimits(l_max=16))
+        with pytest.raises(ChainLimitExceeded, match="^64 chains needed, only 16 available$"):
+            precompute_td_demod(w_rx, DirectLimits(l_max=16))
+        big = make_prototype("RC", GfdmParams(64, 64), 0.5, 0.5)
+        for build in (precompute_td_mod, precompute_fd_mod):
+            with pytest.raises(ConfigError, match="^block length 4096 exceeds the 2048-point FFT limit$"):
+                build(big, DirectLimits(l_max=16))
 
     def test_fd_matches_fft_engine(self):
         params = GfdmParams(8, 8)
@@ -110,8 +117,8 @@ class TestModulate:
 
     def test_fd_zero_grid(self):
         params = GfdmParams(8, 4)
-        pset = precompute_fd_mod(make_prototype("DIRICHLET", params))
-        got = direct_modulate_fd(np.zeros((8, 4), complex), pset)
+        table = precompute_fd_mod(make_prototype("DIRICHLET", params))
+        got = direct_modulate_fd(np.zeros((8, 4), complex), table)
         assert_allclose(got, np.zeros(32), atol=1e-14)
 
     def test_fd_single_subcarrier_support(self):
@@ -129,22 +136,22 @@ class TestPrecomputeDemod:
     def test_mf_dirichlet_single_partition(self):
         params = GfdmParams(8, 4)
         wp = window_pair(make_prototype("DIRICHLET", params), "FD", "MF")
-        assert precompute_fd_demod(wp.w_rx).overlap == 1
+        assert len(precompute_fd_demod(wp.w_rx).window) == 1
 
     def test_zf_spreads_beyond_chain_budget(self):
         params = GfdmParams(64, 4)
         wp = window_pair(make_prototype("RC", params, 0.5, 0.5), "FD", "ZF")
-        with pytest.raises(OverlapTooLarge):
+        with pytest.raises(OverlapTooLarge, match="^receive pulse occupies 32 subcarrier bands, only 16 chains"):
             precompute_fd_demod(wp.w_rx, DirectLimits(l_max=16))
-        pset = precompute_fd_demod(wp.w_rx, DirectLimits(l_max=64))
+        table = precompute_fd_demod(wp.w_rx, DirectLimits(l_max=64))
         # Computed support of the inverted window: 32 occupied bands here,
         # far past any practical chain budget.
-        assert pset.overlap == 32
+        assert len(table.window) == 32
 
     def test_td_always_m_matrices(self):
         params = GfdmParams(8, 4)
         wp = window_pair(make_prototype("RC", params, 0.5, 0.5), "TD", "ZF")
-        assert len(precompute_td_demod(wp.w_rx).mats) == params.m
+        assert len(precompute_td_demod(wp.w_rx).window) == params.m
 
 
 class TestDemodulate:
@@ -163,8 +170,8 @@ class TestDemodulate:
         wp = window_pair(pulse, "FD", "ZF")
         grid = random_grid(params, 6)
         spec = direct_modulate_fd(grid, precompute_fd_mod(pulse))
-        pset = precompute_fd_demod(wp.w_rx, force_full=True)
-        est = direct_demodulate_fd(spec, pset)
+        table = precompute_fd_demod(wp.w_rx, force_full=True)
+        est = direct_demodulate_fd(spec, table)
         assert np.abs(est - grid).max() <= 1e-9
 
     def test_matches_fft_demodulator_on_arbitrary_input(self):
@@ -211,10 +218,10 @@ class TestInstrumentation:
         params = GfdmParams(16, 8)
         pulse = make_prototype("DIRICHLET", params)
         wp = window_pair(pulse, "FD", "MF")
-        pset = precompute_fd_demod(wp.w_rx)
+        table = precompute_fd_demod(wp.w_rx)
         counter = MulCounter()
-        direct_demodulate_fd(np.ones(params.n, complex), pset, counter=counter)
-        assert counter.count == params.k * fft_mul_count(params.m) + pset.overlap * params.n
+        direct_demodulate_fd(np.ones(params.n, complex), table, counter=counter)
+        assert counter.count == params.k * fft_mul_count(params.m) + len(table.window) * params.n
 
 
 class TestAliasing:
@@ -233,47 +240,47 @@ class TestAliasing:
         inputs = {"time": pulse.time, "freq": pulse.freq, "w_td": w_td, "w_fd": w_fd,
                   "grid": grid, "y": y, "yf": yf}
         before = {name: arr.copy() for name, arr in inputs.items()}
-        psets = {
+        tables = {
             "td-mod": precompute_td_mod(pulse, limits),
             "fd-mod": precompute_fd_mod(pulse, limits, force_full=force_full),
             "td-demod": precompute_td_demod(w_td, limits),
             "fd-demod": precompute_fd_demod(w_fd, limits, force_full=force_full),
         }
         runs = {
-            "td-mod": lambda: direct_modulate_td(grid, psets["td-mod"], limits),
-            "fd-mod": lambda: direct_modulate_fd(grid, psets["fd-mod"], limits, emit_time=True),
-            "td-demod": lambda: direct_demodulate_td(y, psets["td-demod"], limits),
-            "fd-demod": lambda: direct_demodulate_fd(yf, psets["fd-demod"], limits),
+            "td-mod": lambda: direct_modulate_td(grid, tables["td-mod"]),
+            "fd-mod": lambda: direct_modulate_fd(grid, tables["fd-mod"], emit_time=True),
+            "td-demod": lambda: direct_demodulate_td(y, tables["td-demod"]),
+            "fd-demod": lambda: direct_demodulate_fd(yf, tables["fd-demod"]),
         }
-        return inputs, before, psets, runs
+        return inputs, before, tables, runs
 
     @pytest.mark.parametrize("force_full", [False, True])
     def test_taps_and_mats_are_read_only(self, force_full):
-        _, _, psets, _ = self.all_passes(GfdmParams(8, 4), force_full)
-        for name, pset in psets.items():
-            assert not pset.taps.flags.writeable, name
+        _, _, tables, _ = self.all_passes(GfdmParams(8, 4), force_full)
+        for name, table in tables.items():
+            assert not table.window.flags.writeable, name
             with pytest.raises(ValueError):
-                pset.taps[0, 0, 0] = 1.0
-            for mat in pset.mats:
+                table.window[0, 0, 0] = 1.0
+            for mat in table.window:
                 assert not mat.flags.writeable, name
                 with pytest.raises(ValueError):
                     mat[0, 0] = 1.0
 
     @pytest.mark.parametrize("force_full", [False, True])
     def test_inputs_and_sets_left_bit_identical(self, force_full):
-        inputs, before, psets, runs = self.all_passes(GfdmParams(8, 4), force_full)
-        taps_before = {name: np.array(pset.taps) for name, pset in psets.items()}
+        inputs, before, tables, runs = self.all_passes(GfdmParams(8, 4), force_full)
+        taps_before = {name: np.array(table.window) for name, table in tables.items()}
         first = {name: run() for name, run in runs.items()}
         for name, out in first.items():
             # Scribbling on one result must not reach any set, input or later result.
-            for pset in psets.values():
-                assert not np.shares_memory(out, pset.taps), name
+            for table in tables.values():
+                assert not np.shares_memory(out, table.window), name
             out[...] = np.nan
         second = {name: run() for name, run in runs.items()}
         for name, arr in inputs.items():
             assert np.array_equal(arr, before[name]), name
-        for name, pset in psets.items():
-            assert np.array_equal(pset.taps, taps_before[name]), name
+        for name, table in tables.items():
+            assert np.array_equal(table.window, taps_before[name]), name
         for name, run in runs.items():
             assert np.array_equal(second[name], run()), name
             assert np.isfinite(second[name]).all(), name
@@ -286,10 +293,10 @@ class TestChainAllocation:
 
     @pytest.mark.parametrize("params", GEOMETRIES)
     def test_peak_allocation_stays_below_a_materialised_stack(self, params):
-        _, _, psets, runs = TestAliasing.all_passes(params, force_full=True)
+        _, _, tables, runs = TestAliasing.all_passes(params, force_full=True)
         limit = 16 * params.n * 16  # 512 KB; the stack of 32 or 64 chains is 1 or 2 MB
         for name, run in runs.items():
-            assert psets[name].overlap * params.n * 16 >= 2 * limit, name
+            assert len(tables[name].window) * params.n * 16 >= 2 * limit, name
             run()  # first use of each numpy kernel is not per-block cost
             tracemalloc.start()
             try:
@@ -301,7 +308,7 @@ class TestChainAllocation:
 
     @pytest.mark.parametrize("params", GEOMETRIES)
     def test_td_stack_handed_to_the_kernel_is_the_stored_taps(self, monkeypatch, params):
-        _, _, psets, runs = TestAliasing.all_passes(params, force_full=True)
+        _, _, tables, runs = TestAliasing.all_passes(params, force_full=True)
         stacks = []
         matmul = np.matmul
 
@@ -313,4 +320,4 @@ class TestChainAllocation:
             stacks.clear()
             runs[name]()
             assert len(stacks) == 1, name
-            assert np.shares_memory(stacks[0], psets[name].taps), name
+            assert np.shares_memory(stacks[0], tables[name].window), name

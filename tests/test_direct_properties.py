@@ -55,7 +55,7 @@ def run_all(case):
     """Run the four chain passes of one case, each with its own counter.
 
     Returns the pulse, receive windows, transmit grid, received block and a
-    dict ``(domain, direction) -> (pset, output, count)``.
+    dict ``(domain, direction) -> (table, output, count)``.
     """
     k, m = case["km"]
     params = GfdmParams(k, m)
@@ -71,18 +71,18 @@ def run_all(case):
     y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
     passes = {
         ("TD", "mod"): (precompute_td_mod(pulse, limits),
-                        lambda ps, c: direct_modulate_td(grid, ps, limits, c)),
+                        lambda t, c: direct_modulate_td(grid, t, c)),
         ("FD", "mod"): (precompute_fd_mod(pulse, limits, force_full=full),
-                        lambda ps, c: direct_modulate_fd(grid, ps, limits, case["emit_time"], c)),
+                        lambda t, c: direct_modulate_fd(grid, t, case["emit_time"], c)),
         ("TD", "demod"): (precompute_td_demod(w_rx["TD"], limits),
-                          lambda ps, c: direct_demodulate_td(y, ps, limits, c)),
+                          lambda t, c: direct_demodulate_td(y, t, c)),
         ("FD", "demod"): (precompute_fd_demod(w_rx["FD"], limits, force_full=full),
-                          lambda ps, c: direct_demodulate_fd(dft(y), ps, limits, c)),
+                          lambda t, c: direct_demodulate_fd(dft(y), t, c)),
     }
     out = {}
-    for key, (pset, run) in passes.items():
+    for key, (table, run) in passes.items():
         counter = MulCounter()
-        out[key] = (pset, run(pset, counter), counter.count)
+        out[key] = (table, run(table, counter), counter.count)
     return pulse, w_rx, grid, y, out
 
 
@@ -131,14 +131,15 @@ def rel_err(got, ref):
 @given(cases(LOG2_N_MAX))
 def test_chains_match_per_chain_loop_and_count(case):
     pulse, w_rx, grid, y, out = run_all(case)
-    for key, (pset, got, count) in out.items():
-        ref = loop_chains(key, case, pulse, w_rx, grid, y, pset.partitions)
+    params = pulse.params
+    for key, (table, got, count) in out.items():
+        ref = loop_chains(key, case, pulse, w_rx, grid, y, table.partitions)
         assert rel_err(got, ref) <= 1e-12, key
-        assert count == closed_form(key, case, pset.params, pset.overlap), key
+        assert count == closed_form(key, case, params, len(table.window)), key
         if key[0] == "TD":
-            assert pset.overlap == pset.params.m
+            assert len(table.window) == params.m
         elif case["force_full"]:
-            assert pset.partitions == tuple(range(pset.params.k))
+            assert table.partitions == tuple(range(params.k))
 
 
 @given(cases(LOG2_N_ORACLE))

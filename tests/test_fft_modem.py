@@ -264,7 +264,7 @@ class TestChainPresets:
     }
 
     @staticmethod
-    def chain_sets(params):
+    def chain_tables(params):
         pulse = make_prototype("RC", params, 0.5, 0.5)
         limits = direct_modem.DirectLimits(l_max=max(params.k, params.m))
         return {
@@ -277,22 +277,25 @@ class TestChainPresets:
     @pytest.mark.parametrize("mode", list(ENABLED))
     def test_stages_1_and_2_disabled_and_no_memories(self, mode):
         params = GfdmParams(8, 4)
-        pset = self.chain_sets(params)[mode]
-        cfg = direct_modem.chain_table(pset, mode)
+        cfg = self.chain_tables(params)[mode]
+        assert cfg.mode == mode
         assert [(s.size, s.inverse) for s in cfg.stages if s.enabled] == self.ENABLED[mode]
         assert not cfg.stages[1].enabled and not cfg.stages[2].enabled
         assert cfg.mem_a is None and cfg.mem_b is None
-        assert cfg.window is pset.taps
-        assert cfg.partitions == (pset.partitions if mode.startswith("FD") else None)
+        assert cfg.window.ndim == 3
+        if mode.startswith("FD"):
+            assert len(cfg.partitions) == len(cfg.window)
+        else:
+            assert cfg.partitions is None
 
     @pytest.mark.parametrize("mode", list(ENABLED))
     def test_window_step_charges_the_window_size(self, mode):
         params = GfdmParams(8, 4)
-        pset = self.chain_sets(params)[mode]
-        chains = bypass(direct_modem.chain_table(pset, mode), 0, 3)
+        table = self.chain_tables(params)[mode]
+        chains = bypass(table, 0, 3)
         shape = (4, 8) if mode.startswith("TD") else (8, 4)
         window = bypass(preset(mode, params, np.ones(shape)), 0, 1, 2, 3)
-        for cfg, want in ((chains, pset.overlap * params.n), (window, params.n)):
+        for cfg, want in ((chains, len(table.window) * params.n), (window, params.n)):
             counter = MulCounter()
             run_pipeline(cfg, np.ones(params.n, dtype=complex), counter)
             assert counter.count == want

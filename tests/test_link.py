@@ -14,7 +14,7 @@ from gfdm_modem.analysis import cm_count
 from gfdm_modem.channel import fd_equalize_zf
 from gfdm_modem.cli import main
 from gfdm_modem.config import RunConfig, emit_config
-from gfdm_modem.errors import ChainLimitExceeded, ConfigError, SingularWindow
+from gfdm_modem.errors import ChainLimitExceeded, ConfigError, OverlapTooLarge, SingularWindow
 from gfdm_modem.numerics import MulCounter, dft
 from gfdm_modem.pulses import make_prototype, tx_window, window_pair
 
@@ -43,17 +43,17 @@ def engine_block(cfg, grid, counter):
     limits = direct_modem.DirectLimits(l_max=cfg.l_max)
     w_rx = window_pair(pulse, d, rx).w_rx
     if d == "TD":
-        pset = direct_modem.precompute_td_mod(pulse, limits)
-        x = direct_modem.direct_modulate_td(grid, pset, limits, counter)
+        table = direct_modem.precompute_td_mod(pulse, limits)
+        x = direct_modem.direct_modulate_td(grid, table, counter)
         yf = fd_equalize_zf(x, TAPS, counter=counter)
         y = dft(yf, inverse=True, counter=counter) / cfg.n
-        pset = direct_modem.precompute_td_demod(w_rx, limits)
-        return x, direct_modem.direct_demodulate_td(y, pset, limits, counter)
-    pset = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
-    x = direct_modem.direct_modulate_fd(grid, pset, limits, emit_time=True, counter=counter)
+        table = direct_modem.precompute_td_demod(w_rx, limits)
+        return x, direct_modem.direct_demodulate_td(y, table, counter)
+    table = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
+    x = direct_modem.direct_modulate_fd(grid, table, emit_time=True, counter=counter)
     yf = fd_equalize_zf(x, TAPS, counter=counter)
-    pset = direct_modem.precompute_fd_demod(w_rx, limits, force_full=True)
-    return x, direct_modem.direct_demodulate_fd(yf, pset, limits, counter)
+    table = direct_modem.precompute_fd_demod(w_rx, limits, force_full=True)
+    return x, direct_modem.direct_demodulate_fd(yf, table, counter)
 
 
 def link_block(cfg, grid, counter):
@@ -68,7 +68,7 @@ def grid_for(cfg, seed):
 
 
 def plan_arrays(plan):
-    return [t.window if isinstance(t, fft_modem.ArchConfig) else t.taps for t in (plan.mod, plan.demod)]
+    return [t.window for t in (plan.mod, plan.demod)]
 
 
 class TestPlanReuse:
@@ -358,3 +358,22 @@ class TestChainLimitAtPlanBuild:
         assert main(["loopback", "--config", str(path)]) == 2
         assert link.plan_for(good) is plan
         assert main(["loopback", "--config", str(path), "--arch", "fft"]) == 0
+
+    @pytest.mark.parametrize("domain", ["td", "fd"])
+    def test_block_length_refused_before_chain_count(self, domain):
+        # 64 chains against l_max=16, but the 4096-point block is refused first.
+        cfg = RunConfig(k=64, m=64, arch="direct", domain=domain, l_max=16)
+        with pytest.raises(ConfigError, match="^block length 4096 exceeds the 2048-point FFT limit$"):
+            link.plan_for(cfg)
+
+    @pytest.mark.parametrize("domain,error,message", [
+        ("td", ChainLimitExceeded, "^32 chains needed, only 16 available$"),
+        ("fd", OverlapTooLarge, "^pulse occupies 32 subcarrier bands, only 16 chains available$"),
+    ])
+    def test_modulator_chain_count_refused_before_receive_window(self, domain, error, message):
+        # delta=0 makes the zero-forcing window singular too; the modulator's table is built first.
+        cfg = RunConfig(k=32, m=32, delta=0.0, arch="direct", domain=domain, l_max=16)
+        with pytest.raises(SingularWindow):
+            link.plan_for(replace(cfg, arch="fft"))
+        with pytest.raises(error, match=message):
+            link.plan_for(cfg)

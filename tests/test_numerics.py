@@ -12,7 +12,6 @@ from gfdm_modem.numerics import (
     dft,
     fft_mul_count,
     polyphase,
-    unpolyphase,
     zak_freq,
     zak_time,
 )
@@ -199,9 +198,9 @@ class TestPolyphase:
     def test_round_trips(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert_allclose(unpolyphase(polyphase(a, 4, 8)), a)
+        assert_allclose(polyphase(a, 4, 8).reshape(-1), a)
         mat = rng.standard_normal((4, 8))
-        assert_allclose(polyphase(unpolyphase(mat), 4, 8), mat)
+        assert_allclose(polyphase(mat.reshape(-1), 4, 8), mat)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):

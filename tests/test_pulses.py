@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gfdm_modem.direct_modem import precompute_fd_mod
 from gfdm_modem.errors import ConfigError, SingularWindow
 from gfdm_modem.numerics import dft
 from gfdm_modem.pulses import (
@@ -11,6 +12,7 @@ from gfdm_modem.pulses import (
     PrototypePulse,
     freq_overlap,
     make_prototype,
+    occupied_bands,
     rx_window,
     tx_window,
     window_pair,
@@ -159,6 +161,23 @@ class TestFreqOverlap:
         time[0] = 1.0  # impulse: flat spectrum occupies every band
         pulse = PrototypePulse("RECT_TD", params, 0.0, 0.0, time, dft(time))
         assert freq_overlap(pulse) == params.k
+
+    def test_occupied_bands_threshold(self):
+        # Occupied: a band peak above 1e-12 of the matrix peak, whatever the band's other bins hold.
+        bands = np.zeros((5, 3), dtype=complex)
+        bands[0, 2] = -2.0j
+        bands[1, 0] = 2e-12
+        bands[2, 1] = 2.0000001e-12
+        bands[4] = [1e-30, 0.5, 1e-30]
+        assert occupied_bands(bands).tolist() == [0, 2, 4]
+
+    def test_counts_the_bands_the_sparse_chain_set_uses(self):
+        # A gap-free support: the covering count is the occupied count, and the
+        # sparse direct modulator runs one chain per occupied band.
+        pulse = make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)
+        table = precompute_fd_mod(pulse)
+        assert table.partitions == tuple(occupied_bands(pulse.freq.reshape(8, 4)).tolist())
+        assert freq_overlap(pulse) == len(table.window) == 2
 
 
 class TestGfdmParams:
