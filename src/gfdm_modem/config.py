@@ -89,15 +89,22 @@ class RunConfig:
         return self.k * self.m
 
 
+def _as_float(name: str, value) -> float:
+    """``float(value)`` for a JSON number, numeric string or ``null``; a JSON boolean is no number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _as_taps(raw) -> tuple[complex, ...]:
     taps = []
     for item in raw:
         if isinstance(item, (list, tuple)):
             if len(item) != 2:
                 raise ConfigError(f"channel tap {item!r} is not a [re, im] pair")
-            taps.append(complex(float(item[0]), float(item[1])))
+            taps.append(complex(*(_as_float("channel_taps part", part) for part in item)))
         else:
-            taps.append(complex(float(item), 0.0))
+            taps.append(complex(_as_float("channel_taps entry", item), 0.0))
     return tuple(taps)
 
 
@@ -127,8 +134,8 @@ def parse_config(data: dict) -> RunConfig:
             k=_as_int(data["k"]),
             m=_as_int(data["m"]),
             pulse=str(data.get("pulse", "rc")).lower(),
-            alpha=float(data.get("alpha", 0.5)),
-            delta=float(data.get("delta", 0.5)),
+            alpha=_as_float("alpha", data.get("alpha", 0.5)),
+            delta=_as_float("delta", data.get("delta", 0.5)),
             rx=str(data.get("rx", "zf")).lower(),
             arch=str(data.get("arch", "fft")).lower(),
             domain=str(data.get("domain", "td")).lower(),
@@ -137,7 +144,7 @@ def parse_config(data: dict) -> RunConfig:
             n_cp=_as_int(data.get("n_cp", 0)),
             n_cs=_as_int(data.get("n_cs", 0)),
             channel_taps=_as_taps(data.get("channel_taps", [1.0])),
-            snr_db=float(snr),
+            snr_db=_as_float("snr_db", snr),
             seed=_as_int(data.get("seed", 0)),
             l_max=_as_int(data.get("l_max", 16)),
         )

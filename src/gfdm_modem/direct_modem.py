@@ -1,16 +1,18 @@
 """Direct-convolution modem with parallel multiply-accumulate chains.
 
-The block circular convolution is evaluated against prestored pulse matrices:
-one transform bank, then elementwise multiply-accumulate over L chains, then
-(for modulation in the frequency domain) a final N-point inverse transform.
-The time-domain flavour always runs M chains; the frequency-domain flavour
-runs one chain per occupied subcarrier band of the pulse spectrum, which is
-where sparse pulses pay off.
+The block circular convolution is evaluated against prestored pulse
+coefficients: one transform bank, then elementwise multiply-accumulate over L
+chains, then (for modulation in the frequency domain) a final N-point inverse
+transform.  Every chain follows one rule: chain l multiplies a stored tap row
+by the stream cyclically shifted by ``partitions[l]``.  Circular convolution
+commutes, so the two domains differ only in the rows they hold: the
+time-domain flavour holds all M rows of the pulse's time polyphase, the
+frequency-domain flavour one row of its band matrix per occupied subcarrier
+band, which is where sparse pulses pay off.
 
 Chains are a hardware concept.  This functional model stores each chain set
-as one read-only stack: the time-domain set is a zero-copy view of the cyclic
-shifts of one base matrix, the frequency-domain set a broadcast of its band
-rows.  The chains compute what the FFT pipeline's stage 1 -> window -> stage 2
+as one read-only stack, each tap row broadcast across the stream's columns.
+The chains compute what the FFT pipeline's stage 1 -> window -> stage 2
 computes, so each ``precompute_*`` checks the block length against ``n_max``
 and the chain count against ``l_max``, and returns its mode's :mod:`fft_modem`
 stage table with the stack in the window slot; the counter charges L*N
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
-from .fft_modem import ArchConfig, _cyclic_shifts, bypass, preset, run_demodulator, run_modulator
+from .fft_modem import ArchConfig, bypass, preset, run_demodulator, run_modulator
 from .numerics import MulCounter, dft, polyphase
 from .pulses import GfdmParams, PrototypePulse, occupied_bands
 
@@ -53,43 +55,34 @@ class DirectLimits:
             raise ConfigError("direct-architecture limits must be positive")
 
 
-def _check_block(params: GfdmParams, limits: DirectLimits) -> GfdmParams:
+def _chain_table(
+    mode: str, params: GfdmParams, taps: np.ndarray, limits: DirectLimits, full: bool = True
+) -> ArchConfig:
+    """The table of ``mode`` whose chain ``l`` holds row ``partitions[l]`` of ``taps``: all rows, or
+    with ``full`` unset the occupied ones.  Refuses the block length, then the chain count."""
     if params.n > limits.n_max:
         raise ConfigError(f"block length {params.n} exceeds the {limits.n_max}-point FFT limit")
-    return params
-
-
-def _shift_table(mode: str, params: GfdmParams, base: np.ndarray, limits: DirectLimits) -> ArchConfig:
-    """A time-domain table: the M cyclic column shifts of the K x M ``base``, as a view, one chain each."""
-    if params.m > limits.l_max:
-        raise ChainLimitExceeded(f"{params.m} chains needed, only {limits.l_max} available")
-    return preset(mode, params, _cyclic_shifts(base, tuple(range(params.m))))
-
-
-def _band_table(
-    mode: str, params: GfdmParams, bands: np.ndarray, limits: DirectLimits, force_full: bool
-) -> ArchConfig:
-    """A frequency-domain table: each occupied row of the K x M ``bands`` (all K with
-    ``force_full``) broadcast across K columns, one chain each."""
-    parts = tuple(range(params.k)) if force_full else tuple(occupied_bands(bands).tolist())
+    parts = tuple(range(len(taps))) if full else tuple(occupied_bands(taps).tolist())
     if len(parts) > limits.l_max:
+        if mode.startswith("TD"):
+            raise ChainLimitExceeded(f"{len(parts)} chains needed, only {limits.l_max} available")
         raise OverlapTooLarge(
             f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
             f"only {limits.l_max} chains available"
         )
-    taps = np.broadcast_to(bands[list(parts), :, None], (len(parts), params.m, params.k))
-    return preset(mode, params, taps, parts)
+    rows, cols = taps.shape  # each tap row broadcast across the stream's columns
+    stack = np.broadcast_to(taps.take(parts, axis=0)[:, :, None], (len(parts), cols, rows))
+    return preset(mode, params, stack, parts)
 
 
 def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits()) -> ArchConfig:
     """Table for time-domain modulation.
 
-    Chain matrix m is the scaled transposed polyphase of the pulse with its
-    columns cyclically shifted by m, so chain m sees the pulse aligned to
-    subsymbol m.
+    Chain m holds row m of the K-scaled M x K time polyphase of the pulse and
+    multiplies it by the K-IDFT bank's output cyclically shifted by m subsymbols.
     """
-    p = _check_block(pulse.params, limits)
-    return _shift_table("TD_MOD", p, p.k * polyphase(pulse.time, p.m, p.k).T, limits)
+    p = pulse.params
+    return _chain_table("TD_MOD", p, p.k * polyphase(pulse.time, p.m, p.k), limits)
 
 
 def precompute_fd_mod(
@@ -97,21 +90,23 @@ def precompute_fd_mod(
 ) -> ArchConfig:
     """Table for frequency-domain modulation.
 
-    One chain matrix per occupied subcarrier band of the pulse spectrum: that
-    band of the transposed polyphase of ``g_f`` broadcast across K columns.
-    ``force_full`` keeps all K bands regardless of sparsity (the generic,
-    non-sparse engine).
+    One chain per occupied subcarrier band of the pulse spectrum, holding that
+    band's row of the polyphase of ``g_f``.  ``force_full`` keeps all K bands
+    regardless of sparsity (the generic, non-sparse engine).
     """
-    p = _check_block(pulse.params, limits)
-    return _band_table("FD_MOD", p, polyphase(pulse.freq, p.k, p.m), limits, force_full)
+    p = pulse.params
+    return _chain_table("FD_MOD", p, polyphase(pulse.freq, p.k, p.m), limits, force_full)
 
 
 def precompute_td_demod(w_rx: np.ndarray, limits: DirectLimits = DirectLimits()) -> ArchConfig:
-    """Table for time-domain demodulation from the TD receive window."""
+    """Table for time-domain demodulation from the TD receive window.
+
+    Chain m holds row m of the M x K receive-pulse time polyphase (the scaled
+    M-point inverse transform of each column of the transposed window) and
+    multiplies it by the time block cyclically shifted by m subsymbols.
+    """
     w = np.asarray(w_rx, dtype=np.complex128)
-    params = _check_block(GfdmParams(*w.shape), limits)
-    # K x M receive-pulse polyphase
-    return _shift_table("TD_DEMOD", params, dft(w.T, inverse=True, normalized=True).T, limits)
+    return _chain_table("TD_DEMOD", GfdmParams(*w.shape), dft(w.T, inverse=True, normalized=True), limits)
 
 
 def precompute_fd_demod(
@@ -125,8 +120,7 @@ def precompute_fd_demod(
     bands and needs the full chain set.
     """
     w = np.asarray(w_rx, dtype=np.complex128)
-    params = _check_block(GfdmParams(*w.shape), limits)
-    return _band_table("FD_DEMOD", params, dft(w, normalized=True), limits, force_full)  # row l: band l
+    return _chain_table("FD_DEMOD", GfdmParams(*w.shape), dft(w, normalized=True), limits, force_full)
 
 
 def direct_modulate_td(grid: np.ndarray, table: ArchConfig, counter: MulCounter | None = None) -> np.ndarray:

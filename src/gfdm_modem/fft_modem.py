@@ -8,13 +8,14 @@ stages, two transpose memories, and one window step:
 
 Each stage runs batched radix-2 transforms over consecutive chunks of the
 stream and can be disabled (pass-through).  A memory writes the stream into a
-matrix column by column and reads it back row by row, i.e. it transposes; its
-indexing can also be disabled.  The window step consumes the stream column by
-column as its matrix: one multiplier with an elementwise window, or L
-multiply-accumulate chains with an ``(L, rows, cols)`` stack.  Stage 1 ->
-window -> stage 2 is a circular convolution, which the chains compute
-directly, so the direct architecture's tables are the presets with a chain
-stack, stages 1 and 2 disabled and no memories:
+matrix column by column and reads it back row by row, i.e. it transposes; a
+``None`` memory passes the stream on.  The window step consumes the stream
+column by column as its matrix: one multiplier with an elementwise window, or
+L multiply-accumulate chains with an ``(L, rows, cols)`` stack, where chain
+``l`` multiplies its stored tap row by the stream cyclically shifted by
+``partitions[l]``.  Stage 1 -> window -> stage 2 is a circular convolution,
+which the chains compute directly, so the direct architecture's tables are
+the presets with a chain stack, stages 1 and 2 disabled and no memories:
 
     TD_MOD: K-IDFT -> chains              FD_MOD: M-DFT -> chains -> N-IDFT
     TD_DEMOD: N-IDFT -> chains -> K-DFT   FD_DEMOD: chains -> M-IDFT
@@ -84,15 +85,15 @@ class MemoryConfig:
 
     rows: int
     cols: int
-    transpose: bool = True
 
 
 @dataclass(frozen=True, eq=False)
 class ArchConfig:
     """Full pipeline configuration in execution order.
 
-    ``window`` is a ``rows x cols`` window or an ``(L, rows, cols)`` chain stack;
-    ``partitions`` lists the bands of a frequency-domain stack.
+    ``window`` is a ``rows x cols`` window or an ``(L, rows, cols)`` chain stack, each
+    matrix one tap row broadcast across the columns; chain ``l`` multiplies its row by
+    the stream cyclically shifted by ``partitions[l]``.
     """
 
     mode: str
@@ -141,9 +142,9 @@ def preset(
 
     The window argument must already be laid out for the mode: the
     time-domain modes store the transposed (M x K) window, the
-    frequency-domain modes the plain K x M window.  A chain stack (with the
-    frequency-domain ``partitions``) gives the direct table; with no memory
-    before it, its matrices are K x M in the time domain, M x K in frequency.
+    frequency-domain modes the plain K x M window.  A chain stack with one
+    partition per chain gives the direct table; with no memory before it, its
+    matrices are K x M in the time domain, M x K in frequency.
     """
     k, m = params.k, params.m
     window = np.asarray(window, dtype=np.complex128)
@@ -153,6 +154,8 @@ def preset(
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
     if window.ndim not in (2, 3) or window.shape[-2:] != want:
         raise ConfigError(f"mode {mode} stores a {want[0]}x{want[1]} window, got {window.shape}")
+    if chains and (partitions is None or len(partitions) != len(window)):
+        raise ConfigError(f"a stack of {len(window)} chains needs one partition each, got {partitions}")
     stages = _preset_stages(mode, k, m, chains)
     if chains:
         return ArchConfig(mode, stages, None, None, window, partitions)
@@ -173,7 +176,7 @@ def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) ->
 
 
 def _run_memory(s: np.ndarray, mem: MemoryConfig | None) -> np.ndarray:
-    if mem is None or not mem.transpose:
+    if mem is None:
         return s
     if s.size != mem.rows * mem.cols:
         raise ConfigError(f"stream length {s.size} does not fill a {mem.rows}x{mem.cols} memory")
@@ -197,11 +200,6 @@ def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
     return view[list(shifts)]
 
 
-def _chain_pass(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Output row ``i``: ``rows[i]``, its L chain inputs, times the L x cols matrix ``stack[:, i]``."""
-    return np.matmul(rows[:, None, :], stack.transpose(1, 0, 2))[:, 0, :]
-
-
 def _run_window(s: np.ndarray, cfg: ArchConfig, counter: MulCounter | None) -> np.ndarray:
     w = cfg.window
     rows, cols = w.shape[-2:]
@@ -210,11 +208,10 @@ def _run_window(s: np.ndarray, cfg: ArchConfig, counter: MulCounter | None) -> n
     if w.ndim == 2:
         s = s * w.T.reshape(s.shape)
     else:
-        a = s.reshape(cols, rows).T  # the stream read column by column
-        if cfg.partitions is None:  # chain l: the stream times stored matrix l
-            s = _chain_pass(a, w).T
-        else:  # chain l: stored band row l times the stream's cyclic shift by partitions[l]
-            s = _chain_pass(w[:, :, 0].T, _cyclic_shifts(a, cfg.partitions)).T
+        # Output row i: its L taps times the L x cols matrix of its cyclic shifts by the partitions,
+        # the stream read column by column.
+        shifts = _cyclic_shifts(s.reshape(cols, rows).T, cfg.partitions)
+        s = np.matmul(w[:, :, 0].T[:, None, :], shifts.transpose(1, 0, 2))[:, 0, :].T
     if counter is not None:
         counter.add(w.size)  # one multiplication per window entry: N, or L*N on L chains
     return s

@@ -62,9 +62,6 @@ class MulCounter:
             raise ValueError("counter increments must be nonnegative")
         self.count += k
 
-    def reset(self) -> None:
-        self.count = 0
-
     def __repr__(self) -> str:
         return f"MulCounter(count={self.count})"
 

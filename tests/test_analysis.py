@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gfdm_modem.analysis import (
     ARCH_KINDS,
@@ -77,6 +79,34 @@ class TestLatency:
         assert latency_delta(16, 16) == 373
         assert latency_delta(128, 16) == 601
         assert latency_delta(8, 8) == 147
+
+    @staticmethod
+    def cells(cost):
+        """Both latency rows of every power-of-two (K, M) up to M = K = 2048 whose rows have all
+        their cost entries; where a row misses one, ``latency_delta`` must miss it too."""
+        sizes = [2**e for e in range(1, 12)]
+        for k in sizes:
+            for m in sizes:
+                try:
+                    yield k, m, latency("DIR_TD_TD", k, m, cost), latency("FFT_TD_FD", k, m, cost)
+                except MissingCostEntry:
+                    with pytest.raises(MissingCostEntry):
+                        latency_delta(k, m, cost)
+
+    def test_delta_is_the_row_difference_on_every_default_cell(self):
+        cells = list(self.cells(CostModel()))
+        assert len(cells) == 21
+        for k, m, direct, fft in cells:
+            assert latency_delta(k, m) == fft - direct, (k, m)
+
+    @given(
+        p_cycles=st.fixed_dictionaries({}, optional={2**e: st.integers(0, 10**5) for e in range(1, 23)}),
+        t_mul=st.integers(0, 100),
+    )
+    def test_delta_is_the_row_difference_under_any_cost_model(self, p_cycles, t_mul):
+        cost = CostModel(p_cycles=p_cycles, t_mul=t_mul)
+        for k, m, direct, fft in self.cells(cost):
+            assert latency_delta(k, m, cost) == fft - direct, (k, m)
 
     def test_relative_increase(self):
         pct = 100.0 * latency_delta(16, 16) / latency("DIR_TD_TD", 16, 16)

@@ -413,6 +413,39 @@ class TestTypeRule:
         with pytest.raises(ConfigError, match=field):
             RunConfig(k=8, m=4, n_cp=1, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("snr_db", True, "snr_db must be a real number, got True"),
+         ("alpha", False, "alpha must be a real number, got False"),
+         ("delta", True, "delta must be a real number, got True"),
+         ("channel_taps", [True], "channel_taps entry must be a real number, got True"),
+         ("channel_taps", [[1, True]], "channel_taps part must be a real number, got True"),
+         ("channel_taps", [1, [False, 0.5]], "channel_taps part must be a real number, got False")],
+    )
+    def test_json_booleans_are_refused_naming_the_field(self, tmp_path, capsys, field, value, message):
+        # float() used to turn them into 1.0 and 0.0: snr_db true ran a 1 dB link and exited 0.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config({"k": 8, "m": 4, "n_cp": 1, field: value})
+        assert main(["loopback", "--config", str(write_config(tmp_path, **{field: value}))]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value,held",
+        [("alpha", "0.25", 0.25), ("snr_db", "10", 10.0), ("snr_db", "inf", math.inf),
+         ("snr_db", None, math.inf), ("channel_taps", ["1", ["0.5", "-0.5"]], (1 + 0j, 0.5 - 0.5j))],
+    )
+    def test_numeric_strings_and_null_keep_their_values(self, field, value, held):
+        assert getattr(parse_config({"k": 8, "m": 4, "n_cp": 1, field: value}), field) == held
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("alpha", None, "malformed configuration value"), ("channel_taps", [None], "malformed configuration value")],
+    )
+    def test_null_keeps_its_message(self, field, value, message):
+        # The "nan" and "-inf" SNR strings keep theirs: see test_non_finite_snr_exits_2.
+        with pytest.raises(ConfigError, match=message):
+            parse_config({"k": 8, "m": 4, "n_cp": 1, field: value})
+
     def test_real_fields_are_held_as_float(self):
         cfg = RunConfig(k=8, m=4, alpha=np.float64(0.25), delta=np.float32(0.5), snr_db=10, n_cp=3,
                         channel_taps=(1, 0.5, 0.1j, np.complex128(0.2)))

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gfdm_modem.direct_modem import (
@@ -17,11 +19,11 @@ from gfdm_modem.direct_modem import (
     precompute_td_demod,
     precompute_td_mod,
 )
-from gfdm_modem.errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
+from gfdm_modem.errors import ChainLimitExceeded, ConfigError, OverlapTooLarge, SingularWindow
 from gfdm_modem.fft_modem import demodulate_fd, modulate_fd, modulate_td
 from gfdm_modem.fft_modem import demodulate_td as fft_demodulate_td
 from gfdm_modem.numerics import MulCounter, dft, fft_mul_count, polyphase
-from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
+from gfdm_modem.pulses import GfdmParams, make_prototype, occupied_bands, tx_window, window_pair
 from gfdm_modem.reference import build_matrix, oracle_modulate
 
 
@@ -30,22 +32,57 @@ def random_grid(params, seed):
     return rng.standard_normal((params.k, params.m)) + 1j * rng.standard_normal((params.k, params.m))
 
 
+class TestChainTables:
+    """Every table runs one chain rule: chain l holds tap row ``partitions[l]`` across all columns."""
+
+    @staticmethod
+    def taps(pulse, w_td, w_fd):
+        """Each mode's tap matrix: the time polyphase rows (TD) or the band rows (FD)."""
+        p = pulse.params
+        return {
+            "TD_MOD": p.k * polyphase(pulse.time, p.m, p.k),
+            "FD_MOD": polyphase(pulse.freq, p.k, p.m),
+            "TD_DEMOD": dft(w_td.T, inverse=True, normalized=True),
+            "FD_DEMOD": dft(w_fd, normalized=True),
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # K = 2**i and M = 2**j in 2..64 with N <= 2048
+        km=st.integers(1, 6).flatmap(lambda i: st.integers(1, min(6, 11 - i)).map(lambda j: (2**i, 2**j))),
+        kind=st.sampled_from(["RC", "RRC", "DIRICHLET", "RECT_TD"]),
+        alpha=st.floats(0.0, 1.0),
+        rx=st.sampled_from(["ZF", "MF"]),
+        force_full=st.booleans(),
+    )
+    def test_chain_l_holds_tap_row_partitions_l(self, km, kind, alpha, rx, force_full):
+        params = GfdmParams(*km)
+        pulse = make_prototype(kind, params, alpha, 0.5)
+        try:
+            w_td, w_fd = (window_pair(pulse, d, rx).w_rx for d in ("TD", "FD"))
+        except SingularWindow:
+            assume(False)
+        limits = DirectLimits(l_max=max(km))
+        tables = {
+            "TD_MOD": precompute_td_mod(pulse, limits),
+            "FD_MOD": precompute_fd_mod(pulse, limits, force_full),
+            "TD_DEMOD": precompute_td_demod(w_td, limits),
+            "FD_DEMOD": precompute_fd_demod(w_fd, limits, force_full),
+        }
+        for mode, taps in self.taps(pulse, w_td, w_fd).items():
+            table = tables[mode]
+            if mode.startswith("TD"):
+                want = tuple(range(params.m))
+            else:
+                want = tuple(range(params.k)) if force_full else tuple(occupied_bands(taps).tolist())
+            assert table.partitions == want, mode
+            assert table.window.shape == (len(table.partitions), taps.shape[1], taps.shape[0]), mode
+            for chain, part in zip(table.window, table.partitions):
+                assert (chain == taps[part][:, None]).all(), (mode, part)
+            assert not table.window.flags.writeable, mode
+
+
 class TestPrecomputeMod:
-    def test_td_base_matrix(self):
-        params = GfdmParams(8, 4)
-        pulse = make_prototype("RC", params, 0.5, 0.5)
-        table = precompute_td_mod(pulse)
-        base = params.k * polyphase(pulse.time, params.m, params.k).T
-        assert_allclose(table.window[0], base, atol=1e-14)
-        assert len(table.window) == params.m
-
-    def test_td_shift_structure(self):
-        pulse = make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)
-        table = precompute_td_mod(pulse)
-        for m in range(4):
-            for p in range(4):
-                assert_allclose(table.window[m][:, p], table.window[0][:, (p - m) % 4], atol=1e-14)
-
     def test_fd_partition_counts(self):
         assert len(precompute_fd_mod(make_prototype("DIRICHLET", GfdmParams(8, 4))).window) == 1
         assert len(precompute_fd_mod(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)).window) == 2
@@ -305,19 +342,3 @@ class TestChainAllocation:
             finally:
                 tracemalloc.stop()
             assert peak < limit, (name, peak)
-
-    @pytest.mark.parametrize("params", GEOMETRIES)
-    def test_td_stack_handed_to_the_kernel_is_the_stored_taps(self, monkeypatch, params):
-        _, _, tables, runs = TestAliasing.all_passes(params, force_full=True)
-        stacks = []
-        matmul = np.matmul
-
-        def spy(rows, stack, *args, **kwargs):
-            stacks.append(stack)
-            return matmul(rows, stack, *args, **kwargs)
-        monkeypatch.setattr(np, "matmul", spy)
-        for name in ("td-mod", "td-demod"):
-            stacks.clear()
-            runs[name]()
-            assert len(stacks) == 1, name
-            assert np.shares_memory(stacks[0], tables[name].window), name

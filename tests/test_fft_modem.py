@@ -203,14 +203,11 @@ class TestPipeline:
 
     def test_disabled_memories_pass_through(self):
         off = StageConfig(4, enabled=False)
-        cfg = ArchConfig(
-            "BYPASS",
-            (off, off, off, off),
-            MemoryConfig(4, 4, transpose=False),
-            MemoryConfig(4, 4, transpose=False),
-        )
+        cfg = ArchConfig("BYPASS", (off, off, off, off), None, None)
         x = np.arange(16, dtype=complex)
         assert_allclose(run_pipeline(cfg, x), x)
+        transposed = ArchConfig("BYPASS", (off, off, off, off), MemoryConfig(4, 4), None)
+        assert_allclose(run_pipeline(transposed, x), x.reshape(4, 4).T.reshape(-1))
 
     def test_preset_equals_wrapper(self):
         params = GfdmParams(8, 4)
@@ -282,11 +279,7 @@ class TestChainPresets:
         assert [(s.size, s.inverse) for s in cfg.stages if s.enabled] == self.ENABLED[mode]
         assert not cfg.stages[1].enabled and not cfg.stages[2].enabled
         assert cfg.mem_a is None and cfg.mem_b is None
-        assert cfg.window.ndim == 3
-        if mode.startswith("FD"):
-            assert len(cfg.partitions) == len(cfg.window)
-        else:
-            assert cfg.partitions is None
+        assert cfg.window.ndim == 3 and len(cfg.partitions) == len(cfg.window)
 
     @pytest.mark.parametrize("mode", list(ENABLED))
     def test_window_step_charges_the_window_size(self, mode):
@@ -309,6 +302,11 @@ class TestChainPresets:
             preset("FD_DEMOD", params, np.ones((2, 8, 4)), (0, 1))
         with pytest.raises(ConfigError):
             preset("TD_MOD", params, np.ones((1, 1, 8, 4)))
+
+    @pytest.mark.parametrize("partitions", [None, (0,), (0, 1, 2)])
+    def test_chain_stack_needs_one_partition_per_chain(self, partitions):
+        with pytest.raises(ConfigError, match="a stack of 2 chains needs one partition each"):
+            preset("TD_MOD", GfdmParams(8, 4), np.ones((2, 8, 4)), partitions)
 
     def test_bypass_leaves_the_table_it_was_given(self):
         cfg = preset("FD_MOD", GfdmParams(8, 4), np.ones((8, 4)))
@@ -341,7 +339,7 @@ class TestHeldStageTuples:
         want = (m, k) if mode.startswith("TD") != chains else (k, m)
         rng = np.random.default_rng(seed)
         window = rng.standard_normal((3, *want) if chains else want) + 0j
-        return preset(mode, GfdmParams(k, m), window, (0, 1, 2) if chains and mode.startswith("FD") else None)
+        return preset(mode, GfdmParams(k, m), window, (0, 1, 2) if chains else None)
 
     @pytest.mark.parametrize("chains", [False, True], ids=["window", "chains"])
     @pytest.mark.parametrize("mode", MODES)
