@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -116,11 +116,7 @@ def _as_int(value):
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    known = {
-        "k", "m", "pulse", "alpha", "delta", "rx", "arch", "domain",
-        "k_on", "m_on", "n_cp", "n_cs", "channel_taps", "snr_db", "seed", "l_max",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     if "k" not in data or "m" not in data:

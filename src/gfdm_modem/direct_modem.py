@@ -11,12 +11,12 @@ frequency-domain flavour one row of its band matrix per occupied subcarrier
 band, which is where sparse pulses pay off.
 
 Chains are a hardware concept.  This functional model stores each chain set
-as one read-only stack, each tap row broadcast across the stream's columns.
-The chains compute what the FFT pipeline's stage 1 -> window -> stage 2
-computes, so each ``precompute_*`` checks the block length against ``n_max``
-and the chain count against ``l_max``, and returns its mode's :mod:`fft_modem`
-stage table with the stack in the window slot; the counter charges L*N
-multiplications per pass.  The ``direct_*`` runners are one run of such a table.
+as its read-only ``(L, rows)`` tap rows.  The chains compute what the FFT
+pipeline's stage 1 -> window -> stage 2 computes, so each ``precompute_*``
+checks the block length against ``n_max`` and the chain count against
+``l_max``, and returns its mode's :mod:`fft_modem` stage table with the tap
+rows in the window slot; the counter charges L*N multiplications per pass.
+The ``direct_*`` runners are one run of such a table.
 """
 
 from __future__ import annotations
@@ -70,9 +70,7 @@ def _chain_table(
             f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
             f"only {limits.l_max} chains available"
         )
-    rows, cols = taps.shape  # each tap row broadcast across the stream's columns
-    stack = np.broadcast_to(taps.take(parts, axis=0)[:, :, None], (len(parts), cols, rows))
-    return preset(mode, params, stack, parts)
+    return preset(mode, params, taps.take(parts, axis=0), parts)
 
 
 def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits()) -> ArchConfig:

@@ -11,27 +11,29 @@ stream and can be disabled (pass-through).  A memory writes the stream into a
 matrix column by column and reads it back row by row, i.e. it transposes; a
 ``None`` memory passes the stream on.  The window step consumes the stream
 column by column as its matrix: one multiplier with an elementwise window, or
-L multiply-accumulate chains with an ``(L, rows, cols)`` stack, where chain
-``l`` multiplies its stored tap row by the stream cyclically shifted by
+L multiply-accumulate chains with ``(L, rows)`` tap rows, where chain ``l``
+multiplies tap row ``l`` by the stream cyclically shifted by
 ``partitions[l]``.  Stage 1 -> window -> stage 2 is a circular convolution,
 which the chains compute directly, so the direct architecture's tables are
-the presets with a chain stack, stages 1 and 2 disabled and no memories:
+the presets with tap rows, stages 1 and 2 disabled and no memories:
 
     TD_MOD: K-IDFT -> chains              FD_MOD: M-DFT -> chains -> N-IDFT
     TD_DEMOD: N-IDFT -> chains -> K-DFT   FD_DEMOD: chains -> M-IDFT
 
-Presets reproduce the four canonical configurations; their stages depend only
-on (mode, K, M, chains), so each stage tuple is built once and shared.  Streams
-between stages are column-major vectors of the current logical matrix.  Inverse
-stages of the presets carry their ``1/size`` factor so that all block scaling
-lives in the stage table; hand-built stages default to the unnormalized kernel.
+Presets reproduce the four canonical configurations from a K x M window (or
+tap rows) and hold every layout rule: the table's window, memories and
+``grid``.  Their stages depend only on (mode, K, M, chains), so each stage
+tuple is built once and shared.  Streams between stages are column-major
+vectors of the current logical matrix.  Inverse stages of the presets are
+``normalized`` (they divide by their size) so that all block scaling lives in
+the stage table; hand-built stages default to the unnormalized kernel.
 
 As in hardware, the memories move no data: between stages the stream is a 2-D
 array read row by row, and a memory is a strided transposed view of it.  Each
-stage transforms its chunk rows, a ``1/size`` scale inside the transform call
-and any other scale on its fresh output in place; the window is read in stream
-layout as a view of the held matrix, the chains read their stack and a view of
-the stream's cyclic shifts.  Only the output is flattened, copied where needed.
+stage transforms its chunk rows, a ``normalized`` stage's ``1/size`` inside the
+transform call; the window is read in stream layout as a view of the held
+matrix, the chains read their tap rows and a view of the stream's cyclic
+shifts.  Only the output is flattened, copied where needed.
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ MODES = ("TD_MOD", "FD_MOD", "TD_DEMOD", "FD_DEMOD")
 
 @dataclass(frozen=True)
 class StageConfig:
-    """One transform core: size, direction, enable, and output scale."""
+    """One transform core: size, direction, enable, and whether it divides by its size."""
 
     size: int
     inverse: bool = False
     enabled: bool = True
-    scale: float = 1.0
+    normalized: bool = False
 
     def __post_init__(self) -> None:
         if self.enabled and not is_pow2(self.size):
@@ -91,9 +93,9 @@ class MemoryConfig:
 class ArchConfig:
     """Full pipeline configuration in execution order.
 
-    ``window`` is a ``rows x cols`` window or an ``(L, rows, cols)`` chain stack, each
-    matrix one tap row broadcast across the columns; chain ``l`` multiplies its row by
-    the stream cyclically shifted by ``partitions[l]``.
+    ``window`` is a ``rows x cols`` window, or with ``partitions`` the ``(L, rows)`` tap rows
+    of L chains: chain ``l`` multiplies tap row ``l`` by the stream cyclically shifted by
+    ``partitions[l]``.  ``grid`` is the K x M symbol grid of a preset's modem.
     """
 
     mode: str
@@ -102,14 +104,15 @@ class ArchConfig:
     mem_b: MemoryConfig | None = None
     window: np.ndarray | None = None
     partitions: tuple[int, ...] | None = None
+    grid: tuple[int, int] | None = None
 
 
-def single_stage_config(size: int, inverse: bool, scale: float = 1.0) -> ArchConfig:
+def single_stage_config(size: int, inverse: bool, normalized: bool = False) -> ArchConfig:
     """Pipeline reduced to one transform, e.g. the plain IFFT of OFDM."""
     off = StageConfig(size, enabled=False)
     return ArchConfig(
         mode="BYPASS",
-        stages=(StageConfig(size, inverse=inverse, scale=scale), off, off, off),
+        stages=(StageConfig(size, inverse=inverse, normalized=normalized), off, off, off),
     )
 
 
@@ -123,7 +126,7 @@ def bypass(cfg: ArchConfig, *indices: int) -> ArchConfig:
 def _preset_stages(mode: str, k: int, m: int, chains: bool) -> tuple[StageConfig, ...]:
     """The four stages of a preset, built once per key and shared (power-of-two sizes keep keys few)."""
     def stage(size: int, inverse: bool = False, enabled: bool = True) -> StageConfig:
-        return StageConfig(size, inverse, enabled, 1.0 / size if inverse else 1.0)
+        return StageConfig(size, inverse, enabled, normalized=inverse)
 
     mid, n = not chains, k * m  # chains compute stage 1 -> window -> stage 2 themselves
     if mode == "TD_MOD":
@@ -140,27 +143,34 @@ def preset(
 ) -> ArchConfig:
     """Canonical stage table for one of the four operating modes.
 
-    The window argument must already be laid out for the mode: the
-    time-domain modes store the transposed (M x K) window, the
-    frequency-domain modes the plain K x M window.  A chain stack with one
-    partition per chain gives the direct table; with no memory before it, its
-    matrices are K x M in the time domain, M x K in frequency.
+    ``window`` is the plain K x M window in every mode; the time-domain modes
+    store its transpose, which memory A's output reads in place.  With
+    ``partitions`` (one per chain, each in ``range(cols)``) it is instead the
+    ``(L, rows)`` tap rows of the direct table's L chains, which have no memory
+    before them: ``rows x cols`` is K x M in the time domain, M x K in frequency.
+    The table holds a read-only view; the caller's array is left as it is.
     """
     k, m = params.k, params.m
-    window = np.asarray(window, dtype=np.complex128)
-    chains = window.ndim == 3
-    want = (m, k) if (mode in ("TD_MOD", "TD_DEMOD")) != chains else (k, m)
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if window.ndim not in (2, 3) or window.shape[-2:] != want:
-        raise ConfigError(f"mode {mode} stores a {want[0]}x{want[1]} window, got {window.shape}")
-    if chains and (partitions is None or len(partitions) != len(window)):
-        raise ConfigError(f"a stack of {len(window)} chains needs one partition each, got {partitions}")
+    td = mode.startswith("TD")
+    window = np.asarray(window, dtype=np.complex128)
+    chains = partitions is not None
+    if chains:
+        rows, cols = (k, m) if td else (m, k)
+        if window.shape != (len(partitions), rows):
+            raise ConfigError(f"mode {mode} stores one tap row of {rows} per partition, got {window.shape}")
+        if not all(p in range(cols) for p in partitions):
+            raise ConfigError(f"chain partitions must lie in range({cols}), got {partitions}")
+    elif window.shape != (k, m):
+        raise ConfigError(f"mode {mode} takes a {k}x{m} window, got {window.shape}")
+    view = (window.T if td and not chains else window).view()
+    view.flags.writeable = False
     stages = _preset_stages(mode, k, m, chains)
     if chains:
-        return ArchConfig(mode, stages, None, None, window, partitions)
+        return ArchConfig(mode, stages, None, None, view, partitions, (k, m))
     # Memory A writes the transposed window shape, so the window reads its stream in place.
-    return ArchConfig(mode, stages, MemoryConfig(*want[::-1]), MemoryConfig(*want), window)
+    return ArchConfig(mode, stages, MemoryConfig(*view.shape[::-1]), MemoryConfig(*view.shape), view, None, (k, m))
 
 
 def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) -> np.ndarray:
@@ -168,11 +178,7 @@ def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) ->
         return s
     if s.size % stage.size:
         raise ConfigError(f"stream length {s.size} is not a multiple of stage size {stage.size}")
-    normalized = stage.scale == 1.0 / stage.size  # the 1/size factor rides in the transform call
-    out = dft(s.reshape(-1, stage.size).T, stage.inverse, counter, normalized)
-    if stage.scale != 1.0 and not normalized:
-        out *= stage.scale
-    return out.T
+    return dft(s.reshape(-1, stage.size).T, stage.inverse, counter, stage.normalized).T
 
 
 def _run_memory(s: np.ndarray, mem: MemoryConfig | None) -> np.ndarray:
@@ -201,19 +207,19 @@ def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
 
 
 def _run_window(s: np.ndarray, cfg: ArchConfig, counter: MulCounter | None) -> np.ndarray:
-    w = cfg.window
-    rows, cols = w.shape[-2:]
-    if s.size != rows * cols:
-        raise ConfigError(f"stream length {s.size} does not match window size {rows * cols}")
-    if w.ndim == 2:
-        s = s * w.T.reshape(s.shape)
-    else:
+    w, chains = cfg.window, cfg.partitions is not None
+    n = cfg.grid[0] * cfg.grid[1] if chains else w.size
+    if s.size != n:
+        raise ConfigError(f"stream length {s.size} does not match window size {n}")
+    if chains:
         # Output row i: its L taps times the L x cols matrix of its cyclic shifts by the partitions,
         # the stream read column by column.
-        shifts = _cyclic_shifts(s.reshape(cols, rows).T, cfg.partitions)
-        s = np.matmul(w[:, :, 0].T[:, None, :], shifts.transpose(1, 0, 2))[:, 0, :].T
+        shifts = _cyclic_shifts(s.reshape(-1, w.shape[1]).T, cfg.partitions)
+        s = np.matmul(w.T[:, None, :], shifts.transpose(1, 0, 2))[:, 0, :].T
+    else:
+        s = s * w.T.reshape(s.shape)
     if counter is not None:
-        counter.add(w.size)  # one multiplication per window entry: N, or L*N on L chains
+        counter.add(len(w) * n if chains else n)  # one multiplier: N multiplications; L chains: L*N
     return s
 
 
@@ -231,32 +237,23 @@ def run_pipeline(cfg: ArchConfig, stream: np.ndarray, counter: MulCounter | None
     return s.reshape(-1)
 
 
-def _grid_shape(cfg: ArchConfig) -> tuple[int, int]:
-    """K x M: the TD modes stream the grid column by column, the FD modes row by row, and
-    memory A transposes it before a window; a chain matrix has no memory before it."""
-    rows, cols = cfg.window.shape[-2:]
-    return (cols, rows) if (cfg.window.ndim == 2) == cfg.mode.startswith("TD") else (rows, cols)
-
-
 def run_modulator(cfg: ArchConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Block of a K x M symbol grid through a ``TD_MOD`` or ``FD_MOD`` table."""
-    shape = _grid_shape(cfg)
-    if np.shape(grid) != shape:
-        raise ConfigError(f"grid shape {np.shape(grid)} does not match window {shape}")
+    if np.shape(grid) != cfg.grid:
+        raise ConfigError(f"grid shape {np.shape(grid)} does not match window {cfg.grid}")
     return run_pipeline(cfg, np.asarray(grid).flatten(order="F" if cfg.mode == "TD_MOD" else "C"), counter)
 
 
 def run_demodulator(cfg: ArchConfig, block: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate of a block through a ``TD_DEMOD`` or ``FD_DEMOD`` table."""
-    k, m = _grid_shape(cfg)
+    k, m = cfg.grid
     out = run_pipeline(cfg, block, counter)
     return out.reshape(m, k).T if cfg.mode == "TD_DEMOD" else out.reshape(k, m)
 
 
 def modulate_td(grid: np.ndarray, w_tx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Time-domain block from a K x M symbol grid and the TD transmit window."""
-    w = np.asarray(w_tx)
-    return run_modulator(preset("TD_MOD", GfdmParams(*w.shape), w.T), grid, counter)
+    return run_modulator(preset("TD_MOD", GfdmParams(*np.shape(w_tx)), w_tx), grid, counter)
 
 
 def modulate_fd(
@@ -271,18 +268,15 @@ def modulate_fd(
     final N-point inverse stage runs and the output equals
     :func:`modulate_td` of the matching TD window.
     """
-    w = np.asarray(w_tx)
-    cfg = preset("FD_MOD", GfdmParams(*w.shape), w)
+    cfg = preset("FD_MOD", GfdmParams(*np.shape(w_tx)), w_tx)
     return run_modulator(cfg if emit_time else bypass(cfg, 3), grid, counter)
 
 
 def demodulate_fd(yf_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate from a frequency-domain equalized block."""
-    w = np.asarray(w_rx)
-    return run_demodulator(preset("FD_DEMOD", GfdmParams(*w.shape), w), yf_eq, counter)
+    return run_demodulator(preset("FD_DEMOD", GfdmParams(*np.shape(w_rx)), w_rx), yf_eq, counter)
 
 
 def demodulate_td(y_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate from a time-domain equalized block."""
-    w = np.asarray(w_rx)
-    return run_demodulator(bypass(preset("TD_DEMOD", GfdmParams(*w.shape), w.T), 0), y_eq, counter)
+    return run_demodulator(bypass(preset("TD_DEMOD", GfdmParams(*np.shape(w_rx)), w_rx), 0), y_eq, counter)

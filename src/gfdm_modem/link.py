@@ -7,7 +7,7 @@ time- and frequency-domain transmit windows, keyed by the geometry (``k, m``
 and the sorted, de-duplicated ``k_on, m_on``) and ``pulse, alpha, delta``.
 The :class:`ModemPlan` is the geometry, the cost kind and the stage tables of
 both directions (FFT presets, or the tables ``direct_modem.precompute_*``
-return: the same presets with a chain stack in the window slot), keyed by
+return: the same presets with chain tap rows in the window slot), keyed by
 those fields plus ``rx, arch, domain, l_max``; it is derived from the held
 waveform, so a switch of engine, domain or receiver synthesizes no pulse and
 transforms no transmit window.  Neither key holds the seed, SNR, channel or
@@ -93,10 +93,8 @@ class ModemPlan:
         wave = waveform_for(cfg)
         pulse, params, d, rx = wave.pulse, wave.pulse.params, cfg.domain.upper(), cfg.rx.upper()
         if cfg.arch == "fft":
-            w_tx = wave.w_tx(d)
-            mod = fft_modem.preset(f"{d}_MOD", params, w_tx.T if d == "TD" else w_tx)
+            mod = fft_modem.preset(f"{d}_MOD", params, wave.w_tx(d))
             demod = fft_modem.preset("FD_DEMOD", params, rx_window(wave.w_fd, rx))
-            mod.window.flags.writeable = demod.window.flags.writeable = False
             return cls(params, f"FFT_{d}_FD", mod, demod)
         limits = direct_modem.DirectLimits(l_max=cfg.l_max)
         if d == "TD":

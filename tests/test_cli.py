@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,24 @@ class TestConfig:
             channel_taps=(1 + 0j, 0.2 - 0.1j), snr_db=15.0, seed=9, l_max=8,
         )
         assert parse_config(emit_config(cfg)) == cfg
+
+    #: One value per ``RunConfig`` field other than the base's, each legal on its own.
+    NON_DEFAULT = {
+        "k": 16, "m": 2, "pulse": "rrc", "alpha": 0.25, "delta": 0.0, "rx": "mf", "arch": "direct",
+        "domain": "fd", "k_on": (1, 3), "m_on": (0,), "n_cp": 3, "n_cs": 1,
+        "channel_taps": (1 + 0j, 0.5j), "snr_db": 12.5, "seed": 2**63 + 5, "l_max": 4,
+    }
+
+    def test_every_field_round_trips(self):
+        names = [f.name for f in fields(RunConfig)]
+        assert sorted(self.NON_DEFAULT) == sorted(names)  # a new field needs a value here
+        base = RunConfig(k=8, m=4, n_cp=2)
+        for name in names:
+            cfg = replace(base, **{name: self.NON_DEFAULT[name]})
+            assert getattr(cfg, name) != getattr(base, name), name
+            data = json.loads(json.dumps(emit_config(cfg)))
+            assert sorted(data) == sorted(names), name
+            assert parse_config(data) == cfg, name
 
     def test_infinite_snr_round_trip(self):
         cfg = RunConfig(k=4, m=4)

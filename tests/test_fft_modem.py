@@ -48,7 +48,7 @@ def qpsk_grid(params, seed):
 
 class TestPresets:
     def test_td_modulator_row(self):
-        cfg = preset("TD_MOD", GfdmParams(8, 4), np.ones((4, 8)))
+        cfg = preset("TD_MOD", GfdmParams(8, 4), np.ones((8, 4)))
         assert [s.size for s in cfg.stages[:3]] == [8, 4, 4]
         assert [s.inverse for s in cfg.stages[:3]] == [True, False, True]
         assert [s.enabled for s in cfg.stages] == [True, True, True, False]
@@ -66,16 +66,38 @@ class TestPresets:
         assert [s.inverse for s in cfg.stages[1:]] == [True, False, True]
 
     def test_td_demodulator_row(self):
-        cfg = preset("TD_DEMOD", GfdmParams(8, 4), np.ones((4, 8)))
+        cfg = preset("TD_DEMOD", GfdmParams(8, 4), np.ones((8, 4)))
         assert [s.size for s in cfg.stages] == [32, 4, 4, 8]
         assert [s.inverse for s in cfg.stages] == [True, False, True, False]
         assert all(s.enabled for s in cfg.stages)
 
     def test_window_shape_checked(self):
+        with pytest.raises(ConfigError, match="takes a 8x4 window"):
+            preset("TD_MOD", GfdmParams(8, 4), np.ones((4, 8)))
         with pytest.raises(ConfigError):
-            preset("TD_MOD", GfdmParams(8, 4), np.ones((8, 4)))
-        with pytest.raises(ConfigError):
-            preset("NOPE", GfdmParams(8, 4), np.ones((4, 8)))
+            preset("NOPE", GfdmParams(8, 4), np.ones((8, 4)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_plain_window_in_every_mode_the_td_modes_store_its_transpose(self, mode):
+        window = np.arange(32, dtype=complex).reshape(8, 4)
+        cfg = preset(mode, GfdmParams(8, 4), window)
+        assert cfg.grid == (8, 4)
+        assert np.array_equal(cfg.window, window.T if mode.startswith("TD") else window)
+        assert np.shares_memory(cfg.window, window)  # a view: no copy of a complex128 window
+        assert (cfg.mem_a.rows, cfg.mem_a.cols) == cfg.window.shape[::-1]
+        assert (cfg.mem_b.rows, cfg.mem_b.cols) == cfg.window.shape
+
+    @pytest.mark.parametrize("chains", [False, True], ids=["window", "chains"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_table_is_read_only_and_the_callers_window_stays_writeable(self, mode, chains):
+        rows = 8 if mode.startswith("TD") else 4
+        window = np.ones((2, rows), dtype=complex) if chains else np.ones((8, 4), dtype=complex)
+        cfg = preset(mode, GfdmParams(8, 4), window, (0, 1) if chains else None)
+        assert not cfg.window.flags.writeable
+        with pytest.raises(ValueError):
+            cfg.window[0, 0] = 2.0
+        assert window.flags.writeable
+        window[0, 0] = 3.0  # the caller may still write its own array
 
 
 class TestModulate:
@@ -214,7 +236,7 @@ class TestPipeline:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         w = tx_window(pulse, "TD")
         grid = random_grid(params, 15)
-        cfg = preset("TD_MOD", params, w.T)
+        cfg = preset("TD_MOD", params, w)
         assert_allclose(
             run_pipeline(cfg, grid.flatten(order="F")),
             modulate_td(grid, w),
@@ -279,34 +301,56 @@ class TestChainPresets:
         assert [(s.size, s.inverse) for s in cfg.stages if s.enabled] == self.ENABLED[mode]
         assert not cfg.stages[1].enabled and not cfg.stages[2].enabled
         assert cfg.mem_a is None and cfg.mem_b is None
-        assert cfg.window.ndim == 3 and len(cfg.partitions) == len(cfg.window)
+        assert cfg.window.ndim == 2 and len(cfg.partitions) == len(cfg.window)
+        assert cfg.grid == (8, 4)
 
     @pytest.mark.parametrize("mode", list(ENABLED))
     def test_window_step_charges_the_window_size(self, mode):
         params = GfdmParams(8, 4)
         table = self.chain_tables(params)[mode]
         chains = bypass(table, 0, 3)
-        shape = (4, 8) if mode.startswith("TD") else (8, 4)
-        window = bypass(preset(mode, params, np.ones(shape)), 0, 1, 2, 3)
+        window = bypass(preset(mode, params, np.ones((8, 4))), 0, 1, 2, 3)
         for cfg, want in ((chains, len(table.window) * params.n), (window, params.n)):
             counter = MulCounter()
             run_pipeline(cfg, np.ones(params.n, dtype=complex), counter)
             assert counter.count == want
 
-    def test_chain_stack_laid_out_for_its_mode(self):
-        # With no memory A before them, chain matrices are K x M in TD and M x K in FD.
-        params = GfdmParams(8, 4)
-        with pytest.raises(ConfigError, match="8x4"):
-            preset("TD_MOD", params, np.ones((4, 4, 8)))
-        with pytest.raises(ConfigError, match="4x8"):
-            preset("FD_DEMOD", params, np.ones((2, 8, 4)), (0, 1))
-        with pytest.raises(ConfigError):
-            preset("TD_MOD", params, np.ones((1, 1, 8, 4)))
+    @pytest.mark.parametrize("mode", list(ENABLED))
+    def test_chain_step_checks_the_stream_against_the_grid(self, mode):
+        # 24 samples fill whole tap-row columns in every mode, so only the grid check refuses them.
+        table = bypass(self.chain_tables(GfdmParams(8, 4))[mode], 0, 3)
+        counter = MulCounter()
+        with pytest.raises(ConfigError, match="stream length 24 does not match window size 32"):
+            run_pipeline(table, np.ones(24, dtype=complex), counter)
+        assert counter.count == 0
 
-    @pytest.mark.parametrize("partitions", [None, (0,), (0, 1, 2)])
-    def test_chain_stack_needs_one_partition_per_chain(self, partitions):
-        with pytest.raises(ConfigError, match="a stack of 2 chains needs one partition each"):
-            preset("TD_MOD", GfdmParams(8, 4), np.ones((2, 8, 4)), partitions)
+    def test_tap_rows_laid_out_for_their_mode(self):
+        # With no memory A before them, chains read the stream as K x M in TD and M x K in FD:
+        # a tap row holds K taps in TD and M in FD, and a partition indexes the M or K columns.
+        params = GfdmParams(8, 4)
+        with pytest.raises(ConfigError, match="one tap row of 8 per partition"):
+            preset("TD_MOD", params, np.ones((4, 4)), (0, 1, 2, 3))
+        with pytest.raises(ConfigError, match="one tap row of 4 per partition"):
+            preset("FD_DEMOD", params, np.ones((2, 8)), (0, 1))
+        with pytest.raises(ConfigError):
+            preset("TD_MOD", params, np.ones((1, 8, 4)), (0,))
+
+    @pytest.mark.parametrize("partitions", [(0,), (0, 1, 2)])
+    def test_tap_rows_need_one_partition_each(self, partitions):
+        with pytest.raises(ConfigError, match=r"one tap row of 8 per partition, got \(2, 8\)"):
+            preset("TD_MOD", GfdmParams(8, 4), np.ones((2, 8)), partitions)
+        with pytest.raises(ConfigError, match="takes a 8x4 window"):  # no partitions: a window
+            preset("TD_MOD", GfdmParams(8, 4), np.ones((2, 8)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad", ["-1", "cols"])
+    def test_partition_outside_the_columns_refused(self, mode, bad):
+        # K=8, M=4: a TD chain holds 8 taps over 4 columns, an FD chain 4 taps over 8.
+        # A negative partition would alias a column from the end; one past the end has no column.
+        rows, cols = (8, 4) if mode.startswith("TD") else (4, 8)
+        part = -1 if bad == "-1" else cols
+        with pytest.raises(ConfigError, match=rf"chain partitions must lie in range\({cols}\)"):
+            preset(mode, GfdmParams(8, 4), np.ones((2, rows)), (0, part))
 
     def test_bypass_leaves_the_table_it_was_given(self):
         cfg = preset("FD_MOD", GfdmParams(8, 4), np.ones((8, 4)))
@@ -319,7 +363,7 @@ def inline_stages(mode, k, m, chains):
     """A preset's four stages built per call, as ``preset`` built them before it held them."""
 
     def stage(size, inverse=False, enabled=True):
-        return StageConfig(size, inverse, enabled, 1.0 / size if inverse else 1.0)
+        return StageConfig(size, inverse, enabled, normalized=inverse)
 
     n, mid = k * m, not chains
     if mode == "TD_MOD":
@@ -336,9 +380,9 @@ class TestHeldStageTuples:
 
     @staticmethod
     def table(mode, k, m, chains, seed):
-        want = (m, k) if mode.startswith("TD") != chains else (k, m)
+        want = (3, k if mode.startswith("TD") else m) if chains else (k, m)
         rng = np.random.default_rng(seed)
-        window = rng.standard_normal((3, *want) if chains else want) + 0j
+        window = rng.standard_normal(want) + 0j
         return preset(mode, GfdmParams(k, m), window, (0, 1, 2) if chains else None)
 
     @pytest.mark.parametrize("chains", [False, True], ids=["window", "chains"])

@@ -42,8 +42,8 @@ def copy_stage(stream, stage, counter):
         )
     chunks = stream.reshape(-1, stage.size).T
     out = dft(chunks, inverse=stage.inverse, counter=counter)
-    if stage.scale != 1.0:
-        out = out * stage.scale
+    if stage.normalized:
+        out = out / stage.size
     return out.T.reshape(-1)
 
 
@@ -58,7 +58,7 @@ def copy_memory(stream, mem):
 
 
 def copy_pipeline(cfg, stream, counter=None):
-    """``run_pipeline`` as a stream copy at each memory and stage, with scaled copies."""
+    """``run_pipeline`` as a stream copy at each memory and stage, normalized by a division afterwards."""
     s = np.asarray(stream, dtype=np.complex128).reshape(-1)
     s = copy_stage(s, cfg.stages[0], counter)
     s = copy_memory(s, cfg.mem_a)
@@ -125,9 +125,9 @@ def preset_cases(draw):
     mode, off = draw(st.sampled_from(VARIANTS))
     n = k * m
     if mode == "SINGLE":
-        cfg = single_stage_config(n, draw(st.booleans()), draw(st.sampled_from([1.0, 1.0 / n, 0.75])))
+        cfg = single_stage_config(n, draw(st.booleans()), draw(st.booleans()))
     else:
-        window = read_only(cplx(rng, (m, k) if mode.startswith("TD") else (k, m)))
+        window = read_only(cplx(rng, (k, m)))
         cfg = preset(mode, GfdmParams(k, m), window)
         if off is not None:
             stages = cfg.stages[:off] + (replace(cfg.stages[off], enabled=False),) + cfg.stages[off + 1 :]
@@ -145,7 +145,7 @@ def stage_tables(draw):
     def stage():
         size = draw(st.sampled_from([1 << e for e in range(n.bit_length())] + [2 * n]))
         return StageConfig(size, inverse=draw(st.booleans()), enabled=draw(st.booleans()),
-                           scale=draw(st.sampled_from([1.0, 0.5, 1.0 / size, 0.3])))
+                           normalized=draw(st.booleans()))
 
     def shape():
         rows = 1 << draw(st.integers(0, n.bit_length() - 1))
@@ -185,12 +185,13 @@ class TestPipelineViews:
     @pytest.mark.parametrize("mode", MODES)
     def test_presets_leave_inputs_alone_and_share_no_memory(self, mode, k, m):
         rng = np.random.default_rng(k * 100 + m)
-        window = cplx(rng, (m, k) if mode.startswith("TD") else (k, m))
+        window = cplx(rng, (k, m))
         stream = cplx(rng, k * m)
         saved = window.copy(), stream.copy()
         cfg = preset(mode, GfdmParams(k, m), window)
         out = run_pipeline(cfg, stream)
-        assert np.array_equal(stream, saved[1]) and np.array_equal(cfg.window, saved[0])
+        assert np.array_equal(stream, saved[1]) and np.array_equal(window, saved[0])
+        assert np.array_equal(cfg.window, saved[0].T if mode.startswith("TD") else saved[0])
         assert not np.shares_memory(out, stream) and not np.shares_memory(out, cfg.window)
         # Read-only input and window: any write into either would raise.
         assert np.array_equal(run_pipeline(preset(mode, GfdmParams(k, m), read_only(window)), read_only(stream)), out)
