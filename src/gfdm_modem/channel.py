@@ -244,11 +244,17 @@ _response: tuple[tuple, np.ndarray | None] = ((), None)
 
 
 def channel_response(taps, n: int, eps: float = 1e-8) -> np.ndarray:
-    """The held read-only N-point response of the taps, built anew when taps, N or eps change."""
+    """The held read-only N-point response of the taps, built anew when taps, N or eps change.
+
+    Taps given as a 1-D complex array (``ChannelSpec.taps``) are keyed as they are and checked
+    only on a new key: the held key's taps passed :func:`check_taps` when it was built.
+    """
     global _response
-    t = check_taps(taps)
+    vector = isinstance(taps, np.ndarray) and taps.dtype == np.complex128 and taps.ndim == 1
+    t = taps if vector else check_taps(taps)
     key = (t.tobytes(), n, eps)
     if _response[0] != key:
+        t = check_taps(t)
         if t.size > n:
             raise ConfigError("more channel taps than block samples")
         h = np.zeros(n, dtype=np.complex128)

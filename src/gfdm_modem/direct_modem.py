@@ -70,7 +70,8 @@ def _chain_table(
             f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
             f"only {limits.l_max} chains available"
         )
-    return preset(mode, params, taps.take(parts, axis=0), parts)
+    # The table holds a read-only view: of the rows as built for a full set, of a copy of the occupied ones.
+    return preset(mode, params, taps if full else taps.take(parts, axis=0), parts)
 
 
 def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits()) -> ArchConfig:

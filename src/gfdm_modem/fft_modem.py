@@ -38,6 +38,8 @@ shifts.  Only the output is flattened, copied where needed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -160,7 +162,13 @@ def preset(
         rows, cols = (k, m) if td else (m, k)
         if window.shape != (len(partitions), rows):
             raise ConfigError(f"mode {mode} stores one tap row of {rows} per partition, got {window.shape}")
-        if not all(p in range(cols) for p in partitions):
+        # The integer rule by type, each item looked at only when some type is not int:
+        # a bool or a float is no partition, a numpy integer is one.
+        if not set(map(type, partitions)) <= {int}:
+            for p in partitions:
+                if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+                    raise ConfigError(f"chain partition {p!r} is not an integer")
+        if partitions and (min(partitions) < 0 or max(partitions) >= cols):
             raise ConfigError(f"chain partitions must lie in range({cols}), got {partitions}")
     elif window.shape != (k, m):
         raise ConfigError(f"mode {mode} takes a {k}x{m} window, got {window.shape}")
@@ -206,9 +214,16 @@ def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
     return view[list(shifts)]
 
 
+def _grid(cfg: ArchConfig) -> tuple[int, int]:
+    """The table's K x M grid, which chains and the modem runners read; ``preset`` sets it."""
+    if cfg.grid is None:
+        raise ConfigError(f"{cfg.mode} table has no K x M grid; build it with preset")
+    return cfg.grid
+
+
 def _run_window(s: np.ndarray, cfg: ArchConfig, counter: MulCounter | None) -> np.ndarray:
     w, chains = cfg.window, cfg.partitions is not None
-    n = cfg.grid[0] * cfg.grid[1] if chains else w.size
+    n = math.prod(_grid(cfg)) if chains else w.size
     if s.size != n:
         raise ConfigError(f"stream length {s.size} does not match window size {n}")
     if chains:
@@ -239,14 +254,14 @@ def run_pipeline(cfg: ArchConfig, stream: np.ndarray, counter: MulCounter | None
 
 def run_modulator(cfg: ArchConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Block of a K x M symbol grid through a ``TD_MOD`` or ``FD_MOD`` table."""
-    if np.shape(grid) != cfg.grid:
+    if np.shape(grid) != _grid(cfg):
         raise ConfigError(f"grid shape {np.shape(grid)} does not match window {cfg.grid}")
     return run_pipeline(cfg, np.asarray(grid).flatten(order="F" if cfg.mode == "TD_MOD" else "C"), counter)
 
 
 def run_demodulator(cfg: ArchConfig, block: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate of a block through a ``TD_DEMOD`` or ``FD_DEMOD`` table."""
-    k, m = cfg.grid
+    k, m = _grid(cfg)
     out = run_pipeline(cfg, block, counter)
     return out.reshape(m, k).T if cfg.mode == "TD_DEMOD" else out.reshape(k, m)
 

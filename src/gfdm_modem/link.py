@@ -10,8 +10,13 @@ both directions (FFT presets, or the tables ``direct_modem.precompute_*``
 return: the same presets with chain tap rows in the window slot), keyed by
 those fields plus ``rx, arch, domain, l_max``; it is derived from the held
 waveform, so a switch of engine, domain or receiver synthesizes no pulse and
-transforms no transmit window.  Neither key holds the seed, SNR, channel or
-prefix.  Each level holds one slot, the last one used.  A failed plan build
+transforms no transmit window.  A new plan builds only the tables whose inputs
+changed and takes the others from the held plan: a table's key is the
+waveform, the engine, its own mode (``FD_DEMOD`` for the FFT receiver in both
+domains), ``rx`` for a demodulator and ``l_max`` for a chain table, so a ``rx``
+switch keeps the modulator and an FFT ``domain`` switch the demodulator.
+Neither key holds the seed, SNR, channel or prefix.  Each level holds one
+slot, the last one used, and nothing else is held.  A failed plan build
 (a direct block over ``n_max`` or ``l_max`` too) raises on every call and
 leaves the held plan in place (the waveform it was derived from may stay
 loaded).  The chain's other configuration-only tables are held the same way:
@@ -88,21 +93,26 @@ class ModemPlan:
     demod: fft_modem.ArchConfig
 
     @classmethod
-    def build(cls, cfg: RunConfig) -> ModemPlan:
-        """Derive the tables from the loaded waveform, each receive window from its transmit window."""
+    def build(
+        cls, cfg: RunConfig, mod: fft_modem.ArchConfig | None = None, demod: fft_modem.ArchConfig | None = None
+    ) -> ModemPlan:
+        """Derive the tables from the loaded waveform, each receive window from its transmit window.
+
+        A table given as ``mod`` or ``demod`` (one built from the same inputs) is taken as it is.
+        """
         wave = waveform_for(cfg)
         pulse, params, d, rx = wave.pulse, wave.pulse.params, cfg.domain.upper(), cfg.rx.upper()
         if cfg.arch == "fft":
-            mod = fft_modem.preset(f"{d}_MOD", params, wave.w_tx(d))
-            demod = fft_modem.preset("FD_DEMOD", params, rx_window(wave.w_fd, rx))
+            mod = mod or fft_modem.preset(f"{d}_MOD", params, wave.w_tx(d))
+            demod = demod or fft_modem.preset("FD_DEMOD", params, rx_window(wave.w_fd, rx))
             return cls(params, f"FFT_{d}_FD", mod, demod)
         limits = direct_modem.DirectLimits(l_max=cfg.l_max)
         if d == "TD":
-            mod = direct_modem.precompute_td_mod(pulse, limits)
-            demod = direct_modem.precompute_td_demod(rx_window(wave.w_td, rx), limits)
+            mod = mod or direct_modem.precompute_td_mod(pulse, limits)
+            demod = demod or direct_modem.precompute_td_demod(rx_window(wave.w_td, rx), limits)
         else:
-            mod = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
-            demod = direct_modem.precompute_fd_demod(rx_window(wave.w_fd, rx), limits, force_full=True)
+            mod = mod or direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
+            demod = demod or direct_modem.precompute_fd_demod(rx_window(wave.w_fd, rx), limits, force_full=True)
         return cls(params, f"DIR_{d}_{d}", mod, demod)
 
     def modulate(self, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
@@ -124,10 +134,19 @@ def _plan_key(cfg: RunConfig) -> tuple:
     return (*_waveform_key(cfg), cfg.rx, cfg.arch, cfg.domain, cfg.l_max)
 
 
-# One (key, content) tuple per level, replaced whole: a reader never pairs a key
-# with another key's content.  Holding more costs memory for every configuration ever run.
+def _table_keys(cfg: RunConfig) -> tuple[tuple, tuple]:
+    """Keys of what the modulator and the demodulator table are each built from."""
+    wave, d = _waveform_key(cfg), cfg.domain.upper()
+    if cfg.arch == "fft":  # the FFT receiver works in frequency in both domains
+        return (wave, "fft", f"{d}_MOD"), (wave, "fft", "FD_DEMOD", cfg.rx)
+    return (wave, "direct", f"{d}_MOD", cfg.l_max), (wave, "direct", f"{d}_DEMOD", cfg.rx, cfg.l_max)
+
+
+# One tuple per level, replaced whole: a reader never pairs a key with another key's
+# content.  Holding more costs memory for every configuration ever run.  The plan's
+# tuple also holds the keys of its two tables, which the next build compares.
 _waveform: tuple[tuple, Waveform | None] = ((), None)
-_loaded: tuple[tuple, ModemPlan | None] = ((), None)
+_loaded: tuple[tuple, ModemPlan | None, tuple[tuple, tuple]] = ((), None, ((), ()))
 
 
 def waveform_for(cfg: RunConfig) -> Waveform:
@@ -140,11 +159,19 @@ def waveform_for(cfg: RunConfig) -> Waveform:
 
 
 def plan_for(cfg: RunConfig) -> ModemPlan:
-    """The loaded plan when ``cfg`` has its key, else a new plan, which is loaded."""
+    """The loaded plan when ``cfg`` has its key, else a new plan, which is loaded.
+
+    A new plan takes each of the loaded plan's tables whose key it shares and builds
+    the others; a refused build raises on every call and leaves the loaded plan.
+    """
     global _loaded
     key = _plan_key(cfg)
     if _loaded[0] != key:
-        _loaded = (key, ModemPlan.build(cfg))
+        keys = _table_keys(cfg)
+        _, held, held_keys = _loaded
+        mod = held.mod if keys[0] == held_keys[0] else None
+        demod = held.demod if keys[1] == held_keys[1] else None
+        _loaded = (key, ModemPlan.build(cfg, mod, demod), keys)
     return _loaded[1]
 
 
@@ -192,11 +219,10 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
     counter = MulCounter()
     x = plan.modulate(grid, counter)
     framed = channel.add_cp(x, cfg.n_cp, cfg.n_cs)
-    received = channel.apply_channel(
-        framed, ChannelSpec(np.asarray(cfg.channel_taps), cfg.snr_db, cfg.seed)
-    )
+    spec = ChannelSpec(np.asarray(cfg.channel_taps), cfg.snr_db, cfg.seed)
+    received = channel.apply_channel(framed, spec)
     core = channel.remove_cp(received, cfg.n_cp, cfg.n_cs)
-    yf_eq = channel.fd_equalize_zf(core, np.asarray(cfg.channel_taps), counter=counter)
+    yf_eq = channel.fd_equalize_zf(core, spec.taps, counter=counter)
     grid_hat = plan.demodulate(yf_eq, counter)
     d_hat = reference.demap_symbols(grid_hat, params)
 

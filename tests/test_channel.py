@@ -298,6 +298,30 @@ class TestHeldResponse:
         assert channel_response(HELD_TAPS, 8) is held
         assert fd_equalize_zf(y, HELD_TAPS).tobytes() == want.tobytes()
 
+    def test_a_complex_vector_on_the_held_key_is_not_checked_again(self, monkeypatch):
+        # ChannelSpec.taps is such a vector: run_loopback hands it on, so a block checks its taps once.
+        taps = check_taps(HELD_TAPS)
+        held = channel_response(taps, 64)
+        calls = []
+        monkeypatch.setattr(channel, "check_taps", lambda t: calls.append(t) or check_taps(t))
+        assert channel_response(taps, 64) is held and channel_response(taps.copy(), 64) is held
+        assert calls == []
+        assert channel_response(list(HELD_TAPS), 64) is held and len(calls) == 1  # converted first
+        assert channel_response(taps, 32) is not held and len(calls) == 2  # a new key is checked
+
+    @pytest.mark.parametrize(
+        "taps,message",
+        [(check_taps(HELD_TAPS).reshape(1, -1), "at least one tap"), (np.array([], complex), "at least one tap"),
+         (np.array([1.0, np.nan], complex), "must be finite"), (np.array([np.inf], complex), "must be finite")],
+        ids=["held-bytes-2d", "empty", "nan", "inf"],
+    )
+    def test_refused_complex_arrays_raise_every_call(self, taps, message):
+        held = channel_response(HELD_TAPS, 8)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=message):
+                channel_response(taps, 8)
+        assert channel_response(HELD_TAPS, 8) is held
+
     def test_response_rejects_writes(self):
         held = channel_response(HELD_TAPS, 16)
         assert not held.flags.writeable

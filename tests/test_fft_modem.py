@@ -1,5 +1,8 @@
 """Tests for the staged FFT pipeline: presets, wrappers, and oracle agreement."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +24,8 @@ from gfdm_modem.fft_modem import (
     modulate_fd,
     modulate_td,
     preset,
+    run_demodulator,
+    run_modulator,
     run_pipeline,
     single_stage_config,
 )
@@ -351,6 +356,50 @@ class TestChainPresets:
         part = -1 if bad == "-1" else cols
         with pytest.raises(ConfigError, match=rf"chain partitions must lie in range\({cols}\)"):
             preset(mode, GfdmParams(8, 4), np.ones((2, rows)), (0, part))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("partitions,bad", [
+        ((0.0, 2.0), 0.0), ((True, 2), True), ((0, False), False), ((0, np.float64(1.0)), np.float64(1.0)),
+        ((np.bool_(True), 1), np.bool_(True)), ((0, "1"), "1"), ((0, None), None), ((1 + 0j, 0), 1 + 0j),
+    ], ids=["floats", "true", "false", "numpy-float", "numpy-bool", "str", "none", "complex"])
+    def test_partition_that_is_not_an_integer_refused(self, mode, partitions, bad):
+        # 0.0 and True equal members of range(cols), so the rule goes by type; it names the first
+        # item that breaks it.
+        rows = 8 if mode.startswith("TD") else 4
+        with pytest.raises(ConfigError, match=rf"^chain partition {re.escape(repr(bad))} is not an integer$"):
+            preset(mode, GfdmParams(8, 4), np.ones((2, rows)), partitions)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("partitions", [(np.int64(0), np.int32(3)), (np.uint8(1), 2), (0, np.int16(3))])
+    def test_python_and_numpy_integer_partitions_run_alike(self, mode, partitions):
+        params, rows = GfdmParams(8, 4), 8 if mode.startswith("TD") else 4
+        taps = np.arange(2 * rows).reshape(2, rows) * (1 - 0.5j)
+        table = preset(mode, params, taps, partitions)
+        plain = preset(mode, params, taps, tuple(int(p) for p in partitions))
+        stream = np.arange(params.n) * (0.25 + 1j)
+        counters = MulCounter(), MulCounter()
+        got, want = (run_pipeline(t, stream, c) for t, c in zip((table, plain), counters))
+        assert got.tobytes() == want.tobytes() and counters[0].count == counters[1].count
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_table_without_a_grid_refused_by_every_runner(self, mode):
+        # Only preset sets the grid; a hand-built chain table reads it for its stream length,
+        # and both modem runners read it for the grid shape, so each refuses a table without one.
+        table = replace(self.chain_tables(GfdmParams(8, 4))[mode], grid=None)
+        message = rf"^{mode} table has no K x M grid; build it with preset$"
+        counter = MulCounter()
+        with pytest.raises(ConfigError, match=message):
+            run_pipeline(bypass(table, 0, 3), np.ones(32, dtype=complex), counter)
+        runner, block = (run_modulator, np.ones((8, 4))) if mode.endswith("_MOD") else (run_demodulator, np.ones(32))
+        with pytest.raises(ConfigError, match=message):
+            runner(table, block, counter)
+        assert counter.count == 0
+
+    def test_window_table_without_a_grid_runs_through_the_pipeline_only(self):
+        table = replace(preset("TD_MOD", GfdmParams(8, 4), np.ones((8, 4))), grid=None)
+        assert run_pipeline(table, np.ones(32, dtype=complex)).shape == (32,)
+        with pytest.raises(ConfigError, match="^TD_MOD table has no K x M grid"):
+            run_modulator(table, np.ones((8, 4)))
 
     def test_bypass_leaves_the_table_it_was_given(self):
         cfg = preset("FD_MOD", GfdmParams(8, 4), np.ones((8, 4)))

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gfdm_modem import blockio, direct_modem, fft_modem, link, pulses
+from gfdm_modem import blockio, channel, direct_modem, fft_modem, link, pulses
 from gfdm_modem.analysis import cm_count
 from gfdm_modem.channel import fd_equalize_zf
 from gfdm_modem.cli import main
 from gfdm_modem.config import RunConfig, emit_config
-from gfdm_modem.errors import ChainLimitExceeded, ConfigError, OverlapTooLarge, SingularWindow
+from gfdm_modem.errors import ChainLimitExceeded, ConfigError, GfdmError, OverlapTooLarge, SingularWindow
 from gfdm_modem.numerics import MulCounter, dft
 from gfdm_modem.pulses import make_prototype, tx_window, window_pair
 
@@ -276,6 +276,135 @@ class TestWaveformReuse:
     def test_any_order_equals_fresh_builds(self, seq):
         for i, cfg in enumerate(seq):
             assert_block_matches_engines(cfg, i)
+
+
+#: Four waveforms: two valid ones, one whose zero-forcing window is singular (delta=0), and
+#: one whose direct tables need 16 chains; with l_max 4 or 16 most refusals are reachable.
+WAVES = [dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5), dict(k=4, m=8, pulse="rrc", alpha=0.3, delta=0.5),
+         dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.0), dict(k=16, m=16, pulse="rc", alpha=0.5, delta=0.5)]
+
+#: One field switched per step: receiver, engine, domain, chain budget or waveform.
+SWITCHES = st.one_of(
+    st.tuples(st.just("rx"), st.sampled_from(["zf", "mf"])),
+    st.tuples(st.just("arch"), st.sampled_from(["fft", "direct"])),
+    st.tuples(st.just("domain"), st.sampled_from(["td", "fd"])),
+    st.tuples(st.just("l_max"), st.sampled_from([4, 16])),
+    st.tuples(st.just("wave"), st.integers(0, len(WAVES) - 1)),
+)
+
+
+def block_outcome(cfg, seed):
+    """Both outputs, the counter and the loopback report of one link block, or the refusal's type and text."""
+    counter = MulCounter()
+    try:
+        x, grid_hat = link_block(cfg, grid_for(cfg, seed), counter)
+        report = link.run_loopback(replace(cfg, seed=seed))
+    except GfdmError as exc:
+        return type(exc), str(exc)
+    return x.tobytes(), grid_hat.tobytes(), counter.count, report
+
+
+def fresh_outcome(cfg, seed):
+    """``block_outcome`` with both link slots reset, which are put back afterwards."""
+    held = link._waveform, link._loaded
+    link._waveform, link._loaded = ((), None), ((), None, ((), ()))
+    try:
+        return block_outcome(cfg, seed)
+    finally:
+        link._waveform, link._loaded = held
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts of the modulator and demodulator table builds: FFT presets and direct precomputes."""
+    count = {"mod": 0, "demod": 0}
+
+    def counted(module, name, role):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            count[role(args)] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("td_mod", "fd_mod", "td_demod", "fd_demod"):
+        counted(direct_modem, f"precompute_{name}", lambda args, role=name[3:]: role)
+    counted(fft_modem, "preset", lambda args: "demod" if args[0].endswith("DEMOD") else "mod")
+    return count
+
+
+class TestTableReuse:
+    """A new plan takes each held table whose inputs it shares and builds only the others."""
+
+    @given(st.integers(0, len(WAVES) - 1), st.sampled_from(ENGINES), st.sampled_from([4, 16]),
+           st.lists(SWITCHES, max_size=12))
+    def test_any_switch_sequence_equals_fresh_slots(self, wave, engine, l_max, switches):
+        arch, domain, rx = engine
+        cfg = RunConfig(**WAVES[wave], rx=rx, arch=arch, domain=domain, l_max=l_max, channel_taps=TAPS, n_cp=4)
+        for i, (field, value) in enumerate([("wave", wave), *switches]):
+            cfg = replace(cfg, **(WAVES[value] if field == "wave" else {field: value}))
+            assert block_outcome(cfg, i) == fresh_outcome(cfg, i)
+
+    @pytest.mark.parametrize("arch,domain", [(arch, domain) for arch in ("fft", "direct") for domain in ("td", "fd")])
+    def test_rx_switch_keeps_the_modulator(self, table_builds, arch, domain):
+        zf = RunConfig(k=8, m=4, arch=arch, domain=domain)
+        plan = link.plan_for(zf)
+        before = dict(table_builds)
+        mf = link.plan_for(replace(zf, rx="mf"))
+        assert mf is not plan and mf.mod is plan.mod and mf.demod is not plan.demod
+        assert table_builds == {"mod": before["mod"], "demod": before["demod"] + 1}
+        assert link.plan_for(zf).mod is plan.mod  # and back
+
+    @pytest.mark.parametrize("rx", ["zf", "mf"])
+    def test_fft_domain_switch_keeps_the_fd_demodulator(self, table_builds, rx):
+        td = RunConfig(k=8, m=4, rx=rx, arch="fft", domain="td")
+        plan = link.plan_for(td)
+        before = dict(table_builds)
+        fd = link.plan_for(replace(td, domain="fd"))
+        assert fd.kind == "FFT_FD_FD" and fd.mod.mode == "FD_MOD"
+        assert fd.demod is plan.demod and fd.mod is not plan.mod
+        assert table_builds == {"mod": before["mod"] + 1, "demod": before["demod"]}
+
+    def test_fft_chain_budget_switch_keeps_both_tables(self, table_builds):
+        cfg = RunConfig(k=8, m=4, arch="fft")
+        plan = link.plan_for(cfg)
+        before = dict(table_builds)
+        other = link.plan_for(replace(cfg, l_max=4))
+        assert other is not plan and (other.mod, other.demod) == (plan.mod, plan.demod)
+        assert table_builds == before
+
+    @pytest.mark.parametrize("base,field,value", [
+        (dict(arch="direct"), "domain", "fd"), (dict(arch="direct", domain="fd"), "domain", "td"),
+        (dict(arch="direct"), "l_max", 8), (dict(), "arch", "direct"), (dict(domain="fd"), "arch", "direct"),
+        (dict(), "k", 4), (dict(arch="direct"), "alpha", 0.25), (dict(rx="mf"), "delta", 0.0),
+    ])
+    def test_other_switches_build_both_tables(self, table_builds, base, field, value):
+        cfg = RunConfig(k=8, m=4, **base)
+        plan = link.plan_for(cfg)
+        before = dict(table_builds)
+        other = link.plan_for(replace(cfg, **{field: value}))
+        assert other.mod is not plan.mod and other.demod is not plan.demod
+        assert table_builds == {"mod": before["mod"] + 1, "demod": before["demod"] + 1}
+
+    @pytest.mark.parametrize("arch,domain", [(arch, domain) for arch in ("fft", "direct") for domain in ("td", "fd")])
+    def test_refused_demodulator_after_rx_switch_leaves_the_held_plan(self, arch, domain):
+        # delta=0: the matched filter builds, the zero-forcing window is singular.
+        mf = RunConfig(k=8, m=4, delta=0.0, rx="mf", arch=arch, domain=domain, channel_taps=TAPS, n_cp=4)
+        plan = link.plan_for(mf)
+        for _ in range(2):
+            with pytest.raises(SingularWindow):
+                link.plan_for(replace(mf, rx="zf"))
+            assert link.plan_for(mf) is plan
+        assert block_outcome(mf, 3) == fresh_outcome(mf, 3)
+
+    def test_loopback_checks_the_channel_taps_once_per_block(self, monkeypatch):
+        cfg = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4, snr_db=20.0)
+        want = link.run_loopback(cfg)  # loads the plan and the channel response
+        calls = []
+        check = channel.check_taps
+        monkeypatch.setattr(channel, "check_taps", lambda taps: calls.append(taps) or check(taps))
+        assert link.run_loopback(cfg) == want
+        assert len(calls) == 1
 
 
 class TestPlanErrors:
