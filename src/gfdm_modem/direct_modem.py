@@ -16,7 +16,8 @@ pipeline's stage 1 -> window -> stage 2 computes, so each ``precompute_*``
 checks the block length against ``n_max`` and the chain count against
 ``l_max``, and returns its mode's :mod:`fft_modem` stage table with the tap
 rows in the window slot; the counter charges L*N multiplications per pass.
-The ``direct_*`` runners are one run of such a table.
+A pass computes each output sample as one BLAS dot over its L chains, taken
+in descending shift order.  The ``direct_*`` runners are one run of such a table.
 """
 
 from __future__ import annotations

@@ -32,8 +32,10 @@ As in hardware, the memories move no data: between stages the stream is a 2-D
 array read row by row, and a memory is a strided transposed view of it.  Each
 stage transforms its chunk rows, a ``normalized`` stage's ``1/size`` inside the
 transform call; the window is read in stream layout as a view of the held
-matrix, the chains read their tap rows and a view of the stream's cyclic
-shifts.  Only the output is flattened, copied where needed.
+matrix.  The chains make each output sample one BLAS dot of its row's taps
+with the stream's cyclic shifts, summed in descending shift order: the full
+set's shifts are then a view of the stream with a +1 element stride, which
+BLAS reads in place.  Only the output is flattened, copied where needed.
 """
 
 from __future__ import annotations
@@ -200,18 +202,23 @@ def _run_memory(s: np.ndarray, mem: MemoryConfig | None) -> np.ndarray:
 def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
     """Stack whose slice ``i`` is ``np.roll(a, shifts[i], axis=1)``.
 
-    All ``cols`` shifts in ascending order are a read-only, zero-copy view of ``[a, a]``,
-    written row-major whatever the layout of ``a``; a proper subset is gathered from that view.
+    All ``cols`` shifts in descending order are a read-only, zero-copy view of ``[a, a]``,
+    written row-major whatever the layout of ``a``, whose shift axis has stride +1 element:
+    slice ``c`` reads ``[a, a][:, c + 1 : c + 1 + cols]``.  In ascending order they are that
+    view reversed; any other tuple is gathered from it.
     """
     rows, cols = a.shape
     doubled = np.empty((rows, 2 * cols), a.dtype)
     doubled[:, :cols] = doubled[:, cols:] = a
     item = doubled.itemsize
-    view = np.ndarray((cols, rows, cols), a.dtype, doubled, cols * item, (-item, 2 * cols * item, item))
+    view = np.ndarray((cols, rows, cols), a.dtype, doubled, item, (item, 2 * cols * item, item))
     view.flags.writeable = False
-    if shifts == tuple(range(cols)):
+    descending = tuple(range(cols - 1, -1, -1))
+    if shifts == descending:
         return view
-    return view[list(shifts)]
+    if shifts == descending[::-1]:
+        return view[::-1]
+    return view[[cols - 1 - p for p in shifts]]
 
 
 def _grid(cfg: ArchConfig) -> tuple[int, int]:
@@ -227,10 +234,13 @@ def _run_window(s: np.ndarray, cfg: ArchConfig, counter: MulCounter | None) -> n
     if s.size != n:
         raise ConfigError(f"stream length {s.size} does not match window size {n}")
     if chains:
-        # Output row i: its L taps times the L x cols matrix of its cyclic shifts by the partitions,
-        # the stream read column by column.
-        shifts = _cyclic_shifts(s.reshape(-1, w.shape[1]).T, cfg.partitions)
-        s = np.matmul(w.T[:, None, :], shifts.transpose(1, 0, 2))[:, 0, :].T
+        # Output sample j of row i (the stream read column by column): one dot of row i's L taps
+        # with sample j of the L cyclic shifts.  The chains are summed in reverse order, so the
+        # full set's shifts descend and read the stream with a +1 stride, which matmul's
+        # (1, L) @ (L, 1) case hands to the BLAS dot without a copy.
+        shifts = _cyclic_shifts(s.reshape(-1, w.shape[1]).T, cfg.partitions[::-1])
+        taps = np.ascontiguousarray(w[::-1].T)
+        s = np.matmul(shifts.transpose(1, 2, 0)[:, :, None, :], taps[:, None, :, None])[:, :, 0, 0].T
     else:
         s = s * w.T.reshape(s.shape)
     if counter is not None:

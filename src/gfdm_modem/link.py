@@ -226,16 +226,19 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
     grid_hat = plan.demodulate(yf_eq, counter)
     d_hat = reference.demap_symbols(grid_hat, params)
 
+    power = np.vdot(d_on, d_on).real
     if cfg.rx == "mf":
         # Matched filtering leaves a positive per-symbol gain; normalize it out
-        # of the error metric so the report stays comparable.
-        gain = float(np.vdot(d_on, d_hat).real / np.vdot(d_on, d_on).real)
+        # of the error metric so the report stays comparable.  numpy divides a
+        # complex by a real as a product with its reciprocal: so does the float view.
+        gain = float(np.vdot(d_on, d_hat).real / power)
         if gain > 0:
-            d_hat = d_hat / gain
+            d_hat = (d_hat.view(np.float64) * (1 / gain)).view(np.complex128)
     err = d_hat - d_on
-    nmse = float(np.vdot(err, err).real / np.vdot(d_on, d_on).real)
-    wrong = (np.sign(d_hat.real) != np.sign(d_on.real)) | (np.sign(d_hat.imag) != np.sign(d_on.imag))
-    ser = float(np.count_nonzero(wrong) / wrong.size)
+    nmse = float(np.vdot(err, err).real / power)
+    # A symbol is wrong when the sign of either part differs: one 2-byte word of the pair's flags.
+    wrong = np.sign(d_hat.view(np.float64)) != np.sign(d_on.view(np.float64))
+    ser = float(np.count_nonzero(wrong.view(np.uint16)) / d_on.size)
 
     return LoopbackReport(
         kind=plan.kind,

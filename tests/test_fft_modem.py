@@ -18,6 +18,7 @@ from gfdm_modem.fft_modem import (
     MemoryConfig,
     StageConfig,
     _cyclic_shifts,
+    _run_window,
     bypass,
     demodulate_fd,
     demodulate_td,
@@ -513,3 +514,100 @@ class TestCyclicShifts:
         got = _cyclic_shifts(a, (0, 1, 2, 3))
         assert got.strides[1:] == (2 * 4 * a.itemsize, a.itemsize)
         assert np.array_equal(got, rolled(a, range(4)))
+
+
+class TestChainKernel:
+    """The chain step against an explicit ``np.roll`` multiply-accumulate, and the operands it hands to BLAS."""
+
+    @staticmethod
+    def roll_mac(flat, taps, partitions):
+        """Row i of the output: sum over chains l of tap row l's entry i times row i rolled by partitions[l]."""
+        rows = taps.shape[1]
+        a = flat.reshape(-1, rows).T
+        out = np.zeros(a.shape, dtype=complex)
+        for row, p in zip(taps, partitions):
+            out += row[:, None] * np.roll(a, p, axis=1)
+        return out.T.reshape(-1)
+
+    @staticmethod
+    def stream(flat, layout, rows):
+        """``flat`` as the window step may receive it: one vector, a 2-D array in either order, or strided."""
+        if layout == "C":
+            return flat.reshape(-1, rows)
+        if layout == "F":
+            return np.asfortranarray(flat.reshape(-1, rows))
+        held = np.zeros(2 * flat.size, dtype=complex)
+        held[::2] = flat
+        return held[::2]
+
+    @given(
+        mode=st.sampled_from(MODES),
+        k=st.sampled_from([1, 2, 4, 8, 16]),
+        m=st.sampled_from([1, 2, 4, 8, 16]),
+        pick=st.one_of(st.none(), st.lists(st.integers(0, 63), min_size=1, max_size=8)),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_a_roll_multiply_accumulate(self, mode, k, m, pick, layout, seed):
+        rows, cols = (k, m) if mode.startswith("TD") else (m, k)
+        # None: the full chain set; else a drawn set in drawn order, repeats allowed.
+        partitions = tuple(range(cols)) if pick is None else tuple(p % cols for p in pick)
+        rng = np.random.default_rng(seed)
+        taps = rng.standard_normal((len(partitions), rows)) + 1j * rng.standard_normal((len(partitions), rows))
+        flat = rng.standard_normal(k * m) + 1j * rng.standard_normal(k * m)
+        counter = MulCounter()
+        got = _run_window(self.stream(flat, layout, rows), preset(mode, GfdmParams(k, m), taps, partitions), counter)
+        want = self.roll_mac(flat, taps, partitions)
+        assert np.linalg.norm(got.reshape(-1) - want) <= 1e-13 * np.linalg.norm(want)
+        assert counter.count == len(partitions) * k * m
+
+    @staticmethod
+    def matmul_operands(table, flat):
+        """The two operands ``_run_window`` hands to ``np.matmul``, and its output."""
+        seen = []
+        matmul = np.matmul
+
+        def spy(a, b):
+            seen.append((a, b))
+            return matmul(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "matmul", spy)
+            out = _run_window(flat, table, None)
+        assert len(seen) == 1
+        return (*seen[0], out)
+
+    @pytest.mark.parametrize("params", [GfdmParams(32, 64), GfdmParams(64, 32), GfdmParams(8, 4)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_full_set_dots_read_the_stream_in_place_with_a_unit_stride(self, mode, params):
+        pulse, limits = make_prototype("RC", params, 0.5, 0.5), direct_modem.DirectLimits(l_max=64)
+        table = {
+            "TD_MOD": lambda: direct_modem.precompute_td_mod(pulse, limits),
+            "FD_MOD": lambda: direct_modem.precompute_fd_mod(pulse, limits, force_full=True),
+            "TD_DEMOD": lambda: direct_modem.precompute_td_demod(window_pair(pulse, "TD", "MF").w_rx, limits),
+            "FD_DEMOD": lambda: direct_modem.precompute_fd_demod(
+                window_pair(pulse, "FD", "MF").w_rx, limits, force_full=True),
+        }[mode]()
+        rows, chains = table.window.shape[1], len(table.window)
+        assert table.partitions == tuple(range(chains))
+        rng = np.random.default_rng(1)
+        flat = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
+        stack, taps, _ = self.matmul_operands(table, flat)
+        item = flat.itemsize
+        # Each output sample is one (1, L) @ (L, 1) dot, both operands with a +1 element chain stride.
+        assert stack.shape == (rows, params.n // rows, 1, chains) and stack.strides[3] == item
+        assert taps.shape == (rows, 1, chains, 1) and taps.strides[2] == item
+        # The stack is a read-only view of the doubled stream [a, a]: no L x N stack is made.
+        base = stack
+        while base.base is not None:
+            base = base.base
+        assert base.size == 2 * params.n and not stack.flags.writeable
+        assert not np.shares_memory(stack, flat)
+
+    def test_sparse_set_gathers_with_a_positive_stride(self):
+        params = GfdmParams(8, 4)
+        taps = np.ones((3, 4), dtype=complex)
+        flat = np.arange(32, dtype=complex)
+        stack, taps_op, out = self.matmul_operands(preset("FD_MOD", params, taps, (6, 1, 3)), flat)
+        assert stack.shape == (4, 8, 1, 3) and stack.strides[3] > 0 and taps_op.strides[2] > 0
+        assert np.array_equal(out.reshape(-1), self.roll_mac(flat, taps, (6, 1, 3)))

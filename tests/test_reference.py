@@ -10,8 +10,9 @@ from gfdm_modem.errors import ConfigError, SingularMatrix
 from gfdm_modem.numerics import dft
 from gfdm_modem.pulses import GfdmParams, PrototypePulse, make_prototype, shift_pulse
 from gfdm_modem.reference import (
+    COND_LIMIT,
+    ModMatrix,
     MultiPulseComponent,
-    _condition_estimate,
     build_matrix,
     compose_multipulse,
     demap_symbols,
@@ -78,47 +79,34 @@ class TestOracleReceivers:
             oracle_demod_zf(mm, np.ones(16, dtype=complex))
 
 
-def _condition_estimate_conj_copy(mat, iters=150):
-    """The estimate as first written: the Gram product through an N x N conjugate copy."""
-    n = mat.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_max = 0.0
-    for _ in range(iters):
-        w = mat.conj().T @ (mat @ v)
-        lam_max = float(np.linalg.norm(w))
-        if lam_max == 0.0:
-            return np.inf
-        v = w / lam_max
-    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    u /= np.linalg.norm(u)
-    shift_gain = 0.0
-    for _ in range(iters):
-        w = lam_max * u - mat.conj().T @ (mat @ u)
-        shift_gain = float(np.linalg.norm(w))
-        if shift_gain == 0.0:
-            break
-        u = w / shift_gain
-    lam_min = max(lam_max - shift_gain, 0.0)
-    return np.inf if lam_min == 0.0 else lam_max / lam_min
+class TestZfSingularity:
+    """The ZF oracle judges singularity from the singular values, so it never returns a wrong solve."""
 
-
-class TestConditionEstimate:
-    @pytest.mark.parametrize("k,m", [(8, 4), (16, 16), (16, 32)])
-    def test_equals_conjugate_copy_form(self, k, m):
-        mat = build_matrix(make_prototype("RC", GfdmParams(k, m), 0.5, 0.5)).mat
-        est = _condition_estimate(mat)
-        assert np.isfinite(est) and est > 1.0
-        # Only the summation order of the Gram product differs.
-        assert est == pytest.approx(_condition_estimate_conj_copy(mat), rel=1e-12)
-
-    def test_singular_window_matrix_stays_infinite(self):
-        mm = build_matrix(make_prototype("RC", GfdmParams(4, 4), 0.0, 0.0))
-        assert _condition_estimate(mm.mat) == np.inf
-        assert _condition_estimate_conj_copy(mm.mat) == np.inf
+    @pytest.mark.parametrize("k,m", [(16, 16), (32, 32), (16, 8)])
+    def test_sharp_rolloff_even_grids_are_refused(self, k, m):
+        # RC alpha=0.5, delta=0: cond(A) ~ 1e16, where a solve is off by ~1 and raises nothing.
+        params = GfdmParams(k, m)
+        mm = build_matrix(make_prototype("RC", params, 0.5, 0.0))
         with pytest.raises(SingularMatrix):
-            oracle_demod_zf(mm, np.ones(16, dtype=complex))
+            oracle_demod_zf(mm, oracle_modulate(mm, random_grid(params, k + m)))
+
+    @pytest.mark.parametrize("k,m", [(16, 16), (32, 32), (16, 8)])
+    def test_regular_grids_still_solve(self, k, m):
+        params = GfdmParams(k, m)  # RC alpha=0.5, delta=1/2: cond(A) ~ 2.6 to 10
+        mm = build_matrix(make_prototype("RC", params, 0.5, 0.5))
+        grid = random_grid(params, k * m)
+        assert np.abs(oracle_demod_zf(mm, oracle_modulate(mm, grid)) - grid).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale,singular", [(0.0, True), (0.9, True), (1.1, False)])
+    def test_squared_condition_number_is_held_to_the_limit(self, scale, singular):
+        smin = scale / np.sqrt(COND_LIMIT)  # cond(A)^2 = 1 / smin^2 = COND_LIMIT / scale^2
+        mm = ModMatrix(np.diag([1.0 + 0j, smin]), GfdmParams(2, 1))
+        x = np.array([1.0 + 0j, smin])
+        if singular:
+            with pytest.raises(SingularMatrix):
+                oracle_demod_zf(mm, x)
+        else:
+            assert np.allclose(oracle_demod_zf(mm, x), [[1.0], [1.0]])
 
 
 class TestSymbolMapping:
