@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ConfigError, MissingCostEntry
-from .numerics import is_pow2
+from .numerics import fft_mul_count, is_pow2
 
 __all__ = [
     "ARCH_KINDS",
@@ -77,43 +77,51 @@ class ResourceCount:
     r_or_w_rams: int
 
 
-def _geometry(k: int, m: int) -> tuple[int, int, int, int]:
+def _geometry(k: int, m: int) -> int:
     if not (is_pow2(k) and is_pow2(m)):
         raise ConfigError(f"K and M must be powers of two, got K={k}, M={m}")
-    n = k * m
-    return n, k.bit_length() - 1, m.bit_length() - 1, n.bit_length() - 1
+    return k * m
 
 
 def cm_count(kind: str, k: int, m: int, l: int | None = None) -> int:
     """Total complex multiplications of one modulate-equalize-demodulate block.
 
+    Each kind sums the stages of its two preset tables and the equalizer's N-point
+    transform: ``t(s)`` is one stage of ``N // s`` ``s``-point transforms, each
+    :func:`~gfdm_modem.numerics.fft_mul_count`, and a window multiplier or chain costs N.
+    With K and M other than 2 this is the generic closed form, e.g. FFT_TD_FD =
+    2 N log2 N + 2 N; a 2-point stage costs 0 here, as in the counter, not N / 2.
     The band overlap ``l``, when given, must be a positive integer.
     """
-    n, log_k, log_m, log_n = _geometry(k, m)
+    n = _geometry(k, m)
     if l is not None and (isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1):
         raise ConfigError(f"the band overlap L must be a positive integer, got {l!r}")
+
+    def t(size: int) -> int:
+        return (n // size) * fft_mul_count(size)
+
     if kind == "FFT_TD_FD":
-        return 2 * n * log_n + 2 * n
+        return 3 * t(k) + 3 * t(m) + t(n) + 2 * n
     if kind == "FFT_TD_TD":
-        return 2 * n * log_n + n * log_m + 2 * n
+        return 2 * t(k) + 4 * t(m) + 2 * t(n) + 2 * n
     if kind == "FFT_FD_FD":
-        return 2 * n * log_n + n * log_k + 2 * n
+        return 4 * t(k) + 2 * t(m) + 2 * t(n) + 2 * n
     if kind == "DIR_TD_FD":
-        return n * log_n + (k + m) * n
+        return t(k) + t(m) + t(n) + (k + m) * n
     if kind == "DIR_TD_TD":
-        return n * log_n + n * log_k + 2 * m * n
+        return 2 * t(k) + 2 * t(n) + 2 * m * n
     if kind == "DIR_FD_FD":
-        return n * log_n + n * log_m + 2 * k * n
+        return 2 * t(m) + 2 * t(n) + 2 * k * n
     if kind == "DIR_FD_FD_SPARSE":
         if l is None:
             raise ConfigError("the sparse frequency-domain count needs the band overlap L")
-        return n * log_n + n * log_m + 2 * l * n
+        return 2 * t(m) + 2 * t(n) + 2 * l * n
     raise ConfigError(f"unknown architecture kind {kind!r}")
 
 
 def latency(kind: str, k: int, m: int, cost: CostModel = CostModel()) -> int:
     """Block latency in cycles, first symbol in to last symbol out."""
-    n, _, _, _ = _geometry(k, m)
+    n = _geometry(k, m)
     if kind == "FFT_TD_FD":
         return 6 * n + 3 * (k + m) + cost.p(n) + 3 * (cost.p(k) + cost.p(m)) + 2 * cost.t_mul
     if kind == "DIR_TD_TD":
@@ -125,7 +133,7 @@ def latency(kind: str, k: int, m: int, cost: CostModel = CostModel()) -> int:
 
 def latency_delta(k: int, m: int, cost: CostModel = CostModel()) -> int:
     """Extra cycles of the FFT pipeline over the direct time-domain modem."""
-    n, _, _, _ = _geometry(k, m)
+    n = _geometry(k, m)
     return n + k + 3 * m + cost.p(k) + 3 * cost.p(m) - cost.p(n)
 
 

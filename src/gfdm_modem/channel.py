@@ -13,6 +13,12 @@ with no CPU-dispatched kernel, so it returns the libm ``cos`` and ``sin`` of
 ``cmath.exp`` bit for bit.  numpy's float64 ``log`` is CPU-dispatched (its last
 bit may depend on the CPU), so the logarithm stays on ``math``.
 
+Each stream runs in place on one buffer: the words are mixed in one array,
+each xor-shift through one scratch array; the uniforms are converted and scaled
+in the words' bytes; ``math.log`` reads every second uniform through a
+memoryview; the angles, ``exp``, the radius and the ``1/sqrt(2)`` scaling run in
+the output array.  The bits are those of the out-of-place passes.
+
 :func:`apply_channel` convolves by shifted adds, one whole-array multiply-add
 per tap, rather than with ``np.convolve``, whose complex path does one BLAS dot
 per output sample.  The equalizer treats the N-point channel response as a
@@ -169,22 +175,29 @@ def uniform64(seed: int, index: int) -> float:
 
 def splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
     """Words ``z`` of :func:`uniform64` at ``start .. start+count-1``; ``uint64`` wraps as the scalar mask."""
-    index = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + index * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
 def uniform64_array(seed: int, start: int, count: int) -> np.ndarray:
-    """Words ``start .. start+count-1`` of :func:`uniform64`, bit for bit.
+    """Words ``start .. start+count-1`` of :func:`uniform64`, bit for bit, in the words' buffer.
 
-    ``z >> 11`` fits the float64 mantissa, so the conversion and the
-    power-of-two scaling are exact.
+    ``z >> 11`` fits the float64 mantissa, so the conversion is exact, the ``+ 0.5``
+    rounds as the scalar's, and the power-of-two scaling ``2.0**-53`` is exact.
     """
     z = splitmix64_words(seed, start, count)
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) / (1 << 53)
+    z >>= np.uint64(11)
+    u = np.add(z, 0.5, out=z.view(np.float64))
+    u *= 2.0**-53
+    return u
 
 
 def gaussian_pairs(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -193,14 +206,19 @@ def gaussian_pairs(seed: int, count: int, offset: int = 0) -> np.ndarray:
     # sqrt and products are correctly rounded, so numpy matches the scalar arithmetic.
     # numpy's complex128 exp is not CPU-dispatched (libm cexp per element, the cos/sin
     # of cmath.exp); its float64 log is, so log stays on math per sample.
-    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), np.float64, count))
-    j_theta = np.zeros(count, dtype=np.complex128)
-    j_theta.imag = 2 * math.pi * u[1::2]
-    trig = np.exp(j_theta)
-    out = np.empty(count, dtype=np.complex128)
-    out.real = r * trig.real
-    out.imag = r * trig.imag
-    return out / math.sqrt(2.0)
+    r = np.fromiter(map(math.log, memoryview(u)[::2]), np.float64, count)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    out = np.zeros(count, dtype=np.complex128)
+    np.multiply(u[1::2], 2 * math.pi, out=out.imag)
+    np.exp(out, out=out)
+    out.real *= r
+    out.imag *= r
+    # numpy divides a complex by a real s as (re + im*0) * (1.0/s): on these finite,
+    # nonzero parts, the same bits as the float view's product with 1.0/s.
+    parts = out.view(np.float64)
+    parts *= 1.0 / math.sqrt(2.0)
+    return out
 
 
 def apply_channel(x_framed: np.ndarray, spec: ChannelSpec) -> np.ndarray:
@@ -217,7 +235,9 @@ def apply_channel(x_framed: np.ndarray, spec: ChannelSpec) -> np.ndarray:
         sigma2 = power / snr_ratio(spec.snr_db)
         if not math.isfinite(sigma2):
             raise ConfigError(f"noise variance {sigma2} is not finite (power {power}, snr_db {spec.snr_db})")
-        y = y + math.sqrt(sigma2) * gaussian_pairs(spec.seed, x.size)
+        noise = gaussian_pairs(spec.seed, x.size)
+        noise *= math.sqrt(sigma2)
+        y += noise
     return y
 
 

@@ -57,8 +57,11 @@ def qpsk_symbols(seed: int, count: int) -> np.ndarray:
     when its top bit is set: there ``(z >> 11) + 0.5`` rounds half to even in ``u``.
     """
     z = splitmix64_words(seed, _SYMBOL_STREAM_OFFSET, count)
-    z += (z >> np.uint64(63)) << np.uint64(11)
-    return _QPSK[z >> np.uint64(62)]
+    carry = np.right_shift(z, np.uint64(63))
+    carry <<= np.uint64(11)
+    z += carry
+    z >>= np.uint64(62)
+    return _QPSK[z.view(np.int64)]  # a signed index gathers without a cast
 
 
 @dataclass(frozen=True, eq=False)

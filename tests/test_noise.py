@@ -21,12 +21,13 @@ from gfdm_modem.channel import (
     check_seed,
     gaussian_pairs,
     snr_ratio,
+    splitmix64_words,
     uniform64_array,
 )
 from gfdm_modem.cli import main
 from gfdm_modem.config import RunConfig
 from gfdm_modem.errors import ConfigError
-from gfdm_modem.link import run_loopback
+from gfdm_modem.link import qpsk_symbols, run_loopback
 
 EDGE_SEEDS = [0, 1, 2**64 - 1]
 
@@ -91,6 +92,59 @@ def reference_apply_channel(x, taps, snr_db, seed):
         return y
     sigma2 = float(np.mean(np.abs(x) ** 2)) / (10.0 ** (snr_db / 10.0))
     return y + math.sqrt(sigma2) * gaussian_pairs(seed, n)
+
+
+README_TAPS = (1 + 0j, 0.4 - 0.2j, 0.1 + 0.05j, -0.05j)
+
+#: ``(nmse to 12 decimals, ser)`` of the benchmark's awgn link, the one N=4096 block through the
+#: noisy channel, recorded before the streams ran in place.  The nmse is rounded as in
+#: ``REPORT_ROWS``: its last bits also come from numpy.fft and the BLAS dot of ``np.vdot``.
+AWGN_LINK = {
+    1: ("0.023601951352", 0.0),
+    4243: ("0.025363521656", 0.0),
+    2**64 - 1: ("0.026369994683", 0.0),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(AWGN_LINK))
+def test_awgn_link_is_unchanged(seed):
+    cfg = RunConfig(k=64, m=64, arch="fft", domain="td", rx="zf", channel_taps=README_TAPS, n_cp=16,
+                    snr_db=20.0, seed=seed)
+    report = run_loopback(cfg)
+    assert (f"{report.nmse:.12f}", report.ser) == AWGN_LINK[seed]
+    assert report.cm_match
+
+
+STREAMS = {
+    "splitmix64_words": lambda seed, count: splitmix64_words(seed, 2**40, count),
+    "uniform64_array": lambda seed, count: uniform64_array(seed, 0, count),
+    "gaussian_pairs": gaussian_pairs,
+    "qpsk_symbols": qpsk_symbols,
+}
+
+
+class TestBufferContract:
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    @pytest.mark.parametrize("count", [1, 4096])
+    def test_streams_return_fresh_writable_arrays(self, name, count):
+        first, second = STREAMS[name](3, count), STREAMS[name](3, count)
+        assert first.shape == (count,) and first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second) and first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("snr", [math.inf, 20.0])
+    @pytest.mark.parametrize("taps", [(1 + 0j,), README_TAPS])
+    def test_apply_channel_leaves_its_input_and_shares_no_memory(self, snr, taps):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        saved = x.tobytes()
+        spec = ChannelSpec(np.array(taps), snr, seed=5)
+        first, second = apply_channel(x, spec), apply_channel(x, spec)
+        assert x.tobytes() == saved and first.tobytes() == second.tobytes()
+        assert first.flags.writeable and second.flags.writeable
+        for other in (x, spec.taps, second):
+            assert not np.shares_memory(first, other)
+        x.flags.writeable = False  # a write into a read-only input would raise
+        assert apply_channel(x, spec).tobytes() == first.tobytes()
 
 
 def loopback_config(tmp_path, **overrides):

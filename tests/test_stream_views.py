@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfdm_modem import link
-from gfdm_modem.channel import _GAMMA, _MIX1, _MIX2, splitmix64_words, uniform64_array
+from gfdm_modem.channel import _GAMMA, _MIX1, _MIX2, splitmix64_words, uniform64, uniform64_array
 from gfdm_modem.config import RunConfig
 from gfdm_modem.errors import ConfigError, GfdmError
 from gfdm_modem.fft_modem import (
@@ -244,6 +244,14 @@ class TestQpskIndex:
         got = link.qpsk_symbols(seed, count)
         assert got.shape == (count,) and np.array_equal(got, float_index_qpsk(seed, count))
 
+    @given(st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1)), st.integers(0, 5000))
+    @example(seed=2**64 - 1, count=5000)
+    @example(seed=seed_for_word((3 * 2**51 - 1) << 11, link._SYMBOL_STREAM_OFFSET), count=2)  # u rounds up
+    def test_each_symbol_is_the_scalar_definition(self, seed, count):
+        got = link.qpsk_symbols(seed, count)
+        want = [link._QPSK[math.floor(4 * uniform64(seed, link._SYMBOL_STREAM_OFFSET + i)) % 4] for i in range(count)]
+        assert got.tobytes() == np.array(want, dtype=np.complex128).tobytes()
+
     @pytest.mark.parametrize("word", EDGE_WORDS)
     @pytest.mark.parametrize("low", [0, 2**11 - 1])
     @pytest.mark.parametrize("position", [0, 3])
@@ -307,8 +315,8 @@ _SINGULAR = ["SingularWindow", "transmit window has |entry|=0.000e+00 <= 1.0e-08
 #: ``[kind, n_symbols, nmse to 12 decimals, ser.hex(), measured, formula]`` (or ``[error type,
 #: message]``) of each of ``golden_configs()``, recorded with the stream-copy pipeline, the float
 #: QPSK index, the complex-sign SER and out-of-place scaling.  The nmse is rounded so that a BLAS
-#: or FFT build with other last bits still matches.  The K=2 rows pin the counter as it is: it
-#: charges 2-point transforms nothing, the formula one each.  K4-M1-direct-fd-mf-clean was
+#: or FFT build with other last bits still matches.  In the K=2 rows the formula equals the
+#: counter: neither charges a 2-point stage.  K4-M1-direct-fd-mf-clean was
 #: recorded again with the BLAS chain dot (ser 0x1.0p+0 before): its estimates' imaginary parts
 #: are pure roundoff, whose signs the SER counts, exactly 0.0 in numpy's own loop.
 REPORT_ROWS = {
@@ -328,18 +336,18 @@ REPORT_ROWS = {
     "K4-M1-direct-fd-zf-12dB": _SINGULAR,
     "K4-M1-direct-fd-mf-clean": ["DIR_FD_FD", 4, "2.000000000000", "0x1.0000000000000p-2", 40, 40],
     "K4-M1-direct-fd-mf-12dB": ["DIR_FD_FD", 4, "2.108083439292", "0x1.0000000000000p-2", 40, 40],
-    "K2-M64-fft-td-zf-clean": ["FFT_TD_FD", 128, "0.000000000000", "0x0.0p+0", 1856, 2048],
-    "K2-M64-fft-td-zf-12dB": ["FFT_TD_FD", 128, "1.212929080451", "0x1.5000000000000p-2", 1856, 2048],
-    "K2-M64-fft-td-mf-clean": ["FFT_TD_FD", 128, "0.097252421228", "0x0.0p+0", 1856, 2048],
-    "K2-M64-fft-td-mf-12dB": ["FFT_TD_FD", 128, "0.194599734377", "0x1.8000000000000p-6", 1856, 2048],
-    "K2-M64-fft-fd-zf-clean": ["FFT_FD_FD", 128, "0.000000000000", "0x0.0p+0", 1920, 2176],
-    "K2-M64-fft-fd-zf-12dB": ["FFT_FD_FD", 128, "1.212929080451", "0x1.5000000000000p-2", 1920, 2176],
-    "K2-M64-fft-fd-mf-clean": ["FFT_FD_FD", 128, "0.097252421228", "0x0.0p+0", 1920, 2176],
-    "K2-M64-fft-fd-mf-12dB": ["FFT_FD_FD", 128, "0.194599734377", "0x1.8000000000000p-6", 1920, 2176],
-    "K2-M64-direct-td-zf-clean": ["DIR_TD_TD", 128, "0.000000000000", "0x0.0p+0", 17280, 17408],
-    "K2-M64-direct-td-zf-12dB": ["DIR_TD_TD", 128, "1.212929080451", "0x1.5000000000000p-2", 17280, 17408],
-    "K2-M64-direct-td-mf-clean": ["DIR_TD_TD", 128, "0.097252421228", "0x0.0p+0", 17280, 17408],
-    "K2-M64-direct-td-mf-12dB": ["DIR_TD_TD", 128, "0.194599734377", "0x1.8000000000000p-6", 17280, 17408],
+    "K2-M64-fft-td-zf-clean": ["FFT_TD_FD", 128, "0.000000000000", "0x0.0p+0", 1856, 1856],
+    "K2-M64-fft-td-zf-12dB": ["FFT_TD_FD", 128, "1.212929080451", "0x1.5000000000000p-2", 1856, 1856],
+    "K2-M64-fft-td-mf-clean": ["FFT_TD_FD", 128, "0.097252421228", "0x0.0p+0", 1856, 1856],
+    "K2-M64-fft-td-mf-12dB": ["FFT_TD_FD", 128, "0.194599734377", "0x1.8000000000000p-6", 1856, 1856],
+    "K2-M64-fft-fd-zf-clean": ["FFT_FD_FD", 128, "0.000000000000", "0x0.0p+0", 1920, 1920],
+    "K2-M64-fft-fd-zf-12dB": ["FFT_FD_FD", 128, "1.212929080451", "0x1.5000000000000p-2", 1920, 1920],
+    "K2-M64-fft-fd-mf-clean": ["FFT_FD_FD", 128, "0.097252421228", "0x0.0p+0", 1920, 1920],
+    "K2-M64-fft-fd-mf-12dB": ["FFT_FD_FD", 128, "0.194599734377", "0x1.8000000000000p-6", 1920, 1920],
+    "K2-M64-direct-td-zf-clean": ["DIR_TD_TD", 128, "0.000000000000", "0x0.0p+0", 17280, 17280],
+    "K2-M64-direct-td-zf-12dB": ["DIR_TD_TD", 128, "1.212929080451", "0x1.5000000000000p-2", 17280, 17280],
+    "K2-M64-direct-td-mf-clean": ["DIR_TD_TD", 128, "0.097252421228", "0x0.0p+0", 17280, 17280],
+    "K2-M64-direct-td-mf-12dB": ["DIR_TD_TD", 128, "0.194599734377", "0x1.8000000000000p-6", 17280, 17280],
     "K2-M64-direct-fd-zf-clean": ["DIR_FD_FD", 128, "0.000000000000", "0x0.0p+0", 2176, 2176],
     "K2-M64-direct-fd-zf-12dB": ["DIR_FD_FD", 128, "1.212929080451", "0x1.5000000000000p-2", 2176, 2176],
     "K2-M64-direct-fd-mf-clean": ["DIR_FD_FD", 128, "0.097252421228", "0x0.0p+0", 2176, 2176],
