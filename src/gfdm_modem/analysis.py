@@ -1,11 +1,11 @@
-"""Closed-form complexity, latency, and resource figures, plus reconciliation.
+"""Closed-form complexity, latency, and resource figures.
 
 Complex-multiplication totals cover the modulator, the demodulator, and the
-N-point equalizer transform of a frequency-domain-equalized link.  Latency
-figures model pipelined block processing from first symbol in to last symbol
-out, built on a per-size table of FFT-core processing cycles and a fixed
-multiplier delay.  The reconciliation helper compares a closed-form total
-against the instrumented counter of an actual run.
+N-point equalizer transform of a frequency-domain-equalized link; a loopback
+report compares its total against the instrumented counter of the run
+(``LoopbackReport.cm_match``).  Latency figures model pipelined block processing
+from first symbol in to last symbol out, built on a per-size table of FFT-core
+processing cycles and a fixed multiplier delay.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ __all__ = [
     "LATENCY_KINDS",
     "CostModel",
     "ResourceCount",
-    "ReconcileReport",
     "AnalysisRow",
     "cm_count",
     "latency",
     "latency_delta",
     "resources",
-    "reconcile",
     "sweep",
     "rows_to_csv",
 ]
@@ -148,45 +146,6 @@ def resources(kind: str, l_max: int = 16) -> ResourceCount:
             fft_cores=4, multipliers=2 * l_max, rw_rams=2 * l_max, r_or_w_rams=2 * l_max
         )
     raise ConfigError(f"resource kind must be 'FFT_BASED' or 'DIRECT', got {kind!r}")
-
-
-@dataclass(frozen=True)
-class ReconcileReport:
-    """Closed-form versus instrumented multiplication count for one run."""
-
-    kind: str
-    k: int
-    m: int
-    expected: int
-    measured: int
-    stages: Mapping[str, int] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.measured
-
-    def __str__(self) -> str:
-        head = (
-            f"{self.kind} K={self.k} M={self.m} N={self.k * self.m}: "
-            f"expected {self.expected}, measured {self.measured} -> "
-            f"{'PASS' if self.passed else 'MISMATCH'}"
-        )
-        if self.passed or not self.stages:
-            return head
-        lines = [head] + [f"  {name}: {count}" for name, count in self.stages.items()]
-        return "\n".join(lines)
-
-
-def reconcile(
-    kind: str,
-    k: int,
-    m: int,
-    measured: int,
-    l: int | None = None,
-    stages: Mapping[str, int] | None = None,
-) -> ReconcileReport:
-    """Compare an instrumented counter reading with the closed-form total."""
-    return ReconcileReport(kind, k, m, cm_count(kind, k, m, l), measured, stages)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ the output array.  The bits are those of the out-of-place passes.
 :func:`apply_channel` convolves by shifted adds, one whole-array multiply-add
 per tap, rather than with ``np.convolve``, whose complex path does one BLAS dot
 per output sample.  The equalizer treats the N-point channel response as a
-configuration table: :func:`channel_response` holds the last one built, keyed by
-the taps, N and the null-bin threshold, read-only, in one slot replaced whole.
-A failed build (too many taps, a null bin) raises on every call and leaves the
-held response in place.
+configuration table, built by one ``functools.lru_cache(maxsize=1)`` builder
+keyed by its arguments, the taps' bytes, N and the null-bin threshold: it holds
+the last response built, read-only, and a failed build (too many taps, a null
+bin) raises on every call and leaves the held response in place.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -259,29 +260,25 @@ def fd_equalize_zf(
     return yf
 
 
-# One (key, response) tuple, replaced whole, as ``link`` holds its waveform and plan.
-_response: tuple[tuple, np.ndarray | None] = ((), None)
-
-
 def channel_response(taps, n: int, eps: float = 1e-8) -> np.ndarray:
     """The held read-only N-point response of the taps, built anew when taps, N or eps change.
 
     Taps given as a 1-D complex array (``ChannelSpec.taps``) are keyed as they are and checked
     only on a new key: the held key's taps passed :func:`check_taps` when it was built.
     """
-    global _response
     vector = isinstance(taps, np.ndarray) and taps.dtype == np.complex128 and taps.ndim == 1
-    t = taps if vector else check_taps(taps)
-    key = (t.tobytes(), n, eps)
-    if _response[0] != key:
-        t = check_taps(t)
-        if t.size > n:
-            raise ConfigError("more channel taps than block samples")
-        h = np.zeros(n, dtype=np.complex128)
-        h[: t.size] = t
-        hf = dft(h)
-        if np.abs(hf).min() <= eps:
-            raise SingularChannel("channel frequency response has a null bin")
-        hf.flags.writeable = False
-        _response = (key, hf)
-    return _response[1]
+    return _response((taps if vector else check_taps(taps)).tobytes(), n, eps)
+
+
+@lru_cache(maxsize=1)  # the last response only: one per block length and channel in use
+def _response(taps: bytes, n: int, eps: float) -> np.ndarray:
+    t = check_taps(np.frombuffer(taps, dtype=np.complex128))
+    if t.size > n:
+        raise ConfigError("more channel taps than block samples")
+    h = np.zeros(n, dtype=np.complex128)
+    h[: t.size] = t
+    hf = dft(h)
+    if np.abs(hf).min() <= eps:
+        raise SingularChannel("channel frequency response has a null bin")
+    hf.flags.writeable = False
+    return hf

@@ -70,7 +70,7 @@ def _cmd_pulse(args: argparse.Namespace) -> int:
 def _cmd_modulate(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     symbols = blockio.read_samples(args.infile)
-    grid = reference.map_symbols(symbols, link.waveform_for(cfg).pulse.params)
+    grid = reference.map_symbols(symbols, cfg.params)
     x = link.modulate_block(cfg, grid)
     framed = channel.add_cp(x, cfg.n_cp, cfg.n_cs)
     blockio.write_samples(args.out, framed, args.format or blockio.guess_format(args.out))
@@ -87,7 +87,7 @@ def _cmd_demodulate(args: argparse.Namespace) -> int:
     core = channel.remove_cp(framed, cfg.n_cp, cfg.n_cs)
     yf_eq = channel.fd_equalize_zf(core, np.asarray(cfg.channel_taps))
     grid_hat = link.demodulate_block(cfg, yf_eq)
-    d_hat = reference.demap_symbols(grid_hat, link.waveform_for(cfg).pulse.params)
+    d_hat = reference.demap_symbols(grid_hat, cfg.params)
     blockio.write_samples(args.out, d_hat, args.format or blockio.guess_format(args.out))
     print(f"{args.out}: {d_hat.size} symbols")
     return 0

@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 from .channel import check_real, check_seed, check_snr_db, check_taps, snr_ratio
@@ -113,37 +113,43 @@ def _as_int(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
+def _as_active(raw) -> tuple | None:
+    """An active set; ``null`` or ``[]`` is the full range."""
+    return tuple(_as_int(i) for i in raw) if raw else None
+
+
+def _as_snr(raw) -> float:
+    """The SNR in dB; ``null``, ``"inf"`` or ``"infinity"`` is noiseless."""
+    if raw is None or (isinstance(raw, str) and raw.lower() in ("inf", "infinity")):
+        return math.inf
+    return _as_float("snr_db", raw)
+
+
+def _as_name(raw) -> str:
+    return str(raw).lower()
+
+
+#: One converter per configuration key, in the order a malformed file's first fault is reported.
+#: A key the file omits takes ``RunConfig``'s default.
+_CONVERTERS = {
+    "k": _as_int, "m": _as_int, "pulse": _as_name,
+    "alpha": partial(_as_float, "alpha"), "delta": partial(_as_float, "delta"),
+    "rx": _as_name, "arch": _as_name, "domain": _as_name, "k_on": _as_active, "m_on": _as_active,
+    "n_cp": _as_int, "n_cs": _as_int, "channel_taps": _as_taps, "snr_db": _as_snr, "seed": _as_int,
+    "l_max": _as_int,
+}
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
+    unknown = set(data) - set(_CONVERTERS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     if "k" not in data or "m" not in data:
         raise ConfigError("configuration needs at least 'k' and 'm'")
-
-    snr = data.get("snr_db", None)
-    if snr is None or (isinstance(snr, str) and snr.lower() in ("inf", "infinity")):
-        snr = math.inf
     try:
-        return RunConfig(
-            k=_as_int(data["k"]),
-            m=_as_int(data["m"]),
-            pulse=str(data.get("pulse", "rc")).lower(),
-            alpha=_as_float("alpha", data.get("alpha", 0.5)),
-            delta=_as_float("delta", data.get("delta", 0.5)),
-            rx=str(data.get("rx", "zf")).lower(),
-            arch=str(data.get("arch", "fft")).lower(),
-            domain=str(data.get("domain", "td")).lower(),
-            k_on=tuple(_as_int(i) for i in data["k_on"]) if data.get("k_on") else None,
-            m_on=tuple(_as_int(i) for i in data["m_on"]) if data.get("m_on") else None,
-            n_cp=_as_int(data.get("n_cp", 0)),
-            n_cs=_as_int(data.get("n_cs", 0)),
-            channel_taps=_as_taps(data.get("channel_taps", [1.0])),
-            snr_db=_as_float("snr_db", snr),
-            seed=_as_int(data.get("seed", 0)),
-            l_max=_as_int(data.get("l_max", 16)),
-        )
+        return RunConfig(**{key: convert(data[key]) for key, convert in _CONVERTERS.items() if key in data})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc
 

@@ -1,30 +1,31 @@
 """End-to-end evaluation chain: map, modulate, frame, channel, equalize, demodulate.
 
 As the modem loads its pulse and window memories and its stage tables when
-reconfigured, the configuration is held in two read-only levels that later
-blocks stream through.  The :class:`Waveform` is the prototype pulse and its
-time- and frequency-domain transmit windows, keyed by the geometry (``k, m``
-and the sorted, de-duplicated ``k_on, m_on``) and ``pulse, alpha, delta``.
-The :class:`ModemPlan` is the geometry, the cost kind and the stage tables of
-both directions (FFT presets, or the tables ``direct_modem.precompute_*``
-return: the same presets with chain tap rows in the window slot), keyed by
-those fields plus ``rx, arch, domain, l_max``; it is derived from the held
-waveform, so a switch of engine, domain or receiver synthesizes no pulse and
-transforms no transmit window.  A new plan builds only the tables whose inputs
-changed and takes the others from the held plan: a table's key is the
-waveform, the engine, its own mode (``FD_DEMOD`` for the FFT receiver in both
-domains), ``rx`` for a demodulator and ``l_max`` for a chain table, so a ``rx``
-switch keeps the modulator and an FFT ``domain`` switch the demodulator.
-Neither key holds the seed, SNR, channel or prefix.  Each level holds one
-slot, the last one used, and nothing else is held.  A failed plan build
-(a direct block over ``n_max`` or ``l_max`` too) raises on every call and
-leaves the held plan in place (the waveform it was derived from may stay
-loaded).  The chain's other configuration-only tables are held the same way:
-the symbol gather index on the geometry (``GfdmParams.active_index``) and the
-channel response in the equalizer (``channel.channel_response``).  The chain meters every modem transform and
-window product on one counter, so the measured total can be reconciled
-against the closed-form figures.  The FFT pipeline demodulates in the
-frequency domain, the direct engine in the domain it modulated in: its
+reconfigured, the configuration is held in read-only tables that later blocks
+stream through.  One rule holds each: its builder is decorated
+``functools.lru_cache(maxsize=1)``, so the arguments are the key, the last
+table built is kept, and a build that raises replaces nothing.
+:func:`_waveform` builds the prototype pulse and both transmit windows, keyed by
+the geometry (``GfdmParams`` sorts and de-duplicates ``k_on, m_on``) and the
+upper-case ``pulse`` with ``alpha, delta``.  :func:`_mod_table` and
+:func:`_demod_table` build each direction's stage tables (FFT presets, or the
+same presets with chain tap rows in the window slot), keyed by that waveform
+key, the engine, the table's domain (``"FD"`` for the FFT receiver in both
+domains), ``rx`` for a demodulator and ``l_max`` for a chain table.  So a
+``rx`` switch keeps the modulator, an FFT ``domain`` switch the demodulator,
+and a switch of engine, domain or receiver synthesizes no pulse.  :func:`_plan`
+pairs the two tables, keyed by the waveform key plus ``rx, arch, domain,
+l_max``, and builds the modulator's before the receive window.  No key holds
+the seed, SNR, channel or prefix.  A refused configuration (a singular
+zero-forcing window, a direct block over ``n_max`` or ``l_max``) raises on
+every call and leaves the held plan in place; the tables it did build (its
+waveform, its modulator's) stay held, which can cost a later configuration one
+rebuild and never changes an output.  The symbol gather index
+(``GfdmParams.active_index``) and the equalizer's channel response
+(``channel.channel_response``) are held too.  The chain meters every modem
+transform and window product on one counter, so the measured total can be
+reconciled against the closed-form figures.  The FFT pipeline demodulates in
+the frequency domain, the direct engine in the domain it modulated in: its
 time-domain demodulator's stage 0 takes the equalized spectrum back to time.
 The direct frequency-domain route runs its generic full-band chain set here;
 the sparse short-cut is a library feature exercised separately.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,15 +74,6 @@ class Waveform:
     w_td: np.ndarray
     w_fd: np.ndarray
 
-    @classmethod
-    def build(cls, cfg: RunConfig) -> Waveform:
-        """Synthesize the pulse and both transmit windows, and make them read-only."""
-        pulse = make_prototype(cfg.pulse.upper(), cfg.params, cfg.alpha, cfg.delta)
-        wave = cls(pulse, tx_window(pulse, "TD"), tx_window(pulse, "FD"))
-        for arr in (pulse.time, pulse.freq, wave.w_td, wave.w_fd):
-            arr.flags.writeable = False
-        return wave
-
     def w_tx(self, domain: str) -> np.ndarray:
         """Transmit window of the processing domain ``"TD"`` or ``"FD"``."""
         return self.w_td if domain == "TD" else self.w_fd
@@ -95,29 +88,6 @@ class ModemPlan:
     mod: fft_modem.ArchConfig
     demod: fft_modem.ArchConfig
 
-    @classmethod
-    def build(
-        cls, cfg: RunConfig, mod: fft_modem.ArchConfig | None = None, demod: fft_modem.ArchConfig | None = None
-    ) -> ModemPlan:
-        """Derive the tables from the loaded waveform, each receive window from its transmit window.
-
-        A table given as ``mod`` or ``demod`` (one built from the same inputs) is taken as it is.
-        """
-        wave = waveform_for(cfg)
-        pulse, params, d, rx = wave.pulse, wave.pulse.params, cfg.domain.upper(), cfg.rx.upper()
-        if cfg.arch == "fft":
-            mod = mod or fft_modem.preset(f"{d}_MOD", params, wave.w_tx(d))
-            demod = demod or fft_modem.preset("FD_DEMOD", params, rx_window(wave.w_fd, rx))
-            return cls(params, f"FFT_{d}_FD", mod, demod)
-        limits = direct_modem.DirectLimits(l_max=cfg.l_max)
-        if d == "TD":
-            mod = mod or direct_modem.precompute_td_mod(pulse, limits)
-            demod = demod or direct_modem.precompute_td_demod(rx_window(wave.w_td, rx), limits)
-        else:
-            mod = mod or direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
-            demod = demod or direct_modem.precompute_fd_demod(rx_window(wave.w_fd, rx), limits, force_full=True)
-        return cls(params, f"DIR_{d}_{d}", mod, demod)
-
     def modulate(self, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
         """Time-domain core block of a K x M symbol grid."""
         return fft_modem.run_modulator(self.mod, grid, counter)
@@ -127,55 +97,59 @@ class ModemPlan:
         return fft_modem.run_demodulator(self.demod, yf_eq, counter)
 
 
-def _waveform_key(cfg: RunConfig) -> tuple:
-    # GfdmParams sorts and de-duplicates the active sets: k_on=(2, 1) keys as (1, 2),
-    # None as the full range; the pulse kind keys in the upper case it is built in.
-    return (cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta)
+# Each builder holds its last table: holding more costs memory for every configuration ever run.
+# A waveform key ``wave`` is ``(params, pulse, alpha, delta)``, the arguments of ``_waveform``.
+@lru_cache(maxsize=1)
+def _waveform(params: GfdmParams, pulse: str, alpha: float, delta: float) -> Waveform:
+    """Synthesize the pulse and both transmit windows, and make them read-only."""
+    proto = make_prototype(pulse, params, alpha, delta)
+    wave = Waveform(proto, tx_window(proto, "TD"), tx_window(proto, "FD"))
+    for arr in (proto.time, proto.freq, wave.w_td, wave.w_fd):
+        arr.flags.writeable = False
+    return wave
 
 
-def _plan_key(cfg: RunConfig) -> tuple:
-    return (*_waveform_key(cfg), cfg.rx, cfg.arch, cfg.domain, cfg.l_max)
+@lru_cache(maxsize=1)
+def _mod_table(wave: tuple, arch: str, d: str, l_max: int | None) -> fft_modem.ArchConfig:
+    waveform = _waveform(*wave)
+    if arch == "fft":
+        return fft_modem.preset(f"{d}_MOD", waveform.pulse.params, waveform.w_tx(d))
+    limits = direct_modem.DirectLimits(l_max=l_max)
+    if d == "TD":
+        return direct_modem.precompute_td_mod(waveform.pulse, limits)
+    return direct_modem.precompute_fd_mod(waveform.pulse, limits, force_full=True)
 
 
-def _table_keys(cfg: RunConfig) -> tuple[tuple, tuple]:
-    """Keys of what the modulator and the demodulator table are each built from."""
-    wave, d = _waveform_key(cfg), cfg.domain.upper()
-    if cfg.arch == "fft":  # the FFT receiver works in frequency in both domains
-        return (wave, "fft", f"{d}_MOD"), (wave, "fft", "FD_DEMOD", cfg.rx)
-    return (wave, "direct", f"{d}_MOD", cfg.l_max), (wave, "direct", f"{d}_DEMOD", cfg.rx, cfg.l_max)
+@lru_cache(maxsize=1)
+def _demod_table(wave: tuple, arch: str, d: str, rx: str, l_max: int | None) -> fft_modem.ArchConfig:
+    waveform = _waveform(*wave)
+    w_rx = rx_window(waveform.w_tx(d), rx)
+    if arch == "fft":
+        return fft_modem.preset(f"{d}_DEMOD", waveform.pulse.params, w_rx)
+    limits = direct_modem.DirectLimits(l_max=l_max)
+    if d == "TD":
+        return direct_modem.precompute_td_demod(w_rx, limits)
+    return direct_modem.precompute_fd_demod(w_rx, limits, force_full=True)
 
 
-# One tuple per level, replaced whole: a reader never pairs a key with another key's
-# content.  Holding more costs memory for every configuration ever run.  The plan's
-# tuple also holds the keys of its two tables, which the next build compares.
-_waveform: tuple[tuple, Waveform | None] = ((), None)
-_loaded: tuple[tuple, ModemPlan | None, tuple[tuple, tuple]] = ((), None, ((), ()))
+@lru_cache(maxsize=1)
+def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan:
+    d = domain.upper()
+    if arch == "fft":  # the FFT receiver works in frequency in both domains
+        mod = _mod_table(wave, arch, d, None)
+        return ModemPlan(wave[0], f"FFT_{d}_FD", mod, _demod_table(wave, arch, "FD", rx.upper(), None))
+    mod = _mod_table(wave, arch, d, l_max)
+    return ModemPlan(wave[0], f"DIR_{d}_{d}", mod, _demod_table(wave, arch, d, rx.upper(), l_max))
 
 
 def waveform_for(cfg: RunConfig) -> Waveform:
-    """The loaded waveform when ``cfg`` has its key, else a new waveform, which is loaded."""
-    global _waveform
-    key = _waveform_key(cfg)
-    if _waveform[0] != key:
-        _waveform = (key, Waveform.build(cfg))
-    return _waveform[1]
+    """The held waveform when ``cfg`` has its key, else a new waveform, which is held."""
+    return _waveform(cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta)
 
 
 def plan_for(cfg: RunConfig) -> ModemPlan:
-    """The loaded plan when ``cfg`` has its key, else a new plan, which is loaded.
-
-    A new plan takes each of the loaded plan's tables whose key it shares and builds
-    the others; a refused build raises on every call and leaves the loaded plan.
-    """
-    global _loaded
-    key = _plan_key(cfg)
-    if _loaded[0] != key:
-        keys = _table_keys(cfg)
-        _, held, held_keys = _loaded
-        mod = held.mod if keys[0] == held_keys[0] else None
-        demod = held.demod if keys[1] == held_keys[1] else None
-        _loaded = (key, ModemPlan.build(cfg, mod, demod), keys)
-    return _loaded[1]
+    """The held plan when ``cfg`` has its key, else a new plan, which is held."""
+    return _plan((cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta), cfg.rx, cfg.arch, cfg.domain, cfg.l_max)
 
 
 def modulate_block(cfg: RunConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:

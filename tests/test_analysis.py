@@ -13,7 +13,6 @@ from gfdm_modem.analysis import (
     cm_count,
     latency,
     latency_delta,
-    reconcile,
     resources,
     rows_to_csv,
     sweep,
@@ -158,13 +157,6 @@ class TestResources:
 
 
 class TestReconcile:
-    def test_pass_and_fail(self):
-        good = reconcile("FFT_TD_FD", 32, 32, 22528)
-        assert good.passed and "PASS" in str(good)
-        bad = reconcile("FFT_TD_FD", 32, 32, 22529, stages={"mod": 22529})
-        assert not bad.passed
-        assert "MISMATCH" in str(bad) and "mod" in str(bad)
-
     def test_idle_run_counts_zero(self):
         from gfdm_modem.numerics import MulCounter
 

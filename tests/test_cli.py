@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gfdm_modem
@@ -43,7 +45,40 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def config_outcome(make):
+    """The ``RunConfig`` ``make`` returns, or the type and text of the ``ConfigError`` it raises."""
+    try:
+        return make()
+    except ConfigError as exc:
+        return ConfigError, str(exc)
+
+
+#: Field values that a file holds as they are: lower-case names, ints, and taps of any length.
+FIELD_VALUES = st.fixed_dictionaries({
+    "k": st.sampled_from([2, 4, 8]), "m": st.sampled_from([1, 2, 4]),
+    "pulse": st.sampled_from(["rc", "rrc", "dirichlet", "rect_td"]), "alpha": st.sampled_from([0.0, 0.25, 1.0]),
+    "delta": st.sampled_from([0.0, 0.5]), "rx": st.sampled_from(["zf", "mf"]),
+    "arch": st.sampled_from(["fft", "direct"]), "domain": st.sampled_from(["td", "fd"]),
+    "k_on": st.sampled_from([None, (1, 0)]), "m_on": st.sampled_from([None, (0,)]),
+    "n_cp": st.integers(0, 3), "n_cs": st.integers(0, 2),
+    "channel_taps": st.sampled_from([(1 + 0j,), (1 + 0j, 0.5j), (0.9 + 0j, 0.1 - 0.2j, -0.05 + 0j)]),
+    "snr_db": st.sampled_from([math.inf, 12.5, -3.0]), "seed": st.integers(0, 2**64 - 1),
+    "l_max": st.integers(1, 16),
+})
+
+
 class TestConfig:
+    @given(FIELD_VALUES, st.data())
+    def test_any_subset_of_keys_parses_as_those_fields_over_the_defaults(self, values, data):
+        # RunConfig's field defaults are the only defaults: a key the file omits takes the field's.
+        cfg = config_outcome(lambda: RunConfig(**values))
+        assume(isinstance(cfg, RunConfig))
+        emitted = emit_config(cfg)
+        keys = {"k", "m"} | data.draw(st.sets(st.sampled_from(sorted(emitted))))
+        subset = json.loads(json.dumps({key: emitted[key] for key in keys}))
+        want = config_outcome(lambda: RunConfig(**{key: getattr(cfg, key) for key in keys}))
+        assert config_outcome(lambda: parse_config(subset)) == want
+
     def test_round_trip(self):
         cfg = RunConfig(
             k=8, m=4, pulse="rrc", alpha=0.3, delta=0.5, rx="mf", arch="direct",

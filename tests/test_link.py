@@ -305,13 +305,10 @@ def block_outcome(cfg, seed):
 
 
 def fresh_outcome(cfg, seed):
-    """``block_outcome`` with both link slots reset, which are put back afterwards."""
-    held = link._waveform, link._loaded
-    link._waveform, link._loaded = ((), None), ((), None, ((), ()))
-    try:
-        return block_outcome(cfg, seed)
-    finally:
-        link._waveform, link._loaded = held
+    """``block_outcome`` with every link builder emptied first, so each table is built anew."""
+    for builder in (link._waveform, link._mod_table, link._demod_table, link._plan):
+        builder.cache_clear()
+    return block_outcome(cfg, seed)
 
 
 @pytest.fixture
@@ -341,9 +338,13 @@ class TestTableReuse:
     def test_any_switch_sequence_equals_fresh_slots(self, wave, engine, l_max, switches):
         arch, domain, rx = engine
         cfg = RunConfig(**WAVES[wave], rx=rx, arch=arch, domain=domain, l_max=l_max, channel_taps=TAPS, n_cp=4)
-        for i, (field, value) in enumerate([("wave", wave), *switches]):
+        seq = []
+        for field, value in [("wave", wave), *switches]:
             cfg = replace(cfg, **(WAVES[value] if field == "wave" else {field: value}))
-            assert block_outcome(cfg, i) == fresh_outcome(cfg, i)
+            seq.append(cfg)
+        # The whole held sequence first: emptying the builders must not disturb it.
+        held = [block_outcome(cfg, i) for i, cfg in enumerate(seq)]
+        assert held == [fresh_outcome(cfg, i) for i, cfg in enumerate(seq)]
 
     @pytest.mark.parametrize("arch,domain", [(arch, domain) for arch in ("fft", "direct") for domain in ("td", "fd")])
     def test_rx_switch_keeps_the_modulator(self, table_builds, arch, domain):

@@ -29,10 +29,7 @@ def tracing():
 
 
 def library_bindings():
-    """Every callable attribute of every loaded ``gfdm_modem`` module, by (module name, attribute).
-
-    The held configuration slots (``link._loaded`` and the like) are data and change with the runs.
-    """
+    """Every callable attribute of every loaded ``gfdm_modem`` module, by (module name, attribute)."""
     return {
         (name, attr): value
         for name, mod in list(sys.modules.items())
