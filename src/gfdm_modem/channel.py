@@ -7,17 +7,30 @@ give bit-identical noise.
 
 :func:`uniform64` specifies one word of the stream; :func:`uniform64_array`
 computes many from the ``uint64`` words of :func:`splitmix64_words`, equal word
-for word.  The Box-Muller transcendentals are ``math.log`` per sample and numpy's
-complex128 ``exp(j*theta)``: a generic loop calling libm ``cexp`` per element,
-with no CPU-dispatched kernel, so it returns the libm ``cos`` and ``sin`` of
-``cmath.exp`` bit for bit.  numpy's float64 ``log`` is CPU-dispatched (its last
-bit may depend on the CPU), so the logarithm stays on ``math``.
+for word.  Every stream reads its words through one argument rule: the seed is
+:func:`check_seed`'s, and the start and count are integers >= 0 with
+``start + count <= 2**64 - 1`` (and at most ``2**63 - 1`` words, numpy's largest
+array), so no seed, start or count wraps onto another stream's words; anything
+else is a ``ConfigError``.  The Box-Muller transcendentals are ``math.log`` per
+sample and numpy's complex128 ``exp(j*theta)``: a generic loop calling libm
+``cexp`` per element, with no CPU-dispatched kernel, so it returns the libm
+``cos`` and ``sin`` of ``cmath.exp`` bit for bit.  numpy's float64 ``log`` is
+CPU-dispatched (its last bit may depend on the CPU), so the logarithm stays on
+``math``.
 
 Each stream runs in place on one buffer: the words are mixed in one array,
 each xor-shift through one scratch array; the uniforms are converted and scaled
 in the words' bytes; ``math.log`` reads every second uniform through a
 memoryview; the angles, ``exp``, the radius and the ``1/sqrt(2)`` scaling run in
 the output array.  The bits are those of the out-of-place passes.
+
+The log pass costs ~89 ns per sample on a 2-core Xeon under CPython 3.11, about
+31% of an untraced K=M=64 awgn block (``gaussian_pairs`` as a whole is ~54%).
+It calls ``math.log`` through ``itertools.starmap`` over a one-element ``zip``:
+``math.log`` takes an optional ``base``, so CPython passes it an argument tuple;
+``map`` builds a new one per sample (~114 ns per sample), while ``zip`` hands
+over its own and reuses it.  The same function runs on the same floats, so the
+bits are unchanged.
 
 :func:`apply_channel` convolves by shifted adds, one whole-array multiply-add
 per tap, rather than with ``np.convolve``, whose complex path does one BLAS dot
@@ -35,6 +48,7 @@ import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap
 
 import numpy as np
 
@@ -60,6 +74,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_MAX_WORDS = (1 << 63) - 1  # numpy's largest array length
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -163,8 +178,26 @@ def remove_cp(y: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
     return y[n_cp : n_cp + n]
 
 
+def _check_span(start, count, width: int = 1) -> tuple[int, int]:
+    """``(start, count)`` as ints; reject a bool, a non-integer, a negative value, or a read
+    past word ``2**64 - 2``: word ``i`` is mixed from ``(i + 1) * gamma`` modulo 2**64, so a
+    larger index would alias a stream's first words.  ``width`` words are read per item, at
+    most ``2**63 - 1`` in all: numpy's ``arange`` returns an empty array for a longer span."""
+    if type(start) is not int or type(count) is not int:
+        for name, value in (("start", start), ("count", count)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"stream {name} must be an integer, got {value!r}")
+        start, count = int(start), int(count)
+    words = width * count
+    if start < 0 or not 0 <= words <= _MAX_WORDS or start + words > _MASK64:
+        raise ConfigError(f"stream start {start} and count {count} must be >= 0 and read "
+                          f"at most 2**63 - 1 words, none past word 2**64 - 2")
+    return start, count
+
+
 def uniform64(seed: int, index: int) -> float:
     """Uniform in (0, 1) from word ``index`` of the splitmix64 stream."""
+    seed, index = check_seed(seed), _check_span(index, 1)[0]
     state = (seed + (index + 1) * _GAMMA) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -176,9 +209,10 @@ def uniform64(seed: int, index: int) -> float:
 
 def splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
     """Words ``z`` of :func:`uniform64` at ``start .. start+count-1``; ``uint64`` wraps as the scalar mask."""
+    seed, (start, count) = check_seed(seed), _check_span(start, count)
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
-    z += np.uint64(seed & _MASK64)
+    z += np.uint64(seed)
     t = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(_MIX1)
@@ -203,11 +237,14 @@ def uniform64_array(seed: int, start: int, count: int) -> np.ndarray:
 
 def gaussian_pairs(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """``count`` standard complex Gaussians (unit variance per complex sample)."""
+    offset, count = _check_span(offset, count, 2)
     u = uniform64_array(seed, offset, 2 * count)
     # sqrt and products are correctly rounded, so numpy matches the scalar arithmetic.
     # numpy's complex128 exp is not CPU-dispatched (libm cexp per element, the cos/sin
-    # of cmath.exp); its float64 log is, so log stays on math per sample.
-    r = np.fromiter(map(math.log, memoryview(u)[::2]), np.float64, count)
+    # of cmath.exp); its float64 log is, so log stays on math per sample.  math.log has
+    # an optional base, so each call takes an argument tuple: map would build one per
+    # sample, starmap passes zip's, which zip reuses (~89 vs ~114 ns/sample, same bits).
+    r = np.fromiter(starmap(math.log, zip(memoryview(u)[::2])), np.float64, count)
     r *= -2.0
     np.sqrt(r, out=r)
     out = np.zeros(count, dtype=np.complex128)

@@ -177,10 +177,12 @@ def emit_config(cfg: RunConfig) -> dict:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"configuration {path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     return parse_config(data)

@@ -18,6 +18,7 @@ from gfdm_modem.channel import (
     fd_equalize_zf,
     gaussian_pairs,
     remove_cp,
+    splitmix64_words,
     uniform64,
     uniform64_array,
 )
@@ -26,7 +27,7 @@ from gfdm_modem.errors import ConfigError, SingularChannel
 from gfdm_modem.numerics import MulCounter, dft
 from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
 from gfdm_modem.fft_modem import demodulate_fd, modulate_td
-from gfdm_modem.link import qpsk_symbols
+from gfdm_modem.link import _SYMBOL_STREAM_OFFSET, qpsk_symbols
 
 
 def circular_convolve(x, taps):
@@ -162,6 +163,78 @@ class TestStreamGolden:
         want = np.array([uniform64(seed, start + i) for i in range(5000)])
         assert got.dtype == np.float64
         assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+_TOP = 2**64 - 1  # start + count may reach it: word 2**64 - 2 is the last before the counter wraps
+
+#: Each array stream as ``(seed, start, count)``; ``qpsk_symbols`` reads from its fixed start.
+SPAN_STREAMS = {
+    "splitmix64_words": splitmix64_words,
+    "uniform64_array": uniform64_array,
+    "gaussian_pairs": lambda seed, start, count: gaussian_pairs(seed, count, start),
+    "qpsk_symbols": lambda seed, start, count: qpsk_symbols(seed, count),
+}
+#: Words each stream reads per item, and the start it reads from when it takes none.
+SPAN_WIDTH = {"gaussian_pairs": 2}
+FIXED_START = {"qpsk_symbols": _SYMBOL_STREAM_OFFSET}
+
+NOT_INTEGERS = st.sampled_from([True, False, 1.0, 2.5, "3", None, np.float64(2.0), float("nan")])
+BAD_SEEDS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64), NOT_INTEGERS)
+
+
+class TestStreamArguments:
+    """One argument rule for every stream: no seed, start or count aliases another stream's words."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: gaussian_pairs(-1, 8), lambda: qpsk_symbols(2**64, 8), lambda: qpsk_symbols(1, -1),
+         lambda: gaussian_pairs(1, -1), lambda: gaussian_pairs(1, 4, -3), lambda: uniform64(1, -1),
+         lambda: uniform64(1, _TOP), lambda: qpsk_symbols(1, 2**63)],
+        ids=["gaussian-seed-minus-1", "qpsk-seed-2**64", "qpsk-count-minus-1", "gaussian-count-minus-1",
+             "gaussian-offset-minus-3", "uniform64-index-minus-1", "uniform64-index-past-the-last-word",
+             "qpsk-count-2**63"],
+    )
+    def test_calls_that_used_to_alias_or_escape_are_config_errors(self, call):
+        # They used to give seed 2**64 - 1's noise, seed 0's symbols, an empty array, a
+        # ValueError, an OverflowError, words at indices the array streams do not have,
+        # and an empty array where 2**63 symbols were asked for.
+        with pytest.raises(ConfigError):
+            call()
+
+    @given(name=st.sampled_from(sorted(SPAN_STREAMS)), bad=st.sampled_from(["seed", "start", "count"]),
+           seed=BAD_SEEDS, count=st.integers(0, 64), data=st.data())
+    def test_out_of_range_seed_start_or_count_is_refused(self, name, bad, seed, count, data):
+        start = FIXED_START.get(name, 0)
+        if bad == "seed":
+            args = (seed, start, count)
+        elif bad == "start":
+            if name in FIXED_START:
+                return
+            past = st.integers(min_value=_TOP + 1 - SPAN_WIDTH.get(name, 1) * count)
+            args = (1, data.draw(st.one_of(st.integers(max_value=-1), past, NOT_INTEGERS)), count)
+        else:
+            # From 2**63 words on, a span past the last word or one numpy's arange returns empty.
+            too_many = st.integers(min_value=2**63 // SPAN_WIDTH.get(name, 1))
+            args = (1, start, data.draw(st.one_of(st.integers(max_value=-1), too_many, NOT_INTEGERS)))
+        with pytest.raises(ConfigError):
+            SPAN_STREAMS[name](*args)
+
+    @given(seed=st.sampled_from([0, _TOP]), count=st.integers(0, 64), low=st.booleans())
+    def test_edge_seeds_and_spans_keep_the_scalar_words(self, seed, count, low):
+        start = 0 if low else _TOP - count
+        got = uniform64_array(seed, start, count)
+        want = np.array([uniform64(seed, start + i) for i in range(count)], dtype=np.float64)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        with pytest.raises(ConfigError):
+            uniform64_array(seed, _TOP - count + 1, count)
+
+    @pytest.mark.parametrize("seed", [0, _TOP])
+    def test_numpy_integer_arguments_keep_the_edge_seed_goldens(self, seed):
+        # The scalar word used to overflow in numpy uint64 arithmetic; the rule holds them as int.
+        s = np.uint64(seed)
+        assert uniform64(s, np.uint64(0)).hex() == GOLDEN[seed][0]
+        assert _digest(gaussian_pairs(s, np.uint64(4112), np.uint64(0))) == GOLDEN[seed][1]
+        assert _digest(qpsk_symbols(s, np.int64(4096))) == GOLDEN[seed][2]
 
 
 class TestEqualizer:

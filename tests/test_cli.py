@@ -563,6 +563,20 @@ class TestProcessExitCodes:
         assert ("(match)" in proc.stdout) == (code == 0)
 
 
+class TestUndecodableConfig:
+    @pytest.mark.parametrize("command", ["pulse", "modulate", "demodulate", "loopback"])
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        # The UnicodeDecodeError used to escape as a traceback with exit code 1.
+        path = tmp_path / "config.json"
+        path.write_bytes(b'\xff\xfe{"k": 8}')
+        files = [] if command == "loopback" else ["--out", str(tmp_path / "out")]
+        if command in ("modulate", "demodulate"):
+            files += ["--in", str(tmp_path / "in.bin")]
+        assert main([command, "--config", str(path), *files]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "UTF-8" in err and "Traceback" not in err
+
+
 class TestFloatRange:
     """A real field given an integer beyond float range is refused by the field's own rule."""
 
