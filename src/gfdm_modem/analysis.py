@@ -11,13 +11,12 @@ processing cycles and a fixed multiplier delay.
 from __future__ import annotations
 
 import io
-import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ConfigError, MissingCostEntry
-from .numerics import fft_mul_count, is_pow2
+from .numerics import check_grid, fft_mul_count, is_int
 
 __all__ = [
     "ARCH_KINDS",
@@ -75,12 +74,6 @@ class ResourceCount:
     r_or_w_rams: int
 
 
-def _geometry(k: int, m: int) -> int:
-    if not (is_pow2(k) and is_pow2(m)):
-        raise ConfigError(f"K and M must be powers of two, got K={k}, M={m}")
-    return k * m
-
-
 def cm_count(kind: str, k: int, m: int, l: int | None = None) -> int:
     """Total complex multiplications of one modulate-equalize-demodulate block.
 
@@ -91,8 +84,9 @@ def cm_count(kind: str, k: int, m: int, l: int | None = None) -> int:
     2 N log2 N + 2 N; a 2-point stage costs 0 here, as in the counter, not N / 2.
     The band overlap ``l``, when given, must be a positive integer.
     """
-    n = _geometry(k, m)
-    if l is not None and (isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1):
+    k, m = check_grid(k, m)
+    n = k * m
+    if l is not None and (not is_int(l) or l < 1):
         raise ConfigError(f"the band overlap L must be a positive integer, got {l!r}")
 
     def t(size: int) -> int:
@@ -113,13 +107,14 @@ def cm_count(kind: str, k: int, m: int, l: int | None = None) -> int:
     if kind == "DIR_FD_FD_SPARSE":
         if l is None:
             raise ConfigError("the sparse frequency-domain count needs the band overlap L")
-        return 2 * t(m) + 2 * t(n) + 2 * l * n
+        return 2 * t(m) + 2 * t(n) + 2 * int(l) * n
     raise ConfigError(f"unknown architecture kind {kind!r}")
 
 
 def latency(kind: str, k: int, m: int, cost: CostModel = CostModel()) -> int:
     """Block latency in cycles, first symbol in to last symbol out."""
-    n = _geometry(k, m)
+    k, m = check_grid(k, m)
+    n = k * m
     if kind == "FFT_TD_FD":
         return 6 * n + 3 * (k + m) + cost.p(n) + 3 * (cost.p(k) + cost.p(m)) + 2 * cost.t_mul
     if kind == "DIR_TD_TD":
@@ -131,20 +126,18 @@ def latency(kind: str, k: int, m: int, cost: CostModel = CostModel()) -> int:
 
 def latency_delta(k: int, m: int, cost: CostModel = CostModel()) -> int:
     """Extra cycles of the FFT pipeline over the direct time-domain modem."""
-    n = _geometry(k, m)
-    return n + k + 3 * m + cost.p(k) + 3 * cost.p(m) - cost.p(n)
+    return latency("FFT_TD_FD", k, m, cost) - latency("DIR_TD_TD", k, m, cost)
 
 
 def resources(kind: str, l_max: int = 16) -> ResourceCount:
     """FPGA resource budget of either architecture."""
-    if l_max < 1:
-        raise ConfigError("l_max must be at least 1")
+    if not is_int(l_max) or l_max < 1:
+        raise ConfigError(f"l_max must be at least 1 and an integer, got {l_max!r}")
     if kind == "FFT_BASED":
         return ResourceCount(fft_cores=7, multipliers=2, rw_rams=4, r_or_w_rams=2)
     if kind == "DIRECT":
-        return ResourceCount(
-            fft_cores=4, multipliers=2 * l_max, rw_rams=2 * l_max, r_or_w_rams=2 * l_max
-        )
+        chains = 2 * int(l_max)
+        return ResourceCount(fft_cores=4, multipliers=chains, rw_rams=chains, r_or_w_rams=chains)
     raise ConfigError(f"resource kind must be 'FFT_BASED' or 'DIRECT', got {kind!r}")
 
 

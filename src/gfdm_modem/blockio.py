@@ -1,10 +1,10 @@
 """Complex sample files: raw binary and CSV.
 
-Binary layout: an optional 16-byte header (magic ``GFDMBLK1``, little-endian
-u32 sample count, u32 flags) followed by interleaved re/im float64 pairs,
-little-endian.  A header's count must match the payload exactly, neither
-truncated nor followed by extra bytes.  Readers accept headerless files and
-fall back to treating the whole payload as samples.  CSV rows are
+Binary layout: a 16-byte header (magic ``GFDMBLK1``, little-endian u32 sample
+count, u32 flags) followed by interleaved re/im float64 pairs, little-endian.
+The writer always writes the header.  A header's count must match the payload
+exactly, neither truncated nor followed by extra bytes.  The reader also
+accepts headerless files and treats the whole payload as samples.  CSV rows are
 ``index,re,im``; only the first line may be a header, and any later line that
 is not a sample is an error.  Input files are recognized by suffix
 (:func:`guess_format`); a file with any other suffix is CSV when it starts
@@ -54,12 +54,11 @@ def _is_sample(cells: list[str]) -> bool:
     return True
 
 
-def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin", header: bool = True) -> None:
+def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin") -> None:
     vec = np.asarray(data, dtype=np.complex128).reshape(-1, order="F")
     path = Path(path)
     if fmt == "bin":
-        head = _HEADER.pack(MAGIC, vec.size, 0) if header else b""
-        path.write_bytes(head + vec.astype("<c16").tobytes())
+        path.write_bytes(_HEADER.pack(MAGIC, vec.size, 0) + vec.astype("<c16").tobytes())
     elif fmt == "csv":
         rows = zip(range(vec.size), vec.real.tolist(), vec.imag.tolist())
         path.write_text(_CSV_HEADER + "\n" + "".join(f"{i},{re!r},{im!r}\n" for i, re, im in rows))

@@ -36,9 +36,9 @@ bits are unchanged.
 per tap, rather than with ``np.convolve``, whose complex path does one BLAS dot
 per output sample.  The equalizer treats the N-point channel response as a
 configuration table, built by one ``functools.lru_cache(maxsize=1)`` builder
-keyed by its arguments, the taps' bytes, N and the null-bin threshold: it holds
-the last response built, read-only, and a failed build (too many taps, a null
-bin) raises on every call and leaves the held response in place.
+keyed by its arguments, the taps' bytes and N: it holds the last response built,
+read-only, and a failed build (too many taps, a bin of magnitude at most
+``numerics.SINGULAR_EPS``) raises on every call and keeps the held response.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from itertools import starmap
 import numpy as np
 
 from .errors import ConfigError, SingularChannel
-from .numerics import MulCounter, dft
+from .numerics import SINGULAR_EPS, MulCounter, dft, is_int
 
 __all__ = [
     "ChannelSpec",
@@ -114,8 +114,7 @@ def snr_ratio(snr_db: float) -> float:
 
 def check_seed(seed) -> int:
     """The noise seed as an int; reject a bool, a non-integer, or one outside the stream's 64 bits."""
-    # type() first: a ChannelSpec is built per block, and the ABC check is several times slower.
-    if type(seed) is not int and (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)):
+    if not is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         # The noise stream takes the seed modulo 2**64; a larger one would alias.
@@ -183,11 +182,10 @@ def _check_span(start, count, width: int = 1) -> tuple[int, int]:
     past word ``2**64 - 2``: word ``i`` is mixed from ``(i + 1) * gamma`` modulo 2**64, so a
     larger index would alias a stream's first words.  ``width`` words are read per item, at
     most ``2**63 - 1`` in all: numpy's ``arange`` returns an empty array for a longer span."""
-    if type(start) is not int or type(count) is not int:
-        for name, value in (("start", start), ("count", count)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"stream {name} must be an integer, got {value!r}")
-        start, count = int(start), int(count)
+    for name, value in (("start", start), ("count", count)):
+        if not is_int(value):
+            raise ConfigError(f"stream {name} must be an integer, got {value!r}")
+    start, count = int(start), int(count)
     words = width * count
     if start < 0 or not 0 <= words <= _MAX_WORDS or start + words > _MASK64:
         raise ConfigError(f"stream start {start} and count {count} must be >= 0 and read "
@@ -279,43 +277,38 @@ def apply_channel(x_framed: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     return y
 
 
-def fd_equalize_zf(
-    y: np.ndarray,
-    taps: np.ndarray,
-    eps: float = 1e-8,
-    counter: MulCounter | None = None,
-) -> np.ndarray:
+def fd_equalize_zf(y: np.ndarray, taps: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """One-tap zero-forcing equalizer; output stays in the frequency domain.
 
     Only the N-point transform of ``y`` is metered, the per-bin division is part
     of the equalizer and outside the modem cost accounting.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    hf = channel_response(taps, y.size, eps)
+    hf = channel_response(taps, y.size)
     yf = dft(y, counter=counter)
     yf /= hf
     return yf
 
 
-def channel_response(taps, n: int, eps: float = 1e-8) -> np.ndarray:
-    """The held read-only N-point response of the taps, built anew when taps, N or eps change.
+def channel_response(taps, n: int) -> np.ndarray:
+    """The held read-only N-point response of the taps, built anew when the taps or N change.
 
     Taps given as a 1-D complex array (``ChannelSpec.taps``) are keyed as they are and checked
     only on a new key: the held key's taps passed :func:`check_taps` when it was built.
     """
     vector = isinstance(taps, np.ndarray) and taps.dtype == np.complex128 and taps.ndim == 1
-    return _response((taps if vector else check_taps(taps)).tobytes(), n, eps)
+    return _response((taps if vector else check_taps(taps)).tobytes(), n)
 
 
 @lru_cache(maxsize=1)  # the last response only: one per block length and channel in use
-def _response(taps: bytes, n: int, eps: float) -> np.ndarray:
+def _response(taps: bytes, n: int) -> np.ndarray:
     t = check_taps(np.frombuffer(taps, dtype=np.complex128))
     if t.size > n:
         raise ConfigError("more channel taps than block samples")
     h = np.zeros(n, dtype=np.complex128)
     h[: t.size] = t
     hf = dft(h)
-    if np.abs(hf).min() <= eps:
+    if np.abs(hf).min() <= SINGULAR_EPS:
         raise SingularChannel("channel frequency response has a null bin")
     hf.flags.writeable = False
     return hf

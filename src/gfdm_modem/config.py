@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
 from .channel import check_real, check_seed, check_snr_db, check_taps, snr_ratio
 from .errors import ConfigError
+from .numerics import is_int
 from .pulses import GfdmParams, check_pulse_spec
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "load_config"]
@@ -40,13 +40,13 @@ class RunConfig:
     l_max: int = 16
 
     def __post_init__(self) -> None:
-        # The one integer rule: a boolean or a non-integral value is refused, never truncated.
+        # The one integer rule, numerics.is_int: a bool or a non-integral value is refused, never truncated.
         # Numpy integers are held as int, so keys, cost formulas and JSON output see one type.
         # The seed's rule, with its 64-bit range, is channel.check_seed, shared with ChannelSpec.
         for name in ("k", "m", "n_cp", "n_cs", "l_max", "k_on", "m_on"):
             value, many = getattr(self, name), name in ("k_on", "m_on")
             for item in (value or ()) if many else (value,):
-                if isinstance(item, bool) or not isinstance(item, numbers.Integral):
+                if not is_int(item):
                     raise ConfigError(f"{name} must be an integer, got {item!r}")
             if value or not many:
                 object.__setattr__(self, name, tuple(map(int, value)) if many else int(value))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
 from .fft_modem import ArchConfig, bypass, preset, run_demodulator, run_modulator
-from .numerics import MulCounter, dft, polyphase
+from .numerics import MulCounter, dft, is_int, polyphase
 from .pulses import GfdmParams, PrototypePulse, occupied_bands
 
 __all__ = [
@@ -52,8 +52,8 @@ class DirectLimits:
     n_max: int = 2048
 
     def __post_init__(self) -> None:
-        if self.l_max < 1 or self.n_max < 1:
-            raise ConfigError("direct-architecture limits must be positive")
+        if not (is_int(self.l_max) and is_int(self.n_max)) or self.l_max < 1 or self.n_max < 1:
+            raise ConfigError(f"direct-architecture limits must be positive integers, got {self}")
 
 
 def _chain_table(

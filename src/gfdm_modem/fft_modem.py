@@ -41,14 +41,13 @@ BLAS reads in place.  Only the output is flattened, copied where needed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import MulCounter, dft, is_pow2
+from .numerics import MulCounter, dft, is_int, is_pow2
 from .pulses import GfdmParams
 
 __all__ = [
@@ -164,12 +163,9 @@ def preset(
         rows, cols = (k, m) if td else (m, k)
         if window.shape != (len(partitions), rows):
             raise ConfigError(f"mode {mode} stores one tap row of {rows} per partition, got {window.shape}")
-        # The integer rule by type, each item looked at only when some type is not int:
-        # a bool or a float is no partition, a numpy integer is one.
-        if not set(map(type, partitions)) <= {int}:
-            for p in partitions:
-                if isinstance(p, bool) or not isinstance(p, numbers.Integral):
-                    raise ConfigError(f"chain partition {p!r} is not an integer")
+        for p in partitions:  # a bool or a float is no partition, a numpy integer is one
+            if not is_int(p):
+                raise ConfigError(f"chain partition {p!r} is not an integer")
         if partitions and (min(partitions) < 0 or max(partitions) >= cols):
             raise ConfigError(f"chain partitions must lie in range({cols}), got {partitions}")
     elif window.shape != (k, m):

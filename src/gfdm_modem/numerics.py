@@ -17,9 +17,13 @@ Conventions
 * Transform cost is counted as ``(n/2) * log2(n)`` complex multiplications per
   length-``n`` vector for ``n > 2`` and zero for ``n <= 2`` (the 2-point
   butterfly needs additions only).
+* The input rules every module shares live here: :func:`is_int`, :func:`is_pow2`,
+  :func:`check_grid` and the zero-forcing threshold :data:`SINGULAR_EPS`.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -27,8 +31,11 @@ from .errors import ConfigError
 
 __all__ = [
     "MulCounter",
+    "SINGULAR_EPS",
+    "check_grid",
     "dft",
     "fft_mul_count",
+    "is_int",
     "is_pow2",
     "polyphase",
     "zak_time",
@@ -36,13 +43,24 @@ __all__ = [
 ]
 
 
-def is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+#: Zero-forcing refuses a window entry or a channel frequency bin whose magnitude is at most this.
+SINGULAR_EPS = 1e-8
 
 
-def _require_pow2(n: int, what: str = "length") -> None:
-    if not is_pow2(n):
-        raise ConfigError(f"{what} must be a power of two, got {n}")
+def is_int(v) -> bool:
+    """The one integer rule: an int or a numpy integer, never a bool (exact type first: ABCs are slow)."""
+    return type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral))
+
+
+def is_pow2(n) -> bool:
+    return is_int(n) and n >= 1 and n & (n - 1) == 0
+
+
+def check_grid(k, m) -> tuple[int, int]:
+    """``(K, M)`` as ints; reject a K or M that is not a power-of-two integer."""
+    if not (is_pow2(k) and is_pow2(m)):
+        raise ConfigError(f"K and M must be powers of two, got K={k}, M={m}")
+    return int(k), int(m)
 
 
 class MulCounter:
@@ -68,10 +86,10 @@ class MulCounter:
 
 def fft_mul_count(n: int) -> int:
     """Complex multiplications of one length-``n`` radix-2 transform."""
-    _require_pow2(n, "transform size")
-    if n <= 2:
-        return 0
-    return (n // 2) * (n.bit_length() - 1)
+    if not is_pow2(n):
+        raise ConfigError(f"transform size must be a power of two, got {n}")
+    n = int(n)
+    return (n // 2) * (n.bit_length() - 1) if n > 2 else 0
 
 
 def dft(

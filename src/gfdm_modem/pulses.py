@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, SingularWindow
-from .numerics import dft, is_pow2, zak_freq, zak_time
+from .numerics import SINGULAR_EPS, check_grid, dft, is_int, zak_freq, zak_time
 
 __all__ = [
     "GfdmParams",
@@ -40,9 +40,6 @@ __all__ = [
 
 PULSE_KINDS = ("RC", "RRC", "DIRICHLET", "RECT_TD")
 
-#: Below this magnitude a zero-forcing window entry counts as singular.
-SINGULAR_EPS = 1e-8
-
 #: A subcarrier band whose peak magnitude is at most this fraction of the spectrum peak is empty.
 BAND_EPS = 1e-12
 
@@ -57,16 +54,19 @@ class GfdmParams:
     m_on: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not (is_pow2(self.k) and is_pow2(self.m)):
-            raise ConfigError(f"K and M must be powers of two, got K={self.k}, M={self.m}")
-        k_on = tuple(sorted(set(self.k_on))) if self.k_on else tuple(range(self.k))
-        m_on = tuple(sorted(set(self.m_on))) if self.m_on else tuple(range(self.m))
-        if not k_on or k_on[0] < 0 or k_on[-1] >= self.k:
-            raise ConfigError(f"active subcarrier set out of range for K={self.k}: {k_on}")
-        if not m_on or m_on[0] < 0 or m_on[-1] >= self.m:
-            raise ConfigError(f"active subsymbol set out of range for M={self.m}: {m_on}")
-        object.__setattr__(self, "k_on", k_on)
-        object.__setattr__(self, "m_on", m_on)
+        # Held as ints, as RunConfig holds them: a small numpy integer would wrap in n or active_index.
+        k, m = check_grid(self.k, self.m)
+        for name in ("k_on", "m_on"):
+            if not all(map(is_int, getattr(self, name) or ())):
+                raise ConfigError(f"{name} must hold integers, got {getattr(self, name)!r}")
+        k_on = tuple(sorted(set(map(int, self.k_on)))) if self.k_on else tuple(range(k))
+        m_on = tuple(sorted(set(map(int, self.m_on)))) if self.m_on else tuple(range(m))
+        if not k_on or k_on[0] < 0 or k_on[-1] >= k:
+            raise ConfigError(f"active subcarrier set out of range for K={k}: {k_on}")
+        if not m_on or m_on[0] < 0 or m_on[-1] >= m:
+            raise ConfigError(f"active subsymbol set out of range for M={m}: {m_on}")
+        for name, value in (("k", k), ("m", m), ("k_on", k_on), ("m_on", m_on)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -188,20 +188,20 @@ def tx_window(pulse: PrototypePulse, domain: str) -> np.ndarray:
     raise ConfigError(f"domain must be 'TD' or 'FD', got {domain!r}")
 
 
-def rx_window(w_tx: np.ndarray, kind: str, eps: float = SINGULAR_EPS) -> np.ndarray:
+def rx_window(w_tx: np.ndarray, kind: str) -> np.ndarray:
     """Receive window matching a transmit window of the same domain.
 
     ``ZF`` inverts the window elementwise so that demodulation after
-    modulation is the identity (``w_rx * w_tx == 1``); it raises
-    :class:`SingularWindow` when any entry of ``w_tx`` falls below ``eps``.
+    modulation is the identity (``w_rx * w_tx == 1``); it raises :class:`SingularWindow`
+    when any entry of ``w_tx`` has magnitude at most ``numerics.SINGULAR_EPS``.
     ``MF`` is the plain conjugate without renormalization.
     """
     w = np.asarray(w_tx)
     if kind == "ZF":
         low = np.abs(w).min()
-        if low <= eps:
+        if low <= SINGULAR_EPS:
             raise SingularWindow(
-                f"transmit window has |entry|={low:.3e} <= {eps:.1e}; "
+                f"transmit window has |entry|={low:.3e} <= {SINGULAR_EPS:.1e}; "
                 "zero-forcing dual does not exist for this pulse and geometry"
             )
         return 1.0 / w
@@ -210,10 +210,10 @@ def rx_window(w_tx: np.ndarray, kind: str, eps: float = SINGULAR_EPS) -> np.ndar
     raise ConfigError(f"receive window kind must be 'ZF' or 'MF', got {kind!r}")
 
 
-def window_pair(pulse: PrototypePulse, domain: str, rx_kind: str, eps: float = SINGULAR_EPS) -> WindowPair:
+def window_pair(pulse: PrototypePulse, domain: str, rx_kind: str) -> WindowPair:
     """Transmit/receive window pair for one domain."""
     w_tx = tx_window(pulse, domain)
-    return WindowPair(w_tx, rx_window(w_tx, rx_kind, eps), rx_kind, domain)
+    return WindowPair(w_tx, rx_window(w_tx, rx_kind), rx_kind, domain)
 
 
 def occupied_bands(bands: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from gfdm_modem import blockio
 from gfdm_modem.errors import ConfigError
 
 
-def per_sample_write(path, data, fmt="bin", header=True):
+def per_sample_write(path, data, fmt="bin"):
     """The writer as it was: an interleave copy for binary, one ``write`` per CSV sample."""
     vec = np.asarray(data, dtype=np.complex128).reshape(-1, order="F")
     if fmt == "bin":
@@ -20,8 +20,7 @@ def per_sample_write(path, data, fmt="bin", header=True):
         inter[0::2] = vec.real
         inter[1::2] = vec.imag
         with path.open("wb") as fh:
-            if header:
-                fh.write(blockio._HEADER.pack(blockio.MAGIC, vec.size, 0))
+            fh.write(blockio._HEADER.pack(blockio.MAGIC, vec.size, 0))
             fh.write(inter.tobytes())
     else:
         with path.open("w") as fh:
@@ -74,10 +73,10 @@ class TestWriterBytes:
         if as_matrix and data.size % 2 == 0:
             data = data.reshape(2, -1)  # flattened in column-major order
         with tempfile.TemporaryDirectory() as tmp:
-            for fmt, header in (("csv", True), ("bin", True), ("bin", False)):
+            for fmt in ("csv", "bin"):
                 new, old = Path(tmp, f"new.{fmt}"), Path(tmp, f"old.{fmt}")
-                blockio.write_samples(new, data, fmt, header=header)
-                per_sample_write(old, data, fmt, header=header)
+                blockio.write_samples(new, data, fmt)
+                per_sample_write(old, data, fmt)
                 assert new.read_bytes() == old.read_bytes()
 
     @given(samples)
@@ -170,7 +169,7 @@ class TestHeaderCount:
 
     def test_exact_length_and_headerless_files_read_as_before(self, tmp_path):
         blockio.write_samples(tmp_path / "exact.bin", self.DATA)
-        blockio.write_samples(tmp_path / "raw.bin", self.DATA, header=False)
+        (tmp_path / "raw.bin").write_bytes(self.DATA.astype("<c16").tobytes())
         for name in ("exact.bin", "raw.bin"):
             assert blockio.read_samples(tmp_path / name).tobytes() == self.DATA.tobytes()
 

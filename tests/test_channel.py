@@ -24,7 +24,7 @@ from gfdm_modem.channel import (
 )
 from gfdm_modem.config import RunConfig
 from gfdm_modem.errors import ConfigError, SingularChannel
-from gfdm_modem.numerics import MulCounter, dft
+from gfdm_modem.numerics import SINGULAR_EPS, MulCounter, dft
 from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
 from gfdm_modem.fft_modem import demodulate_fd, modulate_td
 from gfdm_modem.link import _SYMBOL_STREAM_OFFSET, qpsk_symbols
@@ -261,7 +261,7 @@ class TestEqualizer:
             fd_equalize_zf(y, np.array([1.0, -1.0]))  # zero response at DC
 
 
-def per_block_fd_equalize_zf(y, taps, eps=1e-8, counter=None):
+def per_block_fd_equalize_zf(y, taps, counter=None):
     """The equalizer as it was before the response was held: the response is built on every call."""
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     h = np.zeros(y.size, dtype=np.complex128)
@@ -270,7 +270,7 @@ def per_block_fd_equalize_zf(y, taps, eps=1e-8, counter=None):
         raise ConfigError("more channel taps than block samples")
     h[: t.size] = t
     hf = dft(h)
-    if np.abs(hf).min() <= eps:
+    if np.abs(hf).min() <= SINGULAR_EPS:
         raise SingularChannel("channel frequency response has a null bin")
     return dft(y, counter=counter) / hf
 
@@ -332,27 +332,26 @@ def response_builds(monkeypatch):
 
 
 class TestHeldResponse:
-    def test_equal_taps_n_and_eps_reuse_the_response(self, response_builds):
+    def test_equal_taps_and_n_reuse_the_response(self, response_builds):
         held = channel_response(HELD_TAPS, 64)
         for taps in (HELD_TAPS.copy(), list(HELD_TAPS), tuple(HELD_TAPS)):
-            assert channel_response(taps, 64, 1e-8) is held
+            assert channel_response(taps, 64) is held
             fd_equalize_zf(np.ones(64), taps, counter=MulCounter())
         assert response_builds[0] == 1
 
     @pytest.mark.parametrize(
-        "base,taps,n,eps",
-        [(HELD_TAPS, HELD_TAPS * 2, 64, 1e-8), (HELD_TAPS, np.append(HELD_TAPS, 0.0), 64, 1e-8),
-         (np.array([1.0, 0.0]), np.array([1.0, -0.0]), 64, 1e-8), (HELD_TAPS, HELD_TAPS, 128, 1e-8),
-         (HELD_TAPS, HELD_TAPS, 64, 1e-3)],
+        "base,taps,n",
+        [(HELD_TAPS, HELD_TAPS * 2, 64), (HELD_TAPS, np.append(HELD_TAPS, 0.0), 64),
+         (np.array([1.0, 0.0]), np.array([1.0, -0.0]), 64), (HELD_TAPS, HELD_TAPS, 128)],
     )
-    def test_each_of_taps_n_and_eps_rebuilds(self, response_builds, base, taps, n, eps):
+    def test_each_of_taps_and_n_rebuilds(self, response_builds, base, taps, n):
         base = channel_response(base, 64)
         built = response_builds[0]
-        other = channel_response(taps, n, eps)
+        other = channel_response(taps, n)
         assert other is not base and response_builds[0] == built + 1
-        assert channel_response(taps, n, eps) is other and response_builds[0] == built + 1
+        assert channel_response(taps, n) is other and response_builds[0] == built + 1
         y = random_complex(np.random.default_rng(6), n)
-        assert fd_equalize_zf(y, taps, eps).tobytes() == per_block_fd_equalize_zf(y, taps, eps).tobytes()
+        assert fd_equalize_zf(y, taps).tobytes() == per_block_fd_equalize_zf(y, taps).tobytes()
 
     @pytest.mark.parametrize(
         "taps,exc",
@@ -411,22 +410,23 @@ class TestHeldResponse:
         assert held.tobytes() == before.tobytes()
 
     # Tap sets for the reuse property: identity, a delay, four taps, a null at DC, a signed zero,
-    # a near-null that only a large eps refuses, and nine taps (too many for N = 8).
+    # a near-null above the threshold, flat responses at and at twice the threshold, and nine taps
+    # (too many for N = 8).
     POOL = [np.array([1.0]), np.array([0.0, 1.0]), HELD_TAPS, np.array([1.0, -1.0]), np.array([1.0, -0.0]),
-            np.array([1.0, 0.999]), random_complex(np.random.default_rng(9), 9)]
+            np.array([1.0, 0.999]), np.array([SINGULAR_EPS]), np.array([2 * SINGULAR_EPS]),
+            random_complex(np.random.default_rng(9), 9)]
 
-    STEPS = st.tuples(st.integers(0, len(POOL) - 1), st.sampled_from([1, 8, 16, 64]),
-                      st.sampled_from([1e-8, 1e-2]), st.integers(0, 2**32 - 1))
+    STEPS = st.tuples(st.integers(0, len(POOL) - 1), st.sampled_from([1, 8, 16, 64]), st.integers(0, 2**32 - 1))
 
     @given(st.lists(STEPS, min_size=1, max_size=12))
     def test_any_sequence_is_bit_identical_to_a_per_block_build(self, steps):
-        for index, n, eps, seed in steps:
+        for index, n, seed in steps:
             taps, y = self.POOL[index], random_complex(np.random.default_rng(seed), n)
             results = []
             for equalize in (fd_equalize_zf, per_block_fd_equalize_zf):
                 counter = MulCounter()
                 try:
-                    out = equalize(y, taps, eps, counter).tobytes()
+                    out = equalize(y, taps, counter).tobytes()
                 except (ConfigError, SingularChannel) as exc:
                     out = type(exc)
                 results.append((out, counter.count))

@@ -1,0 +1,153 @@
+"""The shared input rules: one integer rule, one power-of-two rule and one singular threshold.
+
+Every entry point that takes a count refuses a bool, a float (integral or not) or a numeric string
+with a ``ConfigError``, never a ``TypeError`` and never a result, and gives for a numpy integer what
+it gives for the equal int.  A zero-forcing window entry or channel bin of magnitude at most
+``SINGULAR_EPS`` is singular.
+"""
+
+import numpy as np
+import pytest
+
+from gfdm_modem import analysis
+from gfdm_modem.channel import (
+    channel_response,
+    check_seed,
+    fd_equalize_zf,
+    gaussian_pairs,
+    splitmix64_words,
+    uniform64,
+)
+from gfdm_modem.config import RunConfig
+from gfdm_modem.direct_modem import DirectLimits
+from gfdm_modem.errors import ConfigError, SingularChannel, SingularWindow
+from gfdm_modem.fft_modem import ArchConfig, StageConfig, preset, run_modulator
+from gfdm_modem.numerics import SINGULAR_EPS, dft, fft_mul_count, is_int, is_pow2
+from gfdm_modem.pulses import GfdmParams, rx_window
+
+
+def _chain_table(p):
+    table = preset("TD_MOD", GfdmParams(8, 4), np.arange(16).reshape(2, 8) * (1 - 0.5j), (0, p))
+    return table, run_modulator(table, np.arange(32).reshape(8, 4) * (0.5 + 1j))
+
+
+#: (entry point, call with the count under test, an int that the call accepts).
+ENTRIES = [
+    ("GfdmParams.k", lambda v: GfdmParams(v, 4), 8),
+    ("GfdmParams.m", lambda v: GfdmParams(8, v), 8),
+    ("GfdmParams.k_on", lambda v: GfdmParams(16, 4, k_on=(0, v)), 8),
+    ("GfdmParams.m_on", lambda v: GfdmParams(8, 16, m_on=(v,)), 8),
+    ("StageConfig", lambda v: StageConfig(v), 8),
+    ("fft_mul_count", fft_mul_count, 8),
+    ("cm_count.k", lambda v: analysis.cm_count("FFT_TD_FD", v, 4), 8),
+    ("cm_count.m", lambda v: analysis.cm_count("DIR_TD_TD", 8, v), 8),
+    ("cm_count.l", lambda v: analysis.cm_count("DIR_FD_FD_SPARSE", 8, 4, v), 2),
+    ("latency.k", lambda v: analysis.latency("FFT_TD_FD", v, 8), 8),
+    ("latency.m", lambda v: analysis.latency("DIR_FD_FD", 8, v), 8),
+    ("latency_delta", lambda v: analysis.latency_delta(v, 8), 8),
+    ("resources", lambda v: analysis.resources("DIRECT", v), 8),
+    ("DirectLimits.l_max", lambda v: DirectLimits(l_max=v), 8),
+    ("DirectLimits.n_max", lambda v: DirectLimits(n_max=v), 2048),
+    ("RunConfig.k", lambda v: RunConfig(k=v, m=4), 8),
+    ("RunConfig.m", lambda v: RunConfig(k=8, m=v), 8),
+    ("RunConfig.n_cp", lambda v: RunConfig(k=8, m=4, n_cp=v), 8),
+    ("RunConfig.n_cs", lambda v: RunConfig(k=8, m=4, n_cs=v), 8),
+    ("RunConfig.l_max", lambda v: RunConfig(k=8, m=4, l_max=v), 8),
+    ("RunConfig.k_on", lambda v: RunConfig(k=16, m=4, k_on=(0, v)), 8),
+    ("RunConfig.m_on", lambda v: RunConfig(k=8, m=16, m_on=(v,)), 8),
+    ("RunConfig.seed", lambda v: RunConfig(k=8, m=4, seed=v), 8),
+    ("check_seed", check_seed, 8),
+    ("uniform64.index", lambda v: uniform64(3, v), 8),
+    ("splitmix64_words.start", lambda v: splitmix64_words(3, v, 4), 8),
+    ("splitmix64_words.count", lambda v: splitmix64_words(3, 0, v), 8),
+    ("gaussian_pairs.count", lambda v: gaussian_pairs(3, v), 8),
+    ("gaussian_pairs.offset", lambda v: gaussian_pairs(3, 4, offset=v), 8),
+    ("preset.partitions", _chain_table, 3),
+]
+
+NOT_COUNTS = [True, False, 8.0, 2.5, "8", np.float64(8.0), np.bool_(True)]
+
+
+def _same(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, ArchConfig):
+        return (a.mode, a.stages, a.partitions, a.grid) == (b.mode, b.stages, b.partitions, b.grid) and _same(
+            a.window, b.window)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("call", [e[1] for e in ENTRIES], ids=[e[0] for e in ENTRIES])
+@pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+def test_a_value_that_is_not_an_integer_is_refused(call, value):
+    with pytest.raises(ConfigError):
+        call(value)
+
+
+@pytest.mark.parametrize("call,good", [e[1:] for e in ENTRIES], ids=[e[0] for e in ENTRIES])
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+def test_a_numpy_integer_gives_what_the_int_gives(call, good, integer):
+    assert _same(call(integer(good)), call(good))
+
+
+def test_small_numpy_integers_do_not_wrap():
+    # 16 * 32 and 15 * 32 overflow uint8; the geometry and the active index are held as ints.
+    params = GfdmParams(np.uint8(16), np.uint8(32), k_on=(np.uint8(15),), m_on=(np.uint8(31),))
+    assert params == GfdmParams(16, 32, k_on=(15,), m_on=(31,))
+    assert all(type(v) is int for v in (params.k, params.m, params.n, *params.k_on, *params.m_on))
+    assert params.active_index.tolist() == [15 * 32 + 31]
+
+
+class TestIntegerPredicates:
+    @pytest.mark.parametrize("v", [0, -3, 2**70, np.int8(-1), np.uint64(2**63)])
+    def test_integers(self, v):
+        assert is_int(v)
+
+    @pytest.mark.parametrize("v", NOT_COUNTS + [None, 1j, np.array(8)])
+    def test_not_integers(self, v):
+        assert not is_int(v)
+
+    def test_powers_of_two_are_integers_of_one_bit(self):
+        assert [n for n in range(-4, 70) if is_pow2(n)] == [1, 2, 4, 8, 16, 32, 64]
+        assert is_pow2(np.int64(1024)) and is_pow2(2**80)
+        assert not any(map(is_pow2, (True, 8.0, 4.5, "8", np.float64(2.0))))
+
+
+class TestSingularThreshold:
+    """The threshold is inclusive: a magnitude equal to ``SINGULAR_EPS`` is singular."""
+
+    @pytest.mark.parametrize("entry", [SINGULAR_EPS, -SINGULAR_EPS, 1j * SINGULAR_EPS])
+    def test_window_at_the_threshold_is_refused(self, entry):
+        w = np.ones((4, 8), dtype=complex)
+        w[2, 5] = entry
+        assert np.abs(w).min() == SINGULAR_EPS
+        with pytest.raises(SingularWindow, match="<= 1.0e-08"):
+            rx_window(w, "ZF")
+
+    def test_window_at_twice_the_threshold_is_inverted(self):
+        w = np.ones((4, 8), dtype=complex)
+        w[2, 5] = 2 * SINGULAR_EPS
+        assert rx_window(w, "ZF").tobytes() == (1.0 / w).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_channel_bin_at_the_threshold_is_refused(self, n):
+        taps = np.array([SINGULAR_EPS])  # a flat response: every bin is exactly the tap
+        h = np.zeros(n, dtype=complex)
+        h[0] = SINGULAR_EPS
+        assert np.abs(dft(h)).min() == SINGULAR_EPS
+        for _ in range(2):
+            with pytest.raises(SingularChannel, match="null bin"):
+                fd_equalize_zf(np.ones(n), taps)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_channel_bin_at_twice_the_threshold_is_equalized(self, n):
+        y = np.arange(n) * (1 - 2j)
+        hf = channel_response(np.array([2 * SINGULAR_EPS]), n)
+        assert np.abs(hf).min() == 2 * SINGULAR_EPS
+        assert fd_equalize_zf(y, np.array([2 * SINGULAR_EPS])).tobytes() == (dft(y) / hf).tobytes()
+
+    def test_taps_with_a_true_null_are_still_singular(self):
+        with pytest.raises(SingularChannel):
+            channel_response(np.array([1.0, -1.0]), 8)
