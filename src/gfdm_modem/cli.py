@@ -2,8 +2,8 @@
 
 Commands: pulse, modulate, demodulate, loopback, analyze.  All take a JSON
 configuration file; file-based commands exchange complex samples in the
-binary or CSV block format.  Exit codes: 0 success, 2 validation problem,
-3 numerical failure (singular window, channel, or matrix).
+binary or CSV block format.  Exit codes: 0 success, 2 validation problem or
+overflow, 3 numerical failure (singular window, channel, or matrix).
 """
 
 from __future__ import annotations
@@ -191,7 +191,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # finite in, finite out
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"invalid input: the block leaves the finite range ({exc})", file=sys.stderr)
+        return _EXIT_VALIDATION
     except (SingularWindow, SingularChannel, SingularMatrix) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL

@@ -1,23 +1,22 @@
 """Direct-convolution modem with parallel multiply-accumulate chains.
 
-The block circular convolution is evaluated against prestored pulse
-coefficients: one transform bank, then elementwise multiply-accumulate over L
-chains, then (for modulation in the frequency domain) a final N-point inverse
-transform.  Every chain follows one rule: chain l multiplies a stored tap row
-by the stream cyclically shifted by ``partitions[l]``.  Circular convolution
-commutes, so the two domains differ only in the rows they hold: the
-time-domain flavour holds all M rows of the pulse's time polyphase, the
-frequency-domain flavour one row of its band matrix per occupied subcarrier
-band, which is where sparse pulses pay off.
+The block circular convolution is evaluated against prestored tap rows: one
+transform bank, then elementwise multiply-accumulate over L chains, then (for
+modulation in the frequency domain) a final N-point inverse transform.  Every
+chain follows one rule: chain l multiplies a stored tap row by the stream
+cyclically shifted by ``partitions[l]``.
 
-Chains are a hardware concept.  This functional model stores each chain set
-as its read-only ``(L, rows)`` tap rows.  The chains compute what the FFT
-pipeline's stage 1 -> window -> stage 2 computes, so each ``precompute_*``
-checks the block length against ``n_max`` and the chain count against
-``l_max``, and returns its mode's :mod:`fft_modem` stage table with the tap
-rows in the window slot; the counter charges L*N multiplications per pass.
-A pass computes each output sample as one BLAS dot over its L chains, taken
-in descending shift order.  The ``direct_*`` runners are one run of such a table.
+The chains compute what the FFT pipeline's stage 1 -> window -> stage 2
+computes, so every table comes from its mode's own K x M window by one rule:
+the tap rows are the window's stage transform, stages 1 and 2 folded in.  In
+the time domain all M rows are held, in frequency one row per occupied
+subcarrier band, which is where sparse windows pay off.  The rule checks the
+block length against ``n_max`` and the chain count against ``l_max``, and
+returns the mode's :mod:`fft_modem` stage table with the tap rows in the window
+slot; the counter charges L*N multiplications per pass.  The four
+``precompute_*`` are that rule bound to a mode.  A pass computes each output
+sample as one BLAS dot over its L chains, taken in descending shift order.  The
+``direct_*`` runners are one run of such a table.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ import numpy as np
 
 from .errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
 from .fft_modem import ArchConfig, bypass, preset, run_demodulator, run_modulator
-from .numerics import MulCounter, dft, is_int, polyphase
-from .pulses import GfdmParams, PrototypePulse, occupied_bands
+from .numerics import MulCounter, dft, is_int
+from .pulses import GfdmParams, occupied_bands
 
 __all__ = [
     "DirectLimits",
@@ -56,16 +55,17 @@ class DirectLimits:
             raise ConfigError(f"direct-architecture limits must be positive integers, got {self}")
 
 
-def _chain_table(
-    mode: str, params: GfdmParams, taps: np.ndarray, limits: DirectLimits, full: bool = True
-) -> ArchConfig:
-    """The table of ``mode`` whose chain ``l`` holds row ``partitions[l]`` of ``taps``: all rows, or
-    with ``full`` unset the occupied ones.  Refuses the block length, then the chain count."""
+def _chain_table(mode: str, window: np.ndarray, limits: DirectLimits, full: bool = True) -> ArchConfig:
+    """The table of ``mode`` whose chain ``l`` holds row ``partitions[l]`` of the K x M window's stage
+    transform: all rows, or with ``full`` unset the occupied ones.  Refuses N, then the chain count."""
+    w = np.asarray(window, dtype=np.complex128)
+    params, td = GfdmParams(*w.shape), mode.startswith("TD")
     if params.n > limits.n_max:
         raise ConfigError(f"block length {params.n} exceeds the {limits.n_max}-point FFT limit")
+    taps = dft(w.T if td else w, inverse=td, normalized=True)
     parts = tuple(range(len(taps))) if full else tuple(occupied_bands(taps).tolist())
     if len(parts) > limits.l_max:
-        if mode.startswith("TD"):
+        if td:
             raise ChainLimitExceeded(f"{len(parts)} chains needed, only {limits.l_max} available")
         raise OverlapTooLarge(
             f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
@@ -75,52 +75,30 @@ def _chain_table(
     return preset(mode, params, taps if full else taps.take(parts, axis=0), parts)
 
 
-def precompute_td_mod(pulse: PrototypePulse, limits: DirectLimits = DirectLimits()) -> ArchConfig:
-    """Table for time-domain modulation.
-
-    Chain m holds row m of the K-scaled M x K time polyphase of the pulse and
-    multiplies it by the K-IDFT bank's output cyclically shifted by m subsymbols.
-    """
-    p = pulse.params
-    return _chain_table("TD_MOD", p, p.k * polyphase(pulse.time, p.m, p.k), limits)
+def precompute_td_mod(w_td: np.ndarray, limits: DirectLimits = DirectLimits()) -> ArchConfig:
+    """Table for time-domain modulation from the TD transmit window: M chains over the K-IDFT bank."""
+    return _chain_table("TD_MOD", w_td, limits)
 
 
 def precompute_fd_mod(
-    pulse: PrototypePulse, limits: DirectLimits = DirectLimits(), force_full: bool = False
+    w_fd: np.ndarray, limits: DirectLimits = DirectLimits(), force_full: bool = False
 ) -> ArchConfig:
-    """Table for frequency-domain modulation.
-
-    One chain per occupied subcarrier band of the pulse spectrum, holding that
-    band's row of the polyphase of ``g_f``.  ``force_full`` keeps all K bands
-    regardless of sparsity (the generic, non-sparse engine).
-    """
-    p = pulse.params
-    return _chain_table("FD_MOD", p, polyphase(pulse.freq, p.k, p.m), limits, force_full)
+    """Table for frequency-domain modulation from the FD transmit window: one chain per occupied band
+    of the pulse spectrum, or with ``force_full`` all K (the generic, non-sparse engine)."""
+    return _chain_table("FD_MOD", w_fd, limits, force_full)
 
 
 def precompute_td_demod(w_rx: np.ndarray, limits: DirectLimits = DirectLimits()) -> ArchConfig:
-    """Table for time-domain demodulation from the TD receive window.
-
-    Chain m holds row m of the M x K receive-pulse time polyphase (the scaled
-    M-point inverse transform of each column of the transposed window) and
-    multiplies it by the time block cyclically shifted by m subsymbols.
-    """
-    w = np.asarray(w_rx, dtype=np.complex128)
-    return _chain_table("TD_DEMOD", GfdmParams(*w.shape), dft(w.T, inverse=True, normalized=True), limits)
+    """Table for time-domain demodulation from the TD receive window: M chains over the time block."""
+    return _chain_table("TD_DEMOD", w_rx, limits)
 
 
 def precompute_fd_demod(
     w_rx: np.ndarray, limits: DirectLimits = DirectLimits(), force_full: bool = False
 ) -> ArchConfig:
-    """Table for frequency-domain demodulation from the FD receive window.
-
-    The receive pulse spectrum is the columnwise forward transform of the
-    window; its band occupancy decides the chain count.  A matched filter on a
-    sparse pulse stays sparse, a zero-forcing window generally occupies all K
-    bands and needs the full chain set.
-    """
-    w = np.asarray(w_rx, dtype=np.complex128)
-    return _chain_table("FD_DEMOD", GfdmParams(*w.shape), dft(w, normalized=True), limits, force_full)
+    """Table for frequency-domain demodulation from the FD receive window.  A matched filter on a
+    sparse pulse stays sparse, a zero-forcing window generally occupies all K bands."""
+    return _chain_table("FD_DEMOD", w_rx, limits, force_full)
 
 
 def direct_modulate_td(grid: np.ndarray, table: ArchConfig, counter: MulCounter | None = None) -> np.ndarray:

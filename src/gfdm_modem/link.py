@@ -7,16 +7,18 @@ stream through.  One rule holds each: its builder is decorated
 table built is kept, and a build that raises replaces nothing.
 :func:`_waveform` builds the prototype pulse and both transmit windows, keyed by
 the geometry (``GfdmParams`` sorts and de-duplicates ``k_on, m_on``) and the
-upper-case ``pulse`` with ``alpha, delta``.  :func:`_mod_table` and
-:func:`_demod_table` build each direction's stage tables (FFT presets, or the
-same presets with chain tap rows in the window slot), keyed by that waveform
-key, the engine, the table's domain (``"FD"`` for the FFT receiver in both
-domains), ``rx`` for a demodulator and ``l_max`` for a chain table.  So a
-``rx`` switch keeps the modulator, an FFT ``domain`` switch the demodulator,
-and a switch of engine, domain or receiver synthesizes no pulse.  :func:`_plan`
-pairs the two tables, keyed by the waveform key plus ``rx, arch, domain,
-l_max``, and builds the modulator's before the receive window.  No key holds
-the seed, SNR, channel or prefix.  A refused configuration (a singular
+upper-case ``pulse`` with ``alpha, delta``.  One table body serves both
+directions and both engines: it takes the window ``w_tx(d)``, or for a
+demodulator ``rx_window(w_tx(d), rx)``, and makes it an FFT preset or a direct
+chain table, whose tap rows are that window's stage transform.
+:func:`_mod_table` and :func:`_demod_table` hold it once per direction, keyed
+by that waveform key, the engine, the table's domain (``"FD"`` for the FFT
+receiver in both domains), ``rx`` for a demodulator and ``l_max`` for a chain
+table.  So a ``rx`` switch keeps the modulator, an FFT ``domain`` switch the
+demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
+:func:`_plan` pairs the two tables, keyed by the waveform key plus ``rx, arch,
+domain, l_max``, and builds the modulator's before the receive window.  No key
+holds the seed, SNR, channel or prefix.  A refused configuration (a singular
 zero-forcing window, a direct block over ``n_max`` or ``l_max``) raises on
 every call and leaves the held plan in place; the tables it did build (its
 waveform, its modulator's) stay held, which can cost a later configuration one
@@ -109,37 +111,31 @@ def _waveform(params: GfdmParams, pulse: str, alpha: float, delta: float) -> Wav
     return wave
 
 
-@lru_cache(maxsize=1)
-def _mod_table(wave: tuple, arch: str, d: str, l_max: int | None) -> fft_modem.ArchConfig:
+def _table(wave: tuple, arch: str, d: str, rx: str | None, l_max: int | None) -> fft_modem.ArchConfig:
+    """The stage table of domain ``d``: a modulator's from ``w_tx(d)``, with ``rx`` a demodulator's
+    from its receive window; an FFT preset of the window, or the direct chain table of it."""
     waveform = _waveform(*wave)
+    mode = f"{d}_{'MOD' if rx is None else 'DEMOD'}"
+    window = waveform.w_tx(d) if rx is None else rx_window(waveform.w_tx(d), rx)
     if arch == "fft":
-        return fft_modem.preset(f"{d}_MOD", waveform.pulse.params, waveform.w_tx(d))
+        return fft_modem.preset(mode, waveform.pulse.params, window)
+    build = getattr(direct_modem, f"precompute_{mode.lower()}")  # looked up per call, so a patched name sees it
     limits = direct_modem.DirectLimits(l_max=l_max)
-    if d == "TD":
-        return direct_modem.precompute_td_mod(waveform.pulse, limits)
-    return direct_modem.precompute_fd_mod(waveform.pulse, limits, force_full=True)
+    return build(window, limits) if d == "TD" else build(window, limits, force_full=True)
 
 
-@lru_cache(maxsize=1)
-def _demod_table(wave: tuple, arch: str, d: str, rx: str, l_max: int | None) -> fft_modem.ArchConfig:
-    waveform = _waveform(*wave)
-    w_rx = rx_window(waveform.w_tx(d), rx)
-    if arch == "fft":
-        return fft_modem.preset(f"{d}_DEMOD", waveform.pulse.params, w_rx)
-    limits = direct_modem.DirectLimits(l_max=l_max)
-    if d == "TD":
-        return direct_modem.precompute_td_demod(w_rx, limits)
-    return direct_modem.precompute_fd_demod(w_rx, limits, force_full=True)
+# Two holders of the one body, so each direction keeps its own last table.
+_mod_table = lru_cache(maxsize=1)(_table)
+_demod_table = lru_cache(maxsize=1)(_table)
 
 
 @lru_cache(maxsize=1)
 def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan:
-    d = domain.upper()
-    if arch == "fft":  # the FFT receiver works in frequency in both domains
-        mod = _mod_table(wave, arch, d, None)
-        return ModemPlan(wave[0], f"FFT_{d}_FD", mod, _demod_table(wave, arch, "FD", rx.upper(), None))
-    mod = _mod_table(wave, arch, d, l_max)
-    return ModemPlan(wave[0], f"DIR_{d}_{d}", mod, _demod_table(wave, arch, d, rx.upper(), l_max))
+    d, fft = domain.upper(), arch == "fft"
+    d_rx, l_max = ("FD", None) if fft else (d, l_max)  # the FFT receiver works in frequency in both domains
+    mod = _mod_table(wave, arch, d, None, l_max)
+    demod = _demod_table(wave, arch, d_rx, rx.upper(), l_max)
+    return ModemPlan(wave[0], f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}", mod, demod)
 
 
 def waveform_for(cfg: RunConfig) -> Waveform:

@@ -98,8 +98,8 @@ def test_criterion_1_oracle_equivalence():
     problems = []
     for sys_ in systems():
         pulse = sys_["pulse"]
-        table_td = precompute_td_mod(pulse, LIMITS)
-        table_fd = precompute_fd_mod(pulse, LIMITS)
+        table_td = precompute_td_mod(tx_window(pulse, "TD"), LIMITS)
+        table_fd = precompute_fd_mod(tx_window(pulse, "FD"), LIMITS)
         for i, grid in enumerate(sys_["grids"]):
             ref = sys_["refs"][i]
             scale = np.abs(ref).max()

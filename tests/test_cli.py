@@ -531,6 +531,34 @@ class TestCliRefusals:
         assert "longer than its header" in capsys.readouterr().err
         assert not est.exists()
 
+    @pytest.mark.parametrize("arch", ["fft", "direct"])
+    def test_loopback_with_overflowing_channel_taps_exits_2(self, tmp_path, capsys, arch):
+        # Finite taps whose channel products overflow used to print nmse=nan and exit 0.
+        cfg = write_config(tmp_path, k=4, m=8, arch=arch, channel_taps=[[1e308, 1e308]])
+        assert main(["loopback", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid input: the block leaves the finite range" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("arch", ["fft", "direct"])
+    def test_modulate_overflowing_symbols_exits_2(self, tmp_path, capsys, arch):
+        # 1e308+1e308j symbols are finite; their block used to be written as nan samples with exit 0.
+        cfg = write_config(tmp_path, arch=arch)
+        sym, out = tmp_path / "sym.bin", tmp_path / "block.bin"
+        blockio.write_samples(sym, np.full(32, 1e308 + 1e308j))
+        assert main(["modulate", "--config", str(cfg), "--in", str(sym), "--out", str(out)]) == 2
+        assert "finite range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arch", ["fft", "direct"])
+    def test_demodulate_overflowing_block_exits_2(self, tmp_path, capsys, arch):
+        # A finite block of 1e308 samples used to be written as nan,nan estimate rows with exit 0.
+        cfg = write_config(tmp_path, arch=arch)
+        block, est = tmp_path / "block.csv", tmp_path / "est.csv"
+        blockio.write_samples(block, np.full(40, 1e308 + 0j), "csv")
+        assert main(["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est)]) == 2
+        assert "finite range" in capsys.readouterr().err
+        assert not est.exists()
+
     @pytest.mark.parametrize("overlap", ["-3", "0"])
     def test_analyze_overlap_below_one_exits_2(self, capsys, overlap):
         # --overlap -3 used to exit 0 with negative counts in the sparse rows.

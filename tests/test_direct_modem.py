@@ -36,15 +36,10 @@ class TestChainTables:
     """Every table runs one chain rule: chain l holds tap row ``partitions[l]``."""
 
     @staticmethod
-    def taps(pulse, w_td, w_fd):
-        """Each mode's tap matrix: the time polyphase rows (TD) or the band rows (FD)."""
-        p = pulse.params
-        return {
-            "TD_MOD": p.k * polyphase(pulse.time, p.m, p.k),
-            "FD_MOD": polyphase(pulse.freq, p.k, p.m),
-            "TD_DEMOD": dft(w_td.T, inverse=True, normalized=True),
-            "FD_DEMOD": dft(w_fd, normalized=True),
-        }
+    def taps(windows):
+        """Each mode's tap matrix: the stage transform of its own K x M window."""
+        return {mode: dft(w.T if mode.startswith("TD") else w, inverse=mode.startswith("TD"), normalized=True)
+                for mode, w in windows.items()}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -63,13 +58,15 @@ class TestChainTables:
         except SingularWindow:
             assume(False)
         limits = DirectLimits(l_max=max(km))
+        windows = {"TD_MOD": tx_window(pulse, "TD"), "FD_MOD": tx_window(pulse, "FD"),
+                   "TD_DEMOD": w_td, "FD_DEMOD": w_fd}
         tables = {
-            "TD_MOD": precompute_td_mod(pulse, limits),
-            "FD_MOD": precompute_fd_mod(pulse, limits, force_full),
+            "TD_MOD": precompute_td_mod(windows["TD_MOD"], limits),
+            "FD_MOD": precompute_fd_mod(windows["FD_MOD"], limits, force_full),
             "TD_DEMOD": precompute_td_demod(w_td, limits),
             "FD_DEMOD": precompute_fd_demod(w_fd, limits, force_full),
         }
-        for mode, taps in self.taps(pulse, w_td, w_fd).items():
+        for mode, taps in self.taps(windows).items():
             table = tables[mode]
             if mode.startswith("TD"):
                 want = tuple(range(params.m))
@@ -80,18 +77,42 @@ class TestChainTables:
             assert np.array_equal(table.window, taps[list(table.partitions)]), mode
             assert not table.window.flags.writeable, mode
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # K = 2**i and M = 2**j in 1..64 with N <= 2048
+        km=st.integers(0, 6).flatmap(lambda i: st.integers(0, min(6, 11 - i)).map(lambda j: (2**i, 2**j))),
+        kind=st.sampled_from(["RC", "RRC", "DIRICHLET", "RECT_TD"]),
+        alpha=st.floats(0.0, 1.0),
+        delta=st.sampled_from([0.0, 0.5]),
+    )
+    def test_modulator_taps_are_the_pulse_polyphase(self, km, kind, alpha, delta):
+        # The rule on a transmit window gives the pulse formulas: K times the M x K time
+        # polyphase of g, and the K x M polyphase of g_f with the same occupied bands.
+        assume(km[0] >= 2 or kind not in ("RC", "RRC"))
+        p = GfdmParams(*km)
+        pulse = make_prototype(kind, p, alpha, delta)
+        limits = DirectLimits(l_max=max(km))
+        old = {"TD": p.k * polyphase(pulse.time, p.m, p.k), "FD": polyphase(pulse.freq, p.k, p.m)}
+        new = {"TD": precompute_td_mod(tx_window(pulse, "TD"), limits).window,
+               "FD": precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=True).window}
+        for d in ("TD", "FD"):
+            assert np.abs(new[d] - old[d]).max() <= 1e-15 * np.abs(old[d]).max(), d
+        sparse = precompute_fd_mod(tx_window(pulse, "FD"), limits)
+        assert sparse.partitions == tuple(occupied_bands(old["FD"]).tolist())
+
 
 class TestPrecomputeMod:
     def test_fd_partition_counts(self):
-        assert len(precompute_fd_mod(make_prototype("DIRICHLET", GfdmParams(8, 4))).window) == 1
-        assert len(precompute_fd_mod(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)).window) == 2
+        assert len(precompute_fd_mod(tx_window(make_prototype("DIRICHLET", GfdmParams(8, 4)), "FD")).window) == 1
+        assert len(precompute_fd_mod(tx_window(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5), "FD")).window) == 2
 
     def test_fd_one_tap_row_per_chain(self):
         # Each chain holds one row of M taps, applied alike to all K columns of the stream.
         pulse = make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)
-        table = precompute_fd_mod(pulse)
+        w_fd = tx_window(pulse, "FD")
+        table = precompute_fd_mod(w_fd)
         assert table.window.shape == (2, 4) and table.grid == (8, 4)
-        assert np.array_equal(table.window, polyphase(pulse.freq, 8, 4)[list(table.partitions)])
+        assert np.array_equal(table.window, dft(w_fd, normalized=True)[list(table.partitions)])
 
     def test_fd_overlap_limit(self):
         params = GfdmParams(64, 4)
@@ -100,7 +121,7 @@ class TestPrecomputeMod:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         full = type(pulse)(pulse.kind, params, 0.5, 0.5, time, dft(time))
         with pytest.raises(OverlapTooLarge, match="^pulse occupies 64 subcarrier bands, only 16 chains available$"):
-            precompute_fd_mod(full, DirectLimits(l_max=16))
+            precompute_fd_mod(tx_window(full, "FD"), DirectLimits(l_max=16))
 
 
 class TestModulate:
@@ -109,7 +130,7 @@ class TestModulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         grid = random_grid(params, 0)
         ref = modulate_td(grid, tx_window(pulse, "TD"))
-        got = direct_modulate_td(grid, precompute_td_mod(pulse))
+        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_td_matches_oracle(self):
@@ -117,14 +138,14 @@ class TestModulate:
         pulse = make_prototype("RRC", params, 0.5, 0.5)
         grid = random_grid(params, 1)
         ref = oracle_modulate(build_matrix(pulse), grid)
-        got = direct_modulate_td(grid, precompute_td_mod(pulse))
+        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_single_subsymbol_is_windowed_idft(self):
         params = GfdmParams(8, 1)
         pulse = make_prototype("RECT_TD", params)
         grid = random_grid(params, 2)
-        got = direct_modulate_td(grid, precompute_td_mod(pulse))
+        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
         expect = pulse.time * dft(grid[:, 0], inverse=True)
         assert np.abs(got - expect).max() <= 1e-12
 
@@ -134,28 +155,28 @@ class TestModulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         w_rx = window_pair(pulse, "TD", "ZF").w_rx
         with pytest.raises(ChainLimitExceeded, match="^64 chains needed, only 16 available$"):
-            precompute_td_mod(pulse, DirectLimits(l_max=16))
+            precompute_td_mod(tx_window(pulse, "TD"), DirectLimits(l_max=16))
         with pytest.raises(ChainLimitExceeded, match="^64 chains needed, only 16 available$"):
             precompute_td_demod(w_rx, DirectLimits(l_max=16))
         big = make_prototype("RC", GfdmParams(64, 64), 0.5, 0.5)
-        for build in (precompute_td_mod, precompute_fd_mod):
+        for build, d in ((precompute_td_mod, "TD"), (precompute_fd_mod, "FD")):
             with pytest.raises(ConfigError, match="^block length 4096 exceeds the 2048-point FFT limit$"):
-                build(big, DirectLimits(l_max=16))
+                build(tx_window(big, d), DirectLimits(l_max=16))
 
     def test_fd_matches_fft_engine(self):
         params = GfdmParams(8, 8)
         pulse = make_prototype("RC", params, 0.5, 0.5)
         grid = random_grid(params, 4)
         ref = modulate_fd(grid, tx_window(pulse, "FD"))
-        got = direct_modulate_fd(grid, precompute_fd_mod(pulse))
+        got = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         ref_t = modulate_fd(grid, tx_window(pulse, "FD"), emit_time=True)
-        got_t = direct_modulate_fd(grid, precompute_fd_mod(pulse), emit_time=True)
+        got_t = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")), emit_time=True)
         assert np.abs(got_t - ref_t).max() <= 1e-10 * np.abs(ref_t).max()
 
     def test_fd_zero_grid(self):
         params = GfdmParams(8, 4)
-        table = precompute_fd_mod(make_prototype("DIRICHLET", params))
+        table = precompute_fd_mod(tx_window(make_prototype("DIRICHLET", params), "FD"))
         got = direct_modulate_fd(np.zeros((8, 4), complex), table)
         assert_allclose(got, np.zeros(32), atol=1e-14)
 
@@ -165,7 +186,7 @@ class TestModulate:
         grid = np.zeros((8, 4), dtype=complex)
         k0 = 3
         grid[k0, :] = 1.0
-        spec = direct_modulate_fd(grid, precompute_fd_mod(pulse))
+        spec = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")))
         live_bands = {int(q) // params.m for q in np.flatnonzero(np.abs(spec) > 1e-9)}
         assert live_bands <= {k0, (k0 - 1) % params.k, (k0 + 1) % params.k}
 
@@ -198,7 +219,7 @@ class TestDemodulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         wp = window_pair(pulse, "TD", "ZF")
         grid = random_grid(params, 5)
-        x = direct_modulate_td(grid, precompute_td_mod(pulse))
+        x = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
         est = direct_demodulate_td(x, precompute_td_demod(wp.w_rx))
         assert np.abs(est - grid).max() <= 1e-9
 
@@ -207,7 +228,7 @@ class TestDemodulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         wp = window_pair(pulse, "FD", "ZF")
         grid = random_grid(params, 6)
-        spec = direct_modulate_fd(grid, precompute_fd_mod(pulse))
+        spec = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")))
         table = precompute_fd_demod(wp.w_rx, force_full=True)
         est = direct_demodulate_fd(spec, table)
         assert np.abs(est - grid).max() <= 1e-9
@@ -248,7 +269,7 @@ class TestInstrumentation:
         params = GfdmParams(16, 8)
         pulse = make_prototype("RC", params, 0.5, 0.5)
         counter = MulCounter()
-        direct_modulate_td(random_grid(params, 8), precompute_td_mod(pulse), counter=counter)
+        direct_modulate_td(random_grid(params, 8), precompute_td_mod(tx_window(pulse, "TD")), counter=counter)
         n = params.n
         assert counter.count == params.m * fft_mul_count(params.k) + params.m * n
 
@@ -279,8 +300,8 @@ class TestAliasing:
                   "grid": grid, "y": y, "yf": yf}
         before = {name: arr.copy() for name, arr in inputs.items()}
         tables = {
-            "td-mod": precompute_td_mod(pulse, limits),
-            "fd-mod": precompute_fd_mod(pulse, limits, force_full=force_full),
+            "td-mod": precompute_td_mod(tx_window(pulse, "TD"), limits),
+            "fd-mod": precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=force_full),
             "td-demod": precompute_td_demod(w_td, limits),
             "fd-demod": precompute_fd_demod(w_fd, limits, force_full=force_full),
         }

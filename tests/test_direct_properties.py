@@ -24,7 +24,7 @@ from gfdm_modem.direct_modem import (
 )
 from gfdm_modem.errors import SingularMatrix, SingularWindow
 from gfdm_modem.numerics import MulCounter, dft, fft_mul_count, polyphase
-from gfdm_modem.pulses import GfdmParams, make_prototype, window_pair
+from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
 from gfdm_modem.reference import build_matrix, oracle_demod_mf, oracle_demod_zf, oracle_modulate
 
 #: The dense ZF oracle costs a solve plus a power-iteration condition estimate
@@ -70,9 +70,9 @@ def run_all(case):
     grid = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
     y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
     passes = {
-        ("TD", "mod"): (precompute_td_mod(pulse, limits),
+        ("TD", "mod"): (precompute_td_mod(tx_window(pulse, "TD"), limits),
                         lambda t, c: direct_modulate_td(grid, t, c)),
-        ("FD", "mod"): (precompute_fd_mod(pulse, limits, force_full=full),
+        ("FD", "mod"): (precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=full),
                         lambda t, c: direct_modulate_fd(grid, t, case["emit_time"], c)),
         ("TD", "demod"): (precompute_td_demod(w_rx["TD"], limits),
                           lambda t, c: direct_demodulate_td(y, t, c)),

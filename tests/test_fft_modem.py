@@ -293,8 +293,8 @@ class TestChainPresets:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         limits = direct_modem.DirectLimits(l_max=max(params.k, params.m))
         return {
-            "TD_MOD": direct_modem.precompute_td_mod(pulse, limits),
-            "FD_MOD": direct_modem.precompute_fd_mod(pulse, limits),
+            "TD_MOD": direct_modem.precompute_td_mod(tx_window(pulse, "TD"), limits),
+            "FD_MOD": direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), limits),
             "TD_DEMOD": direct_modem.precompute_td_demod(window_pair(pulse, "TD", "MF").w_rx, limits),
             "FD_DEMOD": direct_modem.precompute_fd_demod(window_pair(pulse, "FD", "MF").w_rx, limits),
         }
@@ -582,8 +582,8 @@ class TestChainKernel:
     def test_full_set_dots_read_the_stream_in_place_with_a_unit_stride(self, mode, params):
         pulse, limits = make_prototype("RC", params, 0.5, 0.5), direct_modem.DirectLimits(l_max=64)
         table = {
-            "TD_MOD": lambda: direct_modem.precompute_td_mod(pulse, limits),
-            "FD_MOD": lambda: direct_modem.precompute_fd_mod(pulse, limits, force_full=True),
+            "TD_MOD": lambda: direct_modem.precompute_td_mod(tx_window(pulse, "TD"), limits),
+            "FD_MOD": lambda: direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=True),
             "TD_DEMOD": lambda: direct_modem.precompute_td_demod(window_pair(pulse, "TD", "MF").w_rx, limits),
             "FD_DEMOD": lambda: direct_modem.precompute_fd_demod(
                 window_pair(pulse, "FD", "MF").w_rx, limits, force_full=True),

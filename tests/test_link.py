@@ -43,13 +43,13 @@ def engine_block(cfg, grid, counter):
     limits = direct_modem.DirectLimits(l_max=cfg.l_max)
     w_rx = window_pair(pulse, d, rx).w_rx
     if d == "TD":
-        table = direct_modem.precompute_td_mod(pulse, limits)
+        table = direct_modem.precompute_td_mod(tx_window(pulse, "TD"), limits)
         x = direct_modem.direct_modulate_td(grid, table, counter)
         yf = fd_equalize_zf(x, TAPS, counter=counter)
         y = dft(yf, inverse=True, counter=counter) / cfg.n
         table = direct_modem.precompute_td_demod(w_rx, limits)
         return x, direct_modem.direct_demodulate_td(y, table, counter)
-    table = direct_modem.precompute_fd_mod(pulse, limits, force_full=True)
+    table = direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=True)
     x = direct_modem.direct_modulate_fd(grid, table, emit_time=True, counter=counter)
     yf = fd_equalize_zf(x, TAPS, counter=counter)
     table = direct_modem.precompute_fd_demod(w_rx, limits, force_full=True)
@@ -406,6 +406,33 @@ class TestTableReuse:
         monkeypatch.setattr(channel, "check_taps", lambda taps: calls.append(taps) or check(taps))
         assert link.run_loopback(cfg) == want
         assert len(calls) == 1
+
+
+class TestPrecomputeNames:
+    """Every direct table is built through a public ``direct_modem.precompute_*`` name, which a tracer wraps."""
+
+    @pytest.mark.parametrize("domain", ["td", "fd"])
+    def test_direct_plan_build_calls_the_names_once_per_table(self, monkeypatch, domain):
+        calls = []
+
+        def counted(name, label):
+            original = getattr(direct_modem, name)
+
+            def call(*args, **kwargs):
+                calls.append(label)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(direct_modem, name, call)
+
+        for name in ("td_mod", "fd_mod", "td_demod", "fd_demod"):
+            counted(f"precompute_{name}", name)
+        counted("_chain_table", "rule")
+        for builder in (link._waveform, link._mod_table, link._demod_table, link._plan):
+            builder.cache_clear()
+        cfg = RunConfig(k=8, m=4, arch="direct", domain=domain, channel_taps=TAPS, n_cp=4)
+        assert link.run_loopback(cfg).cm_match
+        assert calls == [f"{domain}_mod", "rule", f"{domain}_demod", "rule"]
+        link.run_loopback(cfg)  # the held plan builds nothing
+        assert len(calls) == 4
 
 
 class TestPlanErrors:

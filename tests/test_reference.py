@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gfdm_modem.errors import ConfigError, SingularMatrix
 from gfdm_modem.numerics import dft
-from gfdm_modem.pulses import GfdmParams, PrototypePulse, make_prototype, shift_pulse
+from gfdm_modem.pulses import GfdmParams, PrototypePulse, make_prototype, shift_pulse, tx_window
 from gfdm_modem.reference import (
     COND_LIMIT,
     ModMatrix,
@@ -107,6 +107,25 @@ class TestZfSingularity:
                 oracle_demod_zf(mm, x)
         else:
             assert np.allclose(oracle_demod_zf(mm, x), [[1.0], [1.0]])
+
+
+class TestSingularValues:
+    """The margins rest on one identity: the singular values of A are |w_tx|/sqrt(K) in either domain."""
+
+    @given(
+        # K = 2**i and M = 2**j with N <= 256
+        km=st.integers(0, 8).flatmap(lambda i: st.integers(0, 8 - i).map(lambda j: (2**i, 2**j))),
+        kind=st.sampled_from(["RC", "RRC", "DIRICHLET", "RECT_TD"]),
+        alpha=st.floats(0.0, 1.0),
+        delta=st.sampled_from([0.0, 0.5]),
+        domain=st.sampled_from(["TD", "FD"]),
+    )
+    def test_sorted_singular_values_are_the_window_magnitudes(self, km, kind, alpha, delta, domain):
+        assume(km[0] >= 2 or kind not in ("RC", "RRC"))
+        pulse = make_prototype(kind, GfdmParams(*km), alpha, delta)
+        sigma = np.sort(np.linalg.svd(build_matrix(pulse).mat, compute_uv=False))
+        want = np.sort(np.abs(tx_window(pulse, domain)).ravel()) / np.sqrt(km[0])
+        assert np.abs(sigma - want).max() <= 1e-10 * sigma[-1]
 
 
 class TestSymbolMapping:
