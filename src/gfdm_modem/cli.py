@@ -2,8 +2,9 @@
 
 Commands: pulse, modulate, demodulate, loopback, analyze.  All take a JSON
 configuration file; file-based commands exchange complex samples in the
-binary or CSV block format.  Exit codes: 0 success, 2 validation problem or
-overflow, 3 numerical failure (singular window, channel, or matrix).
+binary or CSV block format.  Exit codes: 0 success, 2 validation problem,
+overflow or a geometry too large to allocate, 3 numerical failure (singular
+window, channel, or matrix).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     SingularMatrix,
     SingularWindow,
 )
-from .numerics import is_pow2
+from .numerics import finite_only, is_pow2
 from .pulses import rx_window
 
 _EXIT_VALIDATION = 2
@@ -191,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):  # finite in, finite out
+        with finite_only():
             return args.func(args)
     except FloatingPointError as exc:
         print(f"invalid input: the block leaves the finite range ({exc})", file=sys.stderr)
@@ -207,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return _EXIT_VALIDATION
+    except MemoryError:  # e.g. K = 2**62: GfdmParams's K-entry active set cannot be allocated
+        print("invalid configuration: the block geometry does not fit in memory", file=sys.stderr)
         return _EXIT_VALIDATION
 
 

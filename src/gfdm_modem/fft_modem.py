@@ -110,13 +110,10 @@ class ArchConfig:
     grid: tuple[int, int] | None = None
 
 
-def single_stage_config(size: int, inverse: bool, normalized: bool = False) -> ArchConfig:
-    """Pipeline reduced to one transform, e.g. the plain IFFT of OFDM."""
+def single_stage_config(size: int, inverse: bool) -> ArchConfig:
+    """Pipeline reduced to one unnormalized transform, e.g. the plain IFFT of OFDM."""
     off = StageConfig(size, enabled=False)
-    return ArchConfig(
-        mode="BYPASS",
-        stages=(StageConfig(size, inverse=inverse, normalized=normalized), off, off, off),
-    )
+    return ArchConfig(mode="BYPASS", stages=(StageConfig(size, inverse=inverse), off, off, off))
 
 
 def bypass(cfg: ArchConfig, *indices: int) -> ArchConfig:
@@ -200,8 +197,7 @@ def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
 
     All ``cols`` shifts in descending order are a read-only, zero-copy view of ``[a, a]``,
     written row-major whatever the layout of ``a``, whose shift axis has stride +1 element:
-    slice ``c`` reads ``[a, a][:, c + 1 : c + 1 + cols]``.  In ascending order they are that
-    view reversed; any other tuple is gathered from it.
+    slice ``c`` reads ``[a, a][:, c + 1 : c + 1 + cols]``.  Any other tuple is gathered from it.
     """
     rows, cols = a.shape
     doubled = np.empty((rows, 2 * cols), a.dtype)
@@ -209,11 +205,8 @@ def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
     item = doubled.itemsize
     view = np.ndarray((cols, rows, cols), a.dtype, doubled, item, (item, 2 * cols * item, item))
     view.flags.writeable = False
-    descending = tuple(range(cols - 1, -1, -1))
-    if shifts == descending:
+    if shifts == tuple(range(cols - 1, -1, -1)):
         return view
-    if shifts == descending[::-1]:
-        return view[::-1]
     return view[[cols - 1 - p for p in shifts]]
 
 

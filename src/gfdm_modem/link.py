@@ -44,7 +44,7 @@ import numpy as np
 from . import analysis, channel, direct_modem, fft_modem, reference
 from .channel import ChannelSpec, splitmix64_words
 from .config import RunConfig
-from .numerics import MulCounter
+from .numerics import MulCounter, finite_only
 from .pulses import GfdmParams, PrototypePulse, make_prototype, rx_window, tx_window
 
 __all__ = ["LoopbackReport", "Waveform", "ModemPlan", "waveform_for", "plan_for", "run_loopback",
@@ -149,13 +149,15 @@ def plan_for(cfg: RunConfig) -> ModemPlan:
 
 
 def modulate_block(cfg: RunConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
-    """Time-domain core block for the configured architecture and domain."""
-    return plan_for(cfg).modulate(grid, counter)
+    """Time-domain core block for the configured architecture and domain (``numerics.finite_only``)."""
+    with finite_only():
+        return plan_for(cfg).modulate(grid, counter)
 
 
 def demodulate_block(cfg: RunConfig, yf_eq: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
-    """Grid estimate from the frequency-domain equalized block."""
-    return plan_for(cfg).demodulate(yf_eq, counter)
+    """Grid estimate from the frequency-domain equalized block (``numerics.finite_only``)."""
+    with finite_only():
+        return plan_for(cfg).demodulate(yf_eq, counter)
 
 
 @dataclass(frozen=True)
@@ -183,35 +185,40 @@ class LoopbackReport:
 
 
 def run_loopback(cfg: RunConfig) -> LoopbackReport:
-    """One full block through the evaluation chain of the configured link."""
-    plan = plan_for(cfg)
-    params = plan.params
-    d_on = qpsk_symbols(cfg.seed, params.n_active)
-    grid = reference.map_symbols(d_on, params)
+    """One full block through the evaluation chain of the configured link.
 
-    counter = MulCounter()
-    x = plan.modulate(grid, counter)
-    framed = channel.add_cp(x, cfg.n_cp, cfg.n_cs)
-    spec = ChannelSpec(np.asarray(cfg.channel_taps), cfg.snr_db, cfg.seed)
-    received = channel.apply_channel(framed, spec)
-    core = channel.remove_cp(received, cfg.n_cp, cfg.n_cs)
-    yf_eq = channel.fd_equalize_zf(core, spec.taps, counter=counter)
-    grid_hat = plan.demodulate(yf_eq, counter)
-    d_hat = reference.demap_symbols(grid_hat, params)
+    The chain runs under ``numerics.finite_only``: finite input whose arithmetic
+    overflows raises ``FloatingPointError`` instead of reporting nan.
+    """
+    with finite_only():
+        plan = plan_for(cfg)
+        params = plan.params
+        d_on = qpsk_symbols(cfg.seed, params.n_active)
+        grid = reference.map_symbols(d_on, params)
 
-    power = np.vdot(d_on, d_on).real
-    if cfg.rx == "mf":
-        # Matched filtering leaves a positive per-symbol gain; normalize it out
-        # of the error metric so the report stays comparable.  numpy divides a
-        # complex by a real as a product with its reciprocal: so does the float view.
-        gain = float(np.vdot(d_on, d_hat).real / power)
-        if gain > 0:
-            d_hat = (d_hat.view(np.float64) * (1 / gain)).view(np.complex128)
-    err = d_hat - d_on
-    nmse = float(np.vdot(err, err).real / power)
-    # A symbol is wrong when the sign of either part differs: one 2-byte word of the pair's flags.
-    wrong = np.sign(d_hat.view(np.float64)) != np.sign(d_on.view(np.float64))
-    ser = float(np.count_nonzero(wrong.view(np.uint16)) / d_on.size)
+        counter = MulCounter()
+        x = plan.modulate(grid, counter)
+        framed = channel.add_cp(x, cfg.n_cp, cfg.n_cs)
+        spec = ChannelSpec(np.asarray(cfg.channel_taps), cfg.snr_db, cfg.seed)
+        received = channel.apply_channel(framed, spec)
+        core = channel.remove_cp(received, cfg.n_cp, cfg.n_cs)
+        yf_eq = channel.fd_equalize_zf(core, spec.taps, counter=counter)
+        grid_hat = plan.demodulate(yf_eq, counter)
+        d_hat = reference.demap_symbols(grid_hat, params)
+
+        power = np.vdot(d_on, d_on).real
+        if cfg.rx == "mf":
+            # Matched filtering leaves a positive per-symbol gain; normalize it out
+            # of the error metric so the report stays comparable.  numpy divides a
+            # complex by a real as a product with its reciprocal: so does the float view.
+            gain = float(np.vdot(d_on, d_hat).real / power)
+            if gain > 0:
+                d_hat = (d_hat.view(np.float64) * (1 / gain)).view(np.complex128)
+        err = d_hat - d_on
+        nmse = float(np.vdot(err, err).real / power)
+        # A symbol is wrong when the sign of either part differs: one 2-byte word of the pair's flags.
+        wrong = np.sign(d_hat.view(np.float64)) != np.sign(d_on.view(np.float64))
+        ser = float(np.count_nonzero(wrong.view(np.uint16)) / d_on.size)
 
     return LoopbackReport(
         kind=plan.kind,

@@ -18,7 +18,8 @@ Conventions
   length-``n`` vector for ``n > 2`` and zero for ``n <= 2`` (the 2-point
   butterfly needs additions only).
 * The input rules every module shares live here: :func:`is_int`, :func:`is_pow2`,
-  :func:`check_grid` and the zero-forcing threshold :data:`SINGULAR_EPS`.
+  :func:`check_grid`, the zero-forcing threshold :data:`SINGULAR_EPS` and the
+  finite-range rule :func:`finite_only`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "check_grid",
     "dft",
     "fft_mul_count",
+    "finite_only",
     "is_int",
     "is_pow2",
     "polyphase",
@@ -54,6 +56,11 @@ def is_int(v) -> bool:
 
 def is_pow2(n) -> bool:
     return is_int(n) and n >= 1 and n & (n - 1) == 0
+
+
+def finite_only() -> np.errstate:
+    """Finite in, finite out: an overflow, invalid operation or division by zero raises ``FloatingPointError``."""
+    return np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 def check_grid(k, m) -> tuple[int, int]:
@@ -128,11 +135,11 @@ def polyphase(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape(rows, cols)
 
 
-def zak_time(a: np.ndarray, rows: int, cols: int, counter: MulCounter | None = None) -> np.ndarray:
+def zak_time(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Discrete Zak transform: forward DFT down each polyphase column."""
-    return dft(polyphase(a, rows, cols), counter=counter)
+    return dft(polyphase(a, rows, cols))
 
 
-def zak_freq(af: np.ndarray, rows: int, cols: int, counter: MulCounter | None = None) -> np.ndarray:
+def zak_freq(af: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Dual Zak transform of a spectrum: scaled inverse DFT down each polyphase column."""
-    return dft(polyphase(af, rows, cols), inverse=True, counter=counter, normalized=True)
+    return dft(polyphase(af, rows, cols), inverse=True, normalized=True)

@@ -30,12 +30,10 @@ __all__ = [
     "PULSE_KINDS",
     "check_pulse_spec",
     "make_prototype",
-    "shift_pulse",
     "tx_window",
     "rx_window",
     "window_pair",
     "occupied_bands",
-    "freq_overlap",
 ]
 
 PULSE_KINDS = ("RC", "RRC", "DIRICHLET", "RECT_TD")
@@ -167,12 +165,6 @@ def make_prototype(kind: str, params: GfdmParams, alpha: float = 0.0, delta: flo
     return PrototypePulse(kind, params, float(alpha), float(delta), g / energy, gf / energy)
 
 
-def shift_pulse(pulse: PrototypePulse, shift: int) -> PrototypePulse:
-    """Circularly delay the time pulse by ``shift`` samples."""
-    g = np.roll(pulse.time, shift)
-    return PrototypePulse(pulse.kind, pulse.params, pulse.alpha, pulse.delta, g, dft(g))
-
-
 def tx_window(pulse: PrototypePulse, domain: str) -> np.ndarray:
     """K x M transmit window of the given processing domain.
 
@@ -224,21 +216,3 @@ def occupied_bands(bands: np.ndarray) -> np.ndarray:
     """
     peaks = np.abs(bands).max(axis=1)
     return np.flatnonzero(peaks > BAND_EPS * peaks.max())
-
-
-def freq_overlap(pulse: PrototypePulse) -> int:
-    """Number of consecutive subcarrier bands covering the pulse spectrum.
-
-    The spectrum is split into K bands of M bins.  Returns the smallest L such
-    that all :func:`occupied_bands` fall inside L cyclically consecutive bands.
-    """
-    k, m = pulse.params.k, pulse.params.m
-    active = occupied_bands(pulse.freq.reshape(k, m))
-    count = active.size
-    if count == 0:
-        return 0
-    if count == k:
-        return k
-    # Largest cyclic gap between active bands bounds the covering window.
-    gaps = np.diff(np.concatenate([active, [active[0] + k]]))
-    return k - int(gaps.max()) + 1

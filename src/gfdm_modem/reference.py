@@ -1,9 +1,8 @@
 """Ground-truth dense implementations used to verify the fast engines.
 
 Everything here is deliberately naive: the full N x N modulation matrix,
-O(N^2) modulation, dense solves for zero-forcing demodulation, plus symbol
-mapping, multi-pulse superposition, and OQAM-precoded two-stream generation.
-Intended for N up to a few thousand.
+O(N^2) modulation and dense solves for zero-forcing demodulation, plus symbol
+mapping.  Intended for N up to a few thousand.
 """
 
 from __future__ import annotations
@@ -13,19 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularMatrix
-from .pulses import GfdmParams, PrototypePulse, shift_pulse
+from .pulses import GfdmParams, PrototypePulse
 
 __all__ = [
     "ModMatrix",
-    "MultiPulseComponent",
     "build_matrix",
     "oracle_modulate",
     "oracle_demod_mf",
     "oracle_demod_zf",
     "map_symbols",
     "demap_symbols",
-    "compose_multipulse",
-    "fbmc_oqam_modulate",
 ]
 
 #: A squared condition number at or above this classifies the matrix as singular.
@@ -101,52 +97,3 @@ def demap_symbols(grid: np.ndarray, params: GfdmParams) -> np.ndarray:
     if grid.shape != (params.k, params.m):
         raise ConfigError(f"grid shape {grid.shape} does not match {params.k}x{params.m}")
     return grid.reshape(-1)[params.active_index].astype(np.complex128, copy=False)
-
-
-@dataclass(frozen=True, eq=False)
-class MultiPulseComponent:
-    """One pulse of a multi-pulse block with its active sets and symbols."""
-
-    pulse: PrototypePulse
-    k_on: tuple[int, ...]
-    m_on: tuple[int, ...]
-    grid: np.ndarray
-
-
-def compose_multipulse(components: list[MultiPulseComponent]) -> np.ndarray:
-    """Superpose per-pulse modulated blocks, each restricted to its active set."""
-    if not components:
-        raise ConfigError("multi-pulse composition needs at least one component")
-    n = components[0].pulse.params.n
-    out = np.zeros(n, dtype=np.complex128)
-    for comp in components:
-        p = comp.pulse.params
-        if p.n != n:
-            raise ConfigError(f"component block length {p.n} does not match {n}")
-        mask = np.zeros((p.k, p.m))
-        mask[np.ix_(list(comp.k_on), list(comp.m_on))] = 1.0
-        out += oracle_modulate(build_matrix(comp.pulse), comp.grid * mask)
-    return out
-
-
-def fbmc_oqam_modulate(d_qam: np.ndarray, pulse: PrototypePulse) -> np.ndarray:
-    """Offset-QAM two-stream block from complex QAM symbols.
-
-    The real parts feed the prototype as-is, the imaginary parts feed a copy
-    delayed by half a subsymbol (K/2 samples); both streams carry the
-    alternating phase pattern that keeps neighbours orthogonal:
-    stream 0 multiplies even subcarriers by j, stream 1 odd subcarriers by j.
-    """
-    params = pulse.params
-    if params.k % 2 != 0:
-        raise ConfigError("offset-QAM staggering needs an even subcarrier count")
-    if d_qam.shape != (params.k, params.m):
-        raise ConfigError(f"grid shape {d_qam.shape} does not match {params.k}x{params.m}")
-    k_idx = np.arange(params.k)
-    theta0 = np.where(k_idx % 2 == 0, 1j, 1.0)
-    theta1 = np.where(k_idx % 2 == 0, 1.0, 1j)
-    d0 = theta0[:, None] * d_qam.real
-    d1 = theta1[:, None] * d_qam.imag
-    x0 = oracle_modulate(build_matrix(pulse), d0)
-    x1 = oracle_modulate(build_matrix(shift_pulse(pulse, params.k // 2)), d1)
-    return x0 + x1

@@ -24,14 +24,10 @@ from gfdm_modem.direct_modem import (
 from gfdm_modem.errors import SingularWindow
 from gfdm_modem.link import run_loopback
 from gfdm_modem.numerics import dft
-from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window, shift_pulse
-from gfdm_modem.reference import (
-    MultiPulseComponent,
-    build_matrix,
-    compose_multipulse,
-    fbmc_oqam_modulate,
-    oracle_modulate,
-)
+from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
+from gfdm_modem.reference import build_matrix, oracle_modulate
+
+from multipulse import MultiPulseComponent, compose_multipulse, fbmc_oqam_modulate, shift_pulse
 
 GEOMETRIES = [(4, 4), (8, 4), (4, 8), (16, 16), (64, 16), (8, 128)]
 PULSES = [

@@ -559,6 +559,21 @@ class TestCliRefusals:
         assert "finite range" in capsys.readouterr().err
         assert not est.exists()
 
+    @pytest.mark.parametrize("command", ["loopback", "modulate", "demodulate", "pulse"])
+    def test_geometry_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):
+        # K*M = 2**64: CPython refuses the K-entry active set before allocating anything.
+        # It used to exit 1 with a MemoryError traceback.  Sizes between RAM and the
+        # address space would really allocate, so none is tried here.
+        cfg = write_config(tmp_path, k=2**62, m=4)
+        out = tmp_path / "out"
+        files = [] if command == "loopback" else ["--out", str(out)]
+        if command in ("modulate", "demodulate"):
+            files += ["--in", str(tmp_path / "in.bin")]
+        assert main([command, "--config", str(cfg), *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invalid configuration: the block geometry does not fit in memory\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("overlap", ["-3", "0"])
     def test_analyze_overlap_below_one_exits_2(self, capsys, overlap):
         # --overlap -3 used to exit 0 with negative counts in the sparse rows.

@@ -495,8 +495,9 @@ class TestCyclicShifts:
         values = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         a, holder = self.laid_out(values, layout)
         assert np.array_equal(a, values)
-        # None: all shifts ascending (the zero-copy view); else a subset in drawn order (gathered).
-        shifts = tuple(range(cols)) if pick is None else tuple(dict.fromkeys(p % cols for p in pick))
+        # None: all shifts descending, as the chain step passes them (the zero-copy view);
+        # else a subset in drawn order (gathered).
+        shifts = tuple(range(cols - 1, -1, -1)) if pick is None else tuple(dict.fromkeys(p % cols for p in pick))
         want = rolled(values, shifts)
         got = _cyclic_shifts(a, shifts)
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -506,14 +507,15 @@ class TestCyclicShifts:
             with pytest.raises(ValueError):
                 got[0, 0, 0] = 0
             assert got.strides[2] == got.itemsize  # each shifted matrix reads its rows contiguously
+            assert got.strides[0] == got.itemsize  # the shift axis has stride +1 element
         holder[...] = 0  # a later write to the input does not reach the stack
         assert np.array_equal(got, want)
 
     def test_full_view_is_row_major_for_a_column_major_input(self):
         a = np.asfortranarray(np.arange(12, dtype=complex).reshape(3, 4))
-        got = _cyclic_shifts(a, (0, 1, 2, 3))
-        assert got.strides[1:] == (2 * 4 * a.itemsize, a.itemsize)
-        assert np.array_equal(got, rolled(a, range(4)))
+        got = _cyclic_shifts(a, (3, 2, 1, 0))
+        assert got.strides == (a.itemsize, 2 * 4 * a.itemsize, a.itemsize)
+        assert np.array_equal(got, rolled(a, (3, 2, 1, 0)))
 
 
 class TestChainKernel:

@@ -475,6 +475,20 @@ class TestPlanErrors:
         with pytest.raises(ConfigError, match="grid shape"):
             link.modulate_block(cfg, np.zeros((4, 8), dtype=complex))
 
+    @pytest.mark.parametrize("arch", ["fft", "direct"])
+    def test_finite_input_that_overflows_raises(self, arch):
+        # Finite taps and samples whose products overflow used to return nmse=nan and nan blocks.
+        before = np.geterr()
+        cfg = RunConfig(k=4, m=8, arch=arch)
+        with pytest.raises(FloatingPointError):
+            link.run_loopback(replace(cfg, channel_taps=(1e308 + 1e308j,)))
+        with pytest.raises(FloatingPointError):
+            link.modulate_block(cfg, np.full((4, 8), 1e308 + 1e308j))
+        with pytest.raises(FloatingPointError):
+            link.demodulate_block(cfg, np.full(32, 1e308 + 0j))
+        assert np.geterr() == before
+        assert link.run_loopback(cfg).ser == 0.0
+
 
 def _q(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))

@@ -10,13 +10,14 @@ from gfdm_modem.numerics import dft
 from gfdm_modem.pulses import (
     GfdmParams,
     PrototypePulse,
-    freq_overlap,
     make_prototype,
     occupied_bands,
     rx_window,
     tx_window,
     window_pair,
 )
+
+from multipulse import freq_overlap
 
 
 def rc_samples(k, m, alpha, delta):

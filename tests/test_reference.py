@@ -8,20 +8,23 @@ from numpy.testing import assert_allclose
 
 from gfdm_modem.errors import ConfigError, SingularMatrix
 from gfdm_modem.numerics import dft
-from gfdm_modem.pulses import GfdmParams, PrototypePulse, make_prototype, shift_pulse, tx_window
+from gfdm_modem.pulses import GfdmParams, PrototypePulse, make_prototype, tx_window
 from gfdm_modem.reference import (
     COND_LIMIT,
     ModMatrix,
-    MultiPulseComponent,
     build_matrix,
-    compose_multipulse,
     demap_symbols,
-    fbmc_oqam_modulate,
     map_symbols,
     oracle_demod_mf,
     oracle_demod_zf,
     oracle_modulate,
 )
+
+from multipulse import MultiPulseComponent, compose_multipulse, fbmc_oqam_modulate, shift_pulse
+
+
+#: (K, M) = (2**i, 2**j) with N <= 256.
+CELLS = st.integers(0, 8).flatmap(lambda i: st.integers(0, 8 - i).map(lambda j: (2**i, 2**j)))
 
 
 def random_grid(params, seed):
@@ -113,8 +116,7 @@ class TestSingularValues:
     """The margins rest on one identity: the singular values of A are |w_tx|/sqrt(K) in either domain."""
 
     @given(
-        # K = 2**i and M = 2**j with N <= 256
-        km=st.integers(0, 8).flatmap(lambda i: st.integers(0, 8 - i).map(lambda j: (2**i, 2**j))),
+        km=CELLS,
         kind=st.sampled_from(["RC", "RRC", "DIRICHLET", "RECT_TD"]),
         alpha=st.floats(0.0, 1.0),
         delta=st.sampled_from([0.0, 0.5]),
@@ -126,6 +128,20 @@ class TestSingularValues:
         sigma = np.sort(np.linalg.svd(build_matrix(pulse).mat, compute_uv=False))
         want = np.sort(np.abs(tx_window(pulse, domain)).ravel()) / np.sqrt(km[0])
         assert np.abs(sigma - want).max() <= 1e-10 * sigma[-1]
+
+    @pytest.mark.parametrize("domain", ["TD", "FD"])
+    @pytest.mark.parametrize("kind", ["RC", "RRC", "DIRICHLET", "RECT_TD"])
+    @given(km=CELLS, alpha=st.floats(0.0, 1.0), delta=st.sampled_from([0.0, 0.5]))
+    def test_every_symbol_sees_the_window_noise_enhancement(self, kind, domain, km, alpha, delta):
+        # Zero-forcing noise enhancement NEF = mean(1/|w|^2) * mean(|w|^2) is the squared norm of
+        # every row of A^-1, on every cell the oracle can invert (cond^2 below COND_LIMIT).
+        assume(km[0] >= 2 or kind not in ("RC", "RRC"))
+        pulse = make_prototype(kind, GfdmParams(*km), alpha, delta)
+        power = np.abs(tx_window(pulse, domain)) ** 2
+        assume(power.max() < COND_LIMIT * power.min())
+        nef = np.mean(1 / power) * np.mean(power)
+        rows = (np.abs(np.linalg.inv(build_matrix(pulse).mat)) ** 2).sum(axis=1)
+        assert np.abs(rows - nef).max() <= 1e-10 * nef
 
 
 class TestSymbolMapping:

@@ -123,7 +123,7 @@ def preset_cases(draw):
     mode, off = draw(st.sampled_from(VARIANTS))
     n = k * m
     if mode == "SINGLE":
-        cfg = single_stage_config(n, draw(st.booleans()), draw(st.booleans()))
+        cfg = single_stage_config(n, draw(st.booleans()))
     else:
         window = read_only(cplx(rng, (k, m)))
         cfg = preset(mode, GfdmParams(k, m), window)
