@@ -13,13 +13,12 @@ and equalizer chain, and closed-form cost, latency, and resource figures:
 * :mod:`gfdm_modem.cli` - command-line front end.
 """
 
-from .pulses import GfdmParams, PrototypePulse, WindowPair, make_prototype, window_pair
+from .pulses import GfdmParams, PrototypePulse, make_prototype, window_pair
 from .numerics import MulCounter
 
 __all__ = [
     "GfdmParams",
     "PrototypePulse",
-    "WindowPair",
     "MulCounter",
     "make_prototype",
     "window_pair",

@@ -4,24 +4,22 @@ Complex-multiplication totals cover the modulator, the demodulator, and the
 N-point equalizer transform of a frequency-domain-equalized link; a loopback
 report compares its total against the instrumented counter of the run
 (``LoopbackReport.cm_match``).  Latency figures model pipelined block processing
-from first symbol in to last symbol out, built on a per-size table of FFT-core
-processing cycles and a fixed multiplier delay.
+from first symbol in to last symbol out, built on the paper's fixed table of
+FFT-core processing cycles per size and its multiplier delay.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import ConfigError, MissingCostEntry
-from .numerics import check_grid, fft_mul_count, is_int
+from .numerics import check_grid, check_positive, fft_mul_count
 
 __all__ = [
     "ARCH_KINDS",
     "LATENCY_KINDS",
-    "CostModel",
     "ResourceCount",
     "AnalysisRow",
     "cm_count",
@@ -47,23 +45,20 @@ LATENCY_KINDS = ("FFT_TD_FD", "DIR_TD_TD", "DIR_FD_FD")
 #: Processing cycles of a pipelined streaming radix-2 FFT core, by size.
 #: Sizes 2 and 4 are deliberately absent; requesting them is an error rather
 #: than an extrapolation.
-DEFAULT_FFT_CYCLES: Mapping[int, int] = MappingProxyType(
+FFT_CYCLES = MappingProxyType(
     {8: 57, 16: 110, 32: 126, 64: 177, 128: 241, 256: 387, 512: 643, 1024: 1170, 2048: 2194}
 )
 
+#: Latency of one complex multiplier, in cycles.
+T_MUL = 12
 
-@dataclass(frozen=True)
-class CostModel:
-    """Per-size FFT processing cycles and complex-multiplier latency."""
 
-    p_cycles: Mapping[int, int] = field(default_factory=lambda: DEFAULT_FFT_CYCLES)
-    t_mul: int = 12
-
-    def p(self, size: int) -> int:
-        try:
-            return self.p_cycles[size]
-        except KeyError:
-            raise MissingCostEntry(f"no cycle figure for a {size}-point transform") from None
+def _p(size: int) -> int:
+    """Cycles of a ``size``-point transform from :data:`FFT_CYCLES`."""
+    try:
+        return FFT_CYCLES[size]
+    except KeyError:
+        raise MissingCostEntry(f"no cycle figure for a {size}-point transform") from None
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,8 @@ def cm_count(kind: str, k: int, m: int, l: int | None = None) -> int:
     """
     k, m = check_grid(k, m)
     n = k * m
-    if l is not None and (not is_int(l) or l < 1):
-        raise ConfigError(f"the band overlap L must be a positive integer, got {l!r}")
+    if l is not None:
+        l = check_positive("the band overlap L", l)
 
     def t(size: int) -> int:
         return (n // size) * fft_mul_count(size)
@@ -107,36 +102,34 @@ def cm_count(kind: str, k: int, m: int, l: int | None = None) -> int:
     if kind == "DIR_FD_FD_SPARSE":
         if l is None:
             raise ConfigError("the sparse frequency-domain count needs the band overlap L")
-        return 2 * t(m) + 2 * t(n) + 2 * int(l) * n
+        return 2 * t(m) + 2 * t(n) + 2 * l * n
     raise ConfigError(f"unknown architecture kind {kind!r}")
 
 
-def latency(kind: str, k: int, m: int, cost: CostModel = CostModel()) -> int:
+def latency(kind: str, k: int, m: int) -> int:
     """Block latency in cycles, first symbol in to last symbol out."""
     k, m = check_grid(k, m)
     n = k * m
     if kind == "FFT_TD_FD":
-        return 6 * n + 3 * (k + m) + cost.p(n) + 3 * (cost.p(k) + cost.p(m)) + 2 * cost.t_mul
+        return 6 * n + 3 * (k + m) + _p(n) + 3 * (_p(k) + _p(m)) + 2 * T_MUL
     if kind == "DIR_TD_TD":
-        return 5 * n + 2 * k + 2 * cost.p(n) + 2 * cost.p(k) + 2 * cost.t_mul
+        return 5 * n + 2 * k + 2 * _p(n) + 2 * _p(k) + 2 * T_MUL
     if kind == "DIR_FD_FD":
-        return 5 * n + 2 * m + 2 * cost.p(n) + 2 * cost.p(m) + 2 * cost.t_mul
+        return 5 * n + 2 * m + 2 * _p(n) + 2 * _p(m) + 2 * T_MUL
     raise ConfigError(f"latency is defined for {LATENCY_KINDS}, got {kind!r}")
 
 
-def latency_delta(k: int, m: int, cost: CostModel = CostModel()) -> int:
+def latency_delta(k: int, m: int) -> int:
     """Extra cycles of the FFT pipeline over the direct time-domain modem."""
-    return latency("FFT_TD_FD", k, m, cost) - latency("DIR_TD_TD", k, m, cost)
+    return latency("FFT_TD_FD", k, m) - latency("DIR_TD_TD", k, m)
 
 
 def resources(kind: str, l_max: int = 16) -> ResourceCount:
     """FPGA resource budget of either architecture."""
-    if not is_int(l_max) or l_max < 1:
-        raise ConfigError(f"l_max must be at least 1 and an integer, got {l_max!r}")
+    chains = 2 * check_positive("l_max", l_max)
     if kind == "FFT_BASED":
         return ResourceCount(fft_cores=7, multipliers=2, rw_rams=4, r_or_w_rams=2)
     if kind == "DIRECT":
-        chains = 2 * int(l_max)
         return ResourceCount(fft_cores=4, multipliers=chains, rw_rams=chains, r_or_w_rams=chains)
     raise ConfigError(f"resource kind must be 'FFT_BASED' or 'DIRECT', got {kind!r}")
 
@@ -157,7 +150,6 @@ class AnalysisRow:
 def sweep(
     kinds: list[str],
     geometries: list[tuple[int, int]],
-    cost: CostModel = CostModel(),
     l: int | None = None,
 ) -> list[AnalysisRow]:
     """Evaluate counts and latency over kind/geometry combinations.
@@ -176,9 +168,9 @@ def sweep(
             status = "ok"
             if kind in LATENCY_KINDS:
                 try:
-                    lat = latency(kind, k, m, cost)
-                    delta = latency_delta(k, m, cost)
-                    base = latency("DIR_TD_TD", k, m, cost)
+                    lat = latency(kind, k, m)
+                    delta = latency_delta(k, m)
+                    base = latency("DIR_TD_TD", k, m)
                     pct = 100.0 * delta / base
                 except MissingCostEntry:
                     status = "missing cost entry"

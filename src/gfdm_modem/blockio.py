@@ -66,10 +66,9 @@ def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin") -> None:
         raise ConfigError(f"unknown sample format {fmt!r}, expected 'bin' or 'csv'")
 
 
-def read_samples(path: str | Path, fmt: str | None = None) -> np.ndarray:
+def read_samples(path: str | Path) -> np.ndarray:
     path = Path(path)
-    fmt = fmt or _sniff_format(path)
-    if fmt == "csv":
+    if _sniff_format(path) == "csv":
         try:
             rows = [line.split(",") for line in map(str.strip, path.read_text().split("\n")) if line]
         except UnicodeDecodeError:

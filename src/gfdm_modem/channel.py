@@ -233,10 +233,10 @@ def uniform64_array(seed: int, start: int, count: int) -> np.ndarray:
     return u
 
 
-def gaussian_pairs(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """``count`` standard complex Gaussians (unit variance per complex sample)."""
-    offset, count = _check_span(offset, count, 2)
-    u = uniform64_array(seed, offset, 2 * count)
+def gaussian_pairs(seed: int, count: int) -> np.ndarray:
+    """``count`` standard complex Gaussians (unit variance per complex sample), from word 0 on."""
+    count = _check_span(0, count, 2)[1]
+    u = uniform64_array(seed, 0, 2 * count)
     # sqrt and products are correctly rounded, so numpy matches the scalar arithmetic.
     # numpy's complex128 exp is not CPU-dispatched (libm cexp per element, the cos/sin
     # of cmath.exp); its float64 log is, so log stays on math per sample.  math.log has

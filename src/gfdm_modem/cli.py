@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     GfdmError,
     MissingCostEntry,
-    OverlapTooLarge,
     SingularChannel,
     SingularMatrix,
     SingularWindow,
@@ -200,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularWindow, SingularChannel, SingularMatrix) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except (ConfigError, ChainLimitExceeded, OverlapTooLarge, MissingCostEntry) as exc:
+    except (ConfigError, ChainLimitExceeded, MissingCostEntry) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except GfdmError as exc:
@@ -209,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
-    except MemoryError:  # e.g. K = 2**62: GfdmParams's K-entry active set cannot be allocated
+    except MemoryError:  # a block within numerics.MAX_N whose tables this machine cannot hold
         print("invalid configuration: the block geometry does not fit in memory", file=sys.stderr)
         return _EXIT_VALIDATION
 

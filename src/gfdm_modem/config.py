@@ -10,10 +10,10 @@ from pathlib import Path
 
 from .channel import check_real, check_seed, check_snr_db, check_taps, snr_ratio
 from .errors import ConfigError
-from .numerics import is_int
+from .numerics import check_positive, is_int
 from .pulses import GfdmParams, check_pulse_spec
 
-__all__ = ["RunConfig", "parse_config", "emit_config", "load_config"]
+__all__ = ["RunConfig", "parse_config", "load_config"]
 
 _RX_KINDS = ("zf", "mf")
 _ARCHS = ("fft", "direct")
@@ -42,14 +42,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         # The one integer rule, numerics.is_int: a bool or a non-integral value is refused, never truncated.
         # Numpy integers are held as int, so keys, cost formulas and JSON output see one type.
-        # The seed's rule, with its 64-bit range, is channel.check_seed, shared with ChannelSpec.
-        for name in ("k", "m", "n_cp", "n_cs", "l_max", "k_on", "m_on"):
+        # The chain count l_max takes the one count rule, numerics.check_positive.  The seed's rule,
+        # with its 64-bit range, is channel.check_seed, shared with ChannelSpec.
+        for name in ("k", "m", "n_cp", "n_cs", "k_on", "m_on"):
             value, many = getattr(self, name), name in ("k_on", "m_on")
             for item in (value or ()) if many else (value,):
                 if not is_int(item):
                     raise ConfigError(f"{name} must be an integer, got {item!r}")
             if value or not many:
                 object.__setattr__(self, name, tuple(map(int, value)) if many else int(value))
+        object.__setattr__(self, "l_max", check_positive("l_max", self.l_max))
         object.__setattr__(self, "seed", check_seed(self.seed))
         # Real numbers held as float, names as str; the real-number and taps rules are channel's.
         for name in ("alpha", "delta"):
@@ -77,8 +79,6 @@ class RunConfig:
                 f"n_cp + 1 = {self.n_cp + 1}"
             )
         snr_ratio(self.snr_db)  # the SNR rule, and for a finite SNR the range of its ratio
-        if self.l_max < 1:
-            raise ConfigError("l_max must be at least 1")
 
     @cached_property
     def params(self) -> GfdmParams:
@@ -152,27 +152,6 @@ def parse_config(data: dict) -> RunConfig:
         return RunConfig(**{key: convert(data[key]) for key, convert in _CONVERTERS.items() if key in data})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc
-
-
-def emit_config(cfg: RunConfig) -> dict:
-    return {
-        "k": cfg.k,
-        "m": cfg.m,
-        "pulse": cfg.pulse,
-        "alpha": cfg.alpha,
-        "delta": cfg.delta,
-        "rx": cfg.rx,
-        "arch": cfg.arch,
-        "domain": cfg.domain,
-        "k_on": list(cfg.k_on) if cfg.k_on else None,
-        "m_on": list(cfg.m_on) if cfg.m_on else None,
-        "n_cp": cfg.n_cp,
-        "n_cs": cfg.n_cs,
-        "channel_taps": [[t.real, t.imag] for t in cfg.channel_taps],
-        "snr_db": None if math.isinf(cfg.snr_db) else cfg.snr_db,
-        "seed": cfg.seed,
-        "l_max": cfg.l_max,
-    }
 
 
 def load_config(path: str | Path) -> RunConfig:

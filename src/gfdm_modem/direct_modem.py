@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainLimitExceeded, ConfigError, OverlapTooLarge
+from .errors import ChainLimitExceeded, ConfigError
 from .fft_modem import ArchConfig, bypass, preset, run_demodulator, run_modulator
-from .numerics import MulCounter, dft, is_int
+from .numerics import MulCounter, check_positive, dft
 from .pulses import GfdmParams, occupied_bands
 
 __all__ = [
@@ -51,8 +51,8 @@ class DirectLimits:
     n_max: int = 2048
 
     def __post_init__(self) -> None:
-        if not (is_int(self.l_max) and is_int(self.n_max)) or self.l_max < 1 or self.n_max < 1:
-            raise ConfigError(f"direct-architecture limits must be positive integers, got {self}")
+        check_positive("l_max", self.l_max)
+        check_positive("n_max", self.n_max)
 
 
 def _chain_table(mode: str, window: np.ndarray, limits: DirectLimits, full: bool = True) -> ArchConfig:
@@ -65,9 +65,8 @@ def _chain_table(mode: str, window: np.ndarray, limits: DirectLimits, full: bool
     taps = dft(w.T if td else w, inverse=td, normalized=True)
     parts = tuple(range(len(taps))) if full else tuple(occupied_bands(taps).tolist())
     if len(parts) > limits.l_max:
-        if td:
-            raise ChainLimitExceeded(f"{len(parts)} chains needed, only {limits.l_max} available")
-        raise OverlapTooLarge(
+        raise ChainLimitExceeded(
+            f"{len(parts)} chains needed, only {limits.l_max} available" if td else
             f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
             f"only {limits.l_max} chains available"
         )

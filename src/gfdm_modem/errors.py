@@ -28,12 +28,9 @@ class SingularChannel(GfdmError):
 class ChainLimitExceeded(GfdmError):
     """A direct-convolution table needs more parallel multiplier chains than available.
 
-    Raised when the time-domain table is built, after the block-length check.
+    Raised when a table is built, after the block-length check: a time-domain table
+    needs M chains, a frequency-domain one a chain per occupied subcarrier band.
     """
-
-
-class OverlapTooLarge(GfdmError):
-    """The frequency support of a pulse spans more subcarrier bands than chains exist."""
 
 
 class MissingCostEntry(GfdmError):

@@ -44,7 +44,7 @@ import numpy as np
 from . import analysis, channel, direct_modem, fft_modem, reference
 from .channel import ChannelSpec, splitmix64_words
 from .config import RunConfig
-from .numerics import MulCounter, finite_only
+from .numerics import MulCounter, finite_only, finite_result
 from .pulses import GfdmParams, PrototypePulse, make_prototype, rx_window, tx_window
 
 __all__ = ["LoopbackReport", "Waveform", "ModemPlan", "waveform_for", "plan_for", "run_loopback",
@@ -149,15 +149,17 @@ def plan_for(cfg: RunConfig) -> ModemPlan:
 
 
 def modulate_block(cfg: RunConfig, grid: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
-    """Time-domain core block for the configured architecture and domain (``numerics.finite_only``)."""
+    """Time-domain core block for the configured architecture and domain (``numerics.finite_only``,
+    ``numerics.finite_result``)."""
     with finite_only():
-        return plan_for(cfg).modulate(grid, counter)
+        return finite_result(plan_for(cfg).modulate(grid, counter))
 
 
 def demodulate_block(cfg: RunConfig, yf_eq: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
-    """Grid estimate from the frequency-domain equalized block (``numerics.finite_only``)."""
+    """Grid estimate from the frequency-domain equalized block (``numerics.finite_only``,
+    ``numerics.finite_result``)."""
     with finite_only():
-        return plan_for(cfg).demodulate(yf_eq, counter)
+        return finite_result(plan_for(cfg).demodulate(yf_eq, counter))
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,9 @@ class LoopbackReport:
 def run_loopback(cfg: RunConfig) -> LoopbackReport:
     """One full block through the evaluation chain of the configured link.
 
-    The chain runs under ``numerics.finite_only``: finite input whose arithmetic
-    overflows raises ``FloatingPointError`` instead of reporting nan.
+    The chain runs under ``numerics.finite_only`` and its grid estimate passes
+    ``numerics.finite_result``: finite input whose arithmetic overflows raises
+    ``FloatingPointError`` instead of reporting nan.
     """
     with finite_only():
         plan = plan_for(cfg)
@@ -203,7 +206,7 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
         received = channel.apply_channel(framed, spec)
         core = channel.remove_cp(received, cfg.n_cp, cfg.n_cs)
         yf_eq = channel.fd_equalize_zf(core, spec.taps, counter=counter)
-        grid_hat = plan.demodulate(yf_eq, counter)
+        grid_hat = finite_result(plan.demodulate(yf_eq, counter))
         d_hat = reference.demap_symbols(grid_hat, params)
 
         power = np.vdot(d_on, d_on).real

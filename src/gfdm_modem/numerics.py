@@ -17,9 +17,11 @@ Conventions
 * Transform cost is counted as ``(n/2) * log2(n)`` complex multiplications per
   length-``n`` vector for ``n > 2`` and zero for ``n <= 2`` (the 2-point
   butterfly needs additions only).
-* The input rules every module shares live here: :func:`is_int`, :func:`is_pow2`,
-  :func:`check_grid`, the zero-forcing threshold :data:`SINGULAR_EPS` and the
-  finite-range rule :func:`finite_only`.
+* The input rules every module shares live here: :func:`is_int`, the count rule
+  :func:`check_positive`, :func:`is_pow2`, :func:`check_grid`, the block bound
+  :data:`MAX_N`, the zero-forcing threshold :data:`SINGULAR_EPS` and the
+  finite-range rule: :func:`finite_only` around a computation, :func:`finite_result`
+  on its result.
 """
 
 from __future__ import annotations
@@ -31,12 +33,15 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
+    "MAX_N",
     "MulCounter",
     "SINGULAR_EPS",
     "check_grid",
+    "check_positive",
     "dft",
     "fft_mul_count",
     "finite_only",
+    "finite_result",
     "is_int",
     "is_pow2",
     "polyphase",
@@ -48,10 +53,21 @@ __all__ = [
 #: Zero-forcing refuses a window entry or a channel frequency bin whose magnitude is at most this.
 SINGULAR_EPS = 1e-8
 
+#: The largest block K*M a modem is built for: a larger one is refused before anything is allocated.
+#: The largest any test or workload runs is 4096; an N = 2**20 loopback peaks at ~318 MB.
+MAX_N = 2**20
+
 
 def is_int(v) -> bool:
     """The one integer rule: an int or a numpy integer, never a bool (exact type first: ABCs are slow)."""
     return type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral))
+
+
+def check_positive(name: str, value) -> int:
+    """The one count rule: ``value`` as an int; reject a bool, a non-integer or one below 1."""
+    if not (is_int(value) and value >= 1):
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def is_pow2(n) -> bool:
@@ -61,6 +77,14 @@ def is_pow2(n) -> bool:
 def finite_only() -> np.errstate:
     """Finite in, finite out: an overflow, invalid operation or division by zero raises ``FloatingPointError``."""
     return np.errstate(over="raise", invalid="raise", divide="raise")
+
+
+def finite_result(a):
+    """``a`` if every entry is finite, else ``FloatingPointError``: the finite-range rule where numpy
+    checks no flag, as in a BLAS dot or ``numpy.fft`` before numpy 2.0 (not a ufunc there)."""
+    if not np.isfinite(a).all():
+        raise FloatingPointError("non-finite result")
+    return a
 
 
 def check_grid(k, m) -> tuple[int, int]:

@@ -21,12 +21,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, SingularWindow
-from .numerics import SINGULAR_EPS, check_grid, dft, is_int, zak_freq, zak_time
+from .numerics import MAX_N, SINGULAR_EPS, check_grid, dft, is_int, zak_freq, zak_time
 
 __all__ = [
     "GfdmParams",
     "PrototypePulse",
-    "WindowPair",
     "PULSE_KINDS",
     "check_pulse_spec",
     "make_prototype",
@@ -54,6 +53,8 @@ class GfdmParams:
     def __post_init__(self) -> None:
         # Held as ints, as RunConfig holds them: a small numpy integer would wrap in n or active_index.
         k, m = check_grid(self.k, self.m)
+        if k * m > MAX_N:  # before the active sets are built: a K-entry range could fill the memory
+            raise ConfigError(f"block length K*M = {k * m} exceeds MAX_N = {MAX_N}")
         for name in ("k_on", "m_on"):
             if not all(map(is_int, getattr(self, name) or ())):
                 raise ConfigError(f"{name} must hold integers, got {getattr(self, name)!r}")
@@ -92,16 +93,6 @@ class PrototypePulse:
     delta: float
     time: np.ndarray
     freq: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class WindowPair:
-    """Transmit and receive windows of one processing domain."""
-
-    w_tx: np.ndarray
-    w_rx: np.ndarray
-    rx_kind: str
-    domain: str
 
 
 def _rc_profile(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -202,10 +193,10 @@ def rx_window(w_tx: np.ndarray, kind: str) -> np.ndarray:
     raise ConfigError(f"receive window kind must be 'ZF' or 'MF', got {kind!r}")
 
 
-def window_pair(pulse: PrototypePulse, domain: str, rx_kind: str) -> WindowPair:
-    """Transmit/receive window pair for one domain."""
+def window_pair(pulse: PrototypePulse, domain: str, rx_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(w_tx, w_rx)`` of one domain."""
     w_tx = tx_window(pulse, domain)
-    return WindowPair(w_tx, rx_window(w_tx, rx_kind), rx_kind, domain)
+    return w_tx, rx_window(w_tx, rx_kind)
 
 
 def occupied_bands(bands: np.ndarray) -> np.ndarray:

@@ -103,7 +103,7 @@ class TestReaderRules:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "s.csv")
             path.write_bytes(text.encode())
-            assert outcome(lambda p: blockio.read_samples(p, "csv"), path) == outcome(per_line_read_csv, path)
+            assert outcome(blockio.read_samples, path) == outcome(per_line_read_csv, path)
 
     @pytest.mark.parametrize(
         "text",

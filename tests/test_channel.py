@@ -25,7 +25,7 @@ from gfdm_modem.channel import (
 from gfdm_modem.config import RunConfig
 from gfdm_modem.errors import ConfigError, SingularChannel
 from gfdm_modem.numerics import SINGULAR_EPS, MulCounter, dft
-from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
+from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 from gfdm_modem.fft_modem import demodulate_fd, modulate_td
 from gfdm_modem.link import _SYMBOL_STREAM_OFFSET, qpsk_symbols
 
@@ -167,16 +167,16 @@ class TestStreamGolden:
 
 _TOP = 2**64 - 1  # start + count may reach it: word 2**64 - 2 is the last before the counter wraps
 
-#: Each array stream as ``(seed, start, count)``; ``qpsk_symbols`` reads from its fixed start.
+#: Each array stream as ``(seed, start, count)``; ``gaussian_pairs`` and ``qpsk_symbols`` read from their fixed start.
 SPAN_STREAMS = {
     "splitmix64_words": splitmix64_words,
     "uniform64_array": uniform64_array,
-    "gaussian_pairs": lambda seed, start, count: gaussian_pairs(seed, count, start),
+    "gaussian_pairs": lambda seed, start, count: gaussian_pairs(seed, count),
     "qpsk_symbols": lambda seed, start, count: qpsk_symbols(seed, count),
 }
 #: Words each stream reads per item, and the start it reads from when it takes none.
 SPAN_WIDTH = {"gaussian_pairs": 2}
-FIXED_START = {"qpsk_symbols": _SYMBOL_STREAM_OFFSET}
+FIXED_START = {"gaussian_pairs": 0, "qpsk_symbols": _SYMBOL_STREAM_OFFSET}
 
 NOT_INTEGERS = st.sampled_from([True, False, 1.0, 2.5, "3", None, np.float64(2.0), float("nan")])
 BAD_SEEDS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64), NOT_INTEGERS)
@@ -188,10 +188,10 @@ class TestStreamArguments:
     @pytest.mark.parametrize(
         "call",
         [lambda: gaussian_pairs(-1, 8), lambda: qpsk_symbols(2**64, 8), lambda: qpsk_symbols(1, -1),
-         lambda: gaussian_pairs(1, -1), lambda: gaussian_pairs(1, 4, -3), lambda: uniform64(1, -1),
+         lambda: gaussian_pairs(1, -1), lambda: uniform64(1, -1),
          lambda: uniform64(1, _TOP), lambda: qpsk_symbols(1, 2**63)],
         ids=["gaussian-seed-minus-1", "qpsk-seed-2**64", "qpsk-count-minus-1", "gaussian-count-minus-1",
-             "gaussian-offset-minus-3", "uniform64-index-minus-1", "uniform64-index-past-the-last-word",
+             "uniform64-index-minus-1", "uniform64-index-past-the-last-word",
              "qpsk-count-2**63"],
     )
     def test_calls_that_used_to_alias_or_escape_are_config_errors(self, call):
@@ -233,7 +233,7 @@ class TestStreamArguments:
         # The scalar word used to overflow in numpy uint64 arithmetic; the rule holds them as int.
         s = np.uint64(seed)
         assert uniform64(s, np.uint64(0)).hex() == GOLDEN[seed][0]
-        assert _digest(gaussian_pairs(s, np.uint64(4112), np.uint64(0))) == GOLDEN[seed][1]
+        assert _digest(gaussian_pairs(s, np.uint64(4112))) == GOLDEN[seed][1]
         assert _digest(qpsk_symbols(s, np.int64(4096))) == GOLDEN[seed][2]
 
 
@@ -246,13 +246,13 @@ class TestEqualizer:
     def test_loopback_through_channel(self):
         params = GfdmParams(8, 4)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        wp = window_pair(pulse, "FD", "ZF")
+        w_rx = rx_window(tx_window(pulse, "FD"), "ZF")
         rng = np.random.default_rng(3)
         grid = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
         x = modulate_td(grid, tx_window(pulse, "TD"))
         taps = np.array([1.0, 0.45 - 0.2j, -0.1 + 0.3j, 0.05])
         y = remove_cp(apply_channel(add_cp(x, 8), ChannelSpec(taps)), 8)
-        est = demodulate_fd(fd_equalize_zf(y, taps), wp.w_rx)
+        est = demodulate_fd(fd_equalize_zf(y, taps), w_rx)
         assert np.abs(est - grid).max() <= 1e-9
 
     def test_null_bin_raises(self):

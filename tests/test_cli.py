@@ -1,25 +1,31 @@
 """Tests for configuration handling, sample files, and the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gfdm_modem
 from gfdm_modem import blockio
 from gfdm_modem.cli import _build_parser, main
-from gfdm_modem.config import RunConfig, emit_config, parse_config
+from gfdm_modem.config import RunConfig, parse_config
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.link import qpsk_symbols, run_loopback
+
+from configs import emit_config
 
 
 def write_config(tmp_path, **overrides):
@@ -138,7 +144,7 @@ class TestIntegerRule:
          ("k_on", (1, True)), ("k_on", (1.0,)), ("m_on", (0, 0.5)), ("m_on", ("1",)), ("k", math.inf)],
     )
     def test_booleans_and_non_integral_values_are_refused(self, field, value):
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        with pytest.raises(ConfigError, match=f"{field} must be an? (positive )?integer"):
             RunConfig(**{"k": 8, "m": 4, field: value})
 
     def test_seed_and_n_cp_booleans_are_refused(self):
@@ -403,7 +409,7 @@ class TestCommands:
         data[field] = "RAW"
         path.write_text(json.dumps(data).replace('"RAW"', raw))
         assert main(["loopback", "--config", str(path)]) == 2
-        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert re.search(f"{field} must be an? (positive )?integer", capsys.readouterr().err)
 
     def test_integral_floats_run_as_integers(self, tmp_path, capsys):
         ints = dict(k=8, m=4, n_cp=8, n_cs=1, seed=3, l_max=16, k_on=[1, 2], m_on=[0, 3])
@@ -561,9 +567,8 @@ class TestCliRefusals:
 
     @pytest.mark.parametrize("command", ["loopback", "modulate", "demodulate", "pulse"])
     def test_geometry_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):
-        # K*M = 2**64: CPython refuses the K-entry active set before allocating anything.
-        # It used to exit 1 with a MemoryError traceback.  Sizes between RAM and the
-        # address space would really allocate, so none is tried here.
+        # K*M = 2**64 used to exit 1 with a MemoryError traceback, then 2 once CPython refused
+        # its K-entry active set; the block bound now refuses it before anything is allocated.
         cfg = write_config(tmp_path, k=2**62, m=4)
         out = tmp_path / "out"
         files = [] if command == "loopback" else ["--out", str(out)]
@@ -571,7 +576,44 @@ class TestCliRefusals:
             files += ["--in", str(tmp_path / "in.bin")]
         assert main([command, "--config", str(cfg), *files]) == 2
         captured = capsys.readouterr()
+        assert captured.err == f"invalid configuration: block length K*M = {2**64} exceeds MAX_N = {2**20}\n"
+        assert captured.out == "" and not out.exists()
+
+    @staticmethod
+    def command_argv(tmp_path, command):
+        """``command`` on the default configuration with a legal input file, and its output path."""
+        cfg, out = write_config(tmp_path), tmp_path / "out.bin"
+        if command == "loopback":
+            return ["loopback", "--config", str(cfg)], out
+        infile = tmp_path / "in.bin"
+        blockio.write_samples(infile, qpsk_symbols(1, 32 if command == "modulate" else 40))
+        return [command, "--config", str(cfg), "--in", str(infile), "--out", str(out)], out
+
+    @pytest.mark.parametrize("command", ["loopback", "modulate", "demodulate"])
+    def test_a_block_the_machine_cannot_hold_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # A geometry within MAX_N can still exhaust memory: main turns that into one line and exit 2.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(gfdm_modem.link, {"loopback": "run_loopback"}.get(command, f"{command}_block"), exhausted)
+        argv, out = self.command_argv(tmp_path, command)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
         assert captured.err == "invalid configuration: the block geometry does not fit in memory\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["loopback", "modulate", "demodulate"])
+    def test_a_transform_that_overflows_without_a_flag_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # numpy.fft before numpy 2.0 is not a ufunc, so an overflow inside it raises no flag under
+        # finite_only: the command's last engine returning inf without a flag stands in for it.
+        name = "run_modulator" if command == "modulate" else "run_demodulator"
+        real = getattr(gfdm_modem.fft_modem, name)
+        monkeypatch.setattr(gfdm_modem.fft_modem, name,
+                            lambda cfg, s, counter=None: np.full_like(real(cfg, s, counter), np.inf))
+        argv, out = self.command_argv(tmp_path, command)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invalid input: the block leaves the finite range (non-finite result)\n"
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("overlap", ["-3", "0"])
@@ -633,3 +675,72 @@ class TestFloatRange:
         # Each used to escape as OverflowError from float() or from the taps' complex conversion.
         with pytest.raises(ConfigError, match=name):
             RunConfig(k=8, m=4, **{field: value})
+
+
+#: Every configuration key's legal values, with N = K*M <= 1024 (finite taps of 1e308 overflow in the chain).
+LEGAL_VALUES = {
+    "k": st.sampled_from([2, 4, 8, 16, 32]), "m": st.sampled_from([1, 2, 4, 8, 16, 32]),
+    "pulse": st.sampled_from(["rc", "rrc", "dirichlet", "rect_td"]),
+    "alpha": st.sampled_from([0.0, 0.25, 0.5, 1.0]), "delta": st.sampled_from([0.0, 0.5]),
+    "rx": st.sampled_from(["zf", "mf"]), "arch": st.sampled_from(["fft", "direct"]),
+    "domain": st.sampled_from(["td", "fd"]), "k_on": st.sampled_from([None, [1, 0]]),
+    "m_on": st.sampled_from([None, [0]]), "n_cp": st.integers(0, 4), "n_cs": st.integers(0, 2),
+    "channel_taps": st.sampled_from([[1.0], [[1.0, 0.0], [0.3, -0.1]], [[0.9, 0.1], 0.2, [0.0, -0.05]],
+                                     [[1e308, 1e308]]]),
+    "snr_db": st.sampled_from([None, "inf", 20.0, -5.0]), "seed": st.integers(0, 2**64 - 1),
+    "l_max": st.integers(1, 32),
+}
+#: Values a file may hold in any key: wrong types, out of range, non-finite, nested or null.
+ADVERSARIAL = st.sampled_from([True, False, 8.5, "8", 2**64, 2**30, 1e308, "nan", [[1, [2]]], None, -1, -8])
+#: Pieces of sample files, spliced in any order: valid and malformed CSV text and binary.
+SAMPLE_PIECES = st.sampled_from([
+    b"index,re,im\n", b"0,0.7071067811865476,-0.7071067811865476\n", b"1,1e308,1e308\n", b"2,nan,0\n",
+    b"3,1.0\n", b"x,y,z\n", b"\xff\xfe", b"\n",
+    blockio.MAGIC + (4).to_bytes(4, "little") + bytes(4), np.full(4, 0.5 - 0.5j).astype("<c16").tobytes(),
+    np.array([np.inf]).astype("<c16").tobytes(), bytes(7),
+])
+
+
+class TestCliFuzz:
+    """Whatever the configuration and the sample file hold, a run ends in exit 0 with finite
+    output, or in exit 2 or 3 with one stderr line and no output file; ``main`` never raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        config=st.fixed_dictionaries(
+            {key: LEGAL_VALUES[key] for key in ("k", "m")},
+            optional={key: legal for key, legal in LEGAL_VALUES.items() if key not in ("k", "m")}),
+        bad=st.dictionaries(st.sampled_from(sorted(LEGAL_VALUES)), ADVERSARIAL, max_size=3),
+        command=st.sampled_from(["loopback", "demodulate"]),
+        sample=st.sampled_from([None, 0.5 + 0.25j, 1e308 + 0j]),
+        pieces=st.lists(SAMPLE_PIECES, max_size=6),
+        suffixes=st.tuples(st.sampled_from([".csv", ".bin", ".dat", ""]), st.sampled_from([".csv", ".bin"])),
+    )
+    def test_every_run_exits_cleanly(self, config, bad, command, sample, pieces, suffixes):
+        config = {**config, **bad}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp, "config.json")
+            infile, out = Path(tmp, "in" + suffixes[0]), Path(tmp, "out" + suffixes[1])
+            cfg_path.write_text(json.dumps(config))
+            argv = [command, "--config", str(cfg_path)]
+            if command == "demodulate":
+                infile.write_bytes(b"".join(pieces))
+                if sample is not None:  # a block of the configured length, so the file reaches the engines
+                    with contextlib.suppress(ConfigError):
+                        cfg = parse_config(config)
+                        block = np.full(cfg.n + cfg.n_cp + cfg.n_cs, sample)
+                        blockio.write_samples(infile, block, blockio.guess_format(infile, "csv"))
+                argv += ["--in", str(infile), "--out", str(out)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            if code == 0:
+                assert stderr.getvalue() == ""
+                if command == "demodulate":
+                    assert np.isfinite(blockio.read_samples(out)).all()
+                else:
+                    assert math.isfinite(float(re.search(r"nmse=(\S+)", stdout.getvalue()).group(1)))
+            else:
+                assert code in (2, 3)
+                assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+                assert not out.exists()

@@ -19,11 +19,11 @@ from gfdm_modem.direct_modem import (
     precompute_td_demod,
     precompute_td_mod,
 )
-from gfdm_modem.errors import ChainLimitExceeded, ConfigError, OverlapTooLarge, SingularWindow
+from gfdm_modem.errors import ChainLimitExceeded, ConfigError, SingularWindow
 from gfdm_modem.fft_modem import demodulate_fd, modulate_fd, modulate_td
 from gfdm_modem.fft_modem import demodulate_td as fft_demodulate_td
 from gfdm_modem.numerics import MulCounter, dft, fft_mul_count, polyphase
-from gfdm_modem.pulses import GfdmParams, make_prototype, occupied_bands, tx_window, window_pair
+from gfdm_modem.pulses import GfdmParams, make_prototype, occupied_bands, rx_window, tx_window
 from gfdm_modem.reference import build_matrix, oracle_modulate
 
 
@@ -54,7 +54,7 @@ class TestChainTables:
         params = GfdmParams(*km)
         pulse = make_prototype(kind, params, alpha, 0.5)
         try:
-            w_td, w_fd = (window_pair(pulse, d, rx).w_rx for d in ("TD", "FD"))
+            w_td, w_fd = (rx_window(tx_window(pulse, d), rx) for d in ("TD", "FD"))
         except SingularWindow:
             assume(False)
         limits = DirectLimits(l_max=max(km))
@@ -120,7 +120,7 @@ class TestPrecomputeMod:
         time[0] = 1.0  # impulse occupies all 64 bands
         pulse = make_prototype("RC", params, 0.5, 0.5)
         full = type(pulse)(pulse.kind, params, 0.5, 0.5, time, dft(time))
-        with pytest.raises(OverlapTooLarge, match="^pulse occupies 64 subcarrier bands, only 16 chains available$"):
+        with pytest.raises(ChainLimitExceeded, match="^pulse occupies 64 subcarrier bands, only 16 chains available$"):
             precompute_fd_mod(tx_window(full, "FD"), DirectLimits(l_max=16))
 
 
@@ -153,7 +153,7 @@ class TestModulate:
         # The chain count is refused when the table is built, after the block length.
         params = GfdmParams(32, 64)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        w_rx = window_pair(pulse, "TD", "ZF").w_rx
+        w_rx = rx_window(tx_window(pulse, "TD"), "ZF")
         with pytest.raises(ChainLimitExceeded, match="^64 chains needed, only 16 available$"):
             precompute_td_mod(tx_window(pulse, "TD"), DirectLimits(l_max=16))
         with pytest.raises(ChainLimitExceeded, match="^64 chains needed, only 16 available$"):
@@ -194,42 +194,42 @@ class TestModulate:
 class TestPrecomputeDemod:
     def test_mf_dirichlet_single_partition(self):
         params = GfdmParams(8, 4)
-        wp = window_pair(make_prototype("DIRICHLET", params), "FD", "MF")
-        assert len(precompute_fd_demod(wp.w_rx).window) == 1
+        w_rx = rx_window(tx_window(make_prototype("DIRICHLET", params), "FD"), "MF")
+        assert len(precompute_fd_demod(w_rx).window) == 1
 
     def test_zf_spreads_beyond_chain_budget(self):
         params = GfdmParams(64, 4)
-        wp = window_pair(make_prototype("RC", params, 0.5, 0.5), "FD", "ZF")
-        with pytest.raises(OverlapTooLarge, match="^receive pulse occupies 32 subcarrier bands, only 16 chains"):
-            precompute_fd_demod(wp.w_rx, DirectLimits(l_max=16))
-        table = precompute_fd_demod(wp.w_rx, DirectLimits(l_max=64))
+        w_rx = rx_window(tx_window(make_prototype("RC", params, 0.5, 0.5), "FD"), "ZF")
+        with pytest.raises(ChainLimitExceeded, match="^receive pulse occupies 32 subcarrier bands, only 16 chains"):
+            precompute_fd_demod(w_rx, DirectLimits(l_max=16))
+        table = precompute_fd_demod(w_rx, DirectLimits(l_max=64))
         # Computed support of the inverted window: 32 occupied bands here,
         # far past any practical chain budget.
         assert len(table.window) == 32
 
     def test_td_always_m_matrices(self):
         params = GfdmParams(8, 4)
-        wp = window_pair(make_prototype("RC", params, 0.5, 0.5), "TD", "ZF")
-        assert len(precompute_td_demod(wp.w_rx).window) == params.m
+        w_rx = rx_window(tx_window(make_prototype("RC", params, 0.5, 0.5), "TD"), "ZF")
+        assert len(precompute_td_demod(w_rx).window) == params.m
 
 
 class TestDemodulate:
     def test_td_zf_loopback(self):
         params = GfdmParams(8, 4)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        wp = window_pair(pulse, "TD", "ZF")
+        w_rx = rx_window(tx_window(pulse, "TD"), "ZF")
         grid = random_grid(params, 5)
         x = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
-        est = direct_demodulate_td(x, precompute_td_demod(wp.w_rx))
+        est = direct_demodulate_td(x, precompute_td_demod(w_rx))
         assert np.abs(est - grid).max() <= 1e-9
 
     def test_fd_zf_loopback(self):
         params = GfdmParams(8, 4)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        wp = window_pair(pulse, "FD", "ZF")
+        w_rx = rx_window(tx_window(pulse, "FD"), "ZF")
         grid = random_grid(params, 6)
         spec = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")))
-        table = precompute_fd_demod(wp.w_rx, force_full=True)
+        table = precompute_fd_demod(w_rx, force_full=True)
         est = direct_demodulate_fd(spec, table)
         assert np.abs(est - grid).max() <= 1e-9
 
@@ -238,29 +238,29 @@ class TestDemodulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         rng = np.random.default_rng(20)
         y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
-        wp_td = window_pair(pulse, "TD", "ZF")
-        ref_td = fft_demodulate_td(y, wp_td.w_rx)
-        got_td = direct_demodulate_td(y, precompute_td_demod(wp_td.w_rx))
+        w_rx_td = rx_window(tx_window(pulse, "TD"), "ZF")
+        ref_td = fft_demodulate_td(y, w_rx_td)
+        got_td = direct_demodulate_td(y, precompute_td_demod(w_rx_td))
         assert np.abs(got_td - ref_td).max() <= 1e-10 * np.abs(ref_td).max()
-        wp_fd = window_pair(pulse, "FD", "ZF")
-        ref_fd = demodulate_fd(dft(y), wp_fd.w_rx)
-        got_fd = direct_demodulate_fd(dft(y), precompute_fd_demod(wp_fd.w_rx, force_full=True))
+        w_rx_fd = rx_window(tx_window(pulse, "FD"), "ZF")
+        ref_fd = demodulate_fd(dft(y), w_rx_fd)
+        got_fd = direct_demodulate_fd(dft(y), precompute_fd_demod(w_rx_fd, force_full=True))
         assert np.abs(got_fd - ref_fd).max() <= 1e-10 * np.abs(ref_fd).max()
 
     def test_matches_fft_demodulator_mf_dirichlet(self):
         params = GfdmParams(8, 4)
         pulse = make_prototype("DIRICHLET", params)
-        wp = window_pair(pulse, "FD", "MF")
+        w_rx = rx_window(tx_window(pulse, "FD"), "MF")
         grid = random_grid(params, 7)
         spec = dft(modulate_td(grid, tx_window(pulse, "TD")))
-        ref = demodulate_fd(spec, wp.w_rx)
-        got = direct_demodulate_fd(spec, precompute_fd_demod(wp.w_rx))
+        ref = demodulate_fd(spec, w_rx)
+        got = direct_demodulate_fd(spec, precompute_fd_demod(w_rx))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_zero_input(self):
         params = GfdmParams(4, 4)
-        wp = window_pair(make_prototype("DIRICHLET", params), "TD", "ZF")
-        est = direct_demodulate_td(np.zeros(16, complex), precompute_td_demod(wp.w_rx))
+        w_rx = rx_window(tx_window(make_prototype("DIRICHLET", params), "TD"), "ZF")
+        est = direct_demodulate_td(np.zeros(16, complex), precompute_td_demod(w_rx))
         assert_allclose(est, np.zeros((4, 4)), atol=1e-14)
 
 
@@ -276,8 +276,8 @@ class TestInstrumentation:
     def test_fd_sparse_demod_count(self):
         params = GfdmParams(16, 8)
         pulse = make_prototype("DIRICHLET", params)
-        wp = window_pair(pulse, "FD", "MF")
-        table = precompute_fd_demod(wp.w_rx)
+        w_rx = rx_window(tx_window(pulse, "FD"), "MF")
+        table = precompute_fd_demod(w_rx)
         counter = MulCounter()
         direct_demodulate_fd(np.ones(params.n, complex), table, counter=counter)
         assert counter.count == params.k * fft_mul_count(params.m) + len(table.window) * params.n
@@ -289,8 +289,8 @@ class TestAliasing:
     @staticmethod
     def all_passes(params, force_full):
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        w_td = window_pair(pulse, "TD", "ZF").w_rx
-        w_fd = window_pair(pulse, "FD", "ZF").w_rx
+        w_td = rx_window(tx_window(pulse, "TD"), "ZF")
+        w_fd = rx_window(tx_window(pulse, "FD"), "ZF")
         grid = random_grid(params, 30)
         rng = np.random.default_rng(31)
         y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)

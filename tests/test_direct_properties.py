@@ -24,7 +24,7 @@ from gfdm_modem.direct_modem import (
 )
 from gfdm_modem.errors import SingularMatrix, SingularWindow
 from gfdm_modem.numerics import MulCounter, dft, fft_mul_count, polyphase
-from gfdm_modem.pulses import GfdmParams, make_prototype, tx_window, window_pair
+from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 from gfdm_modem.reference import build_matrix, oracle_demod_mf, oracle_demod_zf, oracle_modulate
 
 #: The dense ZF oracle costs a solve plus a power-iteration condition estimate
@@ -61,7 +61,7 @@ def run_all(case):
     params = GfdmParams(k, m)
     pulse = make_prototype(case["kind"], params, case["alpha"], case["delta"])
     try:
-        w_rx = {d: window_pair(pulse, d, case["rx"]).w_rx for d in ("TD", "FD")}
+        w_rx = {d: rx_window(tx_window(pulse, d), case["rx"]) for d in ("TD", "FD")}
     except SingularWindow:
         assume(False)
     limits = DirectLimits(l_max=max(k, m))

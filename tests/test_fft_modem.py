@@ -35,8 +35,8 @@ from gfdm_modem.pulses import (
     GfdmParams,
     PrototypePulse,
     make_prototype,
+    rx_window,
     tx_window,
-    window_pair,
 )
 from gfdm_modem.reference import build_matrix, oracle_demod_mf, oracle_modulate
 
@@ -175,28 +175,28 @@ class TestDemodulate:
     def test_zf_round_trip_fd(self):
         params = GfdmParams(8, 4)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        wp_td = window_pair(pulse, "TD", "ZF")
-        wp_fd = window_pair(pulse, "FD", "ZF")
+        w_rx_fd = rx_window(tx_window(pulse, "FD"), "ZF")
         grid = random_grid(params, 12)
-        spec = dft(modulate_td(grid, wp_td.w_tx))
-        est = demodulate_fd(spec, wp_fd.w_rx)
+        spec = dft(modulate_td(grid, tx_window(pulse, "TD")))
+        est = demodulate_fd(spec, w_rx_fd)
         assert np.abs(est - grid).max() <= 1e-9
 
     def test_zf_round_trip_td(self):
         params = GfdmParams(8, 8)
         pulse = make_prototype("RRC", params, 0.5, 0.5)
-        wp = window_pair(pulse, "TD", "ZF")
+        w_tx = tx_window(pulse, "TD")
+        w_rx = rx_window(w_tx, "ZF")
         grid = random_grid(params, 13)
-        est = demodulate_td(modulate_td(grid, wp.w_tx), wp.w_rx)
+        est = demodulate_td(modulate_td(grid, w_tx), w_rx)
         assert np.abs(est - grid).max() <= 1e-9
 
     def test_mf_on_orthogonal_pulse_is_scaled_identity(self):
         params = GfdmParams(8, 4)
         pulse = make_prototype("DIRICHLET", params)
-        wp = window_pair(pulse, "FD", "MF")
+        w_rx = rx_window(tx_window(pulse, "FD"), "MF")
         grid = random_grid(params, 14)
         x = modulate_td(grid, tx_window(pulse, "TD"))
-        est = demodulate_fd(dft(x), wp.w_rx)
+        est = demodulate_fd(dft(x), w_rx)
         ratios = est[np.abs(grid) > 0.1] / grid[np.abs(grid) > 0.1]
         c = ratios.mean()
         assert c.real > 0 and abs(c.imag) <= 1e-10
@@ -210,16 +210,16 @@ class TestDemodulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         y = np.exp(2j * np.pi * np.arange(params.n) / params.n)
         for kind in ("ZF", "MF"):
-            wp_td = window_pair(pulse, "TD", kind)
-            wp_fd = window_pair(pulse, "FD", kind)
-            a = demodulate_td(y, wp_td.w_rx)
-            b = demodulate_fd(dft(y), wp_fd.w_rx)
+            w_rx_td = rx_window(tx_window(pulse, "TD"), kind)
+            w_rx_fd = rx_window(tx_window(pulse, "FD"), kind)
+            a = demodulate_td(y, w_rx_td)
+            b = demodulate_fd(dft(y), w_rx_fd)
             assert np.abs(a - b).max() <= 1e-10
 
     def test_zero_input(self):
         params = GfdmParams(4, 4)
-        wp = window_pair(make_prototype("DIRICHLET", params), "FD", "ZF")
-        assert_allclose(demodulate_fd(np.zeros(16, complex), wp.w_rx), np.zeros((4, 4)))
+        w_rx = rx_window(tx_window(make_prototype("DIRICHLET", params), "FD"), "ZF")
+        assert_allclose(demodulate_fd(np.zeros(16, complex), w_rx), np.zeros((4, 4)))
 
 
 class TestPipeline:
@@ -267,13 +267,12 @@ class TestInstrumentation:
     def test_link_count_matches_closed_form(self, k, m):
         params = GfdmParams(k, m)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        wp_td = window_pair(pulse, "TD", "ZF")
-        wp_fd = window_pair(pulse, "FD", "ZF")
+        w_rx_fd = rx_window(tx_window(pulse, "FD"), "ZF")
         grid = random_grid(params, 17)
         counter = MulCounter()
-        x = modulate_td(grid, wp_td.w_tx, counter)
+        x = modulate_td(grid, tx_window(pulse, "TD"), counter)
         spec = dft(x, counter=counter)
-        demodulate_fd(spec, wp_fd.w_rx, counter)
+        demodulate_fd(spec, w_rx_fd, counter)
         assert counter.count == cm_count("FFT_TD_FD", k, m)
 
 
@@ -295,8 +294,8 @@ class TestChainPresets:
         return {
             "TD_MOD": direct_modem.precompute_td_mod(tx_window(pulse, "TD"), limits),
             "FD_MOD": direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), limits),
-            "TD_DEMOD": direct_modem.precompute_td_demod(window_pair(pulse, "TD", "MF").w_rx, limits),
-            "FD_DEMOD": direct_modem.precompute_fd_demod(window_pair(pulse, "FD", "MF").w_rx, limits),
+            "TD_DEMOD": direct_modem.precompute_td_demod(rx_window(tx_window(pulse, "TD"), "MF"), limits),
+            "FD_DEMOD": direct_modem.precompute_fd_demod(rx_window(tx_window(pulse, "FD"), "MF"), limits),
         }
 
     @pytest.mark.parametrize("mode", list(ENABLED))
@@ -586,9 +585,9 @@ class TestChainKernel:
         table = {
             "TD_MOD": lambda: direct_modem.precompute_td_mod(tx_window(pulse, "TD"), limits),
             "FD_MOD": lambda: direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=True),
-            "TD_DEMOD": lambda: direct_modem.precompute_td_demod(window_pair(pulse, "TD", "MF").w_rx, limits),
+            "TD_DEMOD": lambda: direct_modem.precompute_td_demod(rx_window(tx_window(pulse, "TD"), "MF"), limits),
             "FD_DEMOD": lambda: direct_modem.precompute_fd_demod(
-                window_pair(pulse, "FD", "MF").w_rx, limits, force_full=True),
+                rx_window(tx_window(pulse, "FD"), "MF"), limits, force_full=True),
         }[mode]()
         rows, chains = table.window.shape[1], len(table.window)
         assert table.partitions == tuple(range(chains))

@@ -1,10 +1,14 @@
-"""The shared input rules: one integer rule, one power-of-two rule and one singular threshold.
+"""The shared input rules: one integer rule, one positive-count rule, one power-of-two rule, one
+block bound and one singular threshold.
 
 Every entry point that takes a count refuses a bool, a float (integral or not) or a numeric string
 with a ``ConfigError``, never a ``TypeError`` and never a result, and gives for a numpy integer what
-it gives for the equal int.  A zero-forcing window entry or channel bin of magnitude at most
-``SINGULAR_EPS`` is singular.
+it gives for the equal int.  A count that must be positive refuses 0 and below with one message.
+A block K*M above ``MAX_N`` is refused before anything is allocated.  A zero-forcing window entry
+or channel bin of magnitude at most ``SINGULAR_EPS`` is singular.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from gfdm_modem.config import RunConfig
 from gfdm_modem.direct_modem import DirectLimits
 from gfdm_modem.errors import ConfigError, SingularChannel, SingularWindow
 from gfdm_modem.fft_modem import ArchConfig, StageConfig, preset, run_modulator
-from gfdm_modem.numerics import SINGULAR_EPS, dft, fft_mul_count, is_int, is_pow2
+from gfdm_modem.numerics import MAX_N, SINGULAR_EPS, check_positive, dft, fft_mul_count, is_int, is_pow2
 from gfdm_modem.pulses import GfdmParams, rx_window
 
 
@@ -61,7 +65,6 @@ ENTRIES = [
     ("splitmix64_words.start", lambda v: splitmix64_words(3, v, 4), 8),
     ("splitmix64_words.count", lambda v: splitmix64_words(3, 0, v), 8),
     ("gaussian_pairs.count", lambda v: gaussian_pairs(3, v), 8),
-    ("gaussian_pairs.offset", lambda v: gaussian_pairs(3, 4, offset=v), 8),
     ("preset.partitions", _chain_table, 3),
 ]
 
@@ -113,6 +116,48 @@ class TestIntegerPredicates:
         assert [n for n in range(-4, 70) if is_pow2(n)] == [1, 2, 4, 8, 16, 32, 64]
         assert is_pow2(np.int64(1024)) and is_pow2(2**80)
         assert not any(map(is_pow2, (True, 8.0, 4.5, "8", np.float64(2.0))))
+
+
+class TestPositiveCountRule:
+    #: The four counts that must be at least 1, each as ``(name in the message, call)``.
+    SITES = {
+        "RunConfig.l_max": ("l_max", lambda v: RunConfig(k=8, m=4, l_max=v)),
+        "DirectLimits.l_max": ("l_max", lambda v: DirectLimits(l_max=v)),
+        "resources": ("l_max", lambda v: analysis.resources("DIRECT", v)),
+        "cm_count.l": ("the band overlap L", lambda v: analysis.cm_count("DIR_FD_FD_SPARSE", 8, 4, v)),
+    }
+
+    @pytest.mark.parametrize("site", list(SITES))
+    @pytest.mark.parametrize("value", [0, -3, np.int64(0)], ids=repr)
+    def test_every_count_site_refuses_zero_and_below_with_the_one_message(self, site, value):
+        name, call = self.SITES[site]
+        with pytest.raises(ConfigError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
+            call(value)
+
+    def test_the_rule_holds_a_count_as_int(self):
+        assert check_positive("x", 1) == 1 and type(check_positive("x", np.uint8(3))) is int
+        for bad in (0, -1, True, 8.0, "8", None):
+            with pytest.raises(ConfigError, match="^x must be a positive integer"):
+                check_positive("x", bad)
+
+
+class TestBlockBound:
+    """``MAX_N`` bounds K*M before ``GfdmParams`` builds its K- and M-entry active sets."""
+
+    def test_a_block_of_max_n_is_built(self):
+        assert GfdmParams(2**10, 2**10).n == MAX_N == 2**20
+
+    @pytest.mark.parametrize("k,m", [(2**11, 2**10), (2**30, 1), (2**62, 4)])
+    def test_a_larger_block_is_refused_before_it_is_allocated(self, k, m):
+        with pytest.raises(ConfigError, match=f"^block length K\\*M = {k * m} exceeds MAX_N = {MAX_N}$"):
+            GfdmParams(k, m)
+
+    def test_run_config_refuses_k_2_30_at_parse_time(self):
+        with pytest.raises(ConfigError, match="exceeds MAX_N"):
+            RunConfig(k=2**30, m=1)
+
+    def test_the_closed_forms_stay_unbounded(self):
+        assert analysis.cm_count("DIR_TD_TD", 2**30, 4) > 0
 
 
 class TestSingularThreshold:

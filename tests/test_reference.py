@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gfdm_modem.errors import ConfigError, SingularMatrix
+from gfdm_modem.errors import ConfigError, SingularMatrix, SingularWindow
 from gfdm_modem.numerics import dft
-from gfdm_modem.pulses import GfdmParams, PrototypePulse, make_prototype, tx_window
+from gfdm_modem.pulses import GfdmParams, PrototypePulse, make_prototype, rx_window, tx_window
 from gfdm_modem.reference import (
     COND_LIMIT,
     ModMatrix,
@@ -110,6 +110,54 @@ class TestZfSingularity:
                 oracle_demod_zf(mm, x)
         else:
             assert np.allclose(oracle_demod_zf(mm, x), [[1.0], [1.0]])
+
+
+class TestOneSingularRule:
+    """The engines refuse a zero-forcing window at min|w_tx| <= SINGULAR_EPS, the oracle at
+    cond(A)^2 >= COND_LIMIT; over the legal pulses and geometries the two refuse the same cells."""
+
+    @staticmethod
+    def engine_refuses(w_tx):
+        try:
+            rx_window(w_tx, "ZF")
+        except SingularWindow:
+            return True
+        return False
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        km=st.integers(0, 7).flatmap(lambda i: st.integers(0, 7 - i).map(lambda j: (2**i, 2**j))),
+        kind=st.sampled_from(["RC", "RRC", "DIRICHLET", "RECT_TD"]),
+        alpha=st.integers(0, 100).map(lambda a: a / 100),
+        delta=st.sampled_from([0.0, 0.5]),
+    )
+    def test_the_oracle_refuses_where_the_engines_do_up_to_n_128(self, km, kind, alpha, delta):
+        assume(km[0] >= 2 or kind not in ("RC", "RRC"))
+        pulse = make_prototype(kind, GfdmParams(*km), alpha, delta)
+        try:
+            oracle_demod_zf(build_matrix(pulse), np.ones(km[0] * km[1], dtype=complex))
+            oracle_refuses = False
+        except SingularMatrix:
+            oracle_refuses = True
+        assert oracle_refuses == self.engine_refuses(tx_window(pulse, "TD"))
+
+    def test_the_identity_form_agrees_on_a_coarse_grid_up_to_n_4096(self):
+        # sigma(A) = |w_tx| / sqrt(K), so the oracle's rule reads max|w|^2 >= COND_LIMIT * min|w|^2.
+        refused = 0
+        for i in range(13):
+            for j in range(13 - i):
+                for kind in ("RC", "RRC", "DIRICHLET", "RECT_TD"):
+                    if kind in ("RC", "RRC") and i == 0:
+                        continue
+                    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0) if kind in ("RC", "RRC") else (0.0,):
+                        for delta in (0.0, 0.5):
+                            pulse = make_prototype(kind, GfdmParams(2**i, 2**j), alpha, delta)
+                            w_tx = tx_window(pulse, "TD")
+                            power = np.abs(w_tx) ** 2
+                            oracle = bool(power.max() >= COND_LIMIT * power.min())
+                            assert oracle == self.engine_refuses(w_tx), (kind, 2**i, 2**j, alpha, delta)
+                            refused += oracle
+        assert refused > 0
 
 
 class TestSingularValues:
