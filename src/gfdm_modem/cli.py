@@ -100,18 +100,22 @@ def _cmd_loopback(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(option: str, text: str, item=str) -> list:
+    """The comma list of ``option``, each entry through ``item``; a list with no entry is refused."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{option} lists nothing: {text!r}")
+    return values
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.kinds.strip().lower() == "all":
         kinds = list(analysis.ARCH_KINDS)
     else:
-        kinds = [k.strip().upper() for k in args.kinds.split(",") if k.strip()]
+        kinds = _parse_list("--kinds", args.kinds.upper())
     geometries: list[tuple[int, int]] = []
     if args.n is not None:
         n = args.n
@@ -122,9 +126,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             geometries.append((n // m, m))
             m *= 2
     elif args.k_list and args.m_list:
-        for k in _parse_int_list(args.k_list):
-            for m in _parse_int_list(args.m_list):
-                geometries.append((k, m))
+        ks, ms = _parse_list("--k-list", args.k_list, int), _parse_list("--m-list", args.m_list, int)
+        geometries = [(k, m) for k in ks for m in ms]
     else:
         raise ConfigError("analyze needs either --n or both --k-list and --m-list")
 

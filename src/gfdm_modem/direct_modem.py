@@ -11,9 +11,11 @@ computes, so every table comes from its mode's own K x M window by one rule:
 the tap rows are the window's stage transform, stages 1 and 2 folded in.  In
 the time domain all M rows are held, in frequency one row per occupied
 subcarrier band, which is where sparse windows pay off.  The rule checks the
-block length against ``n_max`` and the chain count against ``l_max``, and
-returns the mode's :mod:`fft_modem` stage table with the tap rows in the window
-slot; the counter charges L*N multiplications per pass.  The four
+block length against :data:`MAX_DIRECT_N` and the chain count against
+``l_max``, and returns the mode's :mod:`fft_modem` stage table with the tap rows
+in the window slot; the counter charges L*N multiplications per pass.  A table
+build validates no geometry anew: the K x M geometry of each window shape is
+built and checked once, then held.  The four
 ``precompute_*`` are that rule bound to a mode.  A pass computes each output
 sample as one BLAS dot over its L chains, taken in descending shift order.  The
 ``direct_*`` runners are one run of such a table.
@@ -22,6 +24,7 @@ sample as one BLAS dot over its L chains, taken in descending shift order.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .numerics import MulCounter, check_positive, dft
 from .pulses import GfdmParams, occupied_bands
 
 __all__ = [
+    "MAX_DIRECT_N",
     "DirectLimits",
     "precompute_td_mod",
     "precompute_fd_mod",
@@ -45,23 +49,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirectLimits:
-    """Hardware budget: parallel multiplier chains and maximum FFT length."""
+    """Hardware budget: the number of parallel multiplier chains."""
 
     l_max: int = 16
-    n_max: int = 2048
 
     def __post_init__(self) -> None:
         check_positive("l_max", self.l_max)
-        check_positive("n_max", self.n_max)
+
+
+#: The direct engine's block bound: its transform cores take at most this many points.
+MAX_DIRECT_N = 2048
+
+#: The geometry of a K x M window shape, built and validated once per shape (power-of-two sizes
+#: keep the shapes few; a refused shape raises on every call and is not held).
+_geometry = cache(GfdmParams)
 
 
 def _chain_table(mode: str, window: np.ndarray, limits: DirectLimits, full: bool = True) -> ArchConfig:
     """The table of ``mode`` whose chain ``l`` holds row ``partitions[l]`` of the K x M window's stage
     transform: all rows, or with ``full`` unset the occupied ones.  Refuses N, then the chain count."""
     w = np.asarray(window, dtype=np.complex128)
-    params, td = GfdmParams(*w.shape), mode.startswith("TD")
-    if params.n > limits.n_max:
-        raise ConfigError(f"block length {params.n} exceeds the {limits.n_max}-point FFT limit")
+    params, td = _geometry(*w.shape), mode.startswith("TD")
+    if params.n > MAX_DIRECT_N:
+        raise ConfigError(f"block length {params.n} exceeds the {MAX_DIRECT_N}-point FFT limit")
     taps = dft(w.T if td else w, inverse=td, normalized=True)
     parts = tuple(range(len(taps))) if full else tuple(occupied_bands(taps).tolist())
     if len(parts) > limits.l_max:

@@ -22,9 +22,10 @@ the presets with tap rows, stages 1 and 2 disabled and no memories:
 
 Presets reproduce the four canonical configurations from a K x M window (or
 tap rows) and hold every layout rule: the table's window, memories and
-``grid``.  Their stages depend only on (mode, K, M, chains), so each stage
-tuple is built once and shared.  Streams between stages are column-major
-vectors of the current logical matrix.  Inverse stages of the presets are
+``grid``.  Their stages depend only on (mode, K, M, chains) and their memories
+on the window shape, so each stage tuple and memory pair is built once and
+shared.  Streams between stages are column-major vectors of the current
+logical matrix.  Inverse stages of the presets are
 ``normalized`` (they divide by their size) so that all block scaling lives in
 the stage table; hand-built stages default to the unnormalized kernel.
 
@@ -138,6 +139,13 @@ def _preset_stages(mode: str, k: int, m: int, chains: bool) -> tuple[StageConfig
     return (stage(n, True, False), stage(k, True, mid), stage(k, False, mid), stage(m, True))  # FD_DEMOD
 
 
+@cache
+def _preset_memories(rows: int, cols: int) -> tuple[MemoryConfig, MemoryConfig]:
+    """Memories A and B around a ``rows x cols`` window, built once per shape and shared.  Memory A
+    writes the transposed window shape, so the window reads its stream in place."""
+    return MemoryConfig(cols, rows), MemoryConfig(rows, cols)
+
+
 def preset(
     mode: str, params: GfdmParams, window: np.ndarray, partitions: tuple[int, ...] | None = None
 ) -> ArchConfig:
@@ -160,9 +168,9 @@ def preset(
         rows, cols = (k, m) if td else (m, k)
         if window.shape != (len(partitions), rows):
             raise ConfigError(f"mode {mode} stores one tap row of {rows} per partition, got {window.shape}")
-        for p in partitions:  # a bool or a float is no partition, a numpy integer is one
-            if not is_int(p):
-                raise ConfigError(f"chain partition {p!r} is not an integer")
+        if not all(map(is_int, partitions)):  # a bool or a float is no partition, a numpy integer is one
+            bad = next(p for p in partitions if not is_int(p))
+            raise ConfigError(f"chain partition {bad!r} is not an integer")
         if partitions and (min(partitions) < 0 or max(partitions) >= cols):
             raise ConfigError(f"chain partitions must lie in range({cols}), got {partitions}")
     elif window.shape != (k, m):
@@ -172,8 +180,7 @@ def preset(
     stages = _preset_stages(mode, k, m, chains)
     if chains:
         return ArchConfig(mode, stages, None, None, view, partitions, (k, m))
-    # Memory A writes the transposed window shape, so the window reads its stream in place.
-    return ArchConfig(mode, stages, MemoryConfig(*view.shape[::-1]), MemoryConfig(*view.shape), view, None, (k, m))
+    return ArchConfig(mode, stages, *_preset_memories(*view.shape), view, None, (k, m))
 
 
 def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) -> np.ndarray:

@@ -19,14 +19,17 @@ demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
 :func:`_plan` pairs the two tables, keyed by the waveform key plus ``rx, arch,
 domain, l_max``, and builds the modulator's before the receive window.  No key
 holds the seed, SNR, channel or prefix.  A refused configuration (a singular
-zero-forcing window, a direct block over ``n_max`` or ``l_max``) raises on
-every call and leaves the held plan in place; the tables it did build (its
-waveform, its modulator's) stay held, which can cost a later configuration one
-rebuild and never changes an output.  The symbol gather index
-(``GfdmParams.active_index``) and the equalizer's channel response
-(``channel.channel_response``) are held too.  The chain meters every modem
-transform and window product on one counter, so the measured total can be
-reconciled against the closed-form figures.  The FFT pipeline demodulates in
+zero-forcing window, a direct block over ``direct_modem.MAX_DIRECT_N`` or
+``l_max``) raises on every call and leaves the held plan in place; the tables
+it did build (its waveform, its modulator's) stay held, which can cost a later
+configuration one rebuild and never changes an output.  A plan's geometry is
+its waveform's ``pulse.params`` (equal by value to the configuration's), so
+the symbol gather index (``GfdmParams.active_index``) is built once per
+waveform, not once per configuration, and a table rebuild validates no
+geometry anew; the equalizer's channel response (``channel.channel_response``)
+is held too.  The chain meters every modem transform and window product on one
+counter, so the measured total can be reconciled against the closed-form
+figures.  The FFT pipeline demodulates in
 the frequency domain, the direct engine in the domain it modulated in: its
 time-domain demodulator's stage 0 takes the equalized spectrum back to time.
 The direct frequency-domain route runs its generic full-band chain set here;
@@ -120,8 +123,12 @@ def _table(wave: tuple, arch: str, d: str, rx: str | None, l_max: int | None) ->
     if arch == "fft":
         return fft_modem.preset(mode, waveform.pulse.params, window)
     build = getattr(direct_modem, f"precompute_{mode.lower()}")  # looked up per call, so a patched name sees it
-    limits = direct_modem.DirectLimits(l_max=l_max)
+    limits = _limits(l_max)
     return build(window, limits) if d == "TD" else build(window, limits, force_full=True)
+
+
+# The chain budget of the direct tables, held like them: one per ``l_max`` for both directions.
+_limits = lru_cache(maxsize=1)(direct_modem.DirectLimits)
 
 
 # Two holders of the one body, so each direction keeps its own last table.
@@ -135,7 +142,8 @@ def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan
     d_rx, l_max = ("FD", None) if fft else (d, l_max)  # the FFT receiver works in frequency in both domains
     mod = _mod_table(wave, arch, d, None, l_max)
     demod = _demod_table(wave, arch, d_rx, rx.upper(), l_max)
-    return ModemPlan(wave[0], f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}", mod, demod)
+    # The held waveform's geometry (equal to wave[0]), so its gather index is built once per waveform.
+    return ModemPlan(_waveform(*wave).pulse.params, f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}", mod, demod)
 
 
 def waveform_for(cfg: RunConfig) -> Waveform:

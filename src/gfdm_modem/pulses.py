@@ -66,6 +66,11 @@ class GfdmParams:
             raise ConfigError(f"active subsymbol set out of range for M={m}: {m_on}")
         for name, value in (("k", k), ("m", m), ("k_on", k_on), ("m_on", m_on)):
             object.__setattr__(self, name, value)
+        # The field hash, computed once: each held builder's key hashes the geometry on every lookup.
+        object.__setattr__(self, "_hash", hash((k, m, k_on, m_on)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

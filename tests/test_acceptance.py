@@ -38,7 +38,7 @@ PULSES = [
     ("DIRICHLET", 0.0, 0.0),
 ]
 GRIDS_PER_SYSTEM = 20
-LIMITS = DirectLimits(l_max=128, n_max=2048)
+LIMITS = DirectLimits(l_max=128)
 
 _SYSTEMS: list[dict] | None = None
 

@@ -629,6 +629,21 @@ class TestCliRefusals:
         assert main(["analyze", "--kinds", "DIR_FD_FD_SPARSE", "--n", "8", "--overlap", "9"]) == 0
         assert "DIR_FD_FD_SPARSE,8,1,8,168,,,,ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--kinds", "", "--n", "8"], "--kinds lists nothing: ''"),
+        (["--kinds", ",,", "--n", "8"], "--kinds lists nothing: ',,'"),
+        (["--kinds", ",", "--k-list", "4", "--m-list", "2"], "--kinds lists nothing: ','"),
+        (["--k-list", " ", "--m-list", "2"], "--k-list lists nothing: ' '"),
+        (["--k-list", "4", "--m-list", ","], "--m-list lists nothing: ','"),
+        (["--k-list", "", "--m-list", "2"], "analyze needs either --n or both --k-list and --m-list"),
+        (["--k-list", "4,x", "--m-list", ","], "bad integer list '4,x'"),
+    ])
+    def test_analyze_list_with_no_entry_exits_2(self, capsys, argv, message):
+        # An empty list used to print only the CSV header and exit 0.
+        assert main(["analyze", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid configuration: {message}\n" and captured.out == ""
+
 
 class TestProcessExitCodes:
     @pytest.mark.parametrize(

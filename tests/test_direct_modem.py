@@ -1,5 +1,6 @@
 """Tests for the parallel multiply-accumulate (direct-convolution) engine."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,15 @@ class TestModulate:
         for build, d in ((precompute_td_mod, "TD"), (precompute_fd_mod, "FD")):
             with pytest.raises(ConfigError, match="^block length 4096 exceeds the 2048-point FFT limit$"):
                 build(tx_window(big, d), DirectLimits(l_max=16))
+
+    @pytest.mark.parametrize("build", [precompute_td_mod, precompute_fd_mod, precompute_td_demod, precompute_fd_demod])
+    def test_window_of_no_legal_geometry_refused_on_every_call(self, build):
+        # A table build takes the geometry held for its window shape; a shape GfdmParams refuses is never held.
+        with pytest.raises(ConfigError) as want:
+            GfdmParams(12, 4)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(want.value))}$"):
+                build(np.ones((12, 4), complex))
 
     def test_fd_matches_fft_engine(self):
         params = GfdmParams(8, 8)

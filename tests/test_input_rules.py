@@ -51,7 +51,6 @@ ENTRIES = [
     ("latency_delta", lambda v: analysis.latency_delta(v, 8), 8),
     ("resources", lambda v: analysis.resources("DIRECT", v), 8),
     ("DirectLimits.l_max", lambda v: DirectLimits(l_max=v), 8),
-    ("DirectLimits.n_max", lambda v: DirectLimits(n_max=v), 2048),
     ("RunConfig.k", lambda v: RunConfig(k=v, m=4), 8),
     ("RunConfig.m", lambda v: RunConfig(k=8, m=v), 8),
     ("RunConfig.n_cp", lambda v: RunConfig(k=8, m=4, n_cp=v), 8),

@@ -1,5 +1,6 @@
 """Tests for the configured modem: waveform and plan reuse, read-only tables, errors, and the AWGN chain."""
 
+import functools
 import json
 import math
 from dataclasses import replace
@@ -435,6 +436,36 @@ class TestPrecomputeNames:
         assert calls == [f"{domain}_mod", "rule", f"{domain}_demod", "rule"]
         link.run_loopback(cfg)  # the held plan builds nothing
         assert len(calls) == 4
+
+
+class TestRebuildWork:
+    """A rebuild on a held waveform computes its new tables and no geometry: every plan takes the
+    waveform's ``GfdmParams``, whose gather index is built once, and a direct table build takes the
+    geometry held for its window shape instead of constructing one."""
+
+    def test_switches_on_one_waveform_gather_once_and_construct_no_geometry(self, monkeypatch):
+        base = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4)
+        seq = [replace(base, arch=arch, domain=domain, rx=rx, l_max=l_max, seed=i)
+               for i, (l_max, (arch, domain, rx)) in enumerate((l, e) for l in (16, 8) for e in ENGINES)]
+        seq += seq[::-1]  # each config builds its own GfdmParams here, before the counting starts
+        for builder in (link._waveform, link._mod_table, link._demod_table, link._plan):
+            builder.cache_clear()
+        wave = link.waveform_for(base)
+        link.plan_for(replace(base, arch="direct"))  # a direct table's geometry is held from here on
+        gathers, geometries = [], []
+        index = pulses.GfdmParams.active_index
+        counted_index = functools.cached_property(lambda params: gathers.append(params) or index.func(params))
+        counted_index.__set_name__(pulses.GfdmParams, "active_index")
+        monkeypatch.setattr(pulses.GfdmParams, "active_index", counted_index)
+        post_init = pulses.GfdmParams.__post_init__
+        monkeypatch.setattr(pulses.GfdmParams, "__post_init__", lambda p: geometries.append(p) or post_init(p))
+        chain_table, direct_builds = direct_modem._chain_table, []
+        monkeypatch.setattr(direct_modem, "_chain_table", lambda *a: direct_builds.append(a[0]) or chain_table(*a))
+        for cfg in seq:
+            assert link.plan_for(cfg).params is wave.pulse.params
+            assert link.run_loopback(cfg).cm_match
+        assert set(direct_builds) == {"TD_MOD", "TD_DEMOD", "FD_MOD", "FD_DEMOD"}  # direct tables were rebuilt
+        assert gathers == [wave.pulse.params] and geometries == []
 
 
 class TestPlanErrors:
