@@ -2,9 +2,12 @@
 
 Power-of-two DFT/IDFT with an explicit complex-multiplication counter,
 polyphase reshaping, and the discrete Zak transforms in both domains.  The
-transform values come from ``numpy.fft``; the counter charges the radix-2
-cost model below, which describes the hardware transform core whatever
-computes the values.
+transform values come from numpy's pocketfft gufuncs
+(``numpy.fft._pocketfft_umath``, numpy >= 2.0), the kernels ``numpy.fft``
+itself calls, called directly so that a transform pays for its arithmetic and
+not for the ``numpy.fft`` wrapper; the counter charges the radix-2 cost model
+below, which describes the hardware transform core whatever computes the
+values.
 
 Conventions
 -----------
@@ -29,6 +32,7 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as pocketfft
 
 from .errors import ConfigError
 
@@ -81,7 +85,7 @@ def finite_only() -> np.errstate:
 
 def finite_result(a):
     """``a`` if every entry is finite, else ``FloatingPointError``: the finite-range rule where numpy
-    checks no flag, as in a BLAS dot or ``numpy.fft`` before numpy 2.0 (not a ufunc there)."""
+    checks no flag, as in a BLAS dot."""
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite result")
     return a
@@ -129,17 +133,20 @@ def dft(
     """Transform along axis 0 of a 1-D or 2-D array, unnormalized unless ``normalized``.
 
     A 2-D input is treated as a batch of column vectors.  The counter is
-    charged :func:`fft_mul_count` per column.  ``normalized`` divides by ``n``
-    through ``numpy.fft``'s ``norm``: ``n`` is a power of two, so each value equals
-    the division afterwards (a zero keeps its sign), without its extra pass.
+    charged :func:`fft_mul_count` per column.  The values are those of
+    ``numpy.fft.fft``/``ifft`` along axis 0, bit for bit: this calls the
+    pocketfft gufunc those call, without their per-call wrapper, into an output
+    laid out as ``np.empty_like`` of the input.  ``normalized`` is the gufunc's
+    ``1/n`` factor: ``n`` is a power of two, so each value equals the division
+    afterwards (a zero keeps its sign), without its extra pass.
     """
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim not in (1, 2):
         raise ConfigError("dft expects a vector or a batch of column vectors")
     n = a.shape[0]
     cost = fft_mul_count(n)  # the one power-of-two check
-    transform = np.fft.ifft if inverse else np.fft.fft
-    out = transform(a, axis=0, norm="backward" if normalized == inverse else "forward")
+    transform = pocketfft.ifft if inverse else pocketfft.fft
+    out = transform(a, 1 / n if normalized else 1, axes=[(0,), (), (0,)], out=np.empty_like(a))
     if counter is not None:
         counter.add(cost * (1 if a.ndim == 1 else a.shape[1]))
     return out

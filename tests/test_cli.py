@@ -604,8 +604,8 @@ class TestCliRefusals:
 
     @pytest.mark.parametrize("command", ["loopback", "modulate", "demodulate"])
     def test_a_transform_that_overflows_without_a_flag_exits_2(self, tmp_path, capsys, monkeypatch, command):
-        # numpy.fft before numpy 2.0 is not a ufunc, so an overflow inside it raises no flag under
-        # finite_only: the command's last engine returning inf without a flag stands in for it.
+        # A BLAS dot raises no flag on overflow under finite_only: the command's last engine
+        # returning inf without a flag stands in for it.
         name = "run_modulator" if command == "modulate" else "run_demodulator"
         real = getattr(gfdm_modem.fft_modem, name)
         monkeypatch.setattr(gfdm_modem.fft_modem, name,

@@ -11,6 +11,7 @@ from gfdm_modem.numerics import (
     MulCounter,
     dft,
     fft_mul_count,
+    finite_only,
     polyphase,
     zak_freq,
     zak_time,
@@ -45,6 +46,11 @@ def dense_dft(x, inverse=False):
         a = np.arange(a0, min(a0 + 256, n))
         out[a] = roots[np.outer(a, b) % n] @ x
     return out
+
+
+def as_bits(v):
+    """The raw bits of ``v``'s entries: equal only if every value is the same bit for bit."""
+    return np.ascontiguousarray(v).view(np.uint64)
 
 
 class TestDft:
@@ -141,6 +147,43 @@ class TestDft:
         x = np.ones(8, dtype=complex)
         dft(x)
         assert_allclose(x, np.ones(8))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("n", [2**j for j in range(13)])
+    def test_bits_and_layout_of_numpy_fft(self, n, inverse, normalized):
+        """Every value is ``numpy.fft``'s with the matching ``norm``, bit for bit, and the output is
+        laid out as ``np.empty_like`` of the complex128 input, whatever the input's dtype and strides."""
+        rng = np.random.default_rng([n, inverse, normalized])
+        transform = np.fft.ifft if inverse else np.fft.fft
+        norm = "backward" if normalized == inverse else "forward"
+        for shape in [(n,), (n, 0), (n, 1), (n, 3)]:
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            inputs = {
+                "complex128": z,
+                "complex64": z.astype(np.complex64),
+                "int": rng.integers(-1000, 1000, shape),
+                "bool": rng.integers(0, 2, shape).astype(bool),
+            }
+            for kind, c_ordered in inputs.items():
+                layouts = {
+                    "C": c_ordered,
+                    "F": np.asfortranarray(c_ordered),
+                    "negative stride": np.ascontiguousarray(c_ordered[::-1])[::-1],
+                }
+                for layout, x in layouts.items():
+                    case = f"{shape} {kind} {layout}"
+                    a = np.asarray(x, dtype=np.complex128)
+                    got = dft(x, inverse=inverse, normalized=normalized)
+                    want = transform(a, axis=0, norm=norm)
+                    assert got.dtype == np.complex128 and got.shape == shape, case
+                    assert got.strides == np.empty_like(a).strides, case
+                    assert np.array_equal(as_bits(got), as_bits(want)), case
+
+    def test_overflow_raises_from_the_kernel(self):
+        # The gufunc raises the flag itself: no finite_result check is involved.
+        with finite_only(), pytest.raises(FloatingPointError):
+            dft(np.array([1e308 + 1e308j] * 8))
 
 
 class TestNormalized:
