@@ -39,6 +39,8 @@ configuration table, built by one ``functools.lru_cache(maxsize=1)`` builder
 keyed by its arguments, the taps' bytes and N: it holds the last response built,
 read-only, and a failed build (too many taps, a bin of magnitude at most
 ``numerics.SINGULAR_EPS``) raises on every call and keeps the held response.
+``link`` holds one :class:`ChannelSpec` per configuration, checked when built, and
+:meth:`ChannelSpec.with_seed` checks only the seed, a block's one channel input.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ _MAX_WORDS = (1 << 63) - 1  # numpy's largest array length
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GAMMA64, _MIX1_64, _MIX2_64, _S11, _S27, _S30, _S31 = map(np.uint64, (_GAMMA, _MIX1, _MIX2, 11, 27, 30, 31))
 
 
 def check_real(name: str, value) -> float:
@@ -153,6 +156,12 @@ class ChannelSpec:
         object.__setattr__(self, "snr_db", check_snr_db(self.snr_db))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
+    def with_seed(self, seed) -> ChannelSpec:
+        """This channel (its taps array shared, its rules passed) with noise seed ``seed``, checked alone."""
+        spec = object.__new__(type(self))
+        spec.__dict__.update(self.__dict__, seed=check_seed(seed))
+        return spec
+
 
 def add_cp(x: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
     """Prepend the last ``n_cp`` samples and append the first ``n_cs``."""
@@ -209,14 +218,14 @@ def splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
     """Words ``z`` of :func:`uniform64` at ``start .. start+count-1``; ``uint64`` wraps as the scalar mask."""
     seed, (start, count) = check_seed(seed), _check_span(start, count)
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= np.uint64(_GAMMA)
+    z *= _GAMMA64
     z += np.uint64(seed)
     t = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=t)
-    z *= np.uint64(_MIX1)
-    z ^= np.right_shift(z, np.uint64(27), out=t)
-    z *= np.uint64(_MIX2)
-    z ^= np.right_shift(z, np.uint64(31), out=t)
+    z ^= np.right_shift(z, _S30, out=t)
+    z *= _MIX1_64
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _MIX2_64
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
@@ -227,7 +236,7 @@ def uniform64_array(seed: int, start: int, count: int) -> np.ndarray:
     rounds as the scalar's, and the power-of-two scaling ``2.0**-53`` is exact.
     """
     z = splitmix64_words(seed, start, count)
-    z >>= np.uint64(11)
+    z >>= _S11
     u = np.add(z, 0.5, out=z.view(np.float64))
     u *= 2.0**-53
     return u

@@ -73,6 +73,7 @@ class RunConfig:
         if not 0 <= self.n_cp <= n or not 0 <= self.n_cs <= n:
             raise ConfigError("prefix/suffix lengths must lie in [0, N]")
         check_taps(self.channel_taps)
+        object.__setattr__(self, "channel_taps", tuple(self.channel_taps))  # a hashable key of link's channel
         if len(self.channel_taps) > self.n_cp + 1:
             raise ConfigError(
                 f"{len(self.channel_taps)} taps exceed the interference-free bound "

@@ -17,7 +17,8 @@ in the window slot; the counter charges L*N multiplications per pass.  A table
 build validates no geometry anew: the K x M geometry of each window shape is
 built and checked once, then held.  The four
 ``precompute_*`` are that rule bound to a mode.  A pass computes each output
-sample as one BLAS dot over its L chains, taken in descending shift order.  The
+sample as one BLAS dot over its L chains, taken in descending shift order, as
+the table holds them.  The
 ``direct_*`` runners are one run of such a table.
 """
 
@@ -73,14 +74,14 @@ def _chain_table(mode: str, window: np.ndarray, limits: DirectLimits, full: bool
     if params.n > MAX_DIRECT_N:
         raise ConfigError(f"block length {params.n} exceeds the {MAX_DIRECT_N}-point FFT limit")
     taps = dft(w.T if td else w, inverse=td, normalized=True)
-    parts = tuple(range(len(taps))) if full else tuple(occupied_bands(taps).tolist())
+    parts = range(len(taps)) if full else tuple(occupied_bands(taps).tolist())
     if len(parts) > limits.l_max:
         raise ChainLimitExceeded(
             f"{len(parts)} chains needed, only {limits.l_max} available" if td else
             f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
             f"only {limits.l_max} chains available"
         )
-    # The table holds a read-only view: of the rows as built for a full set, of a copy of the occupied ones.
+    # preset copies the rows into the layout a chain pass reads: the full set takes its range unscanned.
     return preset(mode, params, taps if full else taps.take(parts, axis=0), parts)
 
 

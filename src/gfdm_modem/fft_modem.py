@@ -36,7 +36,8 @@ transform call; the window is read in stream layout as a view of the held
 matrix.  The chains make each output sample one BLAS dot of its row's taps
 with the stream's cyclic shifts, summed in descending shift order: the full
 set's shifts are then a view of the stream with a +1 element stride, which
-BLAS reads in place.  Only the output is flattened, copied where needed.
+BLAS reads in place; a chain table holds its taps in their layout and marks a full
+set when built.  Only the output is flattened, copied where needed.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class ArchConfig:
 
     ``window`` is a ``rows x cols`` window, or with ``partitions`` the ``(L, rows)`` tap rows
     of L chains: chain ``l`` multiplies tap row ``l`` by the stream cyclically shifted by
-    ``partitions[l]``.  ``grid`` is the K x M symbol grid of a preset's modem.
+    ``partitions[l]``.  ``grid`` is the K x M symbol grid of a preset's modem, and ``full`` marks
+    partitions that are ``range(cols)`` in order; ``preset`` sets both.
     """
 
     mode: str
@@ -109,6 +111,7 @@ class ArchConfig:
     window: np.ndarray | None = None
     partitions: tuple[int, ...] | None = None
     grid: tuple[int, int] | None = None
+    full: bool = False
 
 
 def single_stage_config(size: int, inverse: bool) -> ArchConfig:
@@ -156,31 +159,34 @@ def preset(
     ``partitions`` (one per chain, each in ``range(cols)``) it is instead the
     ``(L, rows)`` tap rows of the direct table's L chains, which have no memory
     before them: ``rows x cols`` is K x M in the time domain, M x K in frequency.
-    The table holds a read-only view; the caller's array is left as it is.
+    The table holds a read-only view of the window, or a read-only copy of the tap rows
+    in the chains' matmul layout, read as ``(L, rows)``; a ``range`` is not scanned.
     """
     k, m = params.k, params.m
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
     td = mode.startswith("TD")
     window = np.asarray(window, dtype=np.complex128)
-    chains = partitions is not None
-    if chains:
+    if partitions is not None:
         rows, cols = (k, m) if td else (m, k)
         if window.shape != (len(partitions), rows):
             raise ConfigError(f"mode {mode} stores one tap row of {rows} per partition, got {window.shape}")
-        if not all(map(is_int, partitions)):  # a bool or a float is no partition, a numpy integer is one
-            bad = next(p for p in partitions if not is_int(p))
-            raise ConfigError(f"chain partition {bad!r} is not an integer")
-        if partitions and (min(partitions) < 0 or max(partitions) >= cols):
-            raise ConfigError(f"chain partitions must lie in range({cols}), got {partitions}")
-    elif window.shape != (k, m):
+        if partitions != range(cols):  # direct_modem's full set is valid as built
+            if not all(map(is_int, partitions)):  # a bool or a float is no partition, a numpy integer is one
+                bad = next(p for p in partitions if not is_int(p))
+                raise ConfigError(f"chain partition {bad!r} is not an integer")
+            if partitions and (min(partitions) < 0 or max(partitions) >= cols):
+                raise ConfigError(f"chain partitions must lie in range({cols}), got {partitions}")
+        # The (rows, L) taps a chain pass hands to matmul, chains descending; ``window`` reads them as (L, rows).
+        partitions, held = tuple(partitions), np.array(window[::-1].T, order="C")
+        held.flags.writeable = False
+        return ArchConfig(mode, _preset_stages(mode, k, m, True), None, None, held.T[::-1], partitions, (k, m),
+                          partitions == tuple(range(cols)))
+    if window.shape != (k, m):
         raise ConfigError(f"mode {mode} takes a {k}x{m} window, got {window.shape}")
-    view = (window.T if td and not chains else window).view()
+    view = (window.T if td else window).view()
     view.flags.writeable = False
-    stages = _preset_stages(mode, k, m, chains)
-    if chains:
-        return ArchConfig(mode, stages, None, None, view, partitions, (k, m))
-    return ArchConfig(mode, stages, *_preset_memories(*view.shape), view, None, (k, m))
+    return ArchConfig(mode, _preset_stages(mode, k, m, False), *_preset_memories(*view.shape), view, None, (k, m))
 
 
 def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) -> np.ndarray:
@@ -199,12 +205,12 @@ def _run_memory(s: np.ndarray, mem: MemoryConfig | None) -> np.ndarray:
     return s.reshape(mem.cols, mem.rows).T
 
 
-def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
+def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...] | None) -> np.ndarray:
     """Stack whose slice ``i`` is ``np.roll(a, shifts[i], axis=1)``.
 
-    All ``cols`` shifts in descending order are a read-only, zero-copy view of ``[a, a]``,
+    ``None``, all ``cols`` shifts in descending order, is a read-only, zero-copy view of ``[a, a]``,
     written row-major whatever the layout of ``a``, whose shift axis has stride +1 element:
-    slice ``c`` reads ``[a, a][:, c + 1 : c + 1 + cols]``.  Any other tuple is gathered from it.
+    slice ``c`` reads ``[a, a][:, c + 1 : c + 1 + cols]``.  A tuple is gathered from it.
     """
     rows, cols = a.shape
     doubled = np.empty((rows, 2 * cols), a.dtype)
@@ -212,9 +218,7 @@ def _cyclic_shifts(a: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
     item = doubled.itemsize
     view = np.ndarray((cols, rows, cols), a.dtype, doubled, item, (item, 2 * cols * item, item))
     view.flags.writeable = False
-    if shifts == tuple(range(cols - 1, -1, -1)):
-        return view
-    return view[[cols - 1 - p for p in shifts]]
+    return view if shifts is None else view[[cols - 1 - p for p in shifts]]
 
 
 def _grid(cfg: ArchConfig) -> tuple[int, int]:
@@ -233,9 +237,9 @@ def _run_window(s: np.ndarray, cfg: ArchConfig, counter: MulCounter | None) -> n
         # Output sample j of row i (the stream read column by column): one dot of row i's L taps
         # with sample j of the L cyclic shifts.  The chains are summed in reverse order, so the
         # full set's shifts descend and read the stream with a +1 stride, which matmul's
-        # (1, L) @ (L, 1) case hands to the BLAS dot without a copy.
-        shifts = _cyclic_shifts(s.reshape(-1, w.shape[1]).T, cfg.partitions[::-1])
-        taps = np.ascontiguousarray(w[::-1].T)
+        # (1, L) @ (L, 1) case hands to the BLAS dot without a copy; so are the table's held taps.
+        taps = w[::-1].T
+        shifts = _cyclic_shifts(s.reshape(-1, len(taps)).T, None if cfg.full else cfg.partitions[::-1])
         s = np.matmul(shifts.transpose(1, 2, 0)[:, :, None, :], taps[:, None, :, None])[:, :, 0, 0].T
     else:
         s = s * w.T.reshape(s.shape)

@@ -17,8 +17,10 @@ receiver in both domains), ``rx`` for a demodulator and ``l_max`` for a chain
 table.  So a ``rx`` switch keeps the modulator, an FFT ``domain`` switch the
 demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
 :func:`_plan` pairs the two tables, keyed by the waveform key plus ``rx, arch,
-domain, l_max``, and builds the modulator's before the receive window.  No key
-holds the seed, SNR, channel or prefix.  A refused configuration (a singular
+domain, l_max``, builds the modulator's before the receive window and holds its
+kind's ``analysis.cm_count``.  :func:`_channel` holds the ``ChannelSpec`` of
+``(channel_taps, snr_db)``; a block takes it with its seed, its only per-block
+channel input (``ChannelSpec.with_seed``).  A refused configuration (a singular
 zero-forcing window, a direct block over ``direct_modem.MAX_DIRECT_N`` or
 ``l_max``) raises on every call and leaves the held plan in place; the tables
 it did build (its waveform, its modulator's) stay held, which can cost a later
@@ -55,6 +57,7 @@ __all__ = ["LoopbackReport", "Waveform", "ModemPlan", "waveform_for", "plan_for"
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 _SYMBOL_STREAM_OFFSET = 1 << 40  # keeps symbol draws clear of the noise draws
+_S11, _S62, _S63 = map(np.uint64, (11, 62, 63))  # the index's shift counts, built once
 
 
 def qpsk_symbols(seed: int, count: int) -> np.ndarray:
@@ -64,10 +67,10 @@ def qpsk_symbols(seed: int, count: int) -> np.ndarray:
     when its top bit is set: there ``(z >> 11) + 0.5`` rounds half to even in ``u``.
     """
     z = splitmix64_words(seed, _SYMBOL_STREAM_OFFSET, count)
-    carry = np.right_shift(z, np.uint64(63))
-    carry <<= np.uint64(11)
+    carry = np.right_shift(z, _S63)
+    carry <<= _S11
     z += carry
-    z >>= np.uint64(62)
+    z >>= _S62
     return _QPSK[z.view(np.int64)]  # a signed index gathers without a cast
 
 
@@ -86,10 +89,11 @@ class Waveform:
 
 @dataclass(frozen=True, eq=False)
 class ModemPlan:
-    """A configured modem: geometry, cost kind and the stage tables of both directions."""
+    """A configured modem: geometry, cost kind, its ``analysis.cm_count`` and both directions' tables."""
 
     params: GfdmParams
     kind: str
+    formula_cm: int
     mod: fft_modem.ArchConfig
     demod: fft_modem.ArchConfig
 
@@ -143,7 +147,12 @@ def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan
     mod = _mod_table(wave, arch, d, None, l_max)
     demod = _demod_table(wave, arch, d_rx, rx.upper(), l_max)
     # The held waveform's geometry (equal to wave[0]), so its gather index is built once per waveform.
-    return ModemPlan(_waveform(*wave).pulse.params, f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}", mod, demod)
+    params, kind = _waveform(*wave).pulse.params, f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}"
+    return ModemPlan(params, kind, analysis.cm_count(kind, params.k, params.m), mod, demod)
+
+
+# ``ChannelSpec(channel_taps, snr_db)`` held like the tables, with seed 0: each block brings its own.
+_channel = lru_cache(maxsize=1)(ChannelSpec)
 
 
 def waveform_for(cfg: RunConfig) -> Waveform:
@@ -210,7 +219,7 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
         counter = MulCounter()
         x = plan.modulate(grid, counter)
         framed = channel.add_cp(x, cfg.n_cp, cfg.n_cs)
-        spec = ChannelSpec(np.asarray(cfg.channel_taps), cfg.snr_db, cfg.seed)
+        spec = _channel(cfg.channel_taps, cfg.snr_db).with_seed(cfg.seed)
         received = channel.apply_channel(framed, spec)
         core = channel.remove_cp(received, cfg.n_cp, cfg.n_cs)
         yf_eq = channel.fd_equalize_zf(core, spec.taps, counter=counter)
@@ -239,5 +248,5 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
         nmse=nmse,
         ser=ser,
         measured_cm=counter.count,
-        formula_cm=analysis.cm_count(plan.kind, cfg.k, cfg.m),
+        formula_cm=plan.formula_cm,
     )

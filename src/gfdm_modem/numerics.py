@@ -30,6 +30,7 @@ Conventions
 from __future__ import annotations
 
 import numbers
+from functools import cache
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as pocketfft
@@ -127,6 +128,9 @@ def fft_mul_count(n: int) -> int:
     return (n // 2) * (n.bit_length() - 1) if n > 2 else 0
 
 
+_size_cost = cache(fft_mul_count)  # per size: dft passes a.shape's int, an exact key; a refusal is not held
+
+
 def dft(
     x: np.ndarray, inverse: bool = False, counter: MulCounter | None = None, normalized: bool = False
 ) -> np.ndarray:
@@ -144,7 +148,7 @@ def dft(
     if a.ndim not in (1, 2):
         raise ConfigError("dft expects a vector or a batch of column vectors")
     n = a.shape[0]
-    cost = fft_mul_count(n)  # the one power-of-two check
+    cost = _size_cost(n)  # the one power-of-two check, run once per size
     transform = pocketfft.ifft if inverse else pocketfft.fft
     out = transform(a, 1 / n if normalized else 1, axes=[(0,), (), (0,)], out=np.empty_like(a))
     if counter is not None:

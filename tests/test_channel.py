@@ -517,3 +517,28 @@ class TestSpecTypeRule:
 
         taps = np.array([1.0, 0.5 - 0.25j]).view(NoIteration)
         assert np.array_equal(ChannelSpec(taps, 10.0).taps, [1.0, 0.5 - 0.25j])
+
+
+class TestWithSeed:
+    """``ChannelSpec.with_seed``: the same channel with another seed, under the seed's rule alone."""
+
+    def test_only_the_seed_rule_runs_and_the_noise_is_a_fresh_specs(self, monkeypatch):
+        spec = ChannelSpec((1 + 0j, 0.4 - 0.2j), 10.0, 1)
+        calls = []
+        for name in ("check_taps", "check_snr_db"):
+            monkeypatch.setattr(channel, name, lambda *a, name=name: calls.append(name))
+        other = spec.with_seed(np.uint16(7))
+        assert calls == []
+        assert type(other) is ChannelSpec and other.seed == 7 and type(other.seed) is int
+        assert other.taps is spec.taps and other.snr_db == spec.snr_db and spec.seed == 1
+        monkeypatch.undo()
+        x = np.exp(2j * np.pi * np.arange(32) / 7)
+        want = apply_channel(x, ChannelSpec((1 + 0j, 0.4 - 0.2j), 10.0, 7))
+        assert apply_channel(x, other).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [True, -1, 2**64, 1.0, "3", None])
+    def test_a_refused_seed_raises_and_leaves_the_spec(self, seed):
+        spec = ChannelSpec((1.0,), 10.0, 5)
+        with pytest.raises(ConfigError, match="seed"):
+            spec.with_seed(seed)
+        assert spec.seed == 5

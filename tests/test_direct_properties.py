@@ -27,9 +27,9 @@ from gfdm_modem.numerics import MulCounter, dft, fft_mul_count, polyphase
 from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 from gfdm_modem.reference import build_matrix, oracle_demod_mf, oracle_demod_zf, oracle_modulate
 
-#: The dense ZF oracle costs a solve plus a power-iteration condition estimate
-#: (about 1 s at N=1024 and 11 s at N=2048 on one core), so the oracle
-#: property draws N <= 512; the loop and count property covers N <= 2048.
+#: The dense ZF oracle takes a full SVD (``np.linalg.svd(..., compute_uv=False)``) before
+#: its solve (about 0.85 s at N=1024 on one core, ~90% of it the SVD, and O(N^3) beyond),
+#: so the oracle property draws N <= 512; the loop and count property covers N <= 2048.
 LOG2_N_MAX = 11
 LOG2_N_ORACLE = 9
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gfdm_modem import direct_modem
+from gfdm_modem import direct_modem, fft_modem
 from gfdm_modem.analysis import cm_count
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.fft_modem import (
@@ -30,7 +30,7 @@ from gfdm_modem.fft_modem import (
     run_pipeline,
     single_stage_config,
 )
-from gfdm_modem.numerics import MulCounter, dft
+from gfdm_modem.numerics import MulCounter, dft, is_int
 from gfdm_modem.pulses import (
     GfdmParams,
     PrototypePulse,
@@ -494,10 +494,10 @@ class TestCyclicShifts:
         values = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         a, holder = self.laid_out(values, layout)
         assert np.array_equal(a, values)
-        # None: all shifts descending, as the chain step passes them (the zero-copy view);
+        # None: all shifts descending, as the chain step passes a full set (the zero-copy view);
         # else a subset in drawn order (gathered).
-        shifts = tuple(range(cols - 1, -1, -1)) if pick is None else tuple(dict.fromkeys(p % cols for p in pick))
-        want = rolled(values, shifts)
+        shifts = None if pick is None else tuple(dict.fromkeys(p % cols for p in pick))
+        want = rolled(values, range(cols - 1, -1, -1) if pick is None else shifts)
         got = _cyclic_shifts(a, shifts)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert not np.shares_memory(got, holder)
@@ -512,7 +512,7 @@ class TestCyclicShifts:
 
     def test_full_view_is_row_major_for_a_column_major_input(self):
         a = np.asfortranarray(np.arange(12, dtype=complex).reshape(3, 4))
-        got = _cyclic_shifts(a, (3, 2, 1, 0))
+        got = _cyclic_shifts(a, None)
         assert got.strides == (a.itemsize, 2 * 4 * a.itemsize, a.itemsize)
         assert np.array_equal(got, rolled(a, (3, 2, 1, 0)))
 
@@ -564,9 +564,10 @@ class TestChainKernel:
 
     @staticmethod
     def matmul_operands(table, flat):
-        """The two operands ``_run_window`` hands to ``np.matmul``, and its output."""
-        seen = []
-        matmul = np.matmul
+        """The two operands ``_run_window`` hands to ``np.matmul``, and its output.  The tap operand is
+        the table's held array, and the pass makes no contiguous copy of anything."""
+        seen, copies = [], []
+        matmul, contiguous = np.matmul, np.ascontiguousarray
 
         def spy(a, b):
             seen.append((a, b))
@@ -574,8 +575,10 @@ class TestChainKernel:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np, "matmul", spy)
+            mp.setattr(np, "ascontiguousarray", lambda *a, **k: copies.append(a) or contiguous(*a, **k))
             out = _run_window(flat, table, None)
-        assert len(seen) == 1
+        assert len(seen) == 1 and copies == []
+        assert np.shares_memory(seen[0][1], table.window)
         return (*seen[0], out)
 
     @pytest.mark.parametrize("params", [GfdmParams(32, 64), GfdmParams(64, 32), GfdmParams(8, 4)])
@@ -604,6 +607,25 @@ class TestChainKernel:
             base = base.base
         assert base.size == 2 * params.n and not stack.flags.writeable
         assert not np.shares_memory(stack, flat)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_full_set_is_marked_when_the_table_is_built(self, mode, monkeypatch):
+        params = GfdmParams(8, 4)
+        rows, cols = (8, 4) if mode.startswith("TD") else (4, 8)
+        taps = np.ones((cols, rows), dtype=complex)
+        scans = []
+        monkeypatch.setattr(fft_modem, "is_int", lambda v: scans.append(v) or is_int(v))
+        rule = preset(mode, params, taps, range(cols))  # direct_modem's own full set: taken unscanned
+        assert rule.full and rule.partitions == tuple(range(cols)) and scans == []
+        caller = preset(mode, params, taps, tuple(range(cols)))  # a caller's: scanned, then marked
+        assert caller.full and len(scans) == cols
+        assert not preset(mode, params, taps, tuple(range(cols))[::-1]).full
+        assert not preset(mode, params, taps[:2], (0, 1)).full
+        assert not preset(mode, params, taps[:1], range(1, 2)).full  # another range is scanned
+        assert bypass(rule, 0).full
+        for bad in (range(1, cols + 1), range(-1, cols - 1)):
+            with pytest.raises(ConfigError, match="must lie in"):
+                preset(mode, params, taps, bad)
 
     def test_sparse_set_gathers_with_a_positive_stride(self):
         params = GfdmParams(8, 4)

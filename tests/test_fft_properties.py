@@ -17,8 +17,8 @@ from gfdm_modem.numerics import MulCounter, dft, fft_mul_count
 from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 from gfdm_modem.reference import build_matrix, oracle_demod_mf, oracle_demod_zf, oracle_modulate
 
-#: As in the direct-engine properties: the dense ZF oracle (solve plus condition
-#: estimate) bounds the oracle property to N <= 512; the count property covers N <= 4096.
+#: As in the direct-engine properties: the dense ZF oracle (a full SVD before its
+#: solve) bounds the oracle property to N <= 512; the count property covers N <= 4096.
 LOG2_N_MAX = 12
 LOG2_N_ORACLE = 9
 

@@ -286,13 +286,15 @@ class TestWaveformReuse:
 WAVES = [dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5), dict(k=4, m=8, pulse="rrc", alpha=0.3, delta=0.5),
          dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.0), dict(k=16, m=16, pulse="rc", alpha=0.5, delta=0.5)]
 
-#: One field switched per step: receiver, engine, domain, chain budget or waveform.
+#: One field switched per step: receiver, engine, domain, chain budget, waveform or channel.
 SWITCHES = st.one_of(
     st.tuples(st.just("rx"), st.sampled_from(["zf", "mf"])),
     st.tuples(st.just("arch"), st.sampled_from(["fft", "direct"])),
     st.tuples(st.just("domain"), st.sampled_from(["td", "fd"])),
     st.tuples(st.just("l_max"), st.sampled_from([4, 16])),
     st.tuples(st.just("wave"), st.integers(0, len(WAVES) - 1)),
+    st.tuples(st.just("channel_taps"), st.sampled_from([TAPS, (1 + 0j,), (0.5j, 0.25)])),
+    st.tuples(st.just("snr_db"), st.sampled_from([math.inf, 20.0])),
 )
 
 
@@ -307,10 +309,21 @@ def block_outcome(cfg, seed):
     return x.tobytes(), grid_hat.tobytes(), counter.count, report
 
 
-def fresh_outcome(cfg, seed):
-    """``block_outcome`` with every link builder emptied first, so each table is built anew."""
-    for builder in (link._waveform, link._mod_table, link._demod_table, link._plan):
+def clear_builders():
+    """Empty every link builder, so each table and the channel are built anew."""
+    for builder in (link._waveform, link._mod_table, link._demod_table, link._plan, link._channel):
         builder.cache_clear()
+
+
+def fresh_loopback(cfg):
+    """``link.run_loopback`` with every link builder emptied first."""
+    clear_builders()
+    return link.run_loopback(cfg)
+
+
+def fresh_outcome(cfg, seed):
+    """``block_outcome`` with every link builder emptied first."""
+    clear_builders()
     return block_outcome(cfg, seed)
 
 
@@ -401,14 +414,49 @@ class TestTableReuse:
             assert link.plan_for(mf) is plan
         assert block_outcome(mf, 3) == fresh_outcome(mf, 3)
 
-    def test_loopback_checks_the_channel_taps_once_per_block(self, monkeypatch):
+    def test_loopback_checks_a_channel_when_it_is_first_held(self, monkeypatch):
         cfg = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4, snr_db=20.0)
-        want = link.run_loopback(cfg)  # loads the plan and the channel response
+        seeds = (0, 1, 2**64 - 1)
+        want = [fresh_loopback(replace(cfg, seed=seed)) for seed in seeds]  # holds the plan, channel, response
         calls = []
         check = channel.check_taps
         monkeypatch.setattr(channel, "check_taps", lambda taps: calls.append(taps) or check(taps))
-        assert link.run_loopback(cfg) == want
+        # Later blocks of the held channel differ only in their seed, and check no taps.
+        assert [link.run_loopback(replace(cfg, seed=seed)) for seed in seeds] == want
+        assert calls == []
+        link.run_loopback(replace(cfg, snr_db=10.0))  # a new SNR: the spec checks its taps, the response is held
         assert len(calls) == 1
+        link.run_loopback(replace(cfg, channel_taps=(1 + 0j, 0.5j)))  # new taps: the spec and the response
+        assert len(calls) == 3
+
+    def test_a_refused_channel_raises_on_every_call_and_leaves_the_held_one(self):
+        held = link._channel(TAPS, 20.0)
+        for bad in (((1 + 0j, math.nan), 20.0), ((), 20.0), (TAPS, math.nan), (TAPS, -math.inf)):
+            for _ in range(2):
+                with pytest.raises(ConfigError):
+                    link._channel(*bad)
+            assert link._channel(TAPS, 20.0) is held
+
+    @pytest.mark.parametrize("taps", [[1 + 0j, 0.4 - 0.2j], np.array([1 + 0j, 0.4 - 0.2j])], ids=["list", "array"])
+    def test_taps_given_as_a_list_or_array_are_held_as_the_channel_key(self, taps):
+        cfg = RunConfig(k=8, m=4, channel_taps=taps, n_cp=4, snr_db=20.0)
+        assert type(cfg.channel_taps) is tuple
+        assert link.run_loopback(cfg) == fresh_loopback(replace(cfg, channel_taps=(1 + 0j, 0.4 - 0.2j)))
+
+    def test_taps_beyond_int64_run_as_runconfig_accepted_them(self):
+        # numpy makes an object array of (2**70, 1); the tuple RunConfig checked converts directly.
+        cfg = RunConfig(k=8, m=4, channel_taps=(2**70, 1), n_cp=4)
+        report = link.run_loopback(cfg)
+        assert report.cm_match and report.ser == 0.0
+        assert np.array_equal(link._channel(cfg.channel_taps, cfg.snr_db).taps, [2.0**70, 1.0])
+
+    @pytest.mark.parametrize("arch,domain,rx", ENGINES)
+    @pytest.mark.parametrize("k,m", [(8, 4), (2, 64), (64, 2), (16, 16)])
+    def test_plan_holds_the_closed_form_count(self, arch, domain, rx, k, m):
+        cfg = RunConfig(k=k, m=m, arch=arch, domain=domain, rx=rx, l_max=64)
+        plan = link.plan_for(cfg)
+        assert plan.formula_cm == cm_count(KINDS[arch, domain], k, m)
+        assert link.run_loopback(cfg).formula_cm == plan.formula_cm
 
 
 class TestPrecomputeNames:

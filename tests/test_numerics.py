@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gfdm_modem import numerics
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.numerics import (
     MulCounter,
@@ -184,6 +185,24 @@ class TestDft:
         # The gufunc raises the flag itself: no finite_result check is involved.
         with finite_only(), pytest.raises(FloatingPointError):
             dft(np.array([1e308 + 1e308j] * 8))
+
+
+class TestSizeCost:
+    """``dft`` holds each size's charge: the power-of-two rule runs once per size, a refused size every time."""
+
+    def test_rule_runs_once_per_size(self):
+        held = numerics._size_cost
+        held.cache_clear()
+        counter = MulCounter()
+        for shape in ((8,), (8, 3), (16,), (8,), (16, 2)):
+            dft(np.ones(shape), counter=counter)
+        assert (held.cache_info().misses, held.cache_info().hits) == (2, 3)
+        charged = fft_mul_count(8) * 5 + fft_mul_count(16) * 3
+        assert counter.count == charged
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="power of two"):
+                dft(np.ones(12), counter=counter)
+        assert held.cache_info().currsize == 2 and counter.count == charged
 
 
 class TestNormalized:

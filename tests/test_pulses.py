@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gfdm_modem.direct_modem import precompute_fd_mod
@@ -95,6 +97,27 @@ class TestTxWindow:
         assert np.abs(w_fd - coupling * w_td).max() <= 1e-10
         assert_allclose(w_fd[0], w_td[0], atol=1e-12)
         assert_allclose(w_fd[:, 0], w_td[:, 0], atol=1e-12)
+
+    @settings(max_examples=100)
+    @given(
+        # K = 2**i and M = 2**j with N <= 2048; the raised-cosine kinds need K >= 2
+        km=st.integers(0, 7).flatmap(lambda i: st.integers(0, min(7, 11 - i)).map(lambda j: (2**i, 2**j))),
+        kind=st.sampled_from(["RC", "RRC", "DIRICHLET", "RECT_TD"]),
+        alpha_delta=st.sampled_from([(0.5, 0.5), (0.25, 0.0), (1.0, 0.5)]),
+    )
+    def test_fd_window_is_the_td_window_times_the_coupling_phase(self, km, kind, alpha_delta):
+        # w_fd[k, m] = w_td[k, m] * exp(-2j*pi*k*m/N), k the row and m the column, to roundoff.
+        k, m = km
+        assume(k >= 2 or kind not in ("RC", "RRC"))
+        pulse = make_prototype(kind, GfdmParams(k, m), *alpha_delta)
+        w_td, w_fd = tx_window(pulse, "TD"), tx_window(pulse, "FD")
+        phase = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(m)) / (k * m))
+        peak = np.abs(w_fd).max()
+        assert np.abs(w_fd - w_td * phase).max() <= 1e-13 * peak
+        # The opposite sign misses by O(1) wherever the phase is not real on some entry of an
+        # invertible window (K = M = 2 with delta = 0 zeroes the one entry where it is not).
+        if min(k, m) >= 2 and np.abs(w_td).min() > 1e-8 * peak:
+            assert np.abs(w_fd - w_td * phase.conj()).max() >= 0.5 * peak
 
     def test_single_subsymbol_rect(self):
         pulse = make_prototype("RECT_TD", GfdmParams(4, 1))
