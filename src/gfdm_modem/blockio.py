@@ -9,10 +9,21 @@ accepts headerless files and treats the whole payload as samples.  CSV rows are
 is not a sample is an error.  Input files are recognized by suffix
 (:func:`guess_format`); a file with any other suffix is CSV when it starts
 with the ``index,re,im`` header, else binary.
+
+Every file the CLI writes goes through :func:`rewrite`: the path is opened
+without ``O_TRUNC`` (symlinks written through; inode, hard links and mode
+kept), the whole payload written over the old bytes, and a regular file then
+cut to the bytes written, also when a write fails part-way.  The bytes are
+those ``Path.write_bytes``/``write_text`` write; what goes away is freeing and
+reallocating the file's blocks on every rewrite.  The trade-off: a power loss
+mid-rewrite can leave old and new blocks mixed where a truncating write leaves
+a short file.  An output is complete only once the command has exited 0.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -25,6 +36,7 @@ __all__ = ["MAGIC", "write_samples", "read_samples", "guess_format"]
 MAGIC = b"GFDMBLK1"
 _HEADER = struct.Struct("<8sII")
 _CSV_HEADER = "index,re,im"
+_REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)  # no O_TRUNC: cut after writing
 
 
 def guess_format(path: str | Path, fallback: str = "bin") -> str:
@@ -54,14 +66,31 @@ def _is_sample(cells: list[str]) -> bool:
     return True
 
 
+def rewrite(path: str | Path, payload: bytes) -> None:
+    """Write ``payload`` over ``path`` in place, then cut a regular file to the bytes written, also
+    when a write raises.  The package's one file writer, not public API; mode ``0o666`` as ``open``."""
+    fd = os.open(path, _REWRITE_FLAGS, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        view, written = memoryview(payload), 0
+        try:
+            while written < len(view):
+                written += os.write(fd, view[written:])
+        finally:
+            if regular:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin") -> None:
     vec = np.asarray(data, dtype=np.complex128).reshape(-1, order="F")
-    path = Path(path)
     if fmt == "bin":
-        path.write_bytes(_HEADER.pack(MAGIC, vec.size, 0) + vec.astype("<c16").tobytes())
+        rewrite(path, _HEADER.pack(MAGIC, vec.size, 0) + vec.astype("<c16").tobytes())
     elif fmt == "csv":
         rows = zip(range(vec.size), vec.real.tolist(), vec.imag.tolist())
-        path.write_text(_CSV_HEADER + "\n" + "".join(f"{i},{re!r},{im!r}\n" for i, re, im in rows))
+        nl = os.linesep  # as text mode writes "\n"; the text is ASCII
+        rewrite(path, (_CSV_HEADER + nl + "".join(f"{i},{re!r},{im!r}{nl}" for i, re, im in rows)).encode())
     else:
         raise ConfigError(f"unknown sample format {fmt!r}, expected 'bin' or 'csv'")
 

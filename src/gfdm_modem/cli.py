@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -134,7 +135,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     rows = analysis.sweep(kinds, geometries, l=args.overlap)
     csv_text = analysis.rows_to_csv(rows)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        blockio.rewrite(args.out, csv_text.replace("\n", os.linesep).encode())  # as write_text writes it
         print(args.out)
     else:
         sys.stdout.write(csv_text)

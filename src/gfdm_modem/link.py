@@ -18,7 +18,8 @@ table.  So a ``rx`` switch keeps the modulator, an FFT ``domain`` switch the
 demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
 :func:`_plan` pairs the two tables, keyed by the waveform key plus ``rx, arch,
 domain, l_max``, builds the modulator's before the receive window and holds its
-kind's ``analysis.cm_count``.  :func:`_channel` holds the ``ChannelSpec`` of
+kind's ``analysis.cm_count``; :func:`_cm_count` keeps every count it computed,
+one per kind and geometry.  :func:`_channel` holds the ``ChannelSpec`` of
 ``(channel_taps, snr_db)``; a block takes it with its seed, its only per-block
 channel input (``ChannelSpec.with_seed``).  A refused configuration (a singular
 zero-forcing window, a direct block over ``direct_modem.MAX_DIRECT_N`` or
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -148,7 +149,12 @@ def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan
     demod = _demod_table(wave, arch, d_rx, rx.upper(), l_max)
     # The held waveform's geometry (equal to wave[0]), so its gather index is built once per waveform.
     params, kind = _waveform(*wave).pulse.params, f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}"
-    return ModemPlan(params, kind, analysis.cm_count(kind, params.k, params.m), mod, demod)
+    return ModemPlan(params, kind, _cm_count(kind, params.k, params.m), mod, demod)
+
+
+# The closed-form count per (kind, K, M), held like ``numerics._size_cost``: the keys are bounded
+# by the kinds times the legal geometries, and a refused argument raises on every call.
+_cm_count = cache(analysis.cm_count)
 
 
 # ``ChannelSpec(channel_taps, snr_db)`` held like the tables, with seed 0: each block brings its own.

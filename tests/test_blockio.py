@@ -1,5 +1,9 @@
-"""Sample-file codec: the CSV and binary bytes and the CSV parsing rules, against the per-sample codec."""
+"""Sample-file codec: the CSV and binary bytes and the CSV parsing rules, against the per-sample codec;
+the in-place writer against a truncating write."""
 
+import errno
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -179,3 +183,65 @@ class TestHeaderCount:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ConfigError, match="truncated: header promises 4 samples"):
             blockio.read_samples(path)
+
+
+DATA = np.array([1 + 2j, -3.5 + 0.25j, 0.125 - 1j, 1e308 - 5e-324j, -0.0 + 0.1j])
+#: No file at the path, or one of this length given the new file's length.
+OLD_LENGTHS = {"new": None, "longer": lambda n: n + 7, "same": lambda n: n, "shorter": lambda n: n // 2}
+
+
+class TestRewrite:
+    """Outputs are written over in place and cut to length: the bytes of a truncating write (``per_sample_write``
+    opens ``"wb"``/``"w"`` as ``Path.write_bytes``/``write_text`` do), on the same file."""
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("old", OLD_LENGTHS.values(), ids=OLD_LENGTHS.keys())
+    @given(values=samples)
+    def test_bytes_equal_a_truncating_write(self, fmt, old, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, want = Path(tmp, f"out.{fmt}"), Path(tmp, f"want.{fmt}")
+            per_sample_write(want, values, fmt)
+            if old is not None:
+                path.write_bytes(b"\xab" * old(len(want.read_bytes())))
+            blockio.write_samples(path, values, fmt)
+            assert path.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_inode_hard_link_and_mode_are_kept(self, tmp_path, fmt):
+        path, link = tmp_path / f"out.{fmt}", tmp_path / "link"
+        blockio.write_samples(path, np.arange(40.0), fmt)
+        os.link(path, link)
+        path.chmod(0o640)
+        before = path.stat()
+        blockio.write_samples(path, DATA, fmt)
+        after = path.stat()
+        assert (after.st_ino, after.st_nlink, stat.S_IMODE(after.st_mode)) == (before.st_ino, 2, 0o640)
+        per_sample_write(tmp_path / "want", DATA, fmt)
+        assert link.read_bytes() == path.read_bytes() == (tmp_path / "want").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_a_symlinked_path_rewrites_its_target_and_stays_a_link(self, tmp_path, fmt):
+        target, path = tmp_path / f"target.{fmt}", tmp_path / f"out.{fmt}"
+        blockio.write_samples(target, np.arange(40.0), fmt)
+        path.symlink_to(target)
+        blockio.write_samples(path, DATA, fmt)
+        assert path.is_symlink() and os.readlink(path) == str(target)
+        assert target.read_bytes() == path.read_bytes()
+        np.testing.assert_array_equal(blockio.read_samples(target), DATA)
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_dev_null_is_written_and_not_cut(self, fmt):
+        blockio.write_samples(os.devnull, DATA, fmt)  # cutting it would raise EINVAL
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("prefix", [0, 1, 40])
+    def test_a_failed_write_leaves_exactly_the_written_prefix(self, tmp_path, monkeypatch, fail_write, fmt, prefix):
+        path, want = tmp_path / f"out.{fmt}", tmp_path / f"want.{fmt}"
+        per_sample_write(want, DATA, fmt)
+        blockio.write_samples(path, np.arange(100.0), fmt)  # a longer file to write over
+        fail_write(prefix)
+        with pytest.raises(OSError) as info:
+            blockio.write_samples(path, DATA, fmt)
+        monkeypatch.undo()
+        assert info.value.errno == errno.ENOSPC
+        assert path.read_bytes() == want.read_bytes()[:prefix]

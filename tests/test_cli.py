@@ -663,6 +663,51 @@ class TestProcessExitCodes:
         assert ("(match)" in proc.stdout) == (code == 0)
 
 
+class TestOutputsRewrittenInPlace:
+    """Every file the CLI writes is written over an existing one in place and cut to length."""
+
+    @staticmethod
+    def run_commands(tmp_path, out, fmt):
+        """Run pulse, modulate, demodulate and analyze --out into ``out``; the bytes of each file written."""
+        cfg, sym = write_config(tmp_path, n_cs=2), tmp_path / "sym.bin"
+        blockio.write_samples(sym, qpsk_symbols(5, 32))
+        block, est = out / f"block.{fmt}", out / f"est.{fmt}"
+        for argv in (["pulse", "--config", cfg, "--out", out],
+                     ["modulate", "--config", cfg, "--in", sym, "--out", block],
+                     ["demodulate", "--config", cfg, "--in", block, "--out", est],
+                     ["analyze", "--n", "64", "--out", out / "table.csv"]):
+            assert main([str(arg) for arg in argv]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("old", [lambda n: n + 1000, lambda n: n, lambda n: n // 2],
+                             ids=["longer", "same", "shorter"])
+    def test_files_written_over_existing_ones_equal_fresh_ones(self, tmp_path, fmt, old):
+        fresh = self.run_commands(tmp_path, tmp_path / "fresh", fmt)
+        assert len(fresh) == 11  # pulse's eight, the block, the estimate and the table
+        over = tmp_path / "over"
+        over.mkdir()
+        for name, data in fresh.items():
+            (over / name).write_bytes(b"#" * old(len(data)))
+        assert self.run_commands(tmp_path, over, fmt) == fresh
+
+    def test_a_failed_write_exits_2_with_one_io_error_line(self, tmp_path, capsys, monkeypatch, fail_write):
+        cfg, sym, block, est = write_config(tmp_path), tmp_path / "sym.bin", tmp_path / "block.bin", tmp_path / "est.csv"
+        blockio.write_samples(sym, qpsk_symbols(1, 32))
+        argv = ["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est)]
+        assert main(["modulate", "--config", str(cfg), "--in", str(sym), "--out", str(block)]) == 0
+        assert main(argv) == 0
+        whole = est.read_bytes()
+        est.write_bytes(b"#" * 2 * len(whole))
+        capsys.readouterr()
+        fail_write(40)
+        assert main(argv) == 2
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("i/o error:") and captured.err.count("\n") == 1
+        assert est.read_bytes() == whole[:40]
+
+
 class TestUndecodableConfig:
     @pytest.mark.parametrize("command", ["pulse", "modulate", "demodulate", "loopback"])
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):

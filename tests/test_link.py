@@ -458,6 +458,25 @@ class TestTableReuse:
         assert plan.formula_cm == cm_count(KINDS[arch, domain], k, m)
         assert link.run_loopback(cfg).formula_cm == plan.formula_cm
 
+    @given(st.sampled_from(sorted(KINDS)), st.integers(1, 6), st.integers(1, 5))  # N <= MAX_DIRECT_N
+    def test_held_count_equals_the_closed_form_over_drawn_geometries(self, engine, log2k, log2m):
+        (arch, domain), k, m = engine, 2**log2k, 2**log2m
+        plan = link.plan_for(RunConfig(k=k, m=m, arch=arch, domain=domain, rx="mf", l_max=64))
+        assert plan.formula_cm == cm_count(KINDS[engine], k, m)
+
+    def test_a_counted_kind_and_geometry_is_not_counted_again(self):
+        held = link._cm_count
+        held.cache_clear()
+        cfg = RunConfig(k=16, m=8)
+        for rx in ("zf", "mf", "zf"):  # three plan builds of one kind and geometry
+            link._plan.cache_clear()
+            assert link.plan_for(replace(cfg, rx=rx)).formula_cm == cm_count("FFT_TD_FD", 16, 8)
+        assert (held.cache_info().misses, held.cache_info().hits) == (1, 2)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                held("FFT_TD_FD", 3, 8)
+        assert held.cache_info().currsize == 1
+
 
 class TestPrecomputeNames:
     """Every direct table is built through a public ``direct_modem.precompute_*`` name, which a tracer wraps."""
