@@ -1,20 +1,24 @@
-"""The noise stream's trig step, and the SNR and seed rules of the channel.
+"""The noise stream's Box-Muller specification, and the SNR and seed rules of the channel.
 
-``gaussian_pairs`` takes its Box-Muller trig factor from numpy's complex128
-``exp``.  These tests pin it byte for byte to the per-sample ``cmath.exp``
-generator it replaced (kept here as the reference), and guard the property
-the swap rests on: numpy has no CPU-dispatched complex128 ``exp`` kernel.
+``gaussian_pairs`` computes ``sqrt(-log u) * exp(2j*pi*v)`` with correctly rounded float64
+operations only, in the order the ``channel`` docstring specifies.  These tests pin it byte for
+byte to an independent scalar implementation of that specification (Python floats,
+``math.frexp``, ``round`` and ``math.sqrt``, no call into ``channel``), and bound its distance from
+the libm generator it replaced (``math.log`` per sample and numpy's complex ``exp``), which is
+kept here as an accuracy reference only.
 """
 
 import cmath
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gfdm_modem import channel
 from gfdm_modem.channel import (
     ChannelSpec,
     apply_channel,
@@ -30,26 +34,108 @@ from gfdm_modem.errors import ConfigError
 from gfdm_modem.link import qpsk_symbols, run_loopback
 
 EDGE_SEEDS = [0, 1, 2**64 - 1]
+#: The smallest and largest uniforms the stream can give, and their neighbours, as 53-bit steps.
+EXTREME_STEPS = [0, 1, 2, 3, 2**52 - 1, 2**52, 2**53 - 3, 2**53 - 2, 2**53 - 1]
 
 
-def per_sample_gaussian_pairs(seed, count):
-    """The generator with the trig factor from ``cmath.exp`` per sample."""
+class Spec:
+    """The noise stream, sample by sample in Python floats, from the specification alone."""
+
+    MASK = (1 << 64) - 1
+    LN2_HI, LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+    TURN = math.pi / 512
+
+    def __init__(self):
+        self.log_hi, self.log_lo = [0.0] * 257, [0.0] * 257
+        for c in range(128, 257):
+            a, b = 256.0 - c, 256.0 + c
+            q = a / b
+            split = q * 134217729.0
+            q_hi = split - (split - q)
+            q_lo = ((a - q_hi * b) - (q - q_hi) * b) / b
+            z = q * q
+            p = 1.0 / 35
+            for k in range(33, 1, -2):
+                p = p * z + 1.0 / k
+            two_q, tail = 2.0 * q, 2.0 * (q_lo + q * z * p)
+            self.log_hi[c] = two_q + tail
+            self.log_lo[c] = (two_q - self.log_hi[c]) + tail
+        c8, s8 = [], []
+        for i in range(129):
+            a = i * self.TURN
+            w = a * a
+            cos_p = sin_p = 0.0
+            for k in range(20, 0, -2):
+                cos_p = cos_p * w + (-1) ** (k // 2) / math.factorial(k)
+            for k in range(21, 1, -2):
+                sin_p = sin_p * w + (-1) ** (k // 2) / math.factorial(k)
+            c8.append(1.0 + w * cos_p)
+            s8.append(a + a * w * sin_p)
+        # The octant's entries placed on the circle: cos(pi/2 - a) = sin a, cos(pi/2 + a) = -sin a, ...
+        cq, sq = c8 + s8[127::-1], s8 + c8[127::-1]
+        self.cos = cq + [-x for x in sq[1:]] + [-x for x in cq[1:]] + sq[1:]
+        self.sin = sq + cq[1:] + [-x for x in sq[1:]] + [-x for x in cq[1:]]
+
+    def uniform(self, seed, index):
+        z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & self.MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        z ^= z >> 31
+        return ((z >> 11) + 0.5) / (1 << 53)
+
+    def minus_log(self, u):
+        m, e = math.frexp(u)
+        y = 256.0 * m
+        c = round(y)
+        s = (c - y) / (y + c)
+        z = s * s
+        g = (z * (2.0 / 5) + 2.0 / 3) * z * s
+        a = ((g + e * -self.LN2_LO) + self.log_lo[c]) + 2.0 * s
+        return e * -self.LN2_HI + (self.log_hi[c] + a)
+
+    def cos_sin(self, v):
+        t = 1024.0 * v
+        j = round(t)
+        x = (t - j) * self.TURN
+        w = x * x
+        cm = (w * (1.0 / 24) + -0.5) * w
+        sn = (w * (1.0 / 120) + -1.0 / 6) * w * x + x
+        cj, sj = self.cos[j], self.sin[j]
+        return cj + (cj * cm - sj * sn), sj + (sj * cm + cj * sn)
+
+    def gaussian_pairs(self, seed, count):
+        out = np.empty(count, dtype=np.complex128)
+        for i in range(count):
+            r = math.sqrt(self.minus_log(self.uniform(seed, 2 * i)))
+            cos, sin = self.cos_sin(self.uniform(seed, 2 * i + 1))
+            out[i] = complex(cos * r, sin * r)
+        return out
+
+
+SPEC = Spec()
+per_sample_gaussian_pairs = SPEC.gaussian_pairs
+
+
+def libm_gaussian_pairs(seed, count):
+    """The generator the stream replaced: ``math.log`` per sample, numpy's complex128 ``exp``
+    (libm ``cexp``), both rounded as the host's libm rounds them.  An accuracy reference only."""
     u = uniform64_array(seed, 0, 2 * count)
     r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), np.float64, count))
     j_theta = np.zeros(count, dtype=np.complex128)
     j_theta.imag = 2 * math.pi * u[1::2]
-    trig = np.fromiter(map(cmath.exp, j_theta.tolist()), np.complex128, count)
-    out = np.empty(count, dtype=np.complex128)
-    out.real = r * trig.real
-    out.imag = r * trig.imag
-    return out / math.sqrt(2.0)
+    return r * np.exp(j_theta) / math.sqrt(2.0)
 
 
 def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestTrigThroughComplexExp:
+def steps_to_uniforms(steps):
+    """The stream's uniform of each 53-bit step ``k``: ``(k + 0.5) / 2**53``."""
+    return (np.array(steps, dtype=np.float64) + 0.5) / (1 << 53)
+
+
+class TestSpecification:
     @settings(max_examples=120)
     @given(
         seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
@@ -64,21 +150,62 @@ class TestTrigThroughComplexExp:
     def test_long_run_equals_per_sample_generator(self, seed):
         assert same_bytes(gaussian_pairs(seed, 200_000), per_sample_gaussian_pairs(seed, 200_000))
 
-    def test_extreme_angles_equal_cmath(self):
-        # The smallest and largest uniforms the stream can give, and their neighbours.
-        steps = np.array([0, 1, 2, 3, 2**52 - 1, 2**52, 2**53 - 3, 2**53 - 2, 2**53 - 1], dtype=np.float64)
-        u = (steps + 0.5) / (1 << 53)
-        j_theta = np.zeros(u.size, dtype=np.complex128)
-        j_theta.imag = 2 * math.pi * u
-        want = np.array([cmath.exp(z) for z in j_theta.tolist()])
-        assert same_bytes(np.exp(j_theta), want)
+    def test_extreme_uniforms_equal_the_specification(self):
+        u = steps_to_uniforms(EXTREME_STEPS)
+        assert channel._minus_log(u).tolist() == [SPEC.minus_log(x) for x in u.tolist()]
+        cos, sin = channel._cos_sin_turns(u)
+        assert list(zip(cos.tolist(), sin.tolist())) == [SPEC.cos_sin(x) for x in u.tolist()]
 
-    def test_complex128_exp_has_no_cpu_dispatched_kernel(self):
-        # If a numpy release adds a SIMD complex exp, the noise bits may start to depend
-        # on the CPU; this names the cause before the stream goldens fail.
-        introspect = pytest.importorskip("numpy.lib.introspect")
-        loops = introspect.opt_func_info(func_name="exp").get("exp", {})
-        assert [sig for sig in loops if "D" in sig] == []
+    def test_tables_equal_the_specification(self):
+        assert channel._LOG_HI.tolist() == SPEC.log_hi and channel._LOG_LO.tolist() == SPEC.log_lo
+        assert channel._COS.tolist() == SPEC.cos and channel._SIN.tolist() == SPEC.sin
+
+
+class TestAccuracy:
+    """The specification is within a few ulp of the exact transcendentals, and of libm's."""
+
+    @settings(max_examples=60)
+    @given(steps=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
+    @example(steps=EXTREME_STEPS)
+    def test_log_within_4_ulp_of_math_log(self, steps):
+        u = steps_to_uniforms(steps)
+        for got, x in zip(channel._minus_log(u).tolist(), u.tolist()):
+            want = -math.log(x)
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+    @settings(max_examples=60)
+    @given(steps=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
+    @example(steps=EXTREME_STEPS)
+    def test_cos_sin_within_1e15_of_cmath(self, steps):
+        u = steps_to_uniforms(steps)
+        cos, sin = channel._cos_sin_turns(u)
+        for c, s, x in zip(cos.tolist(), sin.tolist(), u.tolist()):
+            want = cmath.exp(complex(0.0, 2 * math.pi * x))
+            assert abs(c - want.real) <= 1e-15 and abs(s - want.imag) <= 1e-15
+
+    @settings(max_examples=30)
+    @given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)), count=st.integers(1, 5000))
+    def test_samples_within_4e15_relative_of_the_libm_generator(self, seed, count):
+        got, want = gaussian_pairs(seed, count), libm_gaussian_pairs(seed, count)
+        assert (np.abs(got - want) <= 4e-15 * np.abs(want)).all()
+
+    def test_long_run_within_bounds_of_libm(self):
+        u = uniform64_array(11, 0, 200_000)
+        want = -np.fromiter(map(math.log, u.tolist()), np.float64, u.size)
+        assert (np.abs(channel._minus_log(u) - want) <= 4 * np.spacing(want)).all()
+        cos, sin = channel._cos_sin_turns(u)
+        trig = np.exp(1j * (2 * math.pi * u))
+        assert np.abs(cos - trig.real).max() <= 1e-15 and np.abs(sin - trig.imag).max() <= 1e-15
+
+    def test_log_table_is_correctly_rounded(self):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = [-(Decimal(c) / 256).ln() for c in range(128, 257)]
+        hi, lo = channel._LOG_HI[128:], channel._LOG_LO[128:]
+        assert hi.tolist() == [float(x) for x in exact]
+        # The pair is within 2**-56 relative, three bits beyond the rounded entry (2**-53).
+        for h, lo_, x in zip(hi.tolist(), lo.tolist(), exact):
+            assert abs(Decimal(h) + Decimal(lo_) - x) <= abs(x) * Decimal(2) ** -56
 
 
 def reference_apply_channel(x, taps, snr_db, seed):
