@@ -50,8 +50,10 @@ configuration table, built by one ``functools.lru_cache(maxsize=1)`` builder
 keyed by its arguments, the taps' bytes and N: it holds the last response built,
 read-only, and a failed build (too many taps, a bin of magnitude at most
 ``numerics.SINGULAR_EPS``) raises on every call and keeps the held response.
-``link`` holds one :class:`ChannelSpec` per configuration, checked when built, and
-:meth:`ChannelSpec.with_seed` checks only the seed, a block's one channel input.
+A :class:`ChannelSpec` is the configured channel, ``(taps, snr_db)``, checked
+when built, so :func:`apply_channel` runs neither rule again; ``link`` holds one
+per configuration.  The noise seed, a block's one channel input, is an argument
+of :func:`apply_channel`, checked on every call.
 """
 
 from __future__ import annotations
@@ -115,6 +117,11 @@ def check_snr_db(snr_db: float) -> float:
 def snr_ratio(snr_db: float) -> float:
     """The linear SNR ``10 ** (snr_db / 10)``; reject a finite SNR whose ratio overflows or is 0."""
     check_snr_db(snr_db)
+    return _ratio(snr_db)
+
+
+def _ratio(snr_db: float) -> float:
+    """:func:`snr_ratio` of an SNR that passed :func:`check_snr_db`, as ``ChannelSpec.snr_db`` has."""
     try:
         ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:
@@ -155,22 +162,14 @@ def check_taps(taps) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """Impulse response, per-sample SNR in dB (``inf`` for noiseless), seed."""
+    """Impulse response and per-sample SNR in dB (``inf`` for noiseless)."""
 
     taps: np.ndarray
     snr_db: float = math.inf
-    seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "taps", check_taps(self.taps))
         object.__setattr__(self, "snr_db", check_snr_db(self.snr_db))
-        object.__setattr__(self, "seed", check_seed(self.seed))
-
-    def with_seed(self, seed) -> ChannelSpec:
-        """This channel (its taps array shared, its rules passed) with noise seed ``seed``, checked alone."""
-        spec = object.__new__(type(self))
-        spec.__dict__.update(self.__dict__, seed=check_seed(seed))
-        return spec
 
 
 def add_cp(x: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
@@ -369,10 +368,12 @@ def gaussian_pairs(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def apply_channel(x_framed: np.ndarray, spec: ChannelSpec) -> np.ndarray:
+def apply_channel(x_framed: np.ndarray, spec: ChannelSpec, seed: int = 0) -> np.ndarray:
     """Linear convolution with the taps, truncated to the transmitted length,
-    plus circularly symmetric Gaussian noise at the configured per-sample SNR.
+    plus circularly symmetric Gaussian noise at the configured per-sample SNR,
+    drawn from stream ``seed`` (checked first, on a noiseless channel too).
     """
+    seed = check_seed(seed)
     x = np.asarray(x_framed, dtype=np.complex128).reshape(-1)
     taps, n = spec.taps, x.size
     y = taps[0] * x
@@ -380,10 +381,10 @@ def apply_channel(x_framed: np.ndarray, spec: ChannelSpec) -> np.ndarray:
         y[j:] += taps[j] * x[: n - j]
     if math.isfinite(spec.snr_db):
         power = float(np.mean(np.abs(x) ** 2))
-        sigma2 = power / snr_ratio(spec.snr_db)
+        sigma2 = power / _ratio(spec.snr_db)
         if not math.isfinite(sigma2):
             raise ConfigError(f"noise variance {sigma2} is not finite (power {power}, snr_db {spec.snr_db})")
-        noise = gaussian_pairs(spec.seed, x.size)
+        noise = gaussian_pairs(seed, x.size)
         noise *= math.sqrt(sigma2)
         y += noise
     return y

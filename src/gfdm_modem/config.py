@@ -11,7 +11,7 @@ from pathlib import Path
 from .channel import check_real, check_seed, check_snr_db, check_taps, snr_ratio
 from .errors import ConfigError
 from .numerics import check_positive, is_int
-from .pulses import GfdmParams, check_pulse_spec
+from .pulses import GfdmParams, active_items, check_pulse_spec
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
@@ -42,15 +42,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         # The one integer rule, numerics.is_int: a bool or a non-integral value is refused, never truncated.
         # Numpy integers are held as int, so keys, cost formulas and JSON output see one type.
-        # The chain count l_max takes the one count rule, numerics.check_positive.  The seed's rule,
-        # with its 64-bit range, is channel.check_seed, shared with ChannelSpec.
+        # An active set is None (the full range) or a sequence, a 1-D integer array included, held as a
+        # tuple.  The chain count l_max takes the one count rule, numerics.check_positive.  The seed's
+        # rule, with its 64-bit range, is channel.check_seed, shared with channel.apply_channel.
         for name in ("k", "m", "n_cp", "n_cs", "k_on", "m_on"):
             value, many = getattr(self, name), name in ("k_on", "m_on")
-            for item in (value or ()) if many else (value,):
+            if many and value is None:
+                continue
+            items = active_items(name, value) if many else (value,)
+            for item in items:
                 if not is_int(item):
                     raise ConfigError(f"{name} must be an integer, got {item!r}")
-            if value or not many:
-                object.__setattr__(self, name, tuple(map(int, value)) if many else int(value))
+            object.__setattr__(self, name, tuple(map(int, items)) if many else int(value))
         object.__setattr__(self, "l_max", check_positive("l_max", self.l_max))
         object.__setattr__(self, "seed", check_seed(self.seed))
         # Real numbers held as float, names as str; the real-number and taps rules are channel's.
@@ -97,9 +100,17 @@ def _as_float(name: str, value) -> float:
     return float(value)
 
 
+def _as_array(name: str, raw) -> list:
+    """A JSON array as it is; anything else (a string, an object, a number or ``null``) is refused."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a JSON array, got {raw!r}")
+    return raw
+
+
 def _as_taps(raw) -> tuple[complex, ...]:
+    """The impulse response from an array of real numbers and ``[re, im]`` pairs."""
     taps = []
-    for item in raw:
+    for item in _as_array("channel_taps", raw):
         if isinstance(item, (list, tuple)):
             if len(item) != 2:
                 raise ConfigError(f"channel tap {item!r} is not a [re, im] pair")
@@ -114,9 +125,9 @@ def _as_int(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-def _as_active(raw) -> tuple | None:
-    """An active set; ``null`` or ``[]`` is the full range."""
-    return tuple(_as_int(i) for i in raw) if raw else None
+def _as_active(name: str, raw) -> tuple | None:
+    """An active set from an array; ``null`` or ``[]`` is the full range."""
+    return None if raw is None else tuple(_as_int(i) for i in _as_array(name, raw)) or None
 
 
 def _as_snr(raw) -> float:
@@ -135,7 +146,8 @@ def _as_name(raw) -> str:
 _CONVERTERS = {
     "k": _as_int, "m": _as_int, "pulse": _as_name,
     "alpha": partial(_as_float, "alpha"), "delta": partial(_as_float, "delta"),
-    "rx": _as_name, "arch": _as_name, "domain": _as_name, "k_on": _as_active, "m_on": _as_active,
+    "rx": _as_name, "arch": _as_name, "domain": _as_name,
+    "k_on": partial(_as_active, "k_on"), "m_on": partial(_as_active, "m_on"),
     "n_cp": _as_int, "n_cs": _as_int, "channel_taps": _as_taps, "snr_db": _as_snr, "seed": _as_int,
     "l_max": _as_int,
 }

@@ -11,20 +11,20 @@ computes, so every table comes from its mode's own K x M window by one rule:
 the tap rows are the window's stage transform, stages 1 and 2 folded in.  In
 the time domain all M rows are held, in frequency one row per occupied
 subcarrier band, which is where sparse windows pay off.  The rule checks the
-block length against :data:`MAX_DIRECT_N` and the chain count against
-``l_max``, and returns the mode's :mod:`fft_modem` stage table with the tap rows
-in the window slot; the counter charges L*N multiplications per pass.  A table
-build validates no geometry anew: the K x M geometry of each window shape is
-built and checked once, then held.  The four
-``precompute_*`` are that rule bound to a mode.  A pass computes each output
-sample as one BLAS dot over its L chains, taken in descending shift order, as
-the table holds them.  The
-``direct_*`` runners are one run of such a table.
+chain budget ``l_max``, a plain int under the one count rule
+(``numerics.check_positive``), then the block length against
+:data:`MAX_DIRECT_N` and the chain count against ``l_max``, and returns the
+mode's :mod:`fft_modem` stage table with the tap rows in the window slot; the
+counter charges L*N multiplications per pass.  A table build validates no
+geometry anew: the K x M geometry of each window shape is built and checked
+once, then held.  The four ``precompute_*`` are that rule bound to a mode.  A
+pass computes each output sample as one BLAS dot over its L chains, taken in
+descending shift order, as the table holds them.  The ``direct_*`` runners are
+one run of such a table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -36,7 +36,6 @@ from .pulses import GfdmParams, occupied_bands
 
 __all__ = [
     "MAX_DIRECT_N",
-    "DirectLimits",
     "precompute_td_mod",
     "precompute_fd_mod",
     "precompute_td_demod",
@@ -48,16 +47,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DirectLimits:
-    """Hardware budget: the number of parallel multiplier chains."""
-
-    l_max: int = 16
-
-    def __post_init__(self) -> None:
-        check_positive("l_max", self.l_max)
-
-
 #: The direct engine's block bound: its transform cores take at most this many points.
 MAX_DIRECT_N = 2048
 
@@ -66,49 +55,47 @@ MAX_DIRECT_N = 2048
 _geometry = cache(GfdmParams)
 
 
-def _chain_table(mode: str, window: np.ndarray, limits: DirectLimits, full: bool = True) -> ArchConfig:
+def _chain_table(mode: str, window: np.ndarray, l_max: int, full: bool = True) -> ArchConfig:
     """The table of ``mode`` whose chain ``l`` holds row ``partitions[l]`` of the K x M window's stage
-    transform: all rows, or with ``full`` unset the occupied ones.  Refuses N, then the chain count."""
+    transform: all rows, or with ``full`` unset the occupied ones, on at most ``l_max`` chains.
+    Refuses ``l_max``, then N, then the chain count."""
+    l_max = check_positive("l_max", l_max)
     w = np.asarray(window, dtype=np.complex128)
     params, td = _geometry(*w.shape), mode.startswith("TD")
     if params.n > MAX_DIRECT_N:
         raise ConfigError(f"block length {params.n} exceeds the {MAX_DIRECT_N}-point FFT limit")
     taps = dft(w.T if td else w, inverse=td, normalized=True)
     parts = range(len(taps)) if full else tuple(occupied_bands(taps).tolist())
-    if len(parts) > limits.l_max:
+    if len(parts) > l_max:
         raise ChainLimitExceeded(
-            f"{len(parts)} chains needed, only {limits.l_max} available" if td else
+            f"{len(parts)} chains needed, only {l_max} available" if td else
             f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
-            f"only {limits.l_max} chains available"
+            f"only {l_max} chains available"
         )
     # preset copies the rows into the layout a chain pass reads: the full set takes its range unscanned.
     return preset(mode, params, taps if full else taps.take(parts, axis=0), parts)
 
 
-def precompute_td_mod(w_td: np.ndarray, limits: DirectLimits = DirectLimits()) -> ArchConfig:
+def precompute_td_mod(w_td: np.ndarray, l_max: int) -> ArchConfig:
     """Table for time-domain modulation from the TD transmit window: M chains over the K-IDFT bank."""
-    return _chain_table("TD_MOD", w_td, limits)
+    return _chain_table("TD_MOD", w_td, l_max)
 
 
-def precompute_fd_mod(
-    w_fd: np.ndarray, limits: DirectLimits = DirectLimits(), force_full: bool = False
-) -> ArchConfig:
+def precompute_fd_mod(w_fd: np.ndarray, l_max: int, force_full: bool = False) -> ArchConfig:
     """Table for frequency-domain modulation from the FD transmit window: one chain per occupied band
     of the pulse spectrum, or with ``force_full`` all K (the generic, non-sparse engine)."""
-    return _chain_table("FD_MOD", w_fd, limits, force_full)
+    return _chain_table("FD_MOD", w_fd, l_max, force_full)
 
 
-def precompute_td_demod(w_rx: np.ndarray, limits: DirectLimits = DirectLimits()) -> ArchConfig:
+def precompute_td_demod(w_rx: np.ndarray, l_max: int) -> ArchConfig:
     """Table for time-domain demodulation from the TD receive window: M chains over the time block."""
-    return _chain_table("TD_DEMOD", w_rx, limits)
+    return _chain_table("TD_DEMOD", w_rx, l_max)
 
 
-def precompute_fd_demod(
-    w_rx: np.ndarray, limits: DirectLimits = DirectLimits(), force_full: bool = False
-) -> ArchConfig:
+def precompute_fd_demod(w_rx: np.ndarray, l_max: int, force_full: bool = False) -> ArchConfig:
     """Table for frequency-domain demodulation from the FD receive window.  A matched filter on a
     sparse pulse stays sparse, a zero-forcing window generally occupies all K bands."""
-    return _chain_table("FD_DEMOD", w_rx, limits, force_full)
+    return _chain_table("FD_DEMOD", w_rx, l_max, force_full)
 
 
 def direct_modulate_td(grid: np.ndarray, table: ArchConfig, counter: MulCounter | None = None) -> np.ndarray:

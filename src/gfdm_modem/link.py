@@ -20,8 +20,8 @@ demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
 domain, l_max``, builds the modulator's before the receive window and holds its
 kind's ``analysis.cm_count``; :func:`_cm_count` keeps every count it computed,
 one per kind and geometry.  :func:`_channel` holds the ``ChannelSpec`` of
-``(channel_taps, snr_db)``; a block takes it with its seed, its only per-block
-channel input (``ChannelSpec.with_seed``).  A refused configuration (a singular
+``(channel_taps, snr_db)``; a block passes ``apply_channel`` that channel and
+its seed, its only per-block channel input.  A refused configuration (a singular
 zero-forcing window, a direct block over ``direct_modem.MAX_DIRECT_N`` or
 ``l_max``) raises on every call and leaves the held plan in place; the tables
 it did build (its waveform, its modulator's) stay held, which can cost a later
@@ -128,12 +128,7 @@ def _table(wave: tuple, arch: str, d: str, rx: str | None, l_max: int | None) ->
     if arch == "fft":
         return fft_modem.preset(mode, waveform.pulse.params, window)
     build = getattr(direct_modem, f"precompute_{mode.lower()}")  # looked up per call, so a patched name sees it
-    limits = _limits(l_max)
-    return build(window, limits) if d == "TD" else build(window, limits, force_full=True)
-
-
-# The chain budget of the direct tables, held like them: one per ``l_max`` for both directions.
-_limits = lru_cache(maxsize=1)(direct_modem.DirectLimits)
+    return build(window, l_max) if d == "TD" else build(window, l_max, force_full=True)
 
 
 # Two holders of the one body, so each direction keeps its own last table.
@@ -157,7 +152,7 @@ def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan
 _cm_count = cache(analysis.cm_count)
 
 
-# ``ChannelSpec(channel_taps, snr_db)`` held like the tables, with seed 0: each block brings its own.
+# ``ChannelSpec(channel_taps, snr_db)`` held like the tables; each block brings its own seed.
 _channel = lru_cache(maxsize=1)(ChannelSpec)
 
 
@@ -225,8 +220,8 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
         counter = MulCounter()
         x = plan.modulate(grid, counter)
         framed = channel.add_cp(x, cfg.n_cp, cfg.n_cs)
-        spec = _channel(cfg.channel_taps, cfg.snr_db).with_seed(cfg.seed)
-        received = channel.apply_channel(framed, spec)
+        spec = _channel(cfg.channel_taps, cfg.snr_db)
+        received = channel.apply_channel(framed, spec, cfg.seed)
         core = channel.remove_cp(received, cfg.n_cp, cfg.n_cs)
         yf_eq = channel.fd_equalize_zf(core, spec.taps, counter=counter)
         grid_hat = finite_result(plan.demodulate(yf_eq, counter))

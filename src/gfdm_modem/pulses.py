@@ -15,6 +15,7 @@ window of the same domain.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,6 +26,7 @@ from .numerics import MAX_N, SINGULAR_EPS, check_grid, dft, is_int, zak_freq, za
 
 __all__ = [
     "GfdmParams",
+    "active_items",
     "PrototypePulse",
     "PULSE_KINDS",
     "check_pulse_spec",
@@ -41,6 +43,16 @@ PULSE_KINDS = ("RC", "RRC", "DIRICHLET", "RECT_TD")
 BAND_EPS = 1e-12
 
 
+def active_items(name: str, value) -> tuple:
+    """The entries of active set ``name``: a sequence or a 1-D array, with ``None`` (as ``()``) the full
+    range; a string, a mapping, a scalar or an array of another rank is refused."""
+    if value is None:
+        return ()
+    if isinstance(value, (str, bytes)) or not (isinstance(value, Sequence) or np.ndim(value) == 1):
+        raise ConfigError(f"{name} must be a sequence of integers, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class GfdmParams:
     """Block geometry: K subcarriers times M subsymbols, with active sets."""
@@ -55,11 +67,13 @@ class GfdmParams:
         k, m = check_grid(self.k, self.m)
         if k * m > MAX_N:  # before the active sets are built: a K-entry range could fill the memory
             raise ConfigError(f"block length K*M = {k * m} exceeds MAX_N = {MAX_N}")
-        for name in ("k_on", "m_on"):
-            if not all(map(is_int, getattr(self, name) or ())):
+        active = []
+        for name, size in (("k_on", k), ("m_on", m)):
+            items = active_items(name, getattr(self, name))
+            if not all(map(is_int, items)):
                 raise ConfigError(f"{name} must hold integers, got {getattr(self, name)!r}")
-        k_on = tuple(sorted(set(map(int, self.k_on)))) if self.k_on else tuple(range(k))
-        m_on = tuple(sorted(set(map(int, self.m_on)))) if self.m_on else tuple(range(m))
+            active.append(tuple(sorted(set(map(int, items)))) if items else tuple(range(size)))
+        k_on, m_on = active
         if not k_on or k_on[0] < 0 or k_on[-1] >= k:
             raise ConfigError(f"active subcarrier set out of range for K={k}: {k_on}")
         if not m_on or m_on[0] < 0 or m_on[-1] >= m:

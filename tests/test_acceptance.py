@@ -15,7 +15,6 @@ import pytest
 from gfdm_modem import analysis, fft_modem
 from gfdm_modem.config import RunConfig
 from gfdm_modem.direct_modem import (
-    DirectLimits,
     direct_modulate_fd,
     direct_modulate_td,
     precompute_fd_mod,
@@ -38,7 +37,7 @@ PULSES = [
     ("DIRICHLET", 0.0, 0.0),
 ]
 GRIDS_PER_SYSTEM = 20
-LIMITS = DirectLimits(l_max=128)
+L_MAX = 128
 
 _SYSTEMS: list[dict] | None = None
 
@@ -94,8 +93,8 @@ def test_criterion_1_oracle_equivalence():
     problems = []
     for sys_ in systems():
         pulse = sys_["pulse"]
-        table_td = precompute_td_mod(tx_window(pulse, "TD"), LIMITS)
-        table_fd = precompute_fd_mod(tx_window(pulse, "FD"), LIMITS)
+        table_td = precompute_td_mod(tx_window(pulse, "TD"), L_MAX)
+        table_fd = precompute_fd_mod(tx_window(pulse, "FD"), L_MAX)
         for i, grid in enumerate(sys_["grids"]):
             ref = sys_["refs"][i]
             scale = np.abs(ref).max()

@@ -113,9 +113,9 @@ class TestApplyChannel:
 
     def test_noise_is_seed_deterministic(self):
         x = np.ones(64, dtype=complex)
-        a = apply_channel(x, ChannelSpec(np.array([1.0]), snr_db=10.0, seed=42))
-        b = apply_channel(x, ChannelSpec(np.array([1.0]), snr_db=10.0, seed=42))
-        c = apply_channel(x, ChannelSpec(np.array([1.0]), snr_db=10.0, seed=43))
+        a = apply_channel(x, ChannelSpec(np.array([1.0]), snr_db=10.0), 42)
+        b = apply_channel(x, ChannelSpec(np.array([1.0]), snr_db=10.0), 42)
+        c = apply_channel(x, ChannelSpec(np.array([1.0]), snr_db=10.0), 43)
         assert (a == b).all()
         assert not (a == c).all()
 
@@ -344,7 +344,7 @@ class TestShiftedAddConvolution:
         x = random_complex(np.random.default_rng(5), 64)
         taps = np.array([1.0, 0.4 - 0.2j])
         clean = apply_channel(x, ChannelSpec(taps))
-        noisy = apply_channel(x, ChannelSpec(taps, snr_db=10.0, seed=9))
+        noisy = apply_channel(x, ChannelSpec(taps, snr_db=10.0), 9)
         sigma = np.sqrt(np.mean(np.abs(x) ** 2) / 10.0)
         assert noisy.tobytes() == (clean + sigma * gaussian_pairs(9, 64)).tobytes()
 
@@ -556,26 +556,11 @@ class TestSpecTypeRule:
         assert np.array_equal(ChannelSpec(taps, 10.0).taps, [1.0, 0.5 - 0.25j])
 
 
-class TestWithSeed:
-    """``ChannelSpec.with_seed``: the same channel with another seed, under the seed's rule alone."""
+class TestSeedArgument:
+    """``apply_channel``'s seed, a block's one channel input, checked first on every channel."""
 
-    def test_only_the_seed_rule_runs_and_the_noise_is_a_fresh_specs(self, monkeypatch):
-        spec = ChannelSpec((1 + 0j, 0.4 - 0.2j), 10.0, 1)
-        calls = []
-        for name in ("check_taps", "check_snr_db"):
-            monkeypatch.setattr(channel, name, lambda *a, name=name: calls.append(name))
-        other = spec.with_seed(np.uint16(7))
-        assert calls == []
-        assert type(other) is ChannelSpec and other.seed == 7 and type(other.seed) is int
-        assert other.taps is spec.taps and other.snr_db == spec.snr_db and spec.seed == 1
-        monkeypatch.undo()
-        x = np.exp(2j * np.pi * np.arange(32) / 7)
-        want = apply_channel(x, ChannelSpec((1 + 0j, 0.4 - 0.2j), 10.0, 7))
-        assert apply_channel(x, other).tobytes() == want.tobytes()
-
+    @pytest.mark.parametrize("snr_db", [float("inf"), 10.0], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("seed", [True, -1, 2**64, 1.0, "3", None])
-    def test_a_refused_seed_raises_and_leaves_the_spec(self, seed):
-        spec = ChannelSpec((1.0,), 10.0, 5)
+    def test_a_refused_seed_raises_on_any_channel(self, seed, snr_db):
         with pytest.raises(ConfigError, match="seed"):
-            spec.with_seed(seed)
-        assert spec.seed == 5
+            apply_channel(np.ones(4, dtype=complex), ChannelSpec((1.0,), snr_db), seed)

@@ -24,6 +24,7 @@ from gfdm_modem.cli import _build_parser, main
 from gfdm_modem.config import RunConfig, parse_config
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.link import qpsk_symbols, run_loopback
+from gfdm_modem.pulses import GfdmParams
 
 from configs import emit_config
 
@@ -163,6 +164,15 @@ class TestIntegerRule:
         assert all(type(v) is int for v in held)
         for arch in ("fft", "direct"):
             assert run_loopback(RunConfig(**np_ints, arch=arch)) == run_loopback(RunConfig(**ints, arch=arch))
+
+    def test_an_integer_array_is_an_active_set(self):
+        # Array truthiness used to escape as a bare ValueError.
+        for cls in (RunConfig, GfdmParams):
+            got = cls(4, 4, k_on=np.array([1, 2]), m_on=np.array([3], dtype=np.uint8))
+            assert got == cls(4, 4, k_on=(1, 2), m_on=(3,)) and all(type(v) is int for v in got.k_on + got.m_on)
+            for bad in (np.array([[1, 2]]), np.array(1), 3, "12", {1: 0}):
+                with pytest.raises(ConfigError, match="^k_on must be a sequence of integers, got "):
+                    cls(4, 4, k_on=bad)
 
     def test_parse_config_converts_integral_floats_then_applies_the_rule(self):
         cfg = parse_config({"k": 8.0, "m": 4.0, "seed": 3.0, "n_cp": 2.0, "k_on": [1.0, 2]})
@@ -504,6 +514,25 @@ class TestTypeRule:
         # The "nan" and "-inf" SNR strings keep theirs: see test_non_finite_snr_exits_2.
         with pytest.raises(ConfigError, match=message):
             parse_config({"k": 8, "m": 4, "n_cp": 1, field: value})
+
+    @pytest.mark.parametrize(
+        "field,raw",
+        [("channel_taps", '"12"'), ("channel_taps", '{"1": 0}'), ("channel_taps", "null"), ("channel_taps", "1.0"),
+         ("k_on", "0"), ("k_on", "false"), ("k_on", '""'), ("k_on", "{}"), ("k_on", "3"), ("m_on", '"0"'),
+         ("m_on", '{"0": 1}')],
+    )
+    def test_a_list_field_that_is_no_json_array_exits_2(self, tmp_path, capsys, field, raw):
+        # "12" ran the taps [1, 2] and {"1": 0} the taps [1]; k_on 0, false, "" and {} ran the full grid.
+        path = write_config(tmp_path)
+        data = json.loads(path.read_text())
+        data[field] = "RAW"
+        path.write_text(json.dumps(data).replace('"RAW"', raw))
+        assert main(["loopback", "--config", str(path)]) == 2
+        assert f"invalid configuration: {field} must be a JSON array, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [None, []])
+    def test_null_or_an_empty_array_is_the_full_active_set(self, raw):
+        assert parse_config({"k": 8, "m": 4, "k_on": raw, "m_on": raw}) == RunConfig(k=8, m=4)
 
     def test_real_fields_are_held_as_float(self):
         cfg = RunConfig(k=8, m=4, alpha=np.float64(0.25), delta=np.float32(0.5), snr_db=10, n_cp=3,

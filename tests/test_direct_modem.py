@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gfdm_modem.direct_modem import (
-    DirectLimits,
     direct_demodulate_fd,
     direct_demodulate_td,
     direct_modulate_fd,
@@ -58,14 +57,14 @@ class TestChainTables:
             w_td, w_fd = (rx_window(tx_window(pulse, d), rx) for d in ("TD", "FD"))
         except SingularWindow:
             assume(False)
-        limits = DirectLimits(l_max=max(km))
+        l_max = max(km)
         windows = {"TD_MOD": tx_window(pulse, "TD"), "FD_MOD": tx_window(pulse, "FD"),
                    "TD_DEMOD": w_td, "FD_DEMOD": w_fd}
         tables = {
-            "TD_MOD": precompute_td_mod(windows["TD_MOD"], limits),
-            "FD_MOD": precompute_fd_mod(windows["FD_MOD"], limits, force_full),
-            "TD_DEMOD": precompute_td_demod(w_td, limits),
-            "FD_DEMOD": precompute_fd_demod(w_fd, limits, force_full),
+            "TD_MOD": precompute_td_mod(windows["TD_MOD"], l_max),
+            "FD_MOD": precompute_fd_mod(windows["FD_MOD"], l_max, force_full),
+            "TD_DEMOD": precompute_td_demod(w_td, l_max),
+            "FD_DEMOD": precompute_fd_demod(w_fd, l_max, force_full),
         }
         for mode, taps in self.taps(windows).items():
             table = tables[mode]
@@ -92,26 +91,26 @@ class TestChainTables:
         assume(km[0] >= 2 or kind not in ("RC", "RRC"))
         p = GfdmParams(*km)
         pulse = make_prototype(kind, p, alpha, delta)
-        limits = DirectLimits(l_max=max(km))
+        l_max = max(km)
         old = {"TD": p.k * polyphase(pulse.time, p.m, p.k), "FD": polyphase(pulse.freq, p.k, p.m)}
-        new = {"TD": precompute_td_mod(tx_window(pulse, "TD"), limits).window,
-               "FD": precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=True).window}
+        new = {"TD": precompute_td_mod(tx_window(pulse, "TD"), l_max).window,
+               "FD": precompute_fd_mod(tx_window(pulse, "FD"), l_max, force_full=True).window}
         for d in ("TD", "FD"):
             assert np.abs(new[d] - old[d]).max() <= 1e-15 * np.abs(old[d]).max(), d
-        sparse = precompute_fd_mod(tx_window(pulse, "FD"), limits)
+        sparse = precompute_fd_mod(tx_window(pulse, "FD"), l_max)
         assert sparse.partitions == tuple(occupied_bands(old["FD"]).tolist())
 
 
 class TestPrecomputeMod:
     def test_fd_partition_counts(self):
-        assert len(precompute_fd_mod(tx_window(make_prototype("DIRICHLET", GfdmParams(8, 4)), "FD")).window) == 1
-        assert len(precompute_fd_mod(tx_window(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5), "FD")).window) == 2
+        assert len(precompute_fd_mod(tx_window(make_prototype("DIRICHLET", GfdmParams(8, 4)), "FD"), 16).window) == 1
+        assert len(precompute_fd_mod(tx_window(make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5), "FD"), 16).window) == 2
 
     def test_fd_one_tap_row_per_chain(self):
         # Each chain holds one row of M taps, applied alike to all K columns of the stream.
         pulse = make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)
         w_fd = tx_window(pulse, "FD")
-        table = precompute_fd_mod(w_fd)
+        table = precompute_fd_mod(w_fd, 16)
         assert table.window.shape == (2, 4) and table.grid == (8, 4)
         assert np.array_equal(table.window, dft(w_fd, normalized=True)[list(table.partitions)])
 
@@ -122,7 +121,7 @@ class TestPrecomputeMod:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         full = type(pulse)(pulse.kind, params, 0.5, 0.5, time, dft(time))
         with pytest.raises(ChainLimitExceeded, match="^pulse occupies 64 subcarrier bands, only 16 chains available$"):
-            precompute_fd_mod(tx_window(full, "FD"), DirectLimits(l_max=16))
+            precompute_fd_mod(tx_window(full, "FD"), 16)
 
 
 class TestModulate:
@@ -131,7 +130,7 @@ class TestModulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         grid = random_grid(params, 0)
         ref = modulate_td(grid, tx_window(pulse, "TD"))
-        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
+        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD"), 16))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_td_matches_oracle(self):
@@ -139,30 +138,32 @@ class TestModulate:
         pulse = make_prototype("RRC", params, 0.5, 0.5)
         grid = random_grid(params, 1)
         ref = oracle_modulate(build_matrix(pulse), grid)
-        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
+        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD"), 16))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_single_subsymbol_is_windowed_idft(self):
         params = GfdmParams(8, 1)
         pulse = make_prototype("RECT_TD", params)
         grid = random_grid(params, 2)
-        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
+        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD"), 16))
         expect = pulse.time * dft(grid[:, 0], inverse=True)
         assert np.abs(got - expect).max() <= 1e-12
 
     def test_chain_limit(self):
-        # The chain count is refused when the table is built, after the block length.
+        # The chain count is refused when the table is built, after the chain budget's rule and the block length.
         params = GfdmParams(32, 64)
         pulse = make_prototype("RC", params, 0.5, 0.5)
         w_rx = rx_window(tx_window(pulse, "TD"), "ZF")
         with pytest.raises(ChainLimitExceeded, match="^64 chains needed, only 16 available$"):
-            precompute_td_mod(tx_window(pulse, "TD"), DirectLimits(l_max=16))
+            precompute_td_mod(tx_window(pulse, "TD"), 16)
         with pytest.raises(ChainLimitExceeded, match="^64 chains needed, only 16 available$"):
-            precompute_td_demod(w_rx, DirectLimits(l_max=16))
+            precompute_td_demod(w_rx, 16)
         big = make_prototype("RC", GfdmParams(64, 64), 0.5, 0.5)
         for build, d in ((precompute_td_mod, "TD"), (precompute_fd_mod, "FD")):
             with pytest.raises(ConfigError, match="^block length 4096 exceeds the 2048-point FFT limit$"):
-                build(tx_window(big, d), DirectLimits(l_max=16))
+                build(tx_window(big, d), 16)
+            with pytest.raises(ConfigError, match="^l_max must be a positive integer, got 0$"):
+                build(tx_window(big, d), 0)  # the chain budget's rule comes first
 
     @pytest.mark.parametrize("build", [precompute_td_mod, precompute_fd_mod, precompute_td_demod, precompute_fd_demod])
     def test_window_of_no_legal_geometry_refused_on_every_call(self, build):
@@ -171,22 +172,22 @@ class TestModulate:
             GfdmParams(12, 4)
         for _ in range(2):
             with pytest.raises(ConfigError, match=f"^{re.escape(str(want.value))}$"):
-                build(np.ones((12, 4), complex))
+                build(np.ones((12, 4), complex), 16)
 
     def test_fd_matches_fft_engine(self):
         params = GfdmParams(8, 8)
         pulse = make_prototype("RC", params, 0.5, 0.5)
         grid = random_grid(params, 4)
         ref = modulate_fd(grid, tx_window(pulse, "FD"))
-        got = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")))
+        got = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD"), 16))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         ref_t = modulate_fd(grid, tx_window(pulse, "FD"), emit_time=True)
-        got_t = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")), emit_time=True)
+        got_t = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD"), 16), emit_time=True)
         assert np.abs(got_t - ref_t).max() <= 1e-10 * np.abs(ref_t).max()
 
     def test_fd_zero_grid(self):
         params = GfdmParams(8, 4)
-        table = precompute_fd_mod(tx_window(make_prototype("DIRICHLET", params), "FD"))
+        table = precompute_fd_mod(tx_window(make_prototype("DIRICHLET", params), "FD"), 16)
         got = direct_modulate_fd(np.zeros((8, 4), complex), table)
         assert_allclose(got, np.zeros(32), atol=1e-14)
 
@@ -196,7 +197,7 @@ class TestModulate:
         grid = np.zeros((8, 4), dtype=complex)
         k0 = 3
         grid[k0, :] = 1.0
-        spec = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")))
+        spec = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD"), 16))
         live_bands = {int(q) // params.m for q in np.flatnonzero(np.abs(spec) > 1e-9)}
         assert live_bands <= {k0, (k0 - 1) % params.k, (k0 + 1) % params.k}
 
@@ -205,14 +206,14 @@ class TestPrecomputeDemod:
     def test_mf_dirichlet_single_partition(self):
         params = GfdmParams(8, 4)
         w_rx = rx_window(tx_window(make_prototype("DIRICHLET", params), "FD"), "MF")
-        assert len(precompute_fd_demod(w_rx).window) == 1
+        assert len(precompute_fd_demod(w_rx, 16).window) == 1
 
     def test_zf_spreads_beyond_chain_budget(self):
         params = GfdmParams(64, 4)
         w_rx = rx_window(tx_window(make_prototype("RC", params, 0.5, 0.5), "FD"), "ZF")
         with pytest.raises(ChainLimitExceeded, match="^receive pulse occupies 32 subcarrier bands, only 16 chains"):
-            precompute_fd_demod(w_rx, DirectLimits(l_max=16))
-        table = precompute_fd_demod(w_rx, DirectLimits(l_max=64))
+            precompute_fd_demod(w_rx, 16)
+        table = precompute_fd_demod(w_rx, 64)
         # Computed support of the inverted window: 32 occupied bands here,
         # far past any practical chain budget.
         assert len(table.window) == 32
@@ -220,7 +221,7 @@ class TestPrecomputeDemod:
     def test_td_always_m_matrices(self):
         params = GfdmParams(8, 4)
         w_rx = rx_window(tx_window(make_prototype("RC", params, 0.5, 0.5), "TD"), "ZF")
-        assert len(precompute_td_demod(w_rx).window) == params.m
+        assert len(precompute_td_demod(w_rx, 16).window) == params.m
 
 
 class TestDemodulate:
@@ -229,8 +230,8 @@ class TestDemodulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         w_rx = rx_window(tx_window(pulse, "TD"), "ZF")
         grid = random_grid(params, 5)
-        x = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD")))
-        est = direct_demodulate_td(x, precompute_td_demod(w_rx))
+        x = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD"), 16))
+        est = direct_demodulate_td(x, precompute_td_demod(w_rx, 16))
         assert np.abs(est - grid).max() <= 1e-9
 
     def test_fd_zf_loopback(self):
@@ -238,8 +239,8 @@ class TestDemodulate:
         pulse = make_prototype("RC", params, 0.5, 0.5)
         w_rx = rx_window(tx_window(pulse, "FD"), "ZF")
         grid = random_grid(params, 6)
-        spec = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD")))
-        table = precompute_fd_demod(w_rx, force_full=True)
+        spec = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD"), 16))
+        table = precompute_fd_demod(w_rx, 16, force_full=True)
         est = direct_demodulate_fd(spec, table)
         assert np.abs(est - grid).max() <= 1e-9
 
@@ -250,11 +251,11 @@ class TestDemodulate:
         y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
         w_rx_td = rx_window(tx_window(pulse, "TD"), "ZF")
         ref_td = fft_demodulate_td(y, w_rx_td)
-        got_td = direct_demodulate_td(y, precompute_td_demod(w_rx_td))
+        got_td = direct_demodulate_td(y, precompute_td_demod(w_rx_td, 16))
         assert np.abs(got_td - ref_td).max() <= 1e-10 * np.abs(ref_td).max()
         w_rx_fd = rx_window(tx_window(pulse, "FD"), "ZF")
         ref_fd = demodulate_fd(dft(y), w_rx_fd)
-        got_fd = direct_demodulate_fd(dft(y), precompute_fd_demod(w_rx_fd, force_full=True))
+        got_fd = direct_demodulate_fd(dft(y), precompute_fd_demod(w_rx_fd, 16, force_full=True))
         assert np.abs(got_fd - ref_fd).max() <= 1e-10 * np.abs(ref_fd).max()
 
     def test_matches_fft_demodulator_mf_dirichlet(self):
@@ -264,13 +265,13 @@ class TestDemodulate:
         grid = random_grid(params, 7)
         spec = dft(modulate_td(grid, tx_window(pulse, "TD")))
         ref = demodulate_fd(spec, w_rx)
-        got = direct_demodulate_fd(spec, precompute_fd_demod(w_rx))
+        got = direct_demodulate_fd(spec, precompute_fd_demod(w_rx, 16))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_zero_input(self):
         params = GfdmParams(4, 4)
         w_rx = rx_window(tx_window(make_prototype("DIRICHLET", params), "TD"), "ZF")
-        est = direct_demodulate_td(np.zeros(16, complex), precompute_td_demod(w_rx))
+        est = direct_demodulate_td(np.zeros(16, complex), precompute_td_demod(w_rx, 16))
         assert_allclose(est, np.zeros((4, 4)), atol=1e-14)
 
 
@@ -279,7 +280,7 @@ class TestInstrumentation:
         params = GfdmParams(16, 8)
         pulse = make_prototype("RC", params, 0.5, 0.5)
         counter = MulCounter()
-        direct_modulate_td(random_grid(params, 8), precompute_td_mod(tx_window(pulse, "TD")), counter=counter)
+        direct_modulate_td(random_grid(params, 8), precompute_td_mod(tx_window(pulse, "TD"), 16), counter=counter)
         n = params.n
         assert counter.count == params.m * fft_mul_count(params.k) + params.m * n
 
@@ -287,7 +288,7 @@ class TestInstrumentation:
         params = GfdmParams(16, 8)
         pulse = make_prototype("DIRICHLET", params)
         w_rx = rx_window(tx_window(pulse, "FD"), "MF")
-        table = precompute_fd_demod(w_rx)
+        table = precompute_fd_demod(w_rx, 16)
         counter = MulCounter()
         direct_demodulate_fd(np.ones(params.n, complex), table, counter=counter)
         assert counter.count == params.k * fft_mul_count(params.m) + len(table.window) * params.n
@@ -305,15 +306,15 @@ class TestAliasing:
         rng = np.random.default_rng(31)
         y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
         yf = dft(y)
-        limits = DirectLimits(l_max=max(params.k, params.m))
+        l_max = max(params.k, params.m)
         inputs = {"time": pulse.time, "freq": pulse.freq, "w_td": w_td, "w_fd": w_fd,
                   "grid": grid, "y": y, "yf": yf}
         before = {name: arr.copy() for name, arr in inputs.items()}
         tables = {
-            "td-mod": precompute_td_mod(tx_window(pulse, "TD"), limits),
-            "fd-mod": precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=force_full),
-            "td-demod": precompute_td_demod(w_td, limits),
-            "fd-demod": precompute_fd_demod(w_fd, limits, force_full=force_full),
+            "td-mod": precompute_td_mod(tx_window(pulse, "TD"), l_max),
+            "fd-mod": precompute_fd_mod(tx_window(pulse, "FD"), l_max, force_full=force_full),
+            "td-demod": precompute_td_demod(w_td, l_max),
+            "fd-demod": precompute_fd_demod(w_fd, l_max, force_full=force_full),
         }
         runs = {
             "td-mod": lambda: direct_modulate_td(grid, tables["td-mod"]),

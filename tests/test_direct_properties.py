@@ -12,7 +12,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gfdm_modem.direct_modem import (
-    DirectLimits,
     direct_demodulate_fd,
     direct_demodulate_td,
     direct_modulate_fd,
@@ -64,19 +63,19 @@ def run_all(case):
         w_rx = {d: rx_window(tx_window(pulse, d), case["rx"]) for d in ("TD", "FD")}
     except SingularWindow:
         assume(False)
-    limits = DirectLimits(l_max=max(k, m))
+    l_max = max(k, m)
     full = case["force_full"]
     rng = np.random.default_rng(case["seed"])
     grid = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
     y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
     passes = {
-        ("TD", "mod"): (precompute_td_mod(tx_window(pulse, "TD"), limits),
+        ("TD", "mod"): (precompute_td_mod(tx_window(pulse, "TD"), l_max),
                         lambda t, c: direct_modulate_td(grid, t, c)),
-        ("FD", "mod"): (precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=full),
+        ("FD", "mod"): (precompute_fd_mod(tx_window(pulse, "FD"), l_max, force_full=full),
                         lambda t, c: direct_modulate_fd(grid, t, case["emit_time"], c)),
-        ("TD", "demod"): (precompute_td_demod(w_rx["TD"], limits),
+        ("TD", "demod"): (precompute_td_demod(w_rx["TD"], l_max),
                           lambda t, c: direct_demodulate_td(y, t, c)),
-        ("FD", "demod"): (precompute_fd_demod(w_rx["FD"], limits, force_full=full),
+        ("FD", "demod"): (precompute_fd_demod(w_rx["FD"], l_max, force_full=full),
                           lambda t, c: direct_demodulate_fd(dft(y), t, c)),
     }
     out = {}

@@ -290,12 +290,12 @@ class TestChainPresets:
     @staticmethod
     def chain_tables(params):
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        limits = direct_modem.DirectLimits(l_max=max(params.k, params.m))
+        l_max = max(params.k, params.m)
         return {
-            "TD_MOD": direct_modem.precompute_td_mod(tx_window(pulse, "TD"), limits),
-            "FD_MOD": direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), limits),
-            "TD_DEMOD": direct_modem.precompute_td_demod(rx_window(tx_window(pulse, "TD"), "MF"), limits),
-            "FD_DEMOD": direct_modem.precompute_fd_demod(rx_window(tx_window(pulse, "FD"), "MF"), limits),
+            "TD_MOD": direct_modem.precompute_td_mod(tx_window(pulse, "TD"), l_max),
+            "FD_MOD": direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), l_max),
+            "TD_DEMOD": direct_modem.precompute_td_demod(rx_window(tx_window(pulse, "TD"), "MF"), l_max),
+            "FD_DEMOD": direct_modem.precompute_fd_demod(rx_window(tx_window(pulse, "FD"), "MF"), l_max),
         }
 
     @pytest.mark.parametrize("mode", list(ENABLED))
@@ -584,13 +584,13 @@ class TestChainKernel:
     @pytest.mark.parametrize("params", [GfdmParams(32, 64), GfdmParams(64, 32), GfdmParams(8, 4)])
     @pytest.mark.parametrize("mode", MODES)
     def test_full_set_dots_read_the_stream_in_place_with_a_unit_stride(self, mode, params):
-        pulse, limits = make_prototype("RC", params, 0.5, 0.5), direct_modem.DirectLimits(l_max=64)
+        pulse, l_max = make_prototype("RC", params, 0.5, 0.5), 64
         table = {
-            "TD_MOD": lambda: direct_modem.precompute_td_mod(tx_window(pulse, "TD"), limits),
-            "FD_MOD": lambda: direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=True),
-            "TD_DEMOD": lambda: direct_modem.precompute_td_demod(rx_window(tx_window(pulse, "TD"), "MF"), limits),
+            "TD_MOD": lambda: direct_modem.precompute_td_mod(tx_window(pulse, "TD"), l_max),
+            "FD_MOD": lambda: direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), l_max, force_full=True),
+            "TD_DEMOD": lambda: direct_modem.precompute_td_demod(rx_window(tx_window(pulse, "TD"), "MF"), l_max),
             "FD_DEMOD": lambda: direct_modem.precompute_fd_demod(
-                rx_window(tx_window(pulse, "FD"), "MF"), limits, force_full=True),
+                rx_window(tx_window(pulse, "FD"), "MF"), l_max, force_full=True),
         }[mode]()
         rows, chains = table.window.shape[1], len(table.window)
         assert table.partitions == tuple(range(chains))

@@ -15,6 +15,8 @@ import pytest
 
 from gfdm_modem import analysis
 from gfdm_modem.channel import (
+    ChannelSpec,
+    apply_channel,
     channel_response,
     check_seed,
     fd_equalize_zf,
@@ -23,16 +25,21 @@ from gfdm_modem.channel import (
     uniform64,
 )
 from gfdm_modem.config import RunConfig
-from gfdm_modem.direct_modem import DirectLimits
+from gfdm_modem.direct_modem import precompute_fd_demod, precompute_td_mod
 from gfdm_modem.errors import ConfigError, SingularChannel, SingularWindow
 from gfdm_modem.fft_modem import ArchConfig, StageConfig, preset, run_modulator
 from gfdm_modem.numerics import MAX_N, SINGULAR_EPS, check_positive, dft, fft_mul_count, is_int, is_pow2
-from gfdm_modem.pulses import GfdmParams, rx_window
+from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 
 
 def _chain_table(p):
     table = preset("TD_MOD", GfdmParams(8, 4), np.arange(16).reshape(2, 8) * (1 - 0.5j), (0, p))
     return table, run_modulator(table, np.arange(32).reshape(8, 4) * (0.5 + 1j))
+
+
+#: An 8 x 4 RC pulse's TD transmit window (4 chains) and FD matched filter (2 occupied bands).
+_PULSE = make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)
+_W_TD, _W_FD_MF = tx_window(_PULSE, "TD"), rx_window(tx_window(_PULSE, "FD"), "MF")
 
 
 #: (entry point, call with the count under test, an int that the call accepts).
@@ -50,7 +57,8 @@ ENTRIES = [
     ("latency.m", lambda v: analysis.latency("DIR_FD_FD", 8, v), 8),
     ("latency_delta", lambda v: analysis.latency_delta(v, 8), 8),
     ("resources", lambda v: analysis.resources("DIRECT", v), 8),
-    ("DirectLimits.l_max", lambda v: DirectLimits(l_max=v), 8),
+    ("precompute_td_mod.l_max", lambda v: precompute_td_mod(_W_TD, v), 8),
+    ("precompute_fd_demod.l_max", lambda v: precompute_fd_demod(_W_FD_MF, v), 8),
     ("RunConfig.k", lambda v: RunConfig(k=v, m=4), 8),
     ("RunConfig.m", lambda v: RunConfig(k=8, m=v), 8),
     ("RunConfig.n_cp", lambda v: RunConfig(k=8, m=4, n_cp=v), 8),
@@ -60,6 +68,8 @@ ENTRIES = [
     ("RunConfig.m_on", lambda v: RunConfig(k=8, m=16, m_on=(v,)), 8),
     ("RunConfig.seed", lambda v: RunConfig(k=8, m=4, seed=v), 8),
     ("check_seed", check_seed, 8),
+    # On a noiseless channel no gaussian_pairs call checks the seed: apply_channel checks it first.
+    ("apply_channel.seed", lambda v: apply_channel(np.arange(4) * (1 - 1j), ChannelSpec((1,)), v), 8),
     ("uniform64.index", lambda v: uniform64(3, v), 8),
     ("splitmix64_words.start", lambda v: splitmix64_words(3, v, 4), 8),
     ("splitmix64_words.count", lambda v: splitmix64_words(3, 0, v), 8),
@@ -118,10 +128,11 @@ class TestIntegerPredicates:
 
 
 class TestPositiveCountRule:
-    #: The four counts that must be at least 1, each as ``(name in the message, call)``.
+    #: The counts that must be at least 1, each as ``(name in the message, call)``.
     SITES = {
         "RunConfig.l_max": ("l_max", lambda v: RunConfig(k=8, m=4, l_max=v)),
-        "DirectLimits.l_max": ("l_max", lambda v: DirectLimits(l_max=v)),
+        "precompute_td_mod.l_max": ("l_max", lambda v: precompute_td_mod(_W_TD, v)),
+        "precompute_fd_demod.l_max": ("l_max", lambda v: precompute_fd_demod(_W_FD_MF, v)),
         "resources": ("l_max", lambda v: analysis.resources("DIRECT", v)),
         "cm_count.l": ("the band overlap L", lambda v: analysis.cm_count("DIR_FD_FD_SPARSE", 8, 4, v)),
     }

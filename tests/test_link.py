@@ -43,19 +43,19 @@ def engine_block(cfg, grid, counter):
             x = fft_modem.modulate_fd(grid, tx_window(pulse, "FD"), emit_time=True, counter=counter)
         yf = fd_equalize_zf(x, TAPS, counter=counter)
         return x, fft_modem.demodulate_fd(yf, rx_window(tx_window(pulse, "FD"), rx), counter)
-    limits = direct_modem.DirectLimits(l_max=cfg.l_max)
+    l_max = cfg.l_max
     w_rx = rx_window(tx_window(pulse, d), rx)
     if d == "TD":
-        table = direct_modem.precompute_td_mod(tx_window(pulse, "TD"), limits)
+        table = direct_modem.precompute_td_mod(tx_window(pulse, "TD"), l_max)
         x = direct_modem.direct_modulate_td(grid, table, counter)
         yf = fd_equalize_zf(x, TAPS, counter=counter)
         y = dft(yf, inverse=True, counter=counter) / cfg.n
-        table = direct_modem.precompute_td_demod(w_rx, limits)
+        table = direct_modem.precompute_td_demod(w_rx, l_max)
         return x, direct_modem.direct_demodulate_td(y, table, counter)
-    table = direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), limits, force_full=True)
+    table = direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), l_max, force_full=True)
     x = direct_modem.direct_modulate_fd(grid, table, emit_time=True, counter=counter)
     yf = fd_equalize_zf(x, TAPS, counter=counter)
-    table = direct_modem.precompute_fd_demod(w_rx, limits, force_full=True)
+    table = direct_modem.precompute_fd_demod(w_rx, l_max, force_full=True)
     return x, direct_modem.direct_demodulate_fd(yf, table, counter)
 
 
@@ -428,6 +428,22 @@ class TestTableReuse:
         assert len(calls) == 1
         link.run_loopback(replace(cfg, channel_taps=(1 + 0j, 0.5j)))  # new taps: the spec and the response
         assert len(calls) == 3
+
+    def test_a_new_seed_on_the_held_channel_runs_no_channel_rule_and_draws_that_seeds_noise(self, monkeypatch):
+        cfg = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4, snr_db=10.0, seed=1)
+        link.run_loopback(cfg)  # holds the plan, the channel and its response
+        other, calls, draws = replace(cfg, seed=np.uint16(7)), [], []
+        for name in ("check_taps", "check_snr_db"):
+            monkeypatch.setattr(channel, name, lambda *a, name=name: calls.append(name))
+        apply = channel.apply_channel
+        monkeypatch.setattr(channel, "apply_channel", lambda *a: draws.append((*a, apply(*a))) or draws[-1][-1])
+        link.run_loopback(other)
+        monkeypatch.undo()
+        assert calls == []
+        [(framed, spec, seed, received)] = draws
+        assert spec is link._channel(TAPS, 10.0) and type(seed) is int and seed == 7
+        want = channel.apply_channel(framed, channel.ChannelSpec(TAPS, 10.0), 7)
+        assert received.tobytes() == want.tobytes()
 
     def test_a_refused_channel_raises_on_every_call_and_leaves_the_held_one(self):
         held = link._channel(TAPS, 20.0)

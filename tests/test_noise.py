@@ -263,14 +263,14 @@ class TestBufferContract:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         saved = x.tobytes()
-        spec = ChannelSpec(np.array(taps), snr, seed=5)
-        first, second = apply_channel(x, spec), apply_channel(x, spec)
+        spec = ChannelSpec(np.array(taps), snr)
+        first, second = apply_channel(x, spec, 5), apply_channel(x, spec, 5)
         assert x.tobytes() == saved and first.tobytes() == second.tobytes()
         assert first.flags.writeable and second.flags.writeable
         for other in (x, spec.taps, second):
             assert not np.shares_memory(first, other)
         x.flags.writeable = False  # a write into a read-only input would raise
-        assert apply_channel(x, spec).tobytes() == first.tobytes()
+        assert apply_channel(x, spec, 5).tobytes() == first.tobytes()
 
 
 def loopback_config(tmp_path, **overrides):
@@ -296,7 +296,7 @@ class TestSnrRange:
     def test_apply_channel_refuses(self, snr):
         x = np.ones(16, dtype=complex)
         with pytest.raises(ConfigError, match="out of range|not finite"):
-            apply_channel(x, ChannelSpec(np.array([1.0]), snr, seed=3))
+            apply_channel(x, ChannelSpec(np.array([1.0]), snr), 3)
 
     def test_variance_that_is_not_finite_is_refused_at_the_channel(self):
         # The ratio is a positive subnormal, so only the signal power decides.
@@ -314,7 +314,7 @@ class TestSnrRange:
         rng = np.random.default_rng(data_seed)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         taps = np.array([1.0, 0.3 - 0.2j, 0.05j])
-        got = apply_channel(x, ChannelSpec(taps, snr, seed=11))
+        got = apply_channel(x, ChannelSpec(taps, snr), 11)
         assert same_bytes(got, reference_apply_channel(x, taps, snr, 11))
 
     @pytest.mark.parametrize("snr", OVERFLOWING + VANISHING + UNBOUNDED_VARIANCE)
@@ -350,24 +350,26 @@ class TestSeedRule:
          ("3", "seed must be an integer, got '3'"),
          (np.float64(2.0), "seed must be an integer")],
     )
-    def test_channel_spec_and_run_config_refuse_alike(self, seed, message):
-        errors = []
-        for build in (lambda: check_seed(seed), lambda: ChannelSpec(np.array([1.0]), 10.0, seed=seed),
+    def test_apply_channel_and_run_config_refuse_alike(self, seed, message):
+        errors, x = [], np.ones(4, dtype=complex)
+        for build in (lambda: check_seed(seed), lambda: apply_channel(x, ChannelSpec(np.array([1.0]), 10.0), seed),
+                      lambda: apply_channel(x, ChannelSpec(np.array([1.0])), seed),
                       lambda: RunConfig(k=8, m=4, seed=seed)):
             with pytest.raises(ConfigError) as info:
                 build()
             errors.append(str(info.value))
-        assert errors[0].startswith(message) and errors == [errors[0]] * 3
+        assert errors[0].startswith(message) and errors == [errors[0]] * 4
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, np.uint64(2**64 - 1), np.int32(7)])
     def test_legal_seed_is_held_as_int(self, seed):
-        spec = ChannelSpec(np.array([1.0]), 10.0, seed=seed)
         cfg = RunConfig(k=8, m=4, seed=seed)
-        assert type(spec.seed) is int and type(cfg.seed) is int and spec.seed == cfg.seed == int(seed)
+        assert type(cfg.seed) is int and cfg.seed == int(seed)
+        x, spec = np.ones(8, dtype=complex), ChannelSpec(np.array([1.0]), 10.0)
+        assert apply_channel(x, spec, seed).tobytes() == apply_channel(x, spec, int(seed)).tobytes()
 
     def test_out_of_range_seed_no_longer_aliases(self):
         # 2**64 used to give seed 0's noise, -1 seed 2**64 - 1's.
         x = np.ones(8, dtype=complex)
         for seed in (2**64, -1):
             with pytest.raises(ConfigError):
-                apply_channel(x, ChannelSpec(np.array([1.0]), 10.0, seed=seed))
+                apply_channel(x, ChannelSpec(np.array([1.0]), 10.0), seed)

@@ -206,7 +206,7 @@ class TestFreqOverlap:
         # A gap-free support: the covering count is the occupied count, and the
         # sparse direct modulator runs one chain per occupied band.
         pulse = make_prototype("RC", GfdmParams(8, 4), 0.5, 0.5)
-        table = precompute_fd_mod(tx_window(pulse, "FD"))
+        table = precompute_fd_mod(tx_window(pulse, "FD"), 16)
         assert table.partitions == tuple(occupied_bands(pulse.freq.reshape(8, 4)).tolist())
         assert freq_overlap(pulse) == len(table.window) == 2
 
