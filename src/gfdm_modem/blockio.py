@@ -10,6 +10,12 @@ is not a sample is an error.  Input files are recognized by suffix
 (:func:`guess_format`); a file with any other suffix is CSV when it starts
 with the ``index,re,im`` header, else binary.
 
+The CSV contract: the bytes written are ``f"{i},{re!r},{im!r}"`` rows, the
+values read are ``float()``'s of each cell.  :mod:`.csvtext` builds and reads
+text in that grammar a whole column at a time, each number certified by exact
+arithmetic or handed to ``repr``/``float``; any other text is parsed line by
+line (blank lines skipped, cells stripped, extra cells ignored).
+
 Every file the CLI writes goes through :func:`rewrite`: the path is opened
 without ``O_TRUNC`` (symlinks written through; inode, hard links and mode
 kept), the whole payload written over the old bytes, and a regular file then
@@ -66,6 +72,23 @@ def _is_sample(cells: list[str]) -> bool:
     return True
 
 
+def _csv_lines(text: str, path: Path) -> np.ndarray:
+    """The samples of any CSV text, line by line: blank lines skipped, cells stripped, extra cells ignored."""
+    rows = [line.split(",") for line in map(str.strip, text.split("\n")) if line]
+    if rows and not _is_sample(rows[0]):
+        del rows[0]  # only row 0 may be a header
+    if not rows:
+        raise ConfigError(f"no samples in {path}")
+    samples = np.empty(len(rows), dtype=np.complex128)
+    try:
+        samples.real = list(map(float, [cells[1] for cells in rows]))
+        samples.imag = list(map(float, [cells[2] for cells in rows]))
+    except (IndexError, ValueError):
+        bad = ",".join(next(cells for cells in rows if not _is_sample(cells)))
+        raise ConfigError(f"malformed CSV sample line: {bad!r}") from None
+    return samples
+
+
 def rewrite(path: str | Path, payload: bytes) -> None:
     """Write ``payload`` over ``path`` in place, then cut a regular file to the bytes written, also
     when a write raises.  The package's one file writer, not public API; mode ``0o666`` as ``open``."""
@@ -88,9 +111,10 @@ def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin") -> None:
     if fmt == "bin":
         rewrite(path, _HEADER.pack(MAGIC, vec.size, 0) + vec.astype("<c16").tobytes())
     elif fmt == "csv":
-        rows = zip(range(vec.size), vec.real.tolist(), vec.imag.tolist())
-        nl = os.linesep  # as text mode writes "\n"; the text is ASCII
-        rewrite(path, (_CSV_HEADER + nl + "".join(f"{i},{re!r},{im!r}{nl}" for i, re, im in rows)).encode())
+        from . import csvtext  # compiled on first CSV use: the other commands never pay for it
+
+        nl = os.linesep.encode()  # as text mode writes "\n"; the text is ASCII
+        rewrite(path, csvtext.format_rows(_CSV_HEADER.encode(), vec, nl))
     else:
         raise ConfigError(f"unknown sample format {fmt!r}, expected 'bin' or 'csv'")
 
@@ -99,20 +123,13 @@ def read_samples(path: str | Path) -> np.ndarray:
     path = Path(path)
     if _sniff_format(path) == "csv":
         try:
-            rows = [line.split(",") for line in map(str.strip, path.read_text().split("\n")) if line]
+            text = path.read_text()
         except UnicodeDecodeError:
             raise ConfigError(f"{path} is not a text CSV sample file") from None
-        if rows and not _is_sample(rows[0]):
-            del rows[0]  # only row 0 may be a header
-        if not rows:
-            raise ConfigError(f"no samples in {path}")
-        samples = np.empty(len(rows), dtype=np.complex128)
-        try:
-            samples.real = list(map(float, [cells[1] for cells in rows]))
-            samples.imag = list(map(float, [cells[2] for cells in rows]))
-        except (IndexError, ValueError):
-            bad = ",".join(next(cells for cells in rows if not _is_sample(cells)))
-            raise ConfigError(f"malformed CSV sample line: {bad!r}") from None
+        from . import csvtext
+
+        numbers = csvtext.parse_numbers(_CSV_HEADER.encode(), text.encode()) if text.isascii() else None
+        samples = _csv_lines(text, path) if numbers is None else numbers.view(np.complex128)
     else:
         raw = path.read_bytes()
         if len(raw) >= _HEADER.size and raw[:8] == MAGIC:

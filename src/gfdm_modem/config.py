@@ -43,17 +43,17 @@ class RunConfig:
         # The one integer rule, numerics.is_int: a bool or a non-integral value is refused, never truncated.
         # Numpy integers are held as int, so keys, cost formulas and JSON output see one type.
         # An active set is None (the full range) or a sequence, a 1-D integer array included, held as a
-        # tuple.  The chain count l_max takes the one count rule, numerics.check_positive.  The seed's
-        # rule, with its 64-bit range, is channel.check_seed, shared with channel.apply_channel.
-        for name in ("k", "m", "n_cp", "n_cs", "k_on", "m_on"):
-            value, many = getattr(self, name), name in ("k_on", "m_on")
-            if many and value is None:
-                continue
-            items = active_items(name, value) if many else (value,)
-            for item in items:
-                if not is_int(item):
-                    raise ConfigError(f"{name} must be an integer, got {item!r}")
-            object.__setattr__(self, name, tuple(map(int, items)) if many else int(value))
+        # tuple of ints; an empty one is the full range too, held as None.  Its entries take the integer
+        # rule once, where GfdmParams builds the geometry (`self.params` below).  The chain count l_max
+        # takes the one count rule, numerics.check_positive.  The seed's rule, with its 64-bit range, is
+        # channel.check_seed, shared with channel.apply_channel.
+        for name in ("k", "m", "n_cp", "n_cs"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("k_on", "m_on"):
+            object.__setattr__(self, name, active_items(name, getattr(self, name)) or None)
         object.__setattr__(self, "l_max", check_positive("l_max", self.l_max))
         object.__setattr__(self, "seed", check_seed(self.seed))
         # Real numbers held as float, names as str; the real-number and taps rules are channel's.
@@ -65,6 +65,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         # The modem's own geometry and pulse rules, run so bad configs fail at parse time.
         self.params  # noqa: B018
+        for name in ("k_on", "m_on"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
         check_pulse_spec(self.pulse.upper(), self.alpha, self.delta)
         if self.rx not in _RX_KINDS:
             raise ConfigError(f"rx must be one of {_RX_KINDS}, got {self.rx!r}")

@@ -70,8 +70,9 @@ class GfdmParams:
         active = []
         for name, size in (("k_on", k), ("m_on", m)):
             items = active_items(name, getattr(self, name))
-            if not all(map(is_int, items)):
-                raise ConfigError(f"{name} must hold integers, got {getattr(self, name)!r}")
+            for item in items:  # the active entries' integer rule, RunConfig's too
+                if not is_int(item):
+                    raise ConfigError(f"{name} must be an integer, got {item!r}")
             active.append(tuple(sorted(set(map(int, items)))) if items else tuple(range(size)))
         k_on, m_on = active
         if not k_on or k_on[0] < 0 or k_on[-1] >= k:

@@ -2,6 +2,7 @@
 the in-place writer against a truncating write."""
 
 import errno
+import json
 import os
 import stat
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gfdm_modem import blockio
+from gfdm_modem import blockio, cli, csvtext
 from gfdm_modem.errors import ConfigError
 
 
@@ -156,6 +157,129 @@ class TestReaderRules:
             blockio.read_samples(path)
         with pytest.raises(ConfigError, match="malformed CSV sample line: 'junk'"):
             per_line_read_csv(path)
+
+
+def corpus() -> np.ndarray:
+    """A fixed dense set of floats for the CSV codec: random 64-bit patterns, subnormals, zeros, every power
+    of two, the neighbours of 10**k, repr's layout boundaries, long mantissas and short decimals."""
+    rng = np.random.default_rng(20261019)
+    patterns = rng.integers(0, 2**64 - 1, 1_050_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    subnormal = (rng.integers(1, 2**52, 20_000, dtype=np.uint64) | (rng.integers(0, 2, 20_000, np.uint64) << 63))
+    twos = 2.0 ** np.arange(-1074, 1024)
+    tens = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    boundaries = np.array([1e16, 9999999999999998.0, 1e15, 999999999999999.9, 1234567890123456.0, 1e17,
+                           1e-4, 1e-5, 0.00012345678901234567, 9.999999999999999e-05, 0.0001234, 1.5e-05])
+    digits17 = [float(f"{m}e{e}") for m, e in zip(rng.integers(10**16, 10**17, 20_000), rng.integers(-40, 40, 20_000))]
+    digits16 = [float(f"{m}e{e}") for m, e in zip(rng.integers(2**53, 10**16, 10_000), rng.integers(-40, 40, 10_000))]
+    short = rng.integers(-10**6, 10**6, 20_000) / 10.0 ** rng.integers(-8, 12, 20_000)  # few digits
+    values = np.concatenate([
+        patterns[np.isfinite(patterns)], subnormal.view(np.float64), [0.0, -0.0], twos,
+        np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf), boundaries,
+        np.nextafter(boundaries, 0), np.nextafter(boundaries, np.inf), digits17, digits16, short,
+    ])
+    values = np.concatenate([values, -values[-200_000:]])
+    return values[: values.size // 2 * 2]
+
+
+CHUNK = 2**17  # floats per corpus file: bounds the codec's temporaries
+
+
+class TestCodecCorpus:
+    """Every float of a dense corpus: the CSV bytes equal the per-sample writer's, the values read back equal
+    the per-line reader's bit for bit, with no tolerance.  Runs under numpy's and glibc's other CPU paths too:
+    the certificates rest on float64 products, ``log10`` and ``rint``."""
+
+    VALUES = corpus()
+
+    def test_corpus_is_dense(self):
+        assert self.VALUES.size >= 10**6 + 100_000
+
+    @pytest.mark.parametrize("chunk", range(-(-VALUES.size // CHUNK)))
+    def test_bytes_and_values_equal_the_reference_codec(self, tmp_path, chunk):
+        data = self.VALUES[chunk * CHUNK : (chunk + 1) * CHUNK].view(np.complex128)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        with np.errstate(all="raise"):  # the codec raises no floating-point flag, as under finite_only
+            blockio.write_samples(new, data, "csv")
+        per_sample_write(old, data, "csv")
+        assert new.read_bytes() == old.read_bytes()
+        assert csvtext.parse_numbers(b"index,re,im", new.read_bytes()) is not None  # the whole file took the fast path
+        with np.errstate(all="raise"):
+            got = blockio.read_samples(new)
+        assert got.tobytes() == per_line_read_csv(new).tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("value", [0.5, 5e-324, -2.0**-1074, 1e300, 2.0**1023, 1.7976931348623157e308])
+    def test_values_the_arithmetic_hands_over_still_match(self, tmp_path, value):
+        # Powers of two, subnormals and numbers outside the table go through repr and float themselves.
+        data = np.array([value, -value, 0.1, value]).view(np.complex128)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        blockio.write_samples(new, data, "csv")
+        per_sample_write(old, data, "csv")
+        assert new.read_bytes() == old.read_bytes()
+        assert blockio.read_samples(new).tobytes() == per_line_read_csv(new).tobytes() == data.tobytes()
+
+
+#: Files at the edge of the writer's grammar: (text, whether the whole-column reader takes it).
+GRAMMAR = [
+    ("index,re,im\n0,1.5,-2.5\n1,0.1,1e-05\n", True),
+    ("0,1.5,-2.5\n1,0.1,1e+16\n", True),  # no header
+    ("index,re,im\r\n0,1.5,-2.5\r\n1,0.1,1e-05\r\n", True),  # CRLF: text mode reads "\n"
+    ("index,re,im\n0, 1.5,-2.5\n", False),  # a padded cell
+    ("index,re,im\n0,1.5,-2.5 \n", False),
+    ("index,re,im\n0,1.5,-2.5,7\n", False),  # an extra cell
+    ("index,re,im\n0,+1.0,2.0\n", False),
+    ("index,re,im\n0,1E5,2.0\n", False),
+    ("index,re,im\n0,1e5,2.0\n", False),  # no exponent sign
+    ("index,re,im\n0,007.50,-000.25e+01\n1,00,1e+000\n", True),  # leading zeros
+    ("index,re,im\n0,0.12345678901234567890123,1.0\n", True),  # 23 digits: float reads that one
+    ("index,re,im\n0,12345678901234567890.5,1.0\n", True),
+    ("index,re,im\n0,0.1234567890123456789012345678,1.0\n", True),
+    ("index,re,im\n0,1_0,2.0\n", False),
+    ("index,re,im\n0,nan,2.0\n", False),
+    ("index,re,im\n0,1.0,inf\n", False),
+    ("index,re,im\n0,1e+999,2.0\n", True),  # read as inf, then refused as non-finite
+    ("index,re,im\n0,1e999,2.0\n", False),
+    ("index,re,im\n0,1e-999,-1e-400\n", True),  # read as zeros
+    ("index,re,im\n0,1.5,-2.5\n1,0.1,0.2", False),  # no newline after the last line
+    ("index,re,im\n0,1.5,-2.5\n\n1,0.1,0.2\n", False),  # a blank line
+    ("index,re,im\n0,1.,2.0\n", False),
+    ("index,re,im\n0,.5,2.0\n", False),
+    ("index,re,im\n0,-.5,2.0\n", False),
+    ("index,re,im\n0,1.2.3,2.0\n", False),
+    ("index,re,im\n0,1e+5.3,2.0\n", False),
+    ("index,re,im\n0,1e+1234,2.0\n", False),  # four exponent digits
+    ("index,re,im\n0,1-2,2.0\n", False),
+    ("index,re,im\n0,--1,2.0\n", False),
+    ("index,re,im\n0,-,2.0\n", False),
+    ("index,re,im\n0,e+5,2.0\n", False),
+    ("index,re,im\n-1,1.0,2.0\n", False),  # a sign in the index
+    ("index,re,im\n1.5,1.0,2.0\n", False),
+    ("index,re,im\nx,1.0,2.0\n", False),
+    ("index,re,im\n,1.0,2.0\n", False),
+    ("index,re,im\n0,,2.0\n", False),
+    ("index,re,im\n0,1.0\n", False),
+    ("junk\n0,1.0,2.0\n", False),
+    ("index,re,im\n", False),
+]
+
+
+class TestGrammarBoundary:
+    @pytest.mark.parametrize("text, fast", GRAMMAR)
+    def test_files_read_or_are_refused_as_the_per_line_reader_does(self, tmp_path, text, fast):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with np.errstate(all="raise"):
+            assert outcome(blockio.read_samples, path) == outcome(per_line_read_csv, path)
+        assert (csvtext.parse_numbers(b"index,re,im", path.read_text().encode()) is not None) == fast
+
+    def test_pulse_csv_outputs_equal_the_reference_bytes(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 16, "m": 8, "pulse": "rrc", "alpha": 0.3, "rx": "mf"}))
+        assert cli.main(["pulse", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        outputs = sorted((tmp_path / "out").glob("*.csv"))
+        assert len(outputs) == 4
+        for path in outputs:
+            per_sample_write(tmp_path / "want.csv", blockio.read_samples(path.with_suffix(".bin")), "csv")
+            assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestHeaderCount:

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from gfdm_modem import analysis
+from gfdm_modem import analysis, link
 from gfdm_modem.channel import (
     ChannelSpec,
     apply_channel,
@@ -110,6 +110,36 @@ def test_small_numpy_integers_do_not_wrap():
     assert params == GfdmParams(16, 32, k_on=(15,), m_on=(31,))
     assert all(type(v) is int for v in (params.k, params.m, params.n, *params.k_on, *params.m_on))
     assert params.active_index.tolist() == [15 * 32 + 31]
+
+
+class TestActiveSets:
+    """An active set's entries take the one integer rule once, with one message from either constructor;
+    an empty set is the full range, held as ``None``."""
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True, "1", None, np.float64(1.0)], ids=repr)
+    @pytest.mark.parametrize("name", ["k_on", "m_on"])
+    def test_a_non_integer_entry_has_one_message(self, name, entry):
+        message = f"^{name} must be an integer, got {re.escape(repr(entry))}$"
+        for build in (RunConfig, GfdmParams):
+            with pytest.raises(ConfigError, match=message):
+                build(8, 4, **{name: (0, entry)})
+
+    def test_each_entry_is_checked_once(self, monkeypatch):
+        from gfdm_modem import config, pulses
+
+        seen = []
+        for module in (config, pulses):
+            monkeypatch.setattr(module, "is_int", lambda v: seen.append(v) or is_int(v))
+        RunConfig(k=8, m=4, n_cp=0, k_on=(5, 7), m_on=(2,))
+        assert sorted(v for v in seen if v in (2, 5, 7)) == [2, 5, 7]
+
+    @pytest.mark.parametrize("empty", [(), [], np.array([], dtype=int)], ids=repr)
+    def test_an_empty_set_is_the_full_range(self, empty):
+        full, given = RunConfig(k=8, m=4), RunConfig(k=8, m=4, k_on=empty, m_on=empty)
+        assert given == full and hash(given) == hash(full)
+        assert given.k_on is given.m_on is None
+        assert given.params == full.params == GfdmParams(8, 4)
+        assert link.plan_for(given) is link.plan_for(full)
 
 
 class TestIntegerPredicates:
