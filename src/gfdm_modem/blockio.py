@@ -14,7 +14,9 @@ The CSV contract: the bytes written are ``f"{i},{re!r},{im!r}"`` rows, the
 values read are ``float()``'s of each cell.  :mod:`.csvtext` builds and reads
 text in that grammar a whole column at a time, each number certified by exact
 arithmetic or handed to ``repr``/``float``; any other text is parsed line by
-line (blank lines skipped, cells stripped, extra cells ignored).
+line (blank lines skipped, cells stripped, extra cells ignored).  A file is
+read once, as bytes: ASCII text goes to :mod:`.csvtext` with its line ends
+folded to ``\n``, and only the line parser decodes, as ``Path.read_text`` does.
 
 Every file the CLI writes goes through :func:`rewrite`: the path is opened
 without ``O_TRUNC`` (symlinks written through; inode, hard links and mode
@@ -28,6 +30,7 @@ a short file.  An output is complete only once the command has exited 0.
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 import struct
@@ -52,15 +55,6 @@ def guess_format(path: str | Path, fallback: str = "bin") -> str:
     if suffix in (".bin", ".dat", ".raw"):
         return "bin"
     return fallback
-
-
-def _sniff_format(path: Path) -> str:
-    """Format of an existing file: by suffix, else CSV if it starts with the CSV header."""
-    fmt = guess_format(path, fallback="")
-    if fmt:
-        return fmt
-    with path.open("rb") as fh:
-        return "csv" if fh.read(len(_CSV_HEADER)) == _CSV_HEADER.encode() else "bin"
 
 
 def _is_sample(cells: list[str]) -> bool:
@@ -121,17 +115,25 @@ def write_samples(path: str | Path, data: np.ndarray, fmt: str = "bin") -> None:
 
 def read_samples(path: str | Path) -> np.ndarray:
     path = Path(path)
-    if _sniff_format(path) == "csv":
-        try:
-            text = path.read_text()
-        except UnicodeDecodeError:
-            raise ConfigError(f"{path} is not a text CSV sample file") from None
+    raw = path.read_bytes()  # the file's one copy, whatever its format
+    fmt = guess_format(path, fallback="") or ("csv" if raw.startswith(_CSV_HEADER.encode()) else "bin")
+    if fmt == "csv":
         from . import csvtext
 
-        numbers = csvtext.parse_numbers(_CSV_HEADER.encode(), text.encode()) if text.isascii() else None
-        samples = _csv_lines(text, path) if numbers is None else numbers.view(np.complex128)
+        numbers = None
+        if raw.isascii():
+            if b"\r" in raw:  # line ends folded to "\n", as text mode reads them
+                raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            numbers = csvtext.parse_numbers(_CSV_HEADER.encode(), raw)
+        if numbers is None:
+            try:  # decoded and folded as ``Path.read_text`` does
+                text = io.TextIOWrapper(io.BytesIO(raw)).read()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path} is not a text CSV sample file") from None
+            samples = _csv_lines(text, path)
+        else:
+            samples = numbers.view(np.complex128)
     else:
-        raw = path.read_bytes()
         if len(raw) >= _HEADER.size and raw[:8] == MAGIC:
             _, count, _flags = _HEADER.unpack_from(raw)
             payload = raw[_HEADER.size :]

@@ -16,8 +16,9 @@ else is a ``ConfigError``.
 Sample i of :func:`gaussian_pairs` is ``sqrt(-log u) * (cos 2*pi*v + 1j*sin 2*pi*v)`` for the
 uniforms ``u, v`` of words ``2i, 2i+1``: the Box-Muller transform, with unit variance per
 complex sample.  It is computed with float64 operations that are exact or correctly rounded on
-every IEEE-754 host: ``+ - * /`` and ``sqrt``, ``frexp``, ``rint``, ``take`` and ``astype``, each
-one numpy ufunc or array call, so no two are fused into an FMA, and no libm function is called.
+every IEEE-754 host: ``+ - * /`` and ``sqrt``, ``frexp``, ``rint``, ``take`` and a cast
+(``copyto``), each one numpy ufunc or array call, so no two are fused into an FMA, and no libm
+function is called.
 The order of the operations below is the stream's specification; a product ``a*b*c`` is
 ``(a*b)*c``.
 
@@ -42,14 +43,19 @@ Xeon, ``gaussian_pairs(seed, 4112)`` takes ~0.16 ms, a third of it the words; wi
 
 Each stream runs in place where it can: the words are mixed in one array, each xor-shift
 through one scratch array, and the uniforms are converted and scaled in the words' bytes.
+:func:`gaussian_pairs` runs the steps above through a few reused buffers (``out=``; ``take``
+with ``mode="clip"``, whose indices are in range, and casts by ``copyto``), at most six
+count-sized at once beside the uniforms and the radius, and writes the samples over the spent
+uniforms.
 
 :func:`apply_channel` convolves by shifted adds, one whole-array multiply-add
 per tap, rather than with ``np.convolve``, whose complex path does one BLAS dot
 per output sample.  The equalizer treats the N-point channel response as a
-configuration table, built by one ``functools.lru_cache(maxsize=1)`` builder
-keyed by its arguments, the taps' bytes and N: it holds the last response built,
-read-only, and a failed build (too many taps, a bin of magnitude at most
-``numerics.SINGULAR_EPS``) raises on every call and keeps the held response.
+table of the taps and the block length, held read-only per ``(taps bytes, N)``
+in a ``numerics.Held`` store (least recently used first out, bounded by
+``numerics.HELD_BYTES``), the store ``link`` holds its transmit windows in; a
+failed build (too many taps, a bin of magnitude at most
+``numerics.SINGULAR_EPS``) raises on every call and holds or evicts nothing.
 A :class:`ChannelSpec` is the configured channel, ``(taps, snr_db)``, checked
 when built, so :func:`apply_channel` runs neither rule again; ``link`` holds one
 per configuration.  The noise seed, a block's one channel input, is an argument
@@ -62,12 +68,11 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, SingularChannel
-from .numerics import SINGULAR_EPS, MulCounter, dft, is_int
+from .numerics import SINGULAR_EPS, Held, MulCounter, dft, is_int
 
 __all__ = [
     "ChannelSpec",
@@ -302,7 +307,7 @@ for _table in (_LOG_HI, _LOG_LO, _COS, _SIN):
 
 def _minus_log(u: np.ndarray) -> np.ndarray:
     """``-log u`` for uniforms ``u`` in (0, 1] (0 at ``u = 1``, which the stream can give), as the
-    module docstring specifies."""
+    module docstring specifies, through five count-sized buffers and one of exponents."""
     y, e = np.frexp(u)
     y *= 256.0
     c = np.rint(y)
@@ -314,13 +319,15 @@ def _minus_log(u: np.ndarray) -> np.ndarray:
     g += 2.0 / 3
     g *= z
     g *= s  # g = (z*(2/5) + 2/3)*z*s
-    ef = e.astype(np.float64)
+    ef = np.empty_like(g)
+    np.copyto(ef, e)  # e.astype(np.float64)
     g += np.multiply(ef, -_LN2_LO, out=z)
-    ci = c.astype(np.intp)
-    g += _LOG_LO.take(ci)
+    ci = z.view(np.intp)
+    np.copyto(ci, c, casting="unsafe")  # c.astype(np.intp)
+    g += _LOG_LO.take(ci, out=c, mode="clip")
     s += s
     g += s  # a = ((g + e*-LN2_LO) + LO[c]) + 2*s
-    out = _LOG_HI.take(ci)
+    out = _LOG_HI.take(ci, out=c, mode="clip")
     out += g
     ef *= -_LN2_HI
     out += ef  # e*-LN2_HI + (HI[c] + a)
@@ -328,7 +335,8 @@ def _minus_log(u: np.ndarray) -> np.ndarray:
 
 
 def _cos_sin_turns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(cos, sin)(2*pi*v)`` for ``v`` in [0, 1], as the module docstring specifies."""
+    """``(cos, sin)(2*pi*v)`` for ``v`` in [0, 1], as the module docstring specifies, through six
+    count-sized buffers."""
     x = v * 1024.0
     j = np.rint(x)
     x -= j
@@ -342,10 +350,11 @@ def _cos_sin_turns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sn *= w
     sn *= x
     sn += x  # sin x
-    ji = j.astype(np.intp)
-    cj, sj = _COS.take(ji), _SIN.take(ji)
-    cos = cj * cm
-    cos -= np.multiply(sj, sn, out=x)
+    ji = w.view(np.intp)
+    np.copyto(ji, j, casting="unsafe")  # j.astype(np.intp)
+    cj, sj = _COS.take(ji, out=j, mode="clip"), _SIN.take(ji, out=x, mode="clip")
+    cos = np.multiply(cj, cm, out=w)
+    cos -= np.multiply(sj, sn, out=np.empty_like(sn))
     cos += cj  # C[j] + (C[j]*cm - S[j]*sn)
     cm *= sj
     cj *= sn
@@ -362,7 +371,7 @@ def gaussian_pairs(seed: int, count: int) -> np.ndarray:
     r = _minus_log(u[0::2])
     np.sqrt(r, out=r)
     cos, sin = _cos_sin_turns(u[1::2])
-    out = np.empty(count, dtype=np.complex128)
+    out = u.view(np.complex128)  # the uniforms are spent: the samples take their bytes
     np.multiply(cos, r, out=out.real)
     np.multiply(sin, r, out=out.imag)
     return out
@@ -404,7 +413,7 @@ def fd_equalize_zf(y: np.ndarray, taps: np.ndarray, counter: MulCounter | None =
 
 
 def channel_response(taps, n: int) -> np.ndarray:
-    """The held read-only N-point response of the taps, built anew when the taps or N change.
+    """The held read-only N-point response of the taps, built when the taps and N are not held.
 
     Taps given as a 1-D complex array (``ChannelSpec.taps``) are keyed as they are and checked
     only on a new key: the held key's taps passed :func:`check_taps` when it was built.
@@ -413,7 +422,7 @@ def channel_response(taps, n: int) -> np.ndarray:
     return _response((taps if vector else check_taps(taps)).tobytes(), n)
 
 
-@lru_cache(maxsize=1)  # the last response only: one per block length and channel in use
+@Held  # per (taps, N): a rotation over a few block lengths and channels builds each response once
 def _response(taps: bytes, n: int) -> np.ndarray:
     t = check_taps(np.frombuffer(taps, dtype=np.complex128))
     if t.size > n:

@@ -2,17 +2,23 @@
 
 As the modem loads its pulse and window memories and its stage tables when
 reconfigured, the configuration is held in read-only tables that later blocks
-stream through.  One rule holds each: its builder is decorated
-``functools.lru_cache(maxsize=1)``, so the arguments are the key, the last
-table built is kept, and a build that raises replaces nothing.
-:func:`_waveform` builds the prototype pulse and both transmit windows, keyed by
-the geometry (``GfdmParams`` sorts and de-duplicates ``k_on, m_on``) and the
-upper-case ``pulse`` with ``alpha, delta``.  One table body serves both
-directions and both engines: it takes the window ``w_tx(d)``, or for a
-demodulator ``rx_window(w_tx(d), rx)``, and makes it an FFT preset or a direct
-chain table, whose tap rows are that window's stage transform.
+stream through.  Two rules hold them.  Data that depends only on the geometry
+is held per geometry, in a ``numerics.Held`` store: least recently used first
+out, its arrays bounded by ``numerics.HELD_BYTES``, and a build that raises
+holds and evicts nothing.  :func:`_windows` is one: it holds the ``GfdmParams``
+and both transmit windows of a waveform key, the geometry (``GfdmParams`` sorts
+and de-duplicates ``k_on, m_on``) and the upper-case ``pulse`` with ``alpha,
+delta``, and keeps no pulse samples; the equalizer's channel responses
+(``channel.channel_response``) are the other.  So a rotation over a few
+geometries synthesizes each pulse once.  The tables of a configuration are held
+per configuration: each builder is decorated ``functools.lru_cache(maxsize=1)``,
+so the arguments are the key, the last table built is kept, and a build that
+raises replaces nothing.  One table body serves both directions and both
+engines: it takes the window ``w_tx(d)``, or for a demodulator
+``rx_window(w_tx(d), rx)``, and makes it an FFT preset or a direct chain table,
+whose tap rows are that window's stage transform.
 :func:`_mod_table` and :func:`_demod_table` hold it once per direction, keyed
-by that waveform key, the engine, the table's domain (``"FD"`` for the FFT
+by the waveform key, the engine, the table's domain (``"FD"`` for the FFT
 receiver in both domains), ``rx`` for a demodulator and ``l_max`` for a chain
 table.  So a ``rx`` switch keeps the modulator, an FFT ``domain`` switch the
 demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
@@ -24,13 +30,14 @@ one per kind and geometry.  :func:`_channel` holds the ``ChannelSpec`` of
 its seed, its only per-block channel input.  A refused configuration (a singular
 zero-forcing window, a direct block over ``direct_modem.MAX_DIRECT_N`` or
 ``l_max``) raises on every call and leaves the held plan in place; the tables
-it did build (its waveform, its modulator's) stay held, which can cost a later
+it did build (its windows, its modulator's) stay held, which can cost a later
 configuration one rebuild and never changes an output.  A plan's geometry is
-its waveform's ``pulse.params`` (equal by value to the configuration's), so
-the symbol gather index (``GfdmParams.active_index``) is built once per
-waveform, not once per configuration, and a table rebuild validates no
-geometry anew; the equalizer's channel response (``channel.channel_response``)
-is held too.  The chain meters every modem transform and window product on one
+the ``GfdmParams`` held with its windows (equal by value to the configuration's),
+so the symbol gather index (``GfdmParams.active_index``) is built once per held
+geometry, not once per configuration, and a table rebuild validates no
+geometry anew.  :func:`waveform_for` (the CLI ``pulse`` command) holds one
+:class:`Waveform`: a pulse synthesized anew on the held geometry, with the held
+windows.  The chain meters every modem transform and window product on one
 counter, so the measured total can be reconciled against the closed-form
 figures.  The FFT pipeline demodulates in
 the frequency domain, the direct engine in the domain it modulated in: its
@@ -50,7 +57,7 @@ import numpy as np
 from . import analysis, channel, direct_modem, fft_modem, reference
 from .channel import ChannelSpec, splitmix64_words
 from .config import RunConfig
-from .numerics import MulCounter, finite_only, finite_result
+from .numerics import Held, MulCounter, finite_only, finite_result
 from .pulses import GfdmParams, PrototypePulse, make_prototype, rx_window, tx_window
 
 __all__ = ["LoopbackReport", "Waveform", "ModemPlan", "waveform_for", "plan_for", "run_loopback",
@@ -107,26 +114,26 @@ class ModemPlan:
         return fft_modem.run_demodulator(self.demod, yf_eq, counter)
 
 
-# Each builder holds its last table: holding more costs memory for every configuration ever run.
-# A waveform key ``wave`` is ``(params, pulse, alpha, delta)``, the arguments of ``_waveform``.
-@lru_cache(maxsize=1)
-def _waveform(params: GfdmParams, pulse: str, alpha: float, delta: float) -> Waveform:
-    """Synthesize the pulse and both transmit windows, and make them read-only."""
+# A waveform key ``wave`` is ``(params, pulse, alpha, delta)``, the arguments of ``_windows``.
+@Held
+def _windows(params: GfdmParams, pulse: str, alpha: float, delta: float) -> tuple:
+    """``(params, w_td, w_fd)``: the geometry and the pulse's two transmit windows, made read-only."""
     proto = make_prototype(pulse, params, alpha, delta)
-    wave = Waveform(proto, tx_window(proto, "TD"), tx_window(proto, "FD"))
-    for arr in (proto.time, proto.freq, wave.w_td, wave.w_fd):
-        arr.flags.writeable = False
-    return wave
+    w_td, w_fd = tx_window(proto, "TD"), tx_window(proto, "FD")
+    w_td.flags.writeable = w_fd.flags.writeable = False
+    return params, w_td, w_fd
 
 
+# Each builder below holds its last table: holding more costs memory for every configuration ever run.
 def _table(wave: tuple, arch: str, d: str, rx: str | None, l_max: int | None) -> fft_modem.ArchConfig:
     """The stage table of domain ``d``: a modulator's from ``w_tx(d)``, with ``rx`` a demodulator's
     from its receive window; an FFT preset of the window, or the direct chain table of it."""
-    waveform = _waveform(*wave)
+    params, w_td, w_fd = _windows(*wave)
     mode = f"{d}_{'MOD' if rx is None else 'DEMOD'}"
-    window = waveform.w_tx(d) if rx is None else rx_window(waveform.w_tx(d), rx)
+    w_tx = w_td if d == "TD" else w_fd
+    window = w_tx if rx is None else rx_window(w_tx, rx)
     if arch == "fft":
-        return fft_modem.preset(mode, waveform.pulse.params, window)
+        return fft_modem.preset(mode, params, window)
     build = getattr(direct_modem, f"precompute_{mode.lower()}")  # looked up per call, so a patched name sees it
     return build(window, l_max) if d == "TD" else build(window, l_max, force_full=True)
 
@@ -142,8 +149,8 @@ def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan
     d_rx, l_max = ("FD", None) if fft else (d, l_max)  # the FFT receiver works in frequency in both domains
     mod = _mod_table(wave, arch, d, None, l_max)
     demod = _demod_table(wave, arch, d_rx, rx.upper(), l_max)
-    # The held waveform's geometry (equal to wave[0]), so its gather index is built once per waveform.
-    params, kind = _waveform(*wave).pulse.params, f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}"
+    # The held geometry (equal to wave[0]), so its gather index is built once per held geometry.
+    params, kind = _windows(*wave)[0], f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}"
     return ModemPlan(params, kind, _cm_count(kind, params.k, params.m), mod, demod)
 
 
@@ -154,6 +161,15 @@ _cm_count = cache(analysis.cm_count)
 
 # ``ChannelSpec(channel_taps, snr_db)`` held like the tables; each block brings its own seed.
 _channel = lru_cache(maxsize=1)(ChannelSpec)
+
+
+@lru_cache(maxsize=1)
+def _waveform(params: GfdmParams, pulse: str, alpha: float, delta: float) -> Waveform:
+    """A pulse synthesized anew on the held geometry, read-only, with the held windows."""
+    held, w_td, w_fd = _windows(params, pulse, alpha, delta)
+    proto = make_prototype(pulse, held, alpha, delta)
+    proto.time.flags.writeable = proto.freq.flags.writeable = False
+    return Waveform(proto, w_td, w_fd)
 
 
 def waveform_for(cfg: RunConfig) -> Waveform:

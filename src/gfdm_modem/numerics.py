@@ -20,6 +20,8 @@ Conventions
 * Transform cost is counted as ``(n/2) * log2(n)`` complex multiplications per
   length-``n`` vector for ``n > 2`` and zero for ``n <= 2`` (the 2-point
   butterfly needs additions only).
+* :class:`Held` is the store of the tables that depend only on a geometry (``link``'s transmit
+  windows, ``channel``'s responses): least recently used first out, bounded by :data:`HELD_BYTES`.
 * The input rules every module shares live here: :func:`is_int`, the count rule
   :func:`check_positive`, :func:`is_pow2`, :func:`check_grid`, the block bound
   :data:`MAX_N`, the zero-forcing threshold :data:`SINGULAR_EPS` and the
@@ -38,6 +40,8 @@ from numpy.fft import _pocketfft_umath as pocketfft
 from .errors import ConfigError
 
 __all__ = [
+    "HELD_BYTES",
+    "Held",
     "MAX_N",
     "MulCounter",
     "SINGULAR_EPS",
@@ -102,8 +106,8 @@ def check_grid(k, m) -> tuple[int, int]:
 class MulCounter:
     """Monotone counter of complex multiplications.
 
-    One counter belongs to one modem instance; it is the only mutable state in
-    the numeric layer.
+    One counter belongs to one modem instance; beside the :class:`Held` stores it
+    is the only mutable state in the numeric layer.
     """
 
     __slots__ = ("count",)
@@ -118,6 +122,50 @@ class MulCounter:
 
     def __repr__(self) -> str:
         return f"MulCounter(count={self.count})"
+
+
+#: The array bytes one :class:`Held` store keeps; only the entry just used may hold more, alone.
+HELD_BYTES = 1 << 20
+
+
+class Held:
+    """A least-recently-used store of built tables, bounded by the bytes of their arrays.
+
+    ``Held(build)`` called with ``build``'s positional arguments returns the value held for them, else
+    builds, holds and returns it.  An entry's bytes are the ``nbytes`` of the value, or of the arrays
+    in a tuple value; :attr:`nbytes` is their sum.  A build evicts the least recently used entries
+    until the new one fits :data:`HELD_BYTES`, never the entry just used, so one above the budget
+    is held alone.  A build that raises holds and evicts nothing, and raises again on the next call.
+    """
+
+    __slots__ = ("_build", "_entries", "nbytes")
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self._entries: dict = {}  # key -> (value, bytes), least recently used first
+        self.nbytes = 0
+
+    def __call__(self, *key):
+        entries = self._entries
+        entry = entries.pop(key, None)
+        if entry is None:
+            value = self._build(*key)
+            size = value.nbytes if isinstance(value, np.ndarray) else sum(
+                v.nbytes for v in value if isinstance(v, np.ndarray))
+            self.nbytes += size
+            while entries and self.nbytes > HELD_BYTES:
+                self.nbytes -= entries.pop(next(iter(entries)))[1]
+            entry = value, size
+        entries[key] = entry  # the most recently used, last
+        return entry[0]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def cache_clear(self) -> None:
+        """Drop every entry, as ``functools.lru_cache``'s method of that name."""
+        self._entries.clear()
+        self.nbytes = 0
 
 
 def fft_mul_count(n: int) -> int:

@@ -1,9 +1,11 @@
-"""The run configuration as the JSON object the CLI reads: the inverse of ``parse_config``."""
+"""Shared test helpers: the run configuration as the JSON object the CLI reads (the inverse of
+``parse_config``), and the emptying of every held table."""
 
 from __future__ import annotations
 
 import math
 
+from gfdm_modem import channel, link
 from gfdm_modem.config import RunConfig
 
 
@@ -27,3 +29,11 @@ def emit_config(cfg: RunConfig) -> dict:
         "seed": cfg.seed,
         "l_max": cfg.l_max,
     }
+
+
+def clear_builders():
+    """Empty every held table: the per-geometry stores (transmit windows, channel responses) and
+    the link's one-slot builders, so each table and the channel are built anew."""
+    for builder in (link._windows, link._waveform, link._mod_table, link._demod_table, link._plan,
+                    link._channel, channel._response):
+        builder.cache_clear()

@@ -6,6 +6,7 @@ import json
 import os
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,60 @@ class TestReaderRules:
             blockio.read_samples(path)
         with pytest.raises(ConfigError, match="malformed CSV sample line: 'junk'"):
             per_line_read_csv(path)
+
+
+#: Bodies of 16 sample lines each (one K=M=4 grid): the writer's own grammar, text a line parser
+#: reads (padded, non-ASCII whitespace and digits), non-ASCII text that is malformed, and bytes that
+#: are not UTF-8.
+READ_ONCE_BODIES = {
+    "grammar": [f"{i},{0.5 * i!r},{-0.25 * i!r}" for i in range(16)],
+    "padded": [f" {i} , {i}.5 ,-1e-3 " for i in range(16)],
+    "non-ascii": [f"{i},\u0661.\u0665\u2003,\u00a02" for i in range(16)],
+    "non-ascii-malformed": [f"{i},1.0,2.0" for i in range(15)] + ["15,\u00e9,2.0"],
+    "invalid-utf8": [f"{i},1.0,2.0" for i in range(15)] + ["15,\udcff,2.0"],
+}
+
+
+class TestReadOnce:
+    """``read_samples`` reads a file's bytes once; values, exit codes and messages are the line reader's."""
+
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("body", sorted(READ_ONCE_BODIES))
+    def test_values_exit_codes_and_messages_are_the_line_readers(self, tmp_path, capsys, body, newline, header):
+        lines = (["index,re,im"] if header else []) + READ_ONCE_BODIES[body]
+        path = tmp_path / "symbols.csv"
+        path.write_bytes(newline.join([*lines, ""]).encode("utf-8", "surrogateescape"))
+        want = outcome(per_line_read_csv, path)
+        assert outcome(blockio.read_samples, path) == want
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 4, "m": 4, "rx": "mf"}))
+        capsys.readouterr()
+        code = cli.main(["modulate", "--config", str(config), "--in", str(path), "--out", str(tmp_path / "x.bin")])
+        err = capsys.readouterr().err
+        if isinstance(want, bytes):
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"invalid configuration: {want}\n")
+        assert (body in ("grammar", "padded", "non-ascii")) == isinstance(want, bytes)
+
+    def test_a_2048_row_read_holds_the_file_once(self, tmp_path):
+        # Decoding the text and encoding it again for the parser held the file three times over.
+        rng = np.random.default_rng(11)
+        path = tmp_path / "s.csv"
+        blockio.write_samples(path, rng.standard_normal(2048) + 1j * rng.standard_normal(2048), "csv")
+        raw = path.read_bytes()
+        blockio.read_samples(path)  # csvtext is imported
+        peaks = []
+        for read in (lambda: blockio.read_samples(path), lambda: csvtext.parse_numbers(b"index,re,im", raw)):
+            tracemalloc.start()
+            try:
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        read_peak, parse_peak = peaks
+        assert read_peak <= parse_peak + 1.5 * len(raw)
 
 
 def corpus() -> np.ndarray:

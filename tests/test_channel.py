@@ -35,6 +35,8 @@ from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 from gfdm_modem.fft_modem import demodulate_fd, modulate_td
 from gfdm_modem.link import _SYMBOL_STREAM_OFFSET, qpsk_symbols
 
+from configs import clear_builders
+
 
 def circular_convolve(x, taps):
     """Naive circular convolution oracle."""
@@ -410,6 +412,7 @@ class TestHeldResponse:
     def test_a_complex_vector_on_the_held_key_is_not_checked_again(self, monkeypatch):
         # ChannelSpec.taps is such a vector: run_loopback hands it on, so a block checks its taps once.
         taps = check_taps(HELD_TAPS)
+        clear_builders()  # so the new key below is not held
         held = channel_response(taps, 64)
         calls = []
         monkeypatch.setattr(channel, "check_taps", lambda t: calls.append(t) or check_taps(t))

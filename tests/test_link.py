@@ -15,11 +15,11 @@ from gfdm_modem.analysis import cm_count
 from gfdm_modem.channel import fd_equalize_zf
 from gfdm_modem.cli import main
 from gfdm_modem.config import RunConfig
-from gfdm_modem.errors import ChainLimitExceeded, ConfigError, GfdmError, SingularWindow
-from gfdm_modem.numerics import MulCounter, dft
+from gfdm_modem.errors import ChainLimitExceeded, ConfigError, GfdmError, SingularChannel, SingularWindow
+from gfdm_modem.numerics import HELD_BYTES, MulCounter, dft
 from gfdm_modem.pulses import make_prototype, rx_window, tx_window
 
-from configs import emit_config
+from configs import clear_builders, emit_config
 
 TAPS = (1 + 0j, 0.4 - 0.2j, 0.1 + 0.05j)
 #: Cost kind of each (arch, domain): the FFT receiver always works in the frequency domain.
@@ -183,7 +183,7 @@ def assert_block_matches_engines(cfg, seed, builds=None):
 
 class TestWaveformReuse:
     def test_engine_domain_rx_and_l_max_switches_keep_the_waveform(self, builds):
-        link.plan_for(RunConfig(k=4, m=4, rx="mf"))  # load another waveform first
+        clear_builders()  # nothing held: the first block builds the waveform
         base = RunConfig(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5, channel_taps=TAPS, n_cp=4)
         seq = [replace(base, arch=arch, domain=domain, rx=rx, l_max=l_max)
                for l_max in (16, 8) for arch, domain, rx in ENGINES]
@@ -199,6 +199,7 @@ class TestWaveformReuse:
     )
     def test_each_waveform_field_loads_a_new_pulse(self, builds, field, value, new_pulse):
         cfg = RunConfig(k=8, m=4, rx="mf")  # mf: delta=0 leaves the window singular for zf
+        clear_builders()  # so the other waveform's windows are not held
         link.plan_for(cfg)
         wave = link.waveform_for(cfg)
         before = dict(builds)
@@ -309,20 +310,14 @@ def block_outcome(cfg, seed):
     return x.tobytes(), grid_hat.tobytes(), counter.count, report
 
 
-def clear_builders():
-    """Empty every link builder, so each table and the channel are built anew."""
-    for builder in (link._waveform, link._mod_table, link._demod_table, link._plan, link._channel):
-        builder.cache_clear()
-
-
 def fresh_loopback(cfg):
-    """``link.run_loopback`` with every link builder emptied first."""
+    """``link.run_loopback`` with every held table emptied first."""
     clear_builders()
     return link.run_loopback(cfg)
 
 
 def fresh_outcome(cfg, seed):
-    """``block_outcome`` with every link builder emptied first."""
+    """``block_outcome`` with every held table emptied first."""
     clear_builders()
     return block_outcome(cfg, seed)
 
@@ -494,6 +489,80 @@ class TestTableReuse:
         assert held.cache_info().currsize == 1
 
 
+#: Six waveforms on six geometries, N from 32 to 2048, each valid for every engine with ``l_max = 64``.
+ROTATION = [dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5), dict(k=4, m=8, pulse="rrc", alpha=0.3, delta=0.5),
+            dict(k=2, m=64, pulse="rc", alpha=0.5, delta=0.5), dict(k=16, m=16, pulse="rrc", alpha=0.5, delta=0.5),
+            dict(k=32, m=32, pulse="rc", alpha=0.25, delta=0.5), dict(k=32, m=64, pulse="rc", alpha=0.5, delta=0.5)]
+
+
+def held_entries(store):
+    """The entries of a ``numerics.Held`` store, least recently used first, and its byte count."""
+    return list(store._entries.items()), store.nbytes
+
+
+class TestHeldStores:
+    """The per-geometry stores: ``link._windows`` (transmit windows) and ``channel._response``."""
+
+    @given(st.permutations(range(len(ROTATION))), st.lists(st.sampled_from(ENGINES), min_size=12, max_size=12))
+    def test_a_rotation_equals_fresh_builds_and_synthesizes_each_pulse_once(self, order, engines):
+        clear_builders()
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            make = link.make_prototype
+            mp.setattr(link, "make_prototype", lambda *a: built.append((a[1].k, a[1].m)) or make(*a))
+            for i, (arch, domain, rx) in enumerate(engines):  # every geometry twice, in the drawn order
+                wave = ROTATION[order[i % len(order)]]
+                cfg = RunConfig(**wave, arch=arch, domain=domain, rx=rx, l_max=64, channel_taps=TAPS, n_cp=4)
+                assert_block_matches_engines(cfg, i)  # bit for bit, and counter == cm_count
+        assert sorted(built) == sorted((w["k"], w["m"]) for w in ROTATION)  # one pulse per geometry
+
+    def test_two_half_budget_entries_fit_a_third_evicts_the_least_recent_and_a_larger_one_is_held_alone(
+            self, builds):
+        assert HELD_BYTES == 2 * 512 * 1024
+        clear_builders()
+        store = link._windows
+        half = RunConfig(k=128, m=128, rx="mf")  # N = 2**14: windows of 2 * N * 16 bytes = 512 KiB
+        a, b, c = (replace(half, alpha=alpha) for alpha in (0.5, 0.25, 0.75))
+        big = RunConfig(k=256, m=256, rx="mf")  # N = 2**16: 2 MiB, over the budget
+        steps = [(a, 1, 1), (b, 2, 2), (a, 2, 2), (c, 3, 2), (a, 3, 2), (b, 4, 2), (big, 5, 1), (a, 6, 1)]
+        for cfg, windows_built, held in steps:
+            plan = link.plan_for(cfg)
+            entry = 2 * cfg.n * 16
+            assert (builds["zak"], len(store)) == (2 * windows_built, held)  # two transforms per build
+            assert store.nbytes == held * entry <= max(HELD_BYTES, entry)
+            assert link.waveform_for(cfg).pulse.params is plan.params  # a new pulse, no new windows
+
+    def test_failed_builds_raise_on_every_call_and_leave_the_stores_unchanged(self):
+        good = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4)
+        link.run_loopback(replace(good, m=8))  # another block length, so another response
+        link.run_loopback(good)  # its plan stays loaded, so the runs below use no held entry
+        before = held_entries(link._windows), held_entries(channel._response)
+        assert len(before[0][0]) >= 2 and len(before[1][0]) >= 2
+        bad = RunConfig(k=1, m=4, pulse="rc")  # the raised-cosine grid needs K >= 2
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="needs K >= 2"):
+                link.plan_for(bad)
+            with pytest.raises(SingularChannel):
+                link.run_loopback(replace(good, channel_taps=(1 + 0j, -1 + 0j)))  # a null bin at DC
+        assert (held_entries(link._windows), held_entries(channel._response)) == before
+
+    @pytest.mark.parametrize("arch,domain,rx", ENGINES)
+    def test_held_windows_are_read_only_own_their_bytes_and_hold_no_pulse(self, arch, domain, rx):
+        clear_builders()
+        configs = [RunConfig(**wave, arch=arch, domain=domain, rx=rx, l_max=64) for wave in ROTATION]
+        outputs = [out for i, cfg in enumerate(configs) for out in link_block(cfg, grid_for(cfg, i), None)]
+        assert link._waveform.cache_info().currsize == 0  # the block path synthesized no held pulse
+        assert link._windows.nbytes == sum(2 * cfg.n * 16 for cfg in configs)
+        for cfg in configs:
+            params, *windows = link._windows(cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta)
+            assert params == cfg.params and params is link.plan_for(cfg).params
+            for w in windows:
+                assert w.shape == (cfg.k, cfg.m) and w.dtype == np.complex128 and not w.flags.writeable
+                with pytest.raises(ValueError):
+                    w[0, 0] = 1.0
+                assert not any(np.shares_memory(out, w) for out in outputs)
+
+
 class TestPrecomputeNames:
     """Every direct table is built through a public ``direct_modem.precompute_*`` name, which a tracer wraps."""
 
@@ -531,8 +600,7 @@ class TestRebuildWork:
         seq = [replace(base, arch=arch, domain=domain, rx=rx, l_max=l_max, seed=i)
                for i, (l_max, (arch, domain, rx)) in enumerate((l, e) for l in (16, 8) for e in ENGINES)]
         seq += seq[::-1]  # each config builds its own GfdmParams here, before the counting starts
-        for builder in (link._waveform, link._mod_table, link._demod_table, link._plan):
-            builder.cache_clear()
+        clear_builders()  # so the held geometry, and its gather index, are built below
         wave = link.waveform_for(base)
         link.plan_for(replace(base, arch="direct"))  # a direct table's geometry is held from here on
         gathers, geometries = [], []

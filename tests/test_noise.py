@@ -11,6 +11,7 @@ kept here as an accuracy reference only.
 import cmath
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -271,6 +272,19 @@ class TestBufferContract:
             assert not np.shares_memory(first, other)
         x.flags.writeable = False  # a write into a read-only input would raise
         assert apply_channel(x, spec, 5).tobytes() == first.tobytes()
+
+    def test_gaussian_pairs_holds_at_most_nine_count_sized_arrays(self):
+        # The uniforms (two doubles a sample), the radius and at most six reused buffers; the samples
+        # take the uniforms' bytes.  Holding about ten temporaries at once peaked at 12 arrays.
+        count = 4112
+        gaussian_pairs(3, count)
+        tracemalloc.start()
+        try:
+            gaussian_pairs(3, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * 8 * count
 
 
 def loopback_config(tmp_path, **overrides):

@@ -17,6 +17,8 @@ import gfdm_modem.cli  # noqa: F401  (imports every module the tracer binds)
 from gfdm_modem import link
 from gfdm_modem.config import RunConfig
 
+from configs import clear_builders
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -52,7 +54,7 @@ def test_traced_loopbacks_record_spans_and_restore_every_binding(tracing):
     configs = [RunConfig(k=16, m=8, arch="fft", domain="fd", rx="mf"),
                RunConfig(k=16, m=8, arch="direct", domain="td", rx="mf")]
     untraced = [link.run_loopback(cfg) for cfg in configs]
-    link.run_loopback(RunConfig(k=4, m=4))  # a third plan, so both runs below build theirs
+    clear_builders()  # nothing held, so both runs below build their windows and tables
     before = library_bindings()
     tracer = tracing.Tracer()
     tracer.enable()
