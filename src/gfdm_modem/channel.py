@@ -56,6 +56,8 @@ in a ``numerics.Held`` store (least recently used first out, bounded by
 ``numerics.HELD_BYTES``), the store ``link`` holds its transmit windows in; a
 failed build (too many taps, a bin of magnitude at most
 ``numerics.SINGULAR_EPS``) raises on every call and holds or evicts nothing.
+:func:`check_framing` is the one framing rule, of :func:`add_cp`, :func:`remove_cp` and
+``config.RunConfig``: integer prefix and suffix lengths, each in ``[0, N]`` for a core of N samples.
 A :class:`ChannelSpec` is the configured channel, ``(taps, snr_db)``, checked
 when built, so :func:`apply_channel` runs neither rule again; ``link`` holds one
 per configuration.  The noise seed, a block's one channel input, is an argument
@@ -81,6 +83,7 @@ __all__ = [
     "check_snr_db",
     "snr_ratio",
     "check_taps",
+    "check_framing",
     "add_cp",
     "remove_cp",
     "apply_channel",
@@ -167,7 +170,8 @@ def check_taps(taps) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """Impulse response and per-sample SNR in dB (``inf`` for noiseless)."""
+    """Impulse response and per-sample SNR in dB (``inf`` for noiseless), checked when built: the
+    taps by :func:`check_taps`, the SNR by :func:`snr_ratio`'s rule, its ratio's range included."""
 
     taps: np.ndarray
     snr_db: float = math.inf
@@ -175,13 +179,28 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "taps", check_taps(self.taps))
         object.__setattr__(self, "snr_db", check_snr_db(self.snr_db))
+        _ratio(self.snr_db)  # a finite SNR's ratio must neither overflow nor be 0
+
+
+def check_framing(size: int, n_cp, n_cs, framed: bool = False) -> int:
+    """The framing rule: the core length N of a block of ``size`` samples, ``size - n_cp - n_cs``
+    when ``framed``.  ``n_cp`` and ``n_cs`` must be integers (``numerics.is_int``), each in
+    ``[0, N]``, and a framed block must hold a core of at least one sample."""
+    for name, value in (("n_cp", n_cp), ("n_cs", n_cs)):
+        if not is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    n = size - n_cp - n_cs if framed else size
+    if framed and n < 1:
+        raise ConfigError("framed block shorter than its prefix plus suffix")
+    if not (0 <= n_cp <= n and 0 <= n_cs <= n):
+        raise ConfigError("prefix/suffix lengths must lie in [0, N]")
+    return n
 
 
 def add_cp(x: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
-    """Prepend the last ``n_cp`` samples and append the first ``n_cs``."""
+    """Prepend the last ``n_cp`` samples and append the first ``n_cs`` (:func:`check_framing`)."""
     x = np.asarray(x).reshape(-1)
-    if not 0 <= n_cp <= x.size or not 0 <= n_cs <= x.size:
-        raise ConfigError(f"prefix/suffix lengths out of range for block of {x.size}")
+    check_framing(x.size, n_cp, n_cs)
     parts = []
     if n_cp:
         parts.append(x[-n_cp:])
@@ -192,11 +211,9 @@ def add_cp(x: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
 
 
 def remove_cp(y: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
-    """Strip prefix and suffix, returning the core block."""
+    """Strip prefix and suffix, returning the core block (:func:`check_framing`)."""
     y = np.asarray(y).reshape(-1)
-    n = y.size - n_cp - n_cs
-    if n < 1:
-        raise ConfigError("framed block shorter than its prefix plus suffix")
+    n = check_framing(y.size, n_cp, n_cs, framed=True)
     return y[n_cp : n_cp + n]
 
 

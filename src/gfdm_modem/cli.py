@@ -30,7 +30,7 @@ from .errors import (
     SingularWindow,
 )
 from .numerics import finite_only, is_pow2
-from .pulses import rx_window
+from .pulses import make_prototype, rx_window, tx_window
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -47,13 +47,13 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _cmd_pulse(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    wave = link.waveform_for(cfg)
-    w_tx = wave.w_tx(cfg.domain.upper())
+    pulse = make_prototype(cfg.pulse.upper(), cfg.params, cfg.alpha, cfg.delta)
+    w_tx = tx_window(pulse, cfg.domain.upper())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     arrays = {
-        "pulse_time": wave.pulse.time,
-        "pulse_freq": wave.pulse.freq,
+        "pulse_time": pulse.time,
+        "pulse_freq": pulse.freq,
         "w_tx": w_tx,
         "w_rx": rx_window(w_tx, cfg.rx.upper()),
     }

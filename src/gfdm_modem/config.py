@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
-from .channel import check_real, check_seed, check_snr_db, check_taps, snr_ratio
+from .channel import check_framing, check_real, check_seed, check_snr_db, check_taps, snr_ratio
 from .errors import ConfigError
 from .numerics import check_positive, is_int
 from .pulses import GfdmParams, active_items, check_pulse_spec
@@ -46,7 +46,8 @@ class RunConfig:
         # tuple of ints; an empty one is the full range too, held as None.  Its entries take the integer
         # rule once, where GfdmParams builds the geometry (`self.params` below).  The chain count l_max
         # takes the one count rule, numerics.check_positive.  The seed's rule, with its 64-bit range, is
-        # channel.check_seed, shared with channel.apply_channel.
+        # channel.check_seed, shared with channel.apply_channel; the framing rule, channel.check_framing,
+        # is shared with channel.add_cp and channel.remove_cp.
         for name in ("k", "m", "n_cp", "n_cs"):
             value = getattr(self, name)
             if not is_int(value):
@@ -75,9 +76,7 @@ class RunConfig:
             raise ConfigError(f"arch must be one of {_ARCHS}, got {self.arch!r}")
         if self.domain not in _DOMAINS:
             raise ConfigError(f"domain must be one of {_DOMAINS}, got {self.domain!r}")
-        n = self.k * self.m
-        if not 0 <= self.n_cp <= n or not 0 <= self.n_cs <= n:
-            raise ConfigError("prefix/suffix lengths must lie in [0, N]")
+        check_framing(self.n, self.n_cp, self.n_cs)
         check_taps(self.channel_taps)
         object.__setattr__(self, "channel_taps", tuple(self.channel_taps))  # a hashable key of link's channel
         if len(self.channel_taps) > self.n_cp + 1:

@@ -35,13 +35,11 @@ configuration one rebuild and never changes an output.  A plan's geometry is
 the ``GfdmParams`` held with its windows (equal by value to the configuration's),
 so the symbol gather index (``GfdmParams.active_index``) is built once per held
 geometry, not once per configuration, and a table rebuild validates no
-geometry anew.  :func:`waveform_for` (the CLI ``pulse`` command) holds one
-:class:`Waveform`: a pulse synthesized anew on the held geometry, with the held
-windows.  The chain meters every modem transform and window product on one
-counter, so the measured total can be reconciled against the closed-form
-figures.  The FFT pipeline demodulates in
-the frequency domain, the direct engine in the domain it modulated in: its
-time-domain demodulator's stage 0 takes the equalized spectrum back to time.
+geometry anew.  The chain meters every modem transform and window product on
+one counter, so the measured total can be reconciled against the closed-form
+figures.  The FFT pipeline demodulates in the frequency domain, the direct
+engine in the domain it modulated in: its time-domain demodulator's stage 0
+takes the equalized spectrum back to time.
 The direct frequency-domain route runs its generic full-band chain set here;
 the sparse short-cut is a library feature exercised separately.
 """
@@ -58,10 +56,10 @@ from . import analysis, channel, direct_modem, fft_modem, reference
 from .channel import ChannelSpec, splitmix64_words
 from .config import RunConfig
 from .numerics import Held, MulCounter, finite_only, finite_result
-from .pulses import GfdmParams, PrototypePulse, make_prototype, rx_window, tx_window
+from .pulses import GfdmParams, make_prototype, rx_window, tx_window
 
-__all__ = ["LoopbackReport", "Waveform", "ModemPlan", "waveform_for", "plan_for", "run_loopback",
-           "modulate_block", "demodulate_block", "qpsk_symbols"]
+__all__ = ["LoopbackReport", "ModemPlan", "plan_for", "run_loopback", "modulate_block", "demodulate_block",
+           "qpsk_symbols"]
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
 _SYMBOL_STREAM_OFFSET = 1 << 40  # keeps symbol draws clear of the noise draws
@@ -80,19 +78,6 @@ def qpsk_symbols(seed: int, count: int) -> np.ndarray:
     z += carry
     z >>= _S62
     return _QPSK[z.view(np.int64)]  # a signed index gathers without a cast
-
-
-@dataclass(frozen=True, eq=False)
-class Waveform:
-    """The prototype pulse and its TD and FD transmit windows, all read-only."""
-
-    pulse: PrototypePulse
-    w_td: np.ndarray
-    w_fd: np.ndarray
-
-    def w_tx(self, domain: str) -> np.ndarray:
-        """Transmit window of the processing domain ``"TD"`` or ``"FD"``."""
-        return self.w_td if domain == "TD" else self.w_fd
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,20 +146,6 @@ _cm_count = cache(analysis.cm_count)
 
 # ``ChannelSpec(channel_taps, snr_db)`` held like the tables; each block brings its own seed.
 _channel = lru_cache(maxsize=1)(ChannelSpec)
-
-
-@lru_cache(maxsize=1)
-def _waveform(params: GfdmParams, pulse: str, alpha: float, delta: float) -> Waveform:
-    """A pulse synthesized anew on the held geometry, read-only, with the held windows."""
-    held, w_td, w_fd = _windows(params, pulse, alpha, delta)
-    proto = make_prototype(pulse, held, alpha, delta)
-    proto.time.flags.writeable = proto.freq.flags.writeable = False
-    return Waveform(proto, w_td, w_fd)
-
-
-def waveform_for(cfg: RunConfig) -> Waveform:
-    """The held waveform when ``cfg`` has its key, else a new waveform, which is held."""
-    return _waveform(cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta)
 
 
 def plan_for(cfg: RunConfig) -> ModemPlan:

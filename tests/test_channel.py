@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,35 @@ class TestFraming:
         with pytest.raises(ConfigError):
             add_cp(np.ones(4), 5)
 
+    @pytest.mark.parametrize("n_cp,n_cs", [(-1, 0), (0, -1), (5, 0), (0, 5)])
+    def test_remove_cp_refuses_a_length_outside_the_core(self, n_cp, n_cs):
+        # remove_cp(y, -1) used to return the last sample alone, remove_cp(y, 0, -1) the whole framed block.
+        with pytest.raises(ConfigError, match=r"^prefix/suffix lengths must lie in \[0, N\]$"):
+            remove_cp(np.arange(8.0), n_cp, n_cs)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 1.5, 2.0, "1", None])
+    @pytest.mark.parametrize("frame", [add_cp, remove_cp])
+    def test_a_length_that_is_no_integer_is_refused(self, frame, value):
+        # add_cp(x, True) used to frame with a 1-sample prefix, and a length of 1.5 raised TypeError.
+        for name, args in (("n_cp", (value, 0)), ("n_cs", (0, value))):
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+                frame(np.arange(8.0), *args)
+
+    def test_numpy_integer_lengths_frame_like_ints(self):
+        x = np.arange(8.0)
+        framed = add_cp(x, np.int64(3), np.uint8(2))
+        assert framed.tobytes() == add_cp(x, 3, 2).tobytes()
+        assert remove_cp(framed, np.int32(3), np.int16(2)).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("n_cp,n_cs", [(9, 0), (0, 9), (-1, 0), (0, -1), (1.5, 0), (0, True)])
+    def test_run_config_and_add_cp_refuse_alike(self, n_cp, n_cs):
+        messages = []
+        for build in (lambda: RunConfig(k=4, m=2, n_cp=n_cp, n_cs=n_cs), lambda: add_cp(np.ones(8), n_cp, n_cs)):
+            with pytest.raises(ConfigError) as info:
+                build()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
 
 class TestApplyChannel:
     @pytest.mark.parametrize("snr", [np.nan, -np.inf])
@@ -77,9 +107,17 @@ class TestApplyChannel:
         with pytest.raises(ConfigError, match="snr_db must be finite or"):
             ChannelSpec(np.array([1.0]), snr)
 
-    @pytest.mark.parametrize("snr", [np.inf, -30.0, 0.0, 1e300])
+    @pytest.mark.parametrize("snr", [np.inf, -30.0, 0.0, 3000.0, -3000.0])
     def test_spec_accepts_finite_and_noiseless_snr(self, snr):
         assert ChannelSpec(np.array([1.0]), snr).snr_db == snr
+
+    @pytest.mark.parametrize("snr_db,fault", [(4000.0, "overflows"), (1e300, "overflows"), (-4000.0, "is 0")])
+    def test_spec_refuses_an_snr_whose_ratio_is_out_of_range_when_built(self, snr_db, fault):
+        # ChannelSpec(taps, 4000.0) used to build, and then every apply_channel call on it raised.
+        message = "^" + re.escape(f"snr_db {snr_db} is out of range: 10 ** (snr_db / 10) {fault}") + "$"
+        for build in (lambda: ChannelSpec(np.array([1.0]), snr_db), lambda: RunConfig(k=4, m=4, snr_db=snr_db)):
+            with pytest.raises(ConfigError, match=message):
+                build()
 
     @pytest.mark.parametrize("taps", [[np.nan], [1.0, np.inf], [complex(0.0, -np.inf)], [complex(np.nan, 1.0)]])
     def test_non_finite_taps_rejected_everywhere(self, taps):

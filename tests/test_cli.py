@@ -24,7 +24,7 @@ from gfdm_modem.cli import _build_parser, main
 from gfdm_modem.config import RunConfig, parse_config
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.link import qpsk_symbols, run_loopback
-from gfdm_modem.pulses import GfdmParams
+from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 
 from configs import emit_config
 
@@ -286,6 +286,29 @@ class TestCommands:
         w_tx = blockio.read_samples(out / "w_tx.bin")
         w_rx = blockio.read_samples(out / "w_rx.bin")
         assert np.abs(w_tx * w_rx - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("rx", ["zf", "mf"])
+    @pytest.mark.parametrize("domain", ["td", "fd"])
+    @pytest.mark.parametrize("wave", [
+        dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5),
+        dict(k=4, m=8, pulse="rrc", alpha=0.3, delta=0.5, k_on=(1, 2)),
+        dict(k=8, m=4, pulse="dirichlet", alpha=0.0, delta=0.0),
+        dict(k=8, m=4, pulse="rect_td", alpha=0.0, delta=0.0, m_on=(0, 3)),
+    ], ids=["rc", "rrc", "dirichlet", "rect_td"])
+    def test_pulse_writes_exactly_what_the_library_computes(self, tmp_path, wave, domain, rx):
+        cfg = RunConfig(**wave, domain=domain, rx=rx)
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(emit_config(cfg)))
+        assert main(["pulse", "--config", str(path), "--out", str(out)]) == 0
+        pulse = make_prototype(cfg.pulse.upper(), cfg.params, cfg.alpha, cfg.delta)
+        w_tx = tx_window(pulse, domain.upper())
+        want = {"pulse_time": pulse.time, "pulse_freq": pulse.freq, "w_tx": w_tx, "w_rx": rx_window(w_tx, rx.upper())}
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"{name}.{fmt}" for name in want for fmt in ("bin", "csv"))
+        for name, data in want.items():
+            assert blockio.read_samples(out / f"{name}.bin").tobytes() == data.reshape(-1, order="F").tobytes()
+            for fmt in ("bin", "csv"):
+                blockio.write_samples(tmp_path / f"want.{fmt}", data, fmt)
+                assert (out / f"{name}.{fmt}").read_bytes() == (tmp_path / f"want.{fmt}").read_bytes()
 
     def test_bad_alpha_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha=1.5)

@@ -16,7 +16,7 @@ from gfdm_modem.channel import fd_equalize_zf
 from gfdm_modem.cli import main
 from gfdm_modem.config import RunConfig
 from gfdm_modem.errors import ChainLimitExceeded, ConfigError, GfdmError, SingularChannel, SingularWindow
-from gfdm_modem.numerics import HELD_BYTES, MulCounter, dft
+from gfdm_modem.numerics import HELD_BYTES, Held, MulCounter, dft
 from gfdm_modem.pulses import make_prototype, rx_window, tx_window
 
 from configs import clear_builders, emit_config
@@ -151,8 +151,9 @@ def builds(monkeypatch):
     return count
 
 
-def waveform_arrays(wave):
-    return [wave.pulse.time, wave.pulse.freq, wave.w_td, wave.w_fd]
+def held_windows(cfg):
+    """The held ``(params, w_td, w_fd)`` of ``cfg``'s waveform key (built if it is not held)."""
+    return link._windows(cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta)
 
 
 #: Configurations on three waveforms (the last differs from the first only in k_on),
@@ -201,16 +202,18 @@ class TestWaveformReuse:
         cfg = RunConfig(k=8, m=4, rx="mf")  # mf: delta=0 leaves the window singular for zf
         clear_builders()  # so the other waveform's windows are not held
         link.plan_for(cfg)
-        wave = link.waveform_for(cfg)
+        wave = held_windows(cfg)
         before = dict(builds)
         other = replace(cfg, **{field: value})
         link.plan_for(other)
         assert builds["make_prototype"] - before["make_prototype"] == int(new_pulse)
         assert builds["zak"] - before["zak"] == 2 * int(new_pulse)
-        assert (link.waveform_for(other) is not wave) == new_pulse
-        pulse = link.waveform_for(other).pulse
+        assert (held_windows(other) is not wave) == new_pulse
+        params, w_td, w_fd = held_windows(other)
+        pulse = make_prototype(other.pulse.upper(), other.params, other.alpha, other.delta)
         assert (pulse.kind, pulse.params, pulse.alpha, pulse.delta) == (
-            other.pulse.upper(), other.params, other.alpha, other.delta)
+            other.pulse.upper(), params, other.alpha, other.delta)
+        assert (w_td.tobytes(), w_fd.tobytes()) == (tx_window(pulse, "TD").tobytes(), tx_window(pulse, "FD").tobytes())
 
     @pytest.mark.parametrize(
         "first,second",
@@ -220,9 +223,9 @@ class TestWaveformReuse:
     def test_equal_active_sets_share_waveform_and_plan(self, builds, first, second):
         a, b = RunConfig(k=8, m=4, **first), RunConfig(k=8, m=4, **second)
         assert a.params == b.params
-        plan, wave = link.plan_for(a), link.waveform_for(a)
+        plan, wave = link.plan_for(a), held_windows(a)
         before = dict(builds)
-        assert link.plan_for(b) is plan and link.waveform_for(b) is wave
+        assert link.plan_for(b) is plan and held_windows(b) is wave
         assert link.plan_for(a) is plan
         assert builds == before
 
@@ -230,9 +233,9 @@ class TestWaveformReuse:
     def test_pulse_kind_in_any_case_shares_waveform_and_plan(self, builds, first, second):
         a = RunConfig(k=8, m=4, pulse=first, alpha=0.0, delta=0.0, rx="mf")
         b = replace(a, pulse=second)
-        plan, wave = link.plan_for(a), link.waveform_for(a)
+        plan, wave = link.plan_for(a), held_windows(a)
         before = dict(builds)
-        assert link.plan_for(b) is plan and link.waveform_for(b) is wave
+        assert link.plan_for(b) is plan and held_windows(b) is wave
         assert link.run_loopback(b) == link.run_loopback(a)
         assert builds == before
 
@@ -240,8 +243,8 @@ class TestWaveformReuse:
     def test_waveform_arrays_reject_writes_and_share_no_memory_with_outputs(self, arch, domain, rx):
         cfg = RunConfig(k=8, m=4, rx=rx, arch=arch, domain=domain)
         outputs = link_block(cfg, grid_for(cfg, 3), None)
-        wave = link.waveform_for(cfg)
-        for arr in waveform_arrays(wave):
+        _, *windows = held_windows(cfg)
+        for arr in windows:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -266,14 +269,14 @@ class TestWaveformReuse:
 
     def test_failed_waveform_build_raises_twice_and_keeps_both_slots(self):
         good = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4)
-        plan, wave = link.plan_for(good), link.waveform_for(good)
+        plan, wave = link.plan_for(good), held_windows(good)
         bad = RunConfig(k=1, m=4, pulse="rc")  # the raised-cosine grid needs K >= 2
         for _ in range(2):
             with pytest.raises(ConfigError, match="needs K >= 2"):
                 link.run_loopback(bad)
             with pytest.raises(ConfigError, match="needs K >= 2"):
-                link.waveform_for(bad)
-        assert link.waveform_for(good) is wave and link.plan_for(good) is plan
+                held_windows(bad)
+        assert held_windows(good) is wave and link.plan_for(good) is plan
         assert_block_matches_engines(replace(good, arch="direct", rx="mf"), 6)
 
     @given(st.lists(st.sampled_from(WAVE_POOL), min_size=1, max_size=10))
@@ -526,11 +529,10 @@ class TestHeldStores:
         big = RunConfig(k=256, m=256, rx="mf")  # N = 2**16: 2 MiB, over the budget
         steps = [(a, 1, 1), (b, 2, 2), (a, 2, 2), (c, 3, 2), (a, 3, 2), (b, 4, 2), (big, 5, 1), (a, 6, 1)]
         for cfg, windows_built, held in steps:
-            plan = link.plan_for(cfg)
+            link.plan_for(cfg)
             entry = 2 * cfg.n * 16
             assert (builds["zak"], len(store)) == (2 * windows_built, held)  # two transforms per build
             assert store.nbytes == held * entry <= max(HELD_BYTES, entry)
-            assert link.waveform_for(cfg).pulse.params is plan.params  # a new pulse, no new windows
 
     def test_failed_builds_raise_on_every_call_and_leave_the_stores_unchanged(self):
         good = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4)
@@ -551,7 +553,6 @@ class TestHeldStores:
         clear_builders()
         configs = [RunConfig(**wave, arch=arch, domain=domain, rx=rx, l_max=64) for wave in ROTATION]
         outputs = [out for i, cfg in enumerate(configs) for out in link_block(cfg, grid_for(cfg, i), None)]
-        assert link._waveform.cache_info().currsize == 0  # the block path synthesized no held pulse
         assert link._windows.nbytes == sum(2 * cfg.n * 16 for cfg in configs)
         for cfg in configs:
             params, *windows = link._windows(cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta)
@@ -561,6 +562,23 @@ class TestHeldStores:
                 with pytest.raises(ValueError):
                     w[0, 0] = 1.0
                 assert not any(np.shares_memory(out, w) for out in outputs)
+
+
+class TestClearBuilders:
+    """``configs.clear_builders`` empties every holder among the ``link`` and ``channel`` globals, so a
+    holder added without it, or deleted from the module but not from it, fails here."""
+
+    def test_every_held_store_and_one_slot_builder_is_emptied(self):
+        holders = {f"{module.__name__}.{name}": obj for module in (link, channel) for name, obj in vars(module).items()
+                   if isinstance(obj, Held) or getattr(obj, "cache_parameters", dict)().get("maxsize") == 1}
+        assert {"gfdm_modem.link._windows", "gfdm_modem.link._plan", "gfdm_modem.channel._response"} <= set(holders)
+
+        def sizes():
+            return {name: len(h) if isinstance(h, Held) else h.cache_info().currsize for name, h in holders.items()}
+        link.run_loopback(RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4, snr_db=20.0))
+        assert all(sizes().values()), sizes()  # every holder is filled by a loopback
+        clear_builders()
+        assert sizes() == dict.fromkeys(holders, 0)
 
 
 class TestPrecomputeNames:
@@ -581,7 +599,7 @@ class TestPrecomputeNames:
         for name in ("td_mod", "fd_mod", "td_demod", "fd_demod"):
             counted(f"precompute_{name}", name)
         counted("_chain_table", "rule")
-        for builder in (link._waveform, link._mod_table, link._demod_table, link._plan):
+        for builder in (link._mod_table, link._demod_table, link._plan):
             builder.cache_clear()
         cfg = RunConfig(k=8, m=4, arch="direct", domain=domain, channel_taps=TAPS, n_cp=4)
         assert link.run_loopback(cfg).cm_match
@@ -601,7 +619,7 @@ class TestRebuildWork:
                for i, (l_max, (arch, domain, rx)) in enumerate((l, e) for l in (16, 8) for e in ENGINES)]
         seq += seq[::-1]  # each config builds its own GfdmParams here, before the counting starts
         clear_builders()  # so the held geometry, and its gather index, are built below
-        wave = link.waveform_for(base)
+        held = held_windows(base)[0]
         link.plan_for(replace(base, arch="direct"))  # a direct table's geometry is held from here on
         gathers, geometries = [], []
         index = pulses.GfdmParams.active_index
@@ -613,10 +631,10 @@ class TestRebuildWork:
         chain_table, direct_builds = direct_modem._chain_table, []
         monkeypatch.setattr(direct_modem, "_chain_table", lambda *a: direct_builds.append(a[0]) or chain_table(*a))
         for cfg in seq:
-            assert link.plan_for(cfg).params is wave.pulse.params
+            assert link.plan_for(cfg).params is held
             assert link.run_loopback(cfg).cm_match
         assert set(direct_builds) == {"TD_MOD", "TD_DEMOD", "FD_MOD", "FD_DEMOD"}  # direct tables were rebuilt
-        assert gathers == [wave.pulse.params] and geometries == []
+        assert gathers == [held] and geometries == []
 
 
 class TestPlanErrors:
@@ -702,7 +720,7 @@ class TestAwgnSer:
         # Zero forcing scales every symbol's noise by NEF = mean(1/|w_tx|^2) * mean(|w_tx|^2),
         # so QPSK symbol errors follow 2Q(sqrt(g / NEF)) - Q(sqrt(g / NEF))^2.
         cfg = RunConfig(k=16, m=16, alpha=0.5, delta=0.5, rx="zf", arch=arch, domain=domain, snr_db=snr_db)
-        power = np.abs(link.waveform_for(cfg).w_td) ** 2
+        power = np.abs(held_windows(cfg)[1]) ** 2
         nef = float(np.mean(1 / power) * np.mean(power))
         assert round(nef, 3) == 1.440
         errors = symbols = 0
