@@ -58,10 +58,12 @@ failed build (too many taps, a bin of magnitude at most
 ``numerics.SINGULAR_EPS``) raises on every call and holds or evicts nothing.
 :func:`check_framing` is the one framing rule, of :func:`add_cp`, :func:`remove_cp` and
 ``config.RunConfig``: integer prefix and suffix lengths, each in ``[0, N]`` for a core of N samples.
-A :class:`ChannelSpec` is the configured channel, ``(taps, snr_db)``, checked
-when built, so :func:`apply_channel` runs neither rule again; ``link`` holds one
-per configuration.  The noise seed, a block's one channel input, is an argument
-of :func:`apply_channel`, checked on every call.
+A :class:`ChannelSpec` is the configured channel, ``(taps, snr_db)``, and the one home of the
+taps rule (:func:`check_taps`) and the SNR rule (:func:`check_snr_db`, and the range of the linear
+ratio): it runs both when built and holds a read-only copy of the taps and the ratio, so
+:func:`apply_channel`, :func:`fd_equalize_zf` and :func:`channel_response`, which take a spec, run
+neither rule again.  ``config.RunConfig`` builds its spec once, as ``cfg.channel``.  The noise
+seed, a block's one channel input, is an argument of :func:`apply_channel`, checked on every call.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,7 +83,6 @@ __all__ = [
     "check_seed",
     "check_real",
     "check_snr_db",
-    "snr_ratio",
     "check_taps",
     "check_framing",
     "add_cp",
@@ -122,24 +123,6 @@ def check_snr_db(snr_db: float) -> float:
     return snr_db
 
 
-def snr_ratio(snr_db: float) -> float:
-    """The linear SNR ``10 ** (snr_db / 10)``; reject a finite SNR whose ratio overflows or is 0."""
-    check_snr_db(snr_db)
-    return _ratio(snr_db)
-
-
-def _ratio(snr_db: float) -> float:
-    """:func:`snr_ratio` of an SNR that passed :func:`check_snr_db`, as ``ChannelSpec.snr_db`` has."""
-    try:
-        ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if math.isfinite(snr_db) and not 0.0 < ratio < math.inf:
-        fault = "overflows" if ratio else "is 0"
-        raise ConfigError(f"snr_db {snr_db} is out of range: 10 ** (snr_db / 10) {fault}")
-    return ratio
-
-
 def check_seed(seed) -> int:
     """The noise seed as an int; reject a bool, a non-integer, or one outside the stream's 64 bits."""
     if not is_int(seed):
@@ -151,14 +134,14 @@ def check_seed(seed) -> int:
 
 
 def check_taps(taps) -> np.ndarray:
-    """The impulse response as a 1-D complex array; reject one that is empty, not finite, or not an
+    """The impulse response as a new 1-D complex array; reject one that is empty, not finite, or not an
     ordered sequence of numbers (no str, bool or None); a numeric array is judged by dtype, with no loop."""
     numeric = isinstance(taps, np.ndarray) and taps.dtype.kind in "iufc"
     if not numeric and (isinstance(taps, (str, bytes)) or not isinstance(taps, Sequence)
                         or any(isinstance(t, bool) or not isinstance(t, numbers.Number) for t in taps)):
         raise ConfigError(f"channel_taps must be a sequence of numbers, got {taps!r}")
     try:
-        t = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
+        t = np.array(taps, dtype=np.complex128, ndmin=1)
     except OverflowError:
         raise ConfigError("channel taps must be finite, got an integer beyond float range") from None
     if t.ndim != 1 or t.size < 1:
@@ -170,16 +153,27 @@ def check_taps(taps) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """Impulse response and per-sample SNR in dB (``inf`` for noiseless), checked when built: the
-    taps by :func:`check_taps`, the SNR by :func:`snr_ratio`'s rule, its ratio's range included."""
+    """Impulse response and per-sample SNR in dB (``inf`` for noiseless), checked when built: the taps
+    by :func:`check_taps`, held as a read-only copy, and the SNR by :func:`check_snr_db`.  ``ratio`` is
+    the linear SNR ``10 ** (snr_db / 10)``, computed here once; a finite SNR whose ratio overflows or
+    is 0 is refused."""
 
     taps: np.ndarray
     snr_db: float = math.inf
+    ratio: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "taps", check_taps(self.taps))
-        object.__setattr__(self, "snr_db", check_snr_db(self.snr_db))
-        _ratio(self.snr_db)  # a finite SNR's ratio must neither overflow nor be 0
+        taps, snr_db = check_taps(self.taps), check_snr_db(self.snr_db)
+        taps.flags.writeable = False
+        try:
+            ratio = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            ratio = math.inf
+        if math.isfinite(snr_db) and not 0.0 < ratio < math.inf:
+            fault = "overflows" if ratio else "is 0"
+            raise ConfigError(f"snr_db {snr_db} is out of range: 10 ** (snr_db / 10) {fault}")
+        for name, value in (("taps", taps), ("snr_db", snr_db), ("ratio", ratio)):
+            object.__setattr__(self, name, value)
 
 
 def check_framing(size: int, n_cp, n_cs, framed: bool = False) -> int:
@@ -407,7 +401,7 @@ def apply_channel(x_framed: np.ndarray, spec: ChannelSpec, seed: int = 0) -> np.
         y[j:] += taps[j] * x[: n - j]
     if math.isfinite(spec.snr_db):
         power = float(np.mean(np.abs(x) ** 2))
-        sigma2 = power / _ratio(spec.snr_db)
+        sigma2 = power / spec.ratio
         if not math.isfinite(sigma2):
             raise ConfigError(f"noise variance {sigma2} is not finite (power {power}, snr_db {spec.snr_db})")
         noise = gaussian_pairs(seed, x.size)
@@ -416,32 +410,27 @@ def apply_channel(x_framed: np.ndarray, spec: ChannelSpec, seed: int = 0) -> np.
     return y
 
 
-def fd_equalize_zf(y: np.ndarray, taps: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
-    """One-tap zero-forcing equalizer; output stays in the frequency domain.
+def fd_equalize_zf(y: np.ndarray, spec: ChannelSpec, counter: MulCounter | None = None) -> np.ndarray:
+    """One-tap zero-forcing equalizer of ``spec``'s channel; output stays in the frequency domain.
 
     Only the N-point transform of ``y`` is metered, the per-bin division is part
     of the equalizer and outside the modem cost accounting.
     """
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    hf = channel_response(taps, y.size)
+    hf = channel_response(spec, y.size)
     yf = dft(y, counter=counter)
     yf /= hf
     return yf
 
 
-def channel_response(taps, n: int) -> np.ndarray:
-    """The held read-only N-point response of the taps, built when the taps and N are not held.
-
-    Taps given as a 1-D complex array (``ChannelSpec.taps``) are keyed as they are and checked
-    only on a new key: the held key's taps passed :func:`check_taps` when it was built.
-    """
-    vector = isinstance(taps, np.ndarray) and taps.dtype == np.complex128 and taps.ndim == 1
-    return _response((taps if vector else check_taps(taps)).tobytes(), n)
+def channel_response(spec: ChannelSpec, n: int) -> np.ndarray:
+    """The held read-only N-point response of ``spec``'s taps, built when its taps and N are not held."""
+    return _response(spec.taps.tobytes(), n)
 
 
 @Held  # per (taps, N): a rotation over a few block lengths and channels builds each response once
 def _response(taps: bytes, n: int) -> np.ndarray:
-    t = check_taps(np.frombuffer(taps, dtype=np.complex128))
+    t = np.frombuffer(taps, dtype=np.complex128)  # a ChannelSpec's taps, checked when it was built
     if t.size > n:
         raise ConfigError("more channel taps than block samples")
     h = np.zeros(n, dtype=np.complex128)

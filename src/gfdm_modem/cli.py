@@ -16,8 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, blockio, channel, link, reference
 from .config import RunConfig, load_config
 from .errors import (
@@ -49,14 +47,14 @@ def _cmd_pulse(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     pulse = make_prototype(cfg.pulse.upper(), cfg.params, cfg.alpha, cfg.delta)
     w_tx = tx_window(pulse, cfg.domain.upper())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     arrays = {
         "pulse_time": pulse.time,
         "pulse_freq": pulse.freq,
         "w_tx": w_tx,
         "w_rx": rx_window(w_tx, cfg.rx.upper()),
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # only once every array is built: a refusal leaves no directory
     written = []
     for name, data in arrays.items():
         for fmt in ("csv", "bin"):
@@ -86,7 +84,7 @@ def _cmd_demodulate(args: argparse.Namespace) -> int:
     if framed.size != expected:
         raise ConfigError(f"expected {expected} framed samples, got {framed.size}")
     core = channel.remove_cp(framed, cfg.n_cp, cfg.n_cs)
-    yf_eq = channel.fd_equalize_zf(core, np.asarray(cfg.channel_taps))
+    yf_eq = channel.fd_equalize_zf(core, cfg.channel)
     grid_hat = link.demodulate_block(cfg, yf_eq)
     d_hat = reference.demap_symbols(grid_hat, cfg.params)
     blockio.write_samples(args.out, d_hat, args.format or blockio.guess_format(args.out))

@@ -1,4 +1,10 @@
-"""Run configuration: flat JSON in, validated dataclass out."""
+"""Run configuration: flat JSON in, validated dataclass out.
+
+A ``RunConfig`` is checked once, when built, and holds what its rules built: the geometry
+``params`` (``pulses.GfdmParams``) and the channel ``channel`` (``channel.ChannelSpec`` of
+``(channel_taps, snr_db)``, the one home of the taps and SNR rules), each evaluated in
+``__post_init__``, so a block run on it runs neither rule again.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
-from .channel import check_framing, check_real, check_seed, check_snr_db, check_taps, snr_ratio
+from .channel import ChannelSpec, check_framing, check_real, check_seed
 from .errors import ConfigError
 from .numerics import check_positive, is_int
 from .pulses import GfdmParams, active_items, check_pulse_spec
@@ -57,10 +63,9 @@ class RunConfig:
             object.__setattr__(self, name, active_items(name, getattr(self, name)) or None)
         object.__setattr__(self, "l_max", check_positive("l_max", self.l_max))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        # Real numbers held as float, names as str; the real-number and taps rules are channel's.
+        # Real numbers held as float, names as str; the real-number rule is channel's.
         for name in ("alpha", "delta"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        object.__setattr__(self, "snr_db", check_snr_db(self.snr_db))
         for name in ("pulse", "rx", "arch", "domain"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -77,18 +82,21 @@ class RunConfig:
         if self.domain not in _DOMAINS:
             raise ConfigError(f"domain must be one of {_DOMAINS}, got {self.domain!r}")
         check_framing(self.n, self.n_cp, self.n_cs)
-        check_taps(self.channel_taps)
-        object.__setattr__(self, "channel_taps", tuple(self.channel_taps))  # a hashable key of link's channel
-        if len(self.channel_taps) > self.n_cp + 1:
-            raise ConfigError(
-                f"{len(self.channel_taps)} taps exceed the interference-free bound "
-                f"n_cp + 1 = {self.n_cp + 1}"
-            )
-        snr_ratio(self.snr_db)  # the SNR rule, and for a finite SNR the range of its ratio
+        # The taps and SNR rules are the spec's; the fields hold its checked values, the taps as a
+        # hashable tuple.
+        taps = self.channel.taps
+        object.__setattr__(self, "channel_taps", tuple(taps.tolist()))
+        object.__setattr__(self, "snr_db", self.channel.snr_db)
+        if taps.size > self.n_cp + 1:
+            raise ConfigError(f"{taps.size} taps exceed the interference-free bound n_cp + 1 = {self.n_cp + 1}")
 
     @cached_property
     def params(self) -> GfdmParams:
         return GfdmParams(self.k, self.m, self.k_on or (), self.m_on or ())
+
+    @cached_property
+    def channel(self) -> ChannelSpec:
+        return ChannelSpec(self.channel_taps, self.snr_db)
 
     @property
     def n(self) -> int:

@@ -25,11 +25,12 @@ demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
 :func:`_plan` pairs the two tables, keyed by the waveform key plus ``rx, arch,
 domain, l_max``, builds the modulator's before the receive window and holds its
 kind's ``analysis.cm_count``; :func:`_cm_count` keeps every count it computed,
-one per kind and geometry.  :func:`_channel` holds the ``ChannelSpec`` of
-``(channel_taps, snr_db)``; a block passes ``apply_channel`` that channel and
-its seed, its only per-block channel input.  A refused configuration (a singular
-zero-forcing window, a direct block over ``direct_modem.MAX_DIRECT_N`` or
-``l_max``) raises on every call and leaves the held plan in place; the tables
+one per kind and geometry.  The channel is the configuration's own checked
+``ChannelSpec``, ``cfg.channel``; a block passes it to ``apply_channel`` with
+its seed, its only per-block channel input, and to the equalizer.  A refused
+configuration (a singular zero-forcing window, a direct block over
+``direct_modem.MAX_DIRECT_N`` or ``l_max``) raises on every call and leaves
+the held plan in place; the tables
 it did build (its windows, its modulator's) stay held, which can cost a later
 configuration one rebuild and never changes an output.  A plan's geometry is
 the ``GfdmParams`` held with its windows (equal by value to the configuration's),
@@ -53,7 +54,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import analysis, channel, direct_modem, fft_modem, reference
-from .channel import ChannelSpec, splitmix64_words
+from .channel import splitmix64_words
 from .config import RunConfig
 from .numerics import Held, MulCounter, finite_only, finite_result
 from .pulses import GfdmParams, make_prototype, rx_window, tx_window
@@ -144,10 +145,6 @@ def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan
 _cm_count = cache(analysis.cm_count)
 
 
-# ``ChannelSpec(channel_taps, snr_db)`` held like the tables; each block brings its own seed.
-_channel = lru_cache(maxsize=1)(ChannelSpec)
-
-
 def plan_for(cfg: RunConfig) -> ModemPlan:
     """The held plan when ``cfg`` has its key, else a new plan, which is held."""
     return _plan((cfg.params, cfg.pulse.upper(), cfg.alpha, cfg.delta), cfg.rx, cfg.arch, cfg.domain, cfg.l_max)
@@ -207,10 +204,9 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
         counter = MulCounter()
         x = plan.modulate(grid, counter)
         framed = channel.add_cp(x, cfg.n_cp, cfg.n_cs)
-        spec = _channel(cfg.channel_taps, cfg.snr_db)
-        received = channel.apply_channel(framed, spec, cfg.seed)
+        received = channel.apply_channel(framed, cfg.channel, cfg.seed)
         core = channel.remove_cp(received, cfg.n_cp, cfg.n_cs)
-        yf_eq = channel.fd_equalize_zf(core, spec.taps, counter=counter)
+        yf_eq = channel.fd_equalize_zf(core, cfg.channel, counter=counter)
         grid_hat = finite_result(plan.demodulate(yf_eq, counter))
         d_hat = reference.demap_symbols(grid_hat, params)
 

@@ -22,11 +22,13 @@ Conventions
   butterfly needs additions only).
 * :class:`Held` is the store of the tables that depend only on a geometry (``link``'s transmit
   windows, ``channel``'s responses): least recently used first out, bounded by :data:`HELD_BYTES`.
-* The input rules every module shares live here: :func:`is_int`, the count rule
+* The numeric input rules the modules share live here: :func:`is_int`, the count rule
   :func:`check_positive`, :func:`is_pow2`, :func:`check_grid`, the block bound
   :data:`MAX_N`, the zero-forcing threshold :data:`SINGULAR_EPS` and the
   finite-range rule: :func:`finite_only` around a computation, :func:`finite_result`
-  on its result.
+  on its result.  The link's own rules live in ``channel``: the real-number rule
+  ``check_real``, the seed rule ``check_seed``, the framing rule ``check_framing``, and
+  the taps and SNR rules ``check_taps`` and ``check_snr_db``, which only ``ChannelSpec`` runs.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gfdm_modem import channel
+from gfdm_modem import channel, link
 from gfdm_modem.channel import (
     ChannelSpec,
     add_cp,
@@ -30,13 +30,11 @@ from gfdm_modem.channel import (
     uniform64_array,
 )
 from gfdm_modem.config import RunConfig
-from gfdm_modem.errors import ConfigError, SingularChannel
+from gfdm_modem.errors import ConfigError, GfdmError, SingularChannel
 from gfdm_modem.numerics import SINGULAR_EPS, MulCounter, dft
 from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 from gfdm_modem.fft_modem import demodulate_fd, modulate_td
 from gfdm_modem.link import _SYMBOL_STREAM_OFFSET, qpsk_symbols
-
-from configs import clear_builders
 
 
 def circular_convolve(x, taps):
@@ -109,7 +107,8 @@ class TestApplyChannel:
 
     @pytest.mark.parametrize("snr", [np.inf, -30.0, 0.0, 3000.0, -3000.0])
     def test_spec_accepts_finite_and_noiseless_snr(self, snr):
-        assert ChannelSpec(np.array([1.0]), snr).snr_db == snr
+        spec = ChannelSpec(np.array([1.0]), snr)
+        assert spec.snr_db == snr and spec.ratio == 10.0 ** (snr / 10.0)
 
     @pytest.mark.parametrize("snr_db,fault", [(4000.0, "overflows"), (1e300, "overflows"), (-4000.0, "is 0")])
     def test_spec_refuses_an_snr_whose_ratio_is_out_of_range_when_built(self, snr_db, fault):
@@ -122,7 +121,6 @@ class TestApplyChannel:
     @pytest.mark.parametrize("taps", [[np.nan], [1.0, np.inf], [complex(0.0, -np.inf)], [complex(np.nan, 1.0)]])
     def test_non_finite_taps_rejected_everywhere(self, taps):
         for build in (lambda: check_taps(taps), lambda: ChannelSpec(np.array(taps)),
-                      lambda: fd_equalize_zf(np.ones(8, complex), np.array(taps)),
                       lambda: RunConfig(k=4, m=4, n_cp=2, channel_taps=tuple(map(complex, taps)))):
             with pytest.raises(ConfigError, match="channel taps must be finite"):
                 build()
@@ -318,7 +316,7 @@ class TestEqualizer:
     def test_identity_taps_return_spectrum(self):
         rng = np.random.default_rng(2)
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert_allclose(fd_equalize_zf(y, np.array([1.0])), dft(y), atol=1e-12)
+        assert_allclose(fd_equalize_zf(y, ChannelSpec(np.array([1.0]))), dft(y), atol=1e-12)
 
     def test_loopback_through_channel(self):
         params = GfdmParams(8, 4)
@@ -328,14 +326,15 @@ class TestEqualizer:
         grid = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
         x = modulate_td(grid, tx_window(pulse, "TD"))
         taps = np.array([1.0, 0.45 - 0.2j, -0.1 + 0.3j, 0.05])
-        y = remove_cp(apply_channel(add_cp(x, 8), ChannelSpec(taps)), 8)
-        est = demodulate_fd(fd_equalize_zf(y, taps), w_rx)
+        spec = ChannelSpec(taps)
+        y = remove_cp(apply_channel(add_cp(x, 8), spec), 8)
+        est = demodulate_fd(fd_equalize_zf(y, spec), w_rx)
         assert np.abs(est - grid).max() <= 1e-9
 
     def test_null_bin_raises(self):
-        y = np.ones(8, dtype=complex)
+        y, spec = np.ones(8, dtype=complex), ChannelSpec(np.array([1.0, -1.0]))  # zero response at DC
         with pytest.raises(SingularChannel):
-            fd_equalize_zf(y, np.array([1.0, -1.0]))  # zero response at DC
+            fd_equalize_zf(y, spec)
 
 
 def per_block_fd_equalize_zf(y, taps, counter=None):
@@ -390,6 +389,7 @@ class TestShiftedAddConvolution:
 
 
 HELD_TAPS = np.array([1.0, 0.45 - 0.2j, -0.1 + 0.3j, 0.05])
+HELD_SPEC = ChannelSpec(HELD_TAPS)
 
 
 @pytest.fixture
@@ -410,10 +410,11 @@ def response_builds(monkeypatch):
 
 class TestHeldResponse:
     def test_equal_taps_and_n_reuse_the_response(self, response_builds):
-        held = channel_response(HELD_TAPS, 64)
+        held = channel_response(HELD_SPEC, 64)
         for taps in (HELD_TAPS.copy(), list(HELD_TAPS), tuple(HELD_TAPS)):
-            assert channel_response(taps, 64) is held
-            fd_equalize_zf(np.ones(64), taps, counter=MulCounter())
+            spec = ChannelSpec(taps)
+            assert channel_response(spec, 64) is held
+            fd_equalize_zf(np.ones(64), spec, counter=MulCounter())
         assert response_builds[0] == 1
 
     @pytest.mark.parametrize(
@@ -422,66 +423,51 @@ class TestHeldResponse:
          (np.array([1.0, 0.0]), np.array([1.0, -0.0]), 64), (HELD_TAPS, HELD_TAPS, 128)],
     )
     def test_each_of_taps_and_n_rebuilds(self, response_builds, base, taps, n):
-        base = channel_response(base, 64)
+        base, spec = channel_response(ChannelSpec(base), 64), ChannelSpec(taps)
         built = response_builds[0]
-        other = channel_response(taps, n)
+        other = channel_response(spec, n)
         assert other is not base and response_builds[0] == built + 1
-        assert channel_response(taps, n) is other and response_builds[0] == built + 1
+        assert channel_response(spec, n) is other and response_builds[0] == built + 1
         y = random_complex(np.random.default_rng(6), n)
-        assert fd_equalize_zf(y, taps).tobytes() == per_block_fd_equalize_zf(y, taps).tobytes()
+        assert fd_equalize_zf(y, spec).tobytes() == per_block_fd_equalize_zf(y, taps).tobytes()
 
-    @pytest.mark.parametrize(
-        "taps,exc",
-        [(np.array([1.0, -1.0]), SingularChannel), (np.ones(9), ConfigError),
-         (np.array([np.nan]), ConfigError)],
-    )
+    @pytest.mark.parametrize("taps,exc", [(np.array([1.0, -1.0]), SingularChannel), (np.ones(9), ConfigError)])
     def test_failed_build_raises_every_call_and_keeps_the_held_response(self, response_builds, taps, exc):
-        held = channel_response(HELD_TAPS, 8)
-        y = random_complex(np.random.default_rng(7), 8)
+        held = channel_response(HELD_SPEC, 8)
+        y, spec = random_complex(np.random.default_rng(7), 8), ChannelSpec(taps)
         want = per_block_fd_equalize_zf(y, HELD_TAPS)
         for _ in range(2):
             counter = MulCounter()
             with pytest.raises(exc):
-                fd_equalize_zf(y, taps, counter=counter)
+                fd_equalize_zf(y, spec, counter=counter)
             assert counter.count == 0
-        assert channel_response(HELD_TAPS, 8) is held
-        assert fd_equalize_zf(y, HELD_TAPS).tobytes() == want.tobytes()
-
-    def test_a_complex_vector_on_the_held_key_is_not_checked_again(self, monkeypatch):
-        # ChannelSpec.taps is such a vector: run_loopback hands it on, so a block checks its taps once.
-        taps = check_taps(HELD_TAPS)
-        clear_builders()  # so the new key below is not held
-        held = channel_response(taps, 64)
-        calls = []
-        monkeypatch.setattr(channel, "check_taps", lambda t: calls.append(t) or check_taps(t))
-        assert channel_response(taps, 64) is held and channel_response(taps.copy(), 64) is held
-        assert calls == []
-        assert channel_response(list(HELD_TAPS), 64) is held and len(calls) == 1  # converted first
-        assert channel_response(taps, 32) is not held and len(calls) == 2  # a new key is checked
+        assert channel_response(HELD_SPEC, 8) is held
+        assert fd_equalize_zf(y, HELD_SPEC).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "taps,message",
-        [(check_taps(HELD_TAPS).reshape(1, -1), "at least one tap"), (np.array([], complex), "at least one tap"),
+        [(HELD_TAPS.reshape(1, -1), "at least one tap"), (np.array([], complex), "at least one tap"),
          (np.array([1.0, np.nan], complex), "must be finite"), (np.array([np.inf], complex), "must be finite")],
-        ids=["held-bytes-2d", "empty", "nan", "inf"],
+        ids=["2d", "empty", "nan", "inf"],
     )
     def test_refused_complex_arrays_raise_every_call(self, taps, message):
-        held = channel_response(HELD_TAPS, 8)
+        # A complex vector used to reach the response unchecked on a held key; only a spec reaches it now.
+        held = channel_response(HELD_SPEC, 8)
         for _ in range(2):
             with pytest.raises(ConfigError, match=message):
-                channel_response(taps, 8)
-        assert channel_response(HELD_TAPS, 8) is held
+                ChannelSpec(taps)
+        assert channel_response(HELD_SPEC, 8) is held
 
     def test_response_rejects_writes(self):
-        held = channel_response(HELD_TAPS, 16)
+        held = channel_response(HELD_SPEC, 16)
         assert not held.flags.writeable
         with pytest.raises(ValueError):
             held[0] = 0.0
 
     def test_output_shares_no_memory_with_the_response(self):
         y = random_complex(np.random.default_rng(8), 16)
-        out = fd_equalize_zf(y, HELD_TAPS)
-        held = channel_response(HELD_TAPS, 16)
+        out = fd_equalize_zf(y, HELD_SPEC)
+        held = channel_response(HELD_SPEC, 16)
         before = held.copy()
         assert not np.shares_memory(out, held)
         out[:] = 0.0
@@ -501,10 +487,10 @@ class TestHeldResponse:
         for index, n, seed in steps:
             taps, y = self.POOL[index], random_complex(np.random.default_rng(seed), n)
             results = []
-            for equalize in (fd_equalize_zf, per_block_fd_equalize_zf):
+            for equalize, channel_of in ((fd_equalize_zf, ChannelSpec), (per_block_fd_equalize_zf, np.asarray)):
                 counter = MulCounter()
                 try:
-                    out = equalize(y, taps, counter).tobytes()
+                    out = equalize(y, channel_of(taps), counter).tobytes()
                 except (ConfigError, SingularChannel) as exc:
                     out = type(exc)
                 results.append((out, counter.count))
@@ -605,3 +591,70 @@ class TestSeedArgument:
     def test_a_refused_seed_raises_on_any_channel(self, seed, snr_db):
         with pytest.raises(ConfigError, match="seed"):
             apply_channel(np.ones(4, dtype=complex), ChannelSpec((1.0,), snr_db), seed)
+
+
+#: Taps of every kind the rule judges: lists and arrays of finite numbers, lists mixing in NaN, inf,
+#: bools, strings and an integer beyond int64 (empty ones too), a 2-D array and a string.
+ANY_TAPS = st.one_of(
+    st.lists(finite_complex, min_size=1, max_size=8),
+    st.lists(finite_complex, min_size=1, max_size=8).map(np.array),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8).map(np.array),
+    st.lists(st.sampled_from([1.0, 0.5j, np.nan, np.inf, -np.inf, True, np.bool_(False), "1", 2**70]), max_size=4),
+    st.sampled_from([np.ones((2, 2)), np.ones((1, 3)), np.array([], complex), "12", ()]),
+)
+#: SNRs: finite, the largest accepted magnitudes, ratios out of range, +-inf, NaN and bools.
+ANY_SNR = st.one_of(
+    st.floats(-3000.0, 3000.0),
+    st.sampled_from([np.inf, -np.inf, np.nan, 3000.0, -3000.0, 4000.0, -4000.0, True, False, np.bool_(True)]),
+)
+
+
+class TestOneChannelRule:
+    """``ChannelSpec`` is the one home of the taps and SNR rules: ``RunConfig`` refuses a pair exactly
+    when the spec does, with the same error, holds the spec's checked taps as ``cfg.channel``, and a
+    block run on it runs neither rule again."""
+
+    @given(taps=ANY_TAPS, snr_db=ANY_SNR)
+    def test_run_config_holds_what_the_spec_rule_gives(self, taps, snr_db):
+        outcomes = []
+        for build in (lambda: ChannelSpec(taps, snr_db),
+                      lambda: RunConfig(k=4, m=4, n_cp=8, channel_taps=taps, snr_db=snr_db)):
+            try:
+                outcomes.append(build())
+            except Exception as exc:  # noqa: BLE001 - the type and message are compared
+                outcomes.append((type(exc), str(exc)))
+        spec, cfg = outcomes
+        if isinstance(spec, tuple) or isinstance(cfg, tuple):
+            assert spec == cfg
+            return
+        held = cfg.channel
+        assert held.taps.dtype == np.complex128 and held.taps.tobytes() == spec.taps.tobytes()
+        assert not held.taps.flags.writeable
+        if isinstance(taps, np.ndarray):
+            assert not np.shares_memory(held.taps, taps) and not np.shares_memory(spec.taps, taps)
+        assert (held.snr_db, held.ratio) == (spec.snr_db, spec.ratio) and cfg.snr_db == spec.snr_db
+        assert cfg.channel_taps == tuple(spec.taps.tolist())
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("check_taps", "check_snr_db"):
+                rule = getattr(channel, name)
+                mp.setattr(channel, name, lambda *a, name=name, rule=rule: calls.append(name) or rule(*a))
+            try:
+                link.run_loopback(cfg)
+            except (GfdmError, FloatingPointError):
+                pass  # a null bin or an overflowing block: refused, still without a channel rule
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "taps", [list(HELD_TAPS), HELD_TAPS.copy(), HELD_TAPS.real.copy(), HELD_TAPS.astype(np.complex64)],
+        ids=["list", "complex128", "float64", "complex64"],
+    )
+    def test_spec_holds_a_read_only_copy_of_its_taps(self, taps):
+        before = np.array(taps)
+        spec = ChannelSpec(taps)
+        assert spec.taps.dtype == np.complex128 and np.array_equal(spec.taps, before)
+        assert not spec.taps.flags.writeable and not np.shares_memory(spec.taps, before)
+        if isinstance(taps, np.ndarray):
+            assert not np.shares_memory(spec.taps, taps)
+            taps[0] = 7.0  # the caller's array stays writable and the spec does not see the write
+            assert np.array_equal(spec.taps, before)

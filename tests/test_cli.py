@@ -320,6 +320,13 @@ class TestCommands:
         assert main(["pulse", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def test_a_refused_pulse_leaves_no_output_directory(self, tmp_path, capsys):
+        # The directory used to be made before the receive window was built, and was left empty.
+        cfg, out = write_config(tmp_path, k=4, m=4, pulse="rc", alpha=0.0, delta=0.0), tmp_path / "new" / "out"
+        assert main(["pulse", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "numerical error" in capsys.readouterr().err
+        assert not out.exists() and not out.parent.exists()
+
     def test_modulate_ofdm_flat_magnitude(self, tmp_path):
         cfg = write_config(tmp_path, k=4, m=1, pulse="rect_td", alpha=0.0, delta=0.0, n_cp=0)
         sym = tmp_path / "sym.bin"

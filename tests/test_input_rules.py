@@ -218,21 +218,22 @@ class TestSingularThreshold:
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_channel_bin_at_the_threshold_is_refused(self, n):
-        taps = np.array([SINGULAR_EPS])  # a flat response: every bin is exactly the tap
+        spec = ChannelSpec(np.array([SINGULAR_EPS]))  # a flat response: every bin is exactly the tap
         h = np.zeros(n, dtype=complex)
         h[0] = SINGULAR_EPS
         assert np.abs(dft(h)).min() == SINGULAR_EPS
         for _ in range(2):
             with pytest.raises(SingularChannel, match="null bin"):
-                fd_equalize_zf(np.ones(n), taps)
+                fd_equalize_zf(np.ones(n), spec)
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_channel_bin_at_twice_the_threshold_is_equalized(self, n):
         y = np.arange(n) * (1 - 2j)
-        hf = channel_response(np.array([2 * SINGULAR_EPS]), n)
+        spec = ChannelSpec(np.array([2 * SINGULAR_EPS]))
+        hf = channel_response(spec, n)
         assert np.abs(hf).min() == 2 * SINGULAR_EPS
-        assert fd_equalize_zf(y, np.array([2 * SINGULAR_EPS])).tobytes() == (dft(y) / hf).tobytes()
+        assert fd_equalize_zf(y, spec).tobytes() == (dft(y) / hf).tobytes()
 
     def test_taps_with_a_true_null_are_still_singular(self):
         with pytest.raises(SingularChannel):
-            channel_response(np.array([1.0, -1.0]), 8)
+            channel_response(ChannelSpec(np.array([1.0, -1.0])), 8)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gfdm_modem import blockio, channel, direct_modem, fft_modem, link, pulses
 from gfdm_modem.analysis import cm_count
-from gfdm_modem.channel import fd_equalize_zf
+from gfdm_modem.channel import ChannelSpec, fd_equalize_zf
 from gfdm_modem.cli import main
 from gfdm_modem.config import RunConfig
 from gfdm_modem.errors import ChainLimitExceeded, ConfigError, GfdmError, SingularChannel, SingularWindow
@@ -22,6 +22,7 @@ from gfdm_modem.pulses import make_prototype, rx_window, tx_window
 from configs import clear_builders, emit_config
 
 TAPS = (1 + 0j, 0.4 - 0.2j, 0.1 + 0.05j)
+SPEC = ChannelSpec(TAPS)
 #: Cost kind of each (arch, domain): the FFT receiver always works in the frequency domain.
 KINDS = {
     ("fft", "td"): "FFT_TD_FD",
@@ -41,27 +42,27 @@ def engine_block(cfg, grid, counter):
             x = fft_modem.modulate_td(grid, tx_window(pulse, "TD"), counter)
         else:
             x = fft_modem.modulate_fd(grid, tx_window(pulse, "FD"), emit_time=True, counter=counter)
-        yf = fd_equalize_zf(x, TAPS, counter=counter)
+        yf = fd_equalize_zf(x, SPEC, counter=counter)
         return x, fft_modem.demodulate_fd(yf, rx_window(tx_window(pulse, "FD"), rx), counter)
     l_max = cfg.l_max
     w_rx = rx_window(tx_window(pulse, d), rx)
     if d == "TD":
         table = direct_modem.precompute_td_mod(tx_window(pulse, "TD"), l_max)
         x = direct_modem.direct_modulate_td(grid, table, counter)
-        yf = fd_equalize_zf(x, TAPS, counter=counter)
+        yf = fd_equalize_zf(x, SPEC, counter=counter)
         y = dft(yf, inverse=True, counter=counter) / cfg.n
         table = direct_modem.precompute_td_demod(w_rx, l_max)
         return x, direct_modem.direct_demodulate_td(y, table, counter)
     table = direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), l_max, force_full=True)
     x = direct_modem.direct_modulate_fd(grid, table, emit_time=True, counter=counter)
-    yf = fd_equalize_zf(x, TAPS, counter=counter)
+    yf = fd_equalize_zf(x, SPEC, counter=counter)
     table = direct_modem.precompute_fd_demod(w_rx, l_max, force_full=True)
     return x, direct_modem.direct_demodulate_fd(yf, table, counter)
 
 
 def link_block(cfg, grid, counter):
     x = link.modulate_block(cfg, grid, counter=counter)
-    yf = fd_equalize_zf(x, TAPS, counter=counter)
+    yf = fd_equalize_zf(x, SPEC, counter=counter)
     return x, link.demodulate_block(cfg, yf, counter=counter)
 
 
@@ -412,24 +413,9 @@ class TestTableReuse:
             assert link.plan_for(mf) is plan
         assert block_outcome(mf, 3) == fresh_outcome(mf, 3)
 
-    def test_loopback_checks_a_channel_when_it_is_first_held(self, monkeypatch):
-        cfg = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4, snr_db=20.0)
-        seeds = (0, 1, 2**64 - 1)
-        want = [fresh_loopback(replace(cfg, seed=seed)) for seed in seeds]  # holds the plan, channel, response
-        calls = []
-        check = channel.check_taps
-        monkeypatch.setattr(channel, "check_taps", lambda taps: calls.append(taps) or check(taps))
-        # Later blocks of the held channel differ only in their seed, and check no taps.
-        assert [link.run_loopback(replace(cfg, seed=seed)) for seed in seeds] == want
-        assert calls == []
-        link.run_loopback(replace(cfg, snr_db=10.0))  # a new SNR: the spec checks its taps, the response is held
-        assert len(calls) == 1
-        link.run_loopback(replace(cfg, channel_taps=(1 + 0j, 0.5j)))  # new taps: the spec and the response
-        assert len(calls) == 3
-
-    def test_a_new_seed_on_the_held_channel_runs_no_channel_rule_and_draws_that_seeds_noise(self, monkeypatch):
+    def test_a_new_seed_runs_no_channel_rule_and_draws_that_seeds_noise(self, monkeypatch):
         cfg = RunConfig(k=8, m=4, channel_taps=TAPS, n_cp=4, snr_db=10.0, seed=1)
-        link.run_loopback(cfg)  # holds the plan, the channel and its response
+        link.run_loopback(cfg)  # holds the plan and the channel response
         other, calls, draws = replace(cfg, seed=np.uint16(7)), [], []
         for name in ("check_taps", "check_snr_db"):
             monkeypatch.setattr(channel, name, lambda *a, name=name: calls.append(name))
@@ -439,22 +425,14 @@ class TestTableReuse:
         monkeypatch.undo()
         assert calls == []
         [(framed, spec, seed, received)] = draws
-        assert spec is link._channel(TAPS, 10.0) and type(seed) is int and seed == 7
+        assert spec is other.channel and type(seed) is int and seed == 7
         want = channel.apply_channel(framed, channel.ChannelSpec(TAPS, 10.0), 7)
         assert received.tobytes() == want.tobytes()
 
-    def test_a_refused_channel_raises_on_every_call_and_leaves_the_held_one(self):
-        held = link._channel(TAPS, 20.0)
-        for bad in (((1 + 0j, math.nan), 20.0), ((), 20.0), (TAPS, math.nan), (TAPS, -math.inf)):
-            for _ in range(2):
-                with pytest.raises(ConfigError):
-                    link._channel(*bad)
-            assert link._channel(TAPS, 20.0) is held
-
     @pytest.mark.parametrize("taps", [[1 + 0j, 0.4 - 0.2j], np.array([1 + 0j, 0.4 - 0.2j])], ids=["list", "array"])
-    def test_taps_given_as_a_list_or_array_are_held_as_the_channel_key(self, taps):
+    def test_taps_given_as_a_list_or_array_are_held_as_a_tuple(self, taps):
         cfg = RunConfig(k=8, m=4, channel_taps=taps, n_cp=4, snr_db=20.0)
-        assert type(cfg.channel_taps) is tuple
+        assert type(cfg.channel_taps) is tuple and cfg.channel_taps == (1 + 0j, 0.4 - 0.2j)
         assert link.run_loopback(cfg) == fresh_loopback(replace(cfg, channel_taps=(1 + 0j, 0.4 - 0.2j)))
 
     def test_taps_beyond_int64_run_as_runconfig_accepted_them(self):
@@ -462,7 +440,7 @@ class TestTableReuse:
         cfg = RunConfig(k=8, m=4, channel_taps=(2**70, 1), n_cp=4)
         report = link.run_loopback(cfg)
         assert report.cm_match and report.ser == 0.0
-        assert np.array_equal(link._channel(cfg.channel_taps, cfg.snr_db).taps, [2.0**70, 1.0])
+        assert np.array_equal(cfg.channel.taps, [2.0**70, 1.0])
 
     @pytest.mark.parametrize("arch,domain,rx", ENGINES)
     @pytest.mark.parametrize("k,m", [(8, 4), (2, 64), (64, 2), (16, 16)])

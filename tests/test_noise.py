@@ -25,7 +25,6 @@ from gfdm_modem.channel import (
     apply_channel,
     check_seed,
     gaussian_pairs,
-    snr_ratio,
     splitmix64_words,
     uniform64_array,
 )
@@ -302,7 +301,7 @@ class TestSnrRange:
     @pytest.mark.parametrize("snr", OVERFLOWING + VANISHING)
     def test_ratio_out_of_range_is_refused(self, snr):
         with pytest.raises(ConfigError, match="out of range"):
-            snr_ratio(snr)
+            ChannelSpec(np.array([1.0]), snr)
         with pytest.raises(ConfigError, match="out of range"):
             RunConfig(k=8, m=4, snr_db=snr)
 
