@@ -1,9 +1,11 @@
 """Run configuration: flat JSON in, validated dataclass out.
 
 A ``RunConfig`` is checked once, when built, and holds what its rules built: the geometry
-``params`` (``pulses.GfdmParams``) and the channel ``channel`` (``channel.ChannelSpec`` of
-``(channel_taps, snr_db)``, the one home of the taps and SNR rules), each evaluated in
-``__post_init__``, so a block run on it runs neither rule again.
+``params`` (``pulses.GfdmParams``, the one home of the grid and active-set rules) and the channel
+``channel`` (``channel.ChannelSpec`` of ``(channel_taps, snr_db)``, the one home of the taps and SNR
+rules), each evaluated in ``__post_init__``, so a block run on it runs neither rule again.  Its
+fields hold the checked values, the active sets sorted without repeats (``None`` for the full
+range), so two configurations of one geometry are equal.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from pathlib import Path
 
 from .channel import ChannelSpec, check_framing, check_real, check_seed
 from .errors import ConfigError
-from .numerics import check_positive, is_int
-from .pulses import GfdmParams, active_items, check_pulse_spec
+from .numerics import check_positive
+from .pulses import GfdmParams, check_pulse_spec
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
-_RX_KINDS = ("zf", "mf")
-_ARCHS = ("fft", "direct")
-_DOMAINS = ("td", "fd")
+#: The names each of ``rx``, ``arch`` and ``domain`` may take.
+_CHOICES = {"rx": ("zf", "mf"), "arch": ("fft", "direct"), "domain": ("td", "fd")}
 
 
 @dataclass(frozen=True)
@@ -46,42 +47,31 @@ class RunConfig:
     l_max: int = 16
 
     def __post_init__(self) -> None:
-        # The one integer rule, numerics.is_int: a bool or a non-integral value is refused, never truncated.
-        # Numpy integers are held as int, so keys, cost formulas and JSON output see one type.
-        # An active set is None (the full range) or a sequence, a 1-D integer array included, held as a
-        # tuple of ints; an empty one is the full range too, held as None.  Its entries take the integer
-        # rule once, where GfdmParams builds the geometry (`self.params` below).  The chain count l_max
-        # takes the one count rule, numerics.check_positive.  The seed's rule, with its 64-bit range, is
-        # channel.check_seed, shared with channel.apply_channel; the framing rule, channel.check_framing,
-        # is shared with channel.add_cp and channel.remove_cp.
-        for name in ("k", "m", "n_cp", "n_cs"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("k_on", "m_on"):
-            object.__setattr__(self, name, active_items(name, getattr(self, name)) or None)
+        # Each field takes its one rule, in the order a config's first fault is reported.  The geometry's
+        # are GfdmParams' (numerics.check_grid, MAX_N, the active sets), and the fields hold what it holds.
+        params = self.params
+        object.__setattr__(self, "k", params.k)
+        object.__setattr__(self, "m", params.m)
+        object.__setattr__(self, "k_on", params.k_on if len(params.k_on) < params.k else None)
+        object.__setattr__(self, "m_on", params.m_on if len(params.m_on) < params.m else None)
+        # The framing rule, channel.check_framing, is shared with channel.add_cp and channel.remove_cp.
+        check_framing(params.n, self.n_cp, self.n_cs)
+        object.__setattr__(self, "n_cp", int(self.n_cp))
+        object.__setattr__(self, "n_cs", int(self.n_cs))
+        # The chain count l_max takes the one count rule, numerics.check_positive.  The seed's rule, with
+        # its 64-bit range, is channel.check_seed, shared with channel.apply_channel.
         object.__setattr__(self, "l_max", check_positive("l_max", self.l_max))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        # Real numbers held as float, names as str; the real-number rule is channel's.
+        # Real numbers held as float; the real-number rule is channel's.
         for name in ("alpha", "delta"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        for name in ("pulse", "rx", "arch", "domain"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
-        # The modem's own geometry and pulse rules, run so bad configs fail at parse time.
-        self.params  # noqa: B018
-        for name in ("k_on", "m_on"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        if not isinstance(self.pulse, str):
+            raise ConfigError(f"pulse must be a string, got {self.pulse!r}")
         check_pulse_spec(self.pulse.upper(), self.alpha, self.delta)
-        if self.rx not in _RX_KINDS:
-            raise ConfigError(f"rx must be one of {_RX_KINDS}, got {self.rx!r}")
-        if self.arch not in _ARCHS:
-            raise ConfigError(f"arch must be one of {_ARCHS}, got {self.arch!r}")
-        if self.domain not in _DOMAINS:
-            raise ConfigError(f"domain must be one of {_DOMAINS}, got {self.domain!r}")
-        check_framing(self.n, self.n_cp, self.n_cs)
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value in choices):
+                raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
         # The taps and SNR rules are the spec's; the fields hold its checked values, the taps as a
         # hashable tuple.
         taps = self.channel.taps
@@ -92,7 +82,7 @@ class RunConfig:
 
     @cached_property
     def params(self) -> GfdmParams:
-        return GfdmParams(self.k, self.m, self.k_on or (), self.m_on or ())
+        return GfdmParams(self.k, self.m, self.k_on, self.m_on)
 
     @cached_property
     def channel(self) -> ChannelSpec:

@@ -11,22 +11,24 @@ and de-duplicates ``k_on, m_on``) and the upper-case ``pulse`` with ``alpha,
 delta``, and keeps no pulse samples; the equalizer's channel responses
 (``channel.channel_response``) are the other.  So a rotation over a few
 geometries synthesizes each pulse once.  The tables of a configuration are held
-per configuration: each builder is decorated ``functools.lru_cache(maxsize=1)``,
-so the arguments are the key, the last table built is kept, and a build that
-raises replaces nothing.  One table body serves both directions and both
-engines: it takes the window ``w_tx(d)``, or for a demodulator
-``rx_window(w_tx(d), rx)``, and makes it an FFT preset or a direct chain table,
-whose tap rows are that window's stage transform.
-:func:`_mod_table` and :func:`_demod_table` hold it once per direction, keyed
-by the waveform key, the engine, the table's domain (``"FD"`` for the FFT
-receiver in both domains), ``rx`` for a demodulator and ``l_max`` for a chain
-table.  So a ``rx`` switch keeps the modulator, an FFT ``domain`` switch the
+per configuration, by builders decorated ``functools.lru_cache``: the arguments
+are the key, only the last configuration's tables are kept, and a build that
+raises inserts nothing.  One table builder, :func:`_table`, serves both
+directions and both engines: it takes the window ``w_tx(d)``, or for a
+demodulator ``rx_window(w_tx(d), rx)``, and makes it an FFT preset or a direct
+chain table, whose tap rows are that window's stage transform.  It is keyed by
+the waveform key, the engine, the table's domain (``"FD"`` for the FFT receiver
+in both domains), ``rx`` for a demodulator and ``l_max`` for a chain table, and
+holds two entries: a plan build looks up its modulator's table and then its
+demodulator's, so the two most recent are the last table of each direction.
+So a ``rx`` switch keeps the modulator, an FFT ``domain`` switch the
 demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
-:func:`_plan` pairs the two tables, keyed by the waveform key plus ``rx, arch,
-domain, l_max``, builds the modulator's before the receive window and holds its
-kind's ``analysis.cm_count``; :func:`_cm_count` keeps every count it computed,
-one per kind and geometry.  The channel is the configuration's own checked
-``ChannelSpec``, ``cfg.channel``; a block passes it to ``apply_channel`` with
+:func:`_plan` holds the last plan: it pairs the two tables, keyed by the
+waveform key plus ``rx, arch, domain, l_max``, builds the modulator's before
+the receive window and holds its kind's ``analysis.cm_count``;
+:func:`_cm_count` keeps every count it computed, one per kind and geometry.
+The channel is the configuration's own checked ``ChannelSpec``,
+``cfg.channel``; a block passes it to ``apply_channel`` with
 its seed, its only per-block channel input, and to the equalizer.  A refused
 configuration (a singular zero-forcing window, a direct block over
 ``direct_modem.MAX_DIRECT_N`` or ``l_max``) raises on every call and leaves
@@ -110,7 +112,9 @@ def _windows(params: GfdmParams, pulse: str, alpha: float, delta: float) -> tupl
     return params, w_td, w_fd
 
 
-# Each builder below holds its last table: holding more costs memory for every configuration ever run.
+# The builders below hold the last configuration's tables: holding more costs memory for every
+# configuration ever run.  ``_table``'s two entries are the last table of each direction.
+@lru_cache(maxsize=2)
 def _table(wave: tuple, arch: str, d: str, rx: str | None, l_max: int | None) -> fft_modem.ArchConfig:
     """The stage table of domain ``d``: a modulator's from ``w_tx(d)``, with ``rx`` a demodulator's
     from its receive window; an FFT preset of the window, or the direct chain table of it."""
@@ -124,17 +128,12 @@ def _table(wave: tuple, arch: str, d: str, rx: str | None, l_max: int | None) ->
     return build(window, l_max) if d == "TD" else build(window, l_max, force_full=True)
 
 
-# Two holders of the one body, so each direction keeps its own last table.
-_mod_table = lru_cache(maxsize=1)(_table)
-_demod_table = lru_cache(maxsize=1)(_table)
-
-
 @lru_cache(maxsize=1)
 def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan:
     d, fft = domain.upper(), arch == "fft"
     d_rx, l_max = ("FD", None) if fft else (d, l_max)  # the FFT receiver works in frequency in both domains
-    mod = _mod_table(wave, arch, d, None, l_max)
-    demod = _demod_table(wave, arch, d_rx, rx.upper(), l_max)
+    mod = _table(wave, arch, d, None, l_max)
+    demod = _table(wave, arch, d_rx, rx.upper(), l_max)
     # The held geometry (equal to wave[0]), so its gather index is built once per held geometry.
     params, kind = _windows(*wave)[0], f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}"
     return ModemPlan(params, kind, _cm_count(kind, params.k, params.m), mod, demod)

@@ -99,7 +99,11 @@ def finite_result(a):
 
 
 def check_grid(k, m) -> tuple[int, int]:
-    """``(K, M)`` as ints; reject a K or M that is not a power-of-two integer."""
+    """``(K, M)`` as ints; reject a K or M that is not an integer (:func:`is_int`), then one that is
+    not a power of two."""
+    for name, value in (("k", k), ("m", m)):
+        if not is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if not (is_pow2(k) and is_pow2(m)):
         raise ConfigError(f"K and M must be powers of two, got K={k}, M={m}")
     return int(k), int(m)

@@ -33,6 +33,6 @@ def emit_config(cfg: RunConfig) -> dict:
 
 def clear_builders():
     """Empty every held table: the per-geometry stores (transmit windows, channel responses) and
-    the link's one-slot builders, so each table and channel response is built anew."""
-    for builder in (link._windows, link._mod_table, link._demod_table, link._plan, channel._response):
+    the link's per-configuration builders, so each table and channel response is built anew."""
+    for builder in (link._windows, link._table, link._plan, channel._response):
         builder.cache_clear()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from numpy._core import _multiarray_umath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -658,3 +658,55 @@ class TestOneChannelRule:
             assert not np.shares_memory(spec.taps, taps)
             taps[0] = 7.0  # the caller's array stays writable and the spec does not see the write
             assert np.array_equal(spec.taps, before)
+
+
+#: Grid sizes: powers of two, other integers, sizes whose K*M exceeds MAX_N, and values that are no
+#: integer (floats, bools, strings, None) beside numpy integers.
+ANY_SIZE = st.one_of(
+    st.sampled_from([1, 2, 4, 8, 16]),
+    st.integers(-2, 20),
+    st.sampled_from([2**11, 2**30, np.int64(2**11)]),
+    st.sampled_from([8.0, 8.5, True, False, "8", None, np.float64(4.0), np.bool_(True),
+                     np.int64(8), np.uint8(4), np.int32(16)]),
+)
+#: Active sets: None, lists out of range, duplicated, unsorted or empty, the full range in any
+#: order, 1-D arrays, entries that are no integer, and values that are no sequence.
+ANY_ACTIVE = st.one_of(
+    st.none(),
+    st.lists(st.integers(-2, 17), max_size=6),
+    st.lists(st.integers(0, 7), max_size=6).map(tuple),
+    st.lists(st.integers(0, 7), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.integers(0, 4).map(lambda e: tuple(range(2**e))),
+    st.integers(0, 4).flatmap(lambda e: st.permutations(range(2**e))),
+    st.lists(st.sampled_from([1, 2.0, 1.5, True, np.int64(3), np.uint8(1), "1", None]), min_size=1, max_size=3),
+    st.sampled_from([(), [], np.array([], dtype=int), range(4), 5, "12", b"01", {1: 2}, {0, 1},
+                     np.ones((2, 2), dtype=int), np.array(3)]),
+)
+
+
+class TestOneGeometryRule:
+    """``GfdmParams`` is the one home of the grid and active-set rules: ``RunConfig`` refuses a geometry
+    exactly when ``GfdmParams`` does, with the same error, and holds its checked geometry: ``k`` and
+    ``m`` as ints, each active set sorted without repeats, ``None`` for the full range."""
+
+    @settings(max_examples=300)
+    @given(k=ANY_SIZE, m=ANY_SIZE, k_on=ANY_ACTIVE, m_on=ANY_ACTIVE)
+    def test_run_config_holds_what_the_geometry_rule_gives(self, k, m, k_on, m_on):
+        outcomes = []
+        for build in (lambda: GfdmParams(k, m, k_on, m_on), lambda: RunConfig(k=k, m=m, k_on=k_on, m_on=m_on)):
+            try:
+                outcomes.append(build())
+            except Exception as exc:  # noqa: BLE001 - the type and message are compared
+                outcomes.append((type(exc), str(exc)))
+        params, cfg = outcomes
+        if isinstance(params, tuple) or isinstance(cfg, tuple):
+            assert params == cfg
+            return
+        assert cfg.params == params
+        assert (cfg.k, cfg.m) == (params.k, params.m) and type(cfg.k) is type(cfg.m) is int
+        assert cfg.k_on == (None if params.k_on == tuple(range(params.k)) else params.k_on)
+        assert cfg.m_on == (None if params.m_on == tuple(range(params.m)) else params.m_on)
+        assert all(type(v) is int for v in (cfg.k_on or ()) + (cfg.m_on or ()))
+        # The held form is canonical: built again from it, the configuration is equal, with one hash.
+        again = RunConfig(k=cfg.k, m=cfg.m, k_on=cfg.k_on, m_on=cfg.m_on)
+        assert again == cfg and hash(again) == hash(cfg) and again.params == params

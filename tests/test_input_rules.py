@@ -9,11 +9,12 @@ or channel bin of magnitude at most ``SINGULAR_EPS`` is singular.
 """
 
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from gfdm_modem import analysis, link
+from gfdm_modem import analysis, config, link, pulses
 from gfdm_modem.channel import (
     ChannelSpec,
     apply_channel,
@@ -125,10 +126,12 @@ class TestActiveSets:
                 build(8, 4, **{name: (0, entry)})
 
     def test_each_entry_is_checked_once(self, monkeypatch):
-        from gfdm_modem import config, pulses
-
+        # Every module that binds the integer rule counts its calls; config binds none of its own.
+        modules = [module for name, module in sys.modules.items()
+                   if name.startswith("gfdm_modem.") and hasattr(module, "is_int")]
+        assert pulses in modules and config not in modules
         seen = []
-        for module in (config, pulses):
+        for module in modules:
             monkeypatch.setattr(module, "is_int", lambda v: seen.append(v) or is_int(v))
         RunConfig(k=8, m=4, n_cp=0, k_on=(5, 7), m_on=(2,))
         assert sorted(v for v in seen if v in (2, 5, 7)) == [2, 5, 7]
@@ -140,6 +143,39 @@ class TestActiveSets:
         assert given.k_on is given.m_on is None
         assert given.params == full.params == GfdmParams(8, 4)
         assert link.plan_for(given) is link.plan_for(full)
+
+
+class TestRunConfigRules:
+    """Each ``RunConfig`` field takes one rule: a non-integer K reads as it does from every geometry
+    entry point, a name that is not a string fails its membership rule, and a config with several
+    faults reports the first in one order."""
+
+    @pytest.mark.parametrize("k", [8.5, 8.0, True, "8", None], ids=repr)
+    def test_a_non_integer_k_has_one_message_everywhere(self, k):
+        message = f"^k must be an integer, got {re.escape(repr(k))}$"
+        for call in (lambda: GfdmParams(k, 4), lambda: RunConfig(k=k, m=4),
+                     lambda: analysis.cm_count("FFT_TD_FD", k, 4), lambda: analysis.latency("FFT_TD_FD", k, 4)):
+            with pytest.raises(ConfigError, match=message):
+                call()
+
+    @pytest.mark.parametrize("name,choices", [("rx", ("zf", "mf")), ("arch", ("fft", "direct")), ("domain", ("td", "fd"))])
+    @pytest.mark.parametrize("value", [5, None, b"td", ["zf"], "ZF", "x"], ids=repr)
+    def test_a_name_outside_its_choices_has_one_message(self, name, choices, value):
+        message = f"^{name} must be one of {re.escape(repr(choices))}, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(k=8, m=4, **{name: value})
+
+    #: One fault of each rule, in the order the first fault is reported.
+    FAULTS = [dict(k=6), dict(n_cp=-1), dict(l_max=0), dict(seed=-1), dict(alpha=True), dict(pulse="x"),
+              dict(domain="xd"), dict(channel_taps=(1, 2))]
+
+    @pytest.mark.parametrize("first", range(len(FAULTS)))
+    def test_the_first_fault_is_reported_in_rule_order(self, first):
+        with pytest.raises(ConfigError) as alone:
+            RunConfig(**{"k": 8, "m": 4, **self.FAULTS[first]})
+        faults = {key: value for fault in self.FAULTS[first:] for key, value in fault.items()}
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(alone.value))}$"):
+            RunConfig(**{"k": 8, "m": 4, **faults})
 
 
 class TestIntegerPredicates:

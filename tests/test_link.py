@@ -223,7 +223,7 @@ class TestWaveformReuse:
     )
     def test_equal_active_sets_share_waveform_and_plan(self, builds, first, second):
         a, b = RunConfig(k=8, m=4, **first), RunConfig(k=8, m=4, **second)
-        assert a.params == b.params
+        assert a.params == b.params and a == b and hash(a) == hash(b)
         plan, wave = link.plan_for(a), held_windows(a)
         before = dict(builds)
         assert link.plan_for(b) is plan and held_windows(b) is wave
@@ -543,13 +543,17 @@ class TestHeldStores:
 
 
 class TestClearBuilders:
-    """``configs.clear_builders`` empties every holder among the ``link`` and ``channel`` globals, so a
-    holder added without it, or deleted from the module but not from it, fails here."""
+    """``configs.clear_builders`` empties every bounded holder among the ``link`` and ``channel`` globals
+    (a ``Held`` store or a ``functools`` cache with a ``maxsize``), so a holder added without it, or
+    deleted from the module but not from it, fails here.  Unbounded memo tables such as
+    ``link._cm_count`` are outside it."""
 
-    def test_every_held_store_and_one_slot_builder_is_emptied(self):
+    def test_every_held_store_and_bounded_builder_is_emptied(self):
         holders = {f"{module.__name__}.{name}": obj for module in (link, channel) for name, obj in vars(module).items()
-                   if isinstance(obj, Held) or getattr(obj, "cache_parameters", dict)().get("maxsize") == 1}
-        assert {"gfdm_modem.link._windows", "gfdm_modem.link._plan", "gfdm_modem.channel._response"} <= set(holders)
+                   if isinstance(obj, Held) or getattr(obj, "cache_parameters", dict)().get("maxsize") is not None}
+        assert {"gfdm_modem.link._windows", "gfdm_modem.link._table", "gfdm_modem.link._plan",
+                "gfdm_modem.channel._response"} <= set(holders)
+        assert "gfdm_modem.link._cm_count" not in holders
 
         def sizes():
             return {name: len(h) if isinstance(h, Held) else h.cache_info().currsize for name, h in holders.items()}
@@ -577,7 +581,7 @@ class TestPrecomputeNames:
         for name in ("td_mod", "fd_mod", "td_demod", "fd_demod"):
             counted(f"precompute_{name}", name)
         counted("_chain_table", "rule")
-        for builder in (link._mod_table, link._demod_table, link._plan):
+        for builder in (link._table, link._plan):
             builder.cache_clear()
         cfg = RunConfig(k=8, m=4, arch="direct", domain=domain, channel_taps=TAPS, n_cp=4)
         assert link.run_loopback(cfg).cm_match
