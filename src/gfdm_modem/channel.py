@@ -8,8 +8,8 @@ give bit-identical noise.
 :func:`uniform64` specifies one word of the stream; :func:`uniform64_array`
 computes many from the ``uint64`` words of :func:`splitmix64_words`, equal word
 for word.  Every stream reads its words through one argument rule: the seed is
-:func:`check_seed`'s, and the start and count are integers >= 0 with
-``start + count <= 2**64 - 1`` (and at most ``2**63 - 1`` words, numpy's largest
+:func:`check_seed`'s, and the start and count are integers (``numerics.check_int``)
+>= 0 with ``start + count <= 2**64 - 1`` (and at most ``2**63 - 1`` words, numpy's largest
 array), so no seed, start or count wraps onto another stream's words; anything
 else is a ``ConfigError``.
 
@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SingularChannel
-from .numerics import SINGULAR_EPS, Held, MulCounter, dft, is_int
+from .numerics import SINGULAR_EPS, Held, MulCounter, check_int, dft
 
 __all__ = [
     "ChannelSpec",
@@ -125,12 +125,11 @@ def check_snr_db(snr_db: float) -> float:
 
 def check_seed(seed) -> int:
     """The noise seed as an int; reject a bool, a non-integer, or one outside the stream's 64 bits."""
-    if not is_int(seed):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = check_int("seed", seed)
     if not 0 <= seed <= _MASK64:
         # The noise stream takes the seed modulo 2**64; a larger one would alias.
         raise ConfigError(f"seed must lie in [0, 2**64 - 1], got {seed}")
-    return int(seed)
+    return seed
 
 
 def check_taps(taps) -> np.ndarray:
@@ -176,25 +175,24 @@ class ChannelSpec:
             object.__setattr__(self, name, value)
 
 
-def check_framing(size: int, n_cp, n_cs, framed: bool = False) -> int:
-    """The framing rule: the core length N of a block of ``size`` samples, ``size - n_cp - n_cs``
-    when ``framed``.  ``n_cp`` and ``n_cs`` must be integers (``numerics.is_int``), each in
-    ``[0, N]``, and a framed block must hold a core of at least one sample."""
-    for name, value in (("n_cp", n_cp), ("n_cs", n_cs)):
-        if not is_int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+def check_framing(size: int, n_cp, n_cs, framed: bool = False) -> tuple[int, int, int]:
+    """The framing rule: ``(N, n_cp, n_cs)`` as ints, N the core length of a block of ``size`` samples,
+    ``size - n_cp - n_cs`` when ``framed``.  ``n_cp`` and ``n_cs`` must be integers
+    (``numerics.check_int``), each in ``[0, N]``, and a framed block must hold a core of at least one
+    sample."""
+    n_cp, n_cs = check_int("n_cp", n_cp), check_int("n_cs", n_cs)
     n = size - n_cp - n_cs if framed else size
     if framed and n < 1:
         raise ConfigError("framed block shorter than its prefix plus suffix")
     if not (0 <= n_cp <= n and 0 <= n_cs <= n):
         raise ConfigError("prefix/suffix lengths must lie in [0, N]")
-    return n
+    return n, n_cp, n_cs
 
 
 def add_cp(x: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
     """Prepend the last ``n_cp`` samples and append the first ``n_cs`` (:func:`check_framing`)."""
     x = np.asarray(x).reshape(-1)
-    check_framing(x.size, n_cp, n_cs)
+    _, n_cp, n_cs = check_framing(x.size, n_cp, n_cs)  # ints: an unsigned numpy -n_cp would wrap
     parts = []
     if n_cp:
         parts.append(x[-n_cp:])
@@ -207,7 +205,7 @@ def add_cp(x: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
 def remove_cp(y: np.ndarray, n_cp: int, n_cs: int = 0) -> np.ndarray:
     """Strip prefix and suffix, returning the core block (:func:`check_framing`)."""
     y = np.asarray(y).reshape(-1)
-    n = check_framing(y.size, n_cp, n_cs, framed=True)
+    n, n_cp, n_cs = check_framing(y.size, n_cp, n_cs, framed=True)
     return y[n_cp : n_cp + n]
 
 
@@ -216,10 +214,7 @@ def _check_span(start, count, width: int = 1) -> tuple[int, int]:
     past word ``2**64 - 2``: word ``i`` is mixed from ``(i + 1) * gamma`` modulo 2**64, so a
     larger index would alias a stream's first words.  ``width`` words are read per item, at
     most ``2**63 - 1`` in all: numpy's ``arange`` returns an empty array for a longer span."""
-    for name, value in (("start", start), ("count", count)):
-        if not is_int(value):
-            raise ConfigError(f"stream {name} must be an integer, got {value!r}")
-    start, count = int(start), int(count)
+    start, count = check_int("stream start", start), check_int("stream count", count)
     words = width * count
     if start < 0 or not 0 <= words <= _MAX_WORDS or start + words > _MASK64:
         raise ConfigError(f"stream start {start} and count {count} must be >= 0 and read "
@@ -438,5 +433,4 @@ def _response(taps: bytes, n: int) -> np.ndarray:
     hf = dft(h)
     if np.abs(hf).min() <= SINGULAR_EPS:
         raise SingularChannel("channel frequency response has a null bin")
-    hf.flags.writeable = False
     return hf

@@ -18,15 +18,7 @@ from pathlib import Path
 
 from . import analysis, blockio, channel, link, reference
 from .config import RunConfig, load_config
-from .errors import (
-    ChainLimitExceeded,
-    ConfigError,
-    GfdmError,
-    MissingCostEntry,
-    SingularChannel,
-    SingularMatrix,
-    SingularWindow,
-)
+from .errors import ConfigError, GfdmError, SingularChannel, SingularMatrix, SingularWindow
 from .numerics import finite_only, is_pow2
 from .pulses import make_prototype, rx_window, tx_window
 
@@ -201,11 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularWindow, SingularChannel, SingularMatrix) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except (ConfigError, ChainLimitExceeded, MissingCostEntry) as exc:
+    except GfdmError as exc:  # every other library refusal: ConfigError, ChainLimitExceeded, MissingCostEntry
         print(f"invalid configuration: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except GfdmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

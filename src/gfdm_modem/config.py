@@ -55,9 +55,9 @@ class RunConfig:
         object.__setattr__(self, "k_on", params.k_on if len(params.k_on) < params.k else None)
         object.__setattr__(self, "m_on", params.m_on if len(params.m_on) < params.m else None)
         # The framing rule, channel.check_framing, is shared with channel.add_cp and channel.remove_cp.
-        check_framing(params.n, self.n_cp, self.n_cs)
-        object.__setattr__(self, "n_cp", int(self.n_cp))
-        object.__setattr__(self, "n_cs", int(self.n_cs))
+        _, n_cp, n_cs = check_framing(params.n, self.n_cp, self.n_cs)
+        object.__setattr__(self, "n_cp", n_cp)
+        object.__setattr__(self, "n_cs", n_cs)
         # The chain count l_max takes the one count rule, numerics.check_positive.  The seed's rule, with
         # its 64-bit range, is channel.check_seed, shared with channel.apply_channel.
         object.__setattr__(self, "l_max", check_positive("l_max", self.l_max))

@@ -49,7 +49,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import MulCounter, dft, is_int, is_pow2
+from .numerics import MulCounter, check_int, dft, is_pow2
 from .pulses import GfdmParams
 
 __all__ = [
@@ -172,10 +172,8 @@ def preset(
         if window.shape != (len(partitions), rows):
             raise ConfigError(f"mode {mode} stores one tap row of {rows} per partition, got {window.shape}")
         if partitions != range(cols):  # direct_modem's full set is valid as built
-            if not all(map(is_int, partitions)):  # a bool or a float is no partition, a numpy integer is one
-                bad = next(p for p in partitions if not is_int(p))
-                raise ConfigError(f"chain partition {bad!r} is not an integer")
-            if partitions and (min(partitions) < 0 or max(partitions) >= cols):
+            ints = [check_int("chain partition", p) for p in partitions]  # a bool is no partition
+            if ints and (min(ints) < 0 or max(ints) >= cols):
                 raise ConfigError(f"chain partitions must lie in range({cols}), got {partitions}")
         # The (rows, L) taps a chain pass hands to matmul, chains descending; ``window`` reads them as (L, rows).
         partitions, held = tuple(partitions), np.array(window[::-1].T, order="C")

@@ -4,11 +4,11 @@ As the modem loads its pulse and window memories and its stage tables when
 reconfigured, the configuration is held in read-only tables that later blocks
 stream through.  Two rules hold them.  Data that depends only on the geometry
 is held per geometry, in a ``numerics.Held`` store: least recently used first
-out, its arrays bounded by ``numerics.HELD_BYTES``, and a build that raises
-holds and evicts nothing.  :func:`_windows` is one: it holds the ``GfdmParams``
-and both transmit windows of a waveform key, the geometry (``GfdmParams`` sorts
-and de-duplicates ``k_on, m_on``) and the upper-case ``pulse`` with ``alpha,
-delta``, and keeps no pulse samples; the equalizer's channel responses
+out, its arrays read-only and bounded by ``numerics.HELD_BYTES``, and a build
+that raises holds and evicts nothing.  :func:`_windows` is one: it holds the
+``GfdmParams`` and both transmit windows of a waveform key, the geometry
+(``GfdmParams`` sorts and de-duplicates ``k_on, m_on``) and the upper-case
+``pulse`` with ``alpha, delta``, and keeps no pulse samples; the equalizer's channel responses
 (``channel.channel_response``) are the other.  So a rotation over a few
 geometries synthesizes each pulse once.  The tables of a configuration are held
 per configuration, by builders decorated ``functools.lru_cache``: the arguments
@@ -58,7 +58,7 @@ import numpy as np
 from . import analysis, channel, direct_modem, fft_modem, reference
 from .channel import splitmix64_words
 from .config import RunConfig
-from .numerics import Held, MulCounter, finite_only, finite_result
+from .numerics import SINGULAR_EPS, Held, MulCounter, finite_only, finite_result
 from .pulses import GfdmParams, make_prototype, rx_window, tx_window
 
 __all__ = ["LoopbackReport", "ModemPlan", "plan_for", "run_loopback", "modulate_block", "demodulate_block",
@@ -105,11 +105,9 @@ class ModemPlan:
 # A waveform key ``wave`` is ``(params, pulse, alpha, delta)``, the arguments of ``_windows``.
 @Held
 def _windows(params: GfdmParams, pulse: str, alpha: float, delta: float) -> tuple:
-    """``(params, w_td, w_fd)``: the geometry and the pulse's two transmit windows, made read-only."""
+    """``(params, w_td, w_fd)``: the geometry and the pulse's two transmit windows, held read-only."""
     proto = make_prototype(pulse, params, alpha, delta)
-    w_td, w_fd = tx_window(proto, "TD"), tx_window(proto, "FD")
-    w_td.flags.writeable = w_fd.flags.writeable = False
-    return params, w_td, w_fd
+    return params, tx_window(proto, "TD"), tx_window(proto, "FD")
 
 
 # The builders below hold the last configuration's tables: holding more costs memory for every
@@ -219,8 +217,9 @@ def run_loopback(cfg: RunConfig) -> LoopbackReport:
                 d_hat = (d_hat.view(np.float64) * (1 / gain)).view(np.complex128)
         err = d_hat - d_on
         nmse = float(np.vdot(err, err).real / power)
-        # A symbol is wrong when the sign of either part differs: one 2-byte word of the pair's flags.
-        wrong = np.sign(d_hat.view(np.float64)) != np.sign(d_on.view(np.float64))
+        # A part is right only when its product with the sent part exceeds SINGULAR_EPS, so a part of
+        # roundoff (like a 0.0 one) or NaN is wrong; a symbol is wrong when either part is: one 2-byte word.
+        wrong = ~(d_hat.view(np.float64) * d_on.view(np.float64) > SINGULAR_EPS)
         ser = float(np.count_nonzero(wrong.view(np.uint16)) / d_on.size)
 
     return LoopbackReport(

@@ -21,8 +21,11 @@ Conventions
   length-``n`` vector for ``n > 2`` and zero for ``n <= 2`` (the 2-point
   butterfly needs additions only).
 * :class:`Held` is the store of the tables that depend only on a geometry (``link``'s transmit
-  windows, ``channel``'s responses): least recently used first out, bounded by :data:`HELD_BYTES`.
-* The numeric input rules the modules share live here: :func:`is_int`, the count rule
+  windows, ``channel``'s responses): least recently used first out, bounded by :data:`HELD_BYTES`,
+  and the one owner of their read-only flag.
+* The numeric input rules the modules share live here: the integer rule :func:`check_int`,
+  which words every integer refusal in one message (no other module calls its test
+  :func:`is_int`), the count rule
   :func:`check_positive`, :func:`is_pow2`, :func:`check_grid`, the block bound
   :data:`MAX_N`, the zero-forcing threshold :data:`SINGULAR_EPS` and the
   finite-range rule: :func:`finite_only` around a computation, :func:`finite_result`
@@ -48,6 +51,7 @@ __all__ = [
     "MulCounter",
     "SINGULAR_EPS",
     "check_grid",
+    "check_int",
     "check_positive",
     "dft",
     "fft_mul_count",
@@ -61,7 +65,8 @@ __all__ = [
 ]
 
 
-#: Zero-forcing refuses a window entry or a channel frequency bin whose magnitude is at most this.
+#: Zero-forcing refuses a window entry or a channel frequency bin whose magnitude is at most this;
+#: the loopback SER counts a part right only when its product with the sent part exceeds it.
 SINGULAR_EPS = 1e-8
 
 #: The largest block K*M a modem is built for: a larger one is refused before anything is allocated.
@@ -72,6 +77,13 @@ MAX_N = 2**20
 def is_int(v) -> bool:
     """The one integer rule: an int or a numpy integer, never a bool (exact type first: ABCs are slow)."""
     return type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral))
+
+
+def check_int(name: str, value) -> int:
+    """The integer rule with its one message: ``value`` as an int; reject a bool or a non-integer."""
+    if not is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_positive(name: str, value) -> int:
@@ -99,14 +111,12 @@ def finite_result(a):
 
 
 def check_grid(k, m) -> tuple[int, int]:
-    """``(K, M)`` as ints; reject a K or M that is not an integer (:func:`is_int`), then one that is
+    """``(K, M)`` as ints; reject a K or M that is not an integer (:func:`check_int`), then one that is
     not a power of two."""
-    for name, value in (("k", k), ("m", m)):
-        if not is_int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    k, m = check_int("k", k), check_int("m", m)
     if not (is_pow2(k) and is_pow2(m)):
         raise ConfigError(f"K and M must be powers of two, got K={k}, M={m}")
-    return int(k), int(m)
+    return k, m
 
 
 class MulCounter:
@@ -138,10 +148,12 @@ class Held:
     """A least-recently-used store of built tables, bounded by the bytes of their arrays.
 
     ``Held(build)`` called with ``build``'s positional arguments returns the value held for them, else
-    builds, holds and returns it.  An entry's bytes are the ``nbytes`` of the value, or of the arrays
-    in a tuple value; :attr:`nbytes` is their sum.  A build evicts the least recently used entries
-    until the new one fits :data:`HELD_BYTES`, never the entry just used, so one above the budget
-    is held alone.  A build that raises holds and evicts nothing, and raises again on the next call.
+    builds, holds and returns it.  An entry's arrays are the value, or the arrays in a tuple value:
+    the store makes each read-only when it is built, so no caller can change what another reads,
+    and counts their ``nbytes`` as the entry's bytes; :attr:`nbytes` is their sum.  A build evicts
+    the least recently used entries until the new one fits :data:`HELD_BYTES`, never the entry just
+    used, so one above the budget is held alone.  A build that raises holds and evicts nothing, and
+    raises again on the next call.
     """
 
     __slots__ = ("_build", "_entries", "nbytes")
@@ -156,8 +168,11 @@ class Held:
         entry = entries.pop(key, None)
         if entry is None:
             value = self._build(*key)
-            size = value.nbytes if isinstance(value, np.ndarray) else sum(
-                v.nbytes for v in value if isinstance(v, np.ndarray))
+            size = 0
+            for array in (value,) if isinstance(value, np.ndarray) else value:
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+                    size += array.nbytes
             self.nbytes += size
             while entries and self.nbytes > HELD_BYTES:
                 self.nbytes -= entries.pop(next(iter(entries)))[1]

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, SingularWindow
-from .numerics import MAX_N, SINGULAR_EPS, check_grid, dft, is_int, zak_freq, zak_time
+from .numerics import MAX_N, SINGULAR_EPS, check_grid, check_int, dft, zak_freq, zak_time
 
 __all__ = [
     "GfdmParams",
@@ -69,11 +69,8 @@ class GfdmParams:
             raise ConfigError(f"block length K*M = {k * m} exceeds MAX_N = {MAX_N}")
         active = []
         for name, size in (("k_on", k), ("m_on", m)):
-            items = active_items(name, getattr(self, name))
-            for item in items:  # the active entries' integer rule, RunConfig's too
-                if not is_int(item):
-                    raise ConfigError(f"{name} must be an integer, got {item!r}")
-            active.append(tuple(sorted(set(map(int, items)))) if items else tuple(range(size)))
+            items = [check_int(name, item) for item in active_items(name, getattr(self, name))]
+            active.append(tuple(sorted(set(items))) if items else tuple(range(size)))
         k_on, m_on = active
         if not k_on or k_on[0] < 0 or k_on[-1] >= k:
             raise ConfigError(f"active subcarrier set out of range for K={k}: {k_on}")

@@ -30,7 +30,7 @@ from gfdm_modem.fft_modem import (
     run_pipeline,
     single_stage_config,
 )
-from gfdm_modem.numerics import MulCounter, dft, is_int
+from gfdm_modem.numerics import MulCounter, check_int, dft
 from gfdm_modem.pulses import (
     GfdmParams,
     PrototypePulse,
@@ -366,7 +366,7 @@ class TestChainPresets:
         # 0.0 and True equal members of range(cols), so the rule goes by type; it names the first
         # item that breaks it.
         rows = 8 if mode.startswith("TD") else 4
-        with pytest.raises(ConfigError, match=rf"^chain partition {re.escape(repr(bad))} is not an integer$"):
+        with pytest.raises(ConfigError, match=rf"^chain partition must be an integer, got {re.escape(repr(bad))}$"):
             preset(mode, GfdmParams(8, 4), np.ones((2, rows)), partitions)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -614,7 +614,7 @@ class TestChainKernel:
         rows, cols = (8, 4) if mode.startswith("TD") else (4, 8)
         taps = np.ones((cols, rows), dtype=complex)
         scans = []
-        monkeypatch.setattr(fft_modem, "is_int", lambda v: scans.append(v) or is_int(v))
+        monkeypatch.setattr(fft_modem, "check_int", lambda name, v: scans.append(v) or check_int(name, v))
         rule = preset(mode, params, taps, range(cols))  # direct_modem's own full set: taken unscanned
         assert rule.full and rule.partitions == tuple(range(cols)) and scans == []
         caller = preset(mode, params, taps, tuple(range(cols)))  # a caller's: scanned, then marked

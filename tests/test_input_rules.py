@@ -17,11 +17,13 @@ import pytest
 from gfdm_modem import analysis, config, link, pulses
 from gfdm_modem.channel import (
     ChannelSpec,
+    add_cp,
     apply_channel,
     channel_response,
     check_seed,
     fd_equalize_zf,
     gaussian_pairs,
+    remove_cp,
     splitmix64_words,
     uniform64,
 )
@@ -29,7 +31,9 @@ from gfdm_modem.config import RunConfig
 from gfdm_modem.direct_modem import precompute_fd_demod, precompute_td_mod
 from gfdm_modem.errors import ConfigError, SingularChannel, SingularWindow
 from gfdm_modem.fft_modem import ArchConfig, StageConfig, preset, run_modulator
-from gfdm_modem.numerics import MAX_N, SINGULAR_EPS, check_positive, dft, fft_mul_count, is_int, is_pow2
+from gfdm_modem.numerics import (
+    MAX_N, SINGULAR_EPS, check_int, check_positive, dft, fft_mul_count, is_int, is_pow2
+)
 from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 
 
@@ -113,6 +117,40 @@ def test_small_numpy_integers_do_not_wrap():
     assert params.active_index.tolist() == [15 * 32 + 31]
 
 
+_FRAMED = np.arange(8) * (1 - 1j)
+
+#: The integer entry points, each as ``(the name its refusal gives, call with the value under test,
+#: an int that the call accepts)``.
+INTEGER_SITES = {
+    "GfdmParams.k": ("k", lambda v: GfdmParams(v, 4), 8),
+    "GfdmParams.m": ("m", lambda v: GfdmParams(8, v), 4),
+    "GfdmParams.k_on": ("k_on", lambda v: GfdmParams(16, 4, k_on=(0, v)), 1),
+    "GfdmParams.m_on": ("m_on", lambda v: GfdmParams(8, 16, m_on=(v,)), 1),
+    "RunConfig.n_cp": ("n_cp", lambda v: RunConfig(k=8, m=4, n_cp=v), 1),
+    "RunConfig.n_cs": ("n_cs", lambda v: RunConfig(k=8, m=4, n_cs=v), 1),
+    "RunConfig.seed": ("seed", lambda v: RunConfig(k=8, m=4, seed=v), 1),
+    "add_cp.n_cp": ("n_cp", lambda v: add_cp(_FRAMED, v, 1), 1),
+    "add_cp.n_cs": ("n_cs", lambda v: add_cp(_FRAMED, 1, v), 1),
+    "remove_cp.n_cp": ("n_cp", lambda v: remove_cp(_FRAMED, v, 1), 1),
+    "remove_cp.n_cs": ("n_cs", lambda v: remove_cp(_FRAMED, 1, v), 1),
+    "splitmix64_words.start": ("stream start", lambda v: splitmix64_words(3, v, 4), 1),
+    "splitmix64_words.count": ("stream count", lambda v: splitmix64_words(3, 0, v), 1),
+    "uniform64.index": ("stream start", lambda v: uniform64(3, v), 1),
+    "gaussian_pairs.count": ("stream count", lambda v: gaussian_pairs(3, v), 1),
+    "preset.partitions": ("chain partition", _chain_table, 1),
+}
+
+
+@pytest.mark.parametrize("name,call,good", INTEGER_SITES.values(), ids=INTEGER_SITES)
+def test_every_integer_refusal_has_one_message(name, call, good):
+    # numerics.check_int words every refusal; values equal to an accepted int are refused by type.
+    for value in (1.5, 2.0, True, np.bool_(True), "1", None, np.float64(1.0), 1 + 0j):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+    for integer in (np.int64, np.int32, np.uint16):
+        assert _same(call(integer(good)), call(good))
+
+
 class TestActiveSets:
     """An active set's entries take the one integer rule once, with one message from either constructor;
     an empty set is the full range, held as ``None``."""
@@ -128,13 +166,13 @@ class TestActiveSets:
     def test_each_entry_is_checked_once(self, monkeypatch):
         # Every module that binds the integer rule counts its calls; config binds none of its own.
         modules = [module for name, module in sys.modules.items()
-                   if name.startswith("gfdm_modem.") and hasattr(module, "is_int")]
+                   if name.startswith("gfdm_modem.") and hasattr(module, "check_int")]
         assert pulses in modules and config not in modules
         seen = []
         for module in modules:
-            monkeypatch.setattr(module, "is_int", lambda v: seen.append(v) or is_int(v))
+            monkeypatch.setattr(module, "check_int", lambda name, v: seen.append((name, v)) or check_int(name, v))
         RunConfig(k=8, m=4, n_cp=0, k_on=(5, 7), m_on=(2,))
-        assert sorted(v for v in seen if v in (2, 5, 7)) == [2, 5, 7]
+        assert sorted(v for name, v in seen if name in ("k_on", "m_on")) == [2, 5, 7]
 
     @pytest.mark.parametrize("empty", [(), [], np.array([], dtype=int)], ids=repr)
     def test_an_empty_set_is_the_full_range(self, empty):

@@ -1,5 +1,5 @@
 """The block stream without re-layout passes: the view-based pipeline, the integer QPSK
-index and the sign-comparison SER, each against a test-local copy of the form it replaced."""
+index and the real-view SER, each against a test-local copy of the complex form it replaced."""
 
 import math
 from dataclasses import replace
@@ -22,7 +22,7 @@ from gfdm_modem.fft_modem import (
     run_pipeline,
     single_stage_config,
 )
-from gfdm_modem.numerics import MulCounter, dft
+from gfdm_modem.numerics import SINGULAR_EPS, MulCounter, dft
 from gfdm_modem.pulses import GfdmParams
 
 _MASK64 = (1 << 64) - 1
@@ -266,16 +266,16 @@ class TestQpskIndex:
 
 
 def complex_sign_metrics(d_on, d_hat, rx):
-    """The error metrics of ``run_loopback`` as they were: SER from complex sign arrays."""
+    """The error metrics of ``run_loopback`` in complex form: a part decides right only when its
+    product with the sent part exceeds ``SINGULAR_EPS``, and a symbol is right when both parts are."""
     if rx == "mf":
         gain = float(np.vdot(d_on, d_hat).real / np.vdot(d_on, d_on).real)
         if gain > 0:
             d_hat = d_hat / gain
     err = d_hat - d_on
     nmse = float(np.vdot(err, err).real / np.vdot(d_on, d_on).real)
-    hard = np.sign(d_hat.real) + 1j * np.sign(d_hat.imag)
-    sent = np.sign(d_on.real) + 1j * np.sign(d_on.imag)
-    return nmse, float(np.mean(hard != sent))
+    right = (d_hat.real * d_on.real > SINGULAR_EPS) & (d_hat.imag * d_on.imag > SINGULAR_EPS)
+    return nmse, float(np.mean(~right))
 
 
 components = st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0, 1e-300, -1e-300]) | st.floats(-3, 3)
@@ -316,9 +316,10 @@ _SINGULAR = ["SingularWindow", "transmit window has |entry|=0.000e+00 <= 1.0e-08
 #: message]``) of each of ``golden_configs()``, recorded with the stream-copy pipeline, the float
 #: QPSK index, the complex-sign SER and out-of-place scaling.  The nmse is rounded so that a BLAS
 #: or FFT build with other last bits still matches.  In the K=2 rows the formula equals the
-#: counter: neither charges a 2-point stage.  K4-M1-direct-fd-mf-clean was
-#: recorded again with the BLAS chain dot (ser 0x1.0p+0 before): its estimates' imaginary parts
-#: are pure roundoff, whose signs the SER counts, exactly 0.0 in numpy's own loop.
+#: counter: neither charges a 2-point stage.  The clean K=4, M=1 matched-filter estimates have
+#: imaginary parts of pure roundoff (about 4e-34 from some BLAS kernels' chain dot, else 0.0), which
+#: the SER's ``SINGULAR_EPS`` rule counts wrong whatever their sign: each such row reads ser 1 on
+#: every kernel.
 REPORT_ROWS = {
     "K4-M1-fft-td-zf-clean": _SINGULAR,
     "K4-M1-fft-td-zf-12dB": _SINGULAR,
@@ -334,7 +335,7 @@ REPORT_ROWS = {
     "K4-M1-direct-td-mf-12dB": ["DIR_TD_TD", 4, "2.108083439292", "0x1.0000000000000p-2", 24, 24],
     "K4-M1-direct-fd-zf-clean": _SINGULAR,
     "K4-M1-direct-fd-zf-12dB": _SINGULAR,
-    "K4-M1-direct-fd-mf-clean": ["DIR_FD_FD", 4, "2.000000000000", "0x1.0000000000000p-2", 40, 40],
+    "K4-M1-direct-fd-mf-clean": ["DIR_FD_FD", 4, "2.000000000000", "0x1.0000000000000p+0", 40, 40],
     "K4-M1-direct-fd-mf-12dB": ["DIR_FD_FD", 4, "2.108083439292", "0x1.0000000000000p-2", 40, 40],
     "K2-M64-fft-td-zf-clean": ["FFT_TD_FD", 128, "0.000000000000", "0x0.0p+0", 1856, 1856],
     "K2-M64-fft-td-zf-12dB": ["FFT_TD_FD", 128, "1.212929080451", "0x1.5000000000000p-2", 1856, 1856],
