@@ -16,23 +16,21 @@ chain budget ``l_max``, a plain int under the one count rule
 :data:`MAX_DIRECT_N` and the chain count against ``l_max``, and returns the
 mode's :mod:`fft_modem` stage table with the tap rows in the window slot; the
 counter charges L*N multiplications per pass.  A table build validates no
-geometry anew: the K x M geometry of each window shape is built and checked
-once, then held.  The four ``precompute_*`` are that rule bound to a mode.  A
-pass computes each output sample as one BLAS dot over its L chains, taken in
-descending shift order, as the table holds them.  The ``direct_*`` runners are
-one run of such a table.
+geometry anew: it takes ``fft_modem.window_geometry``, held per window shape.
+The four ``precompute_*`` are that rule bound to a mode.  A pass computes each
+output sample as one BLAS dot over its L chains, taken in descending shift
+order, as the table holds them.  The ``direct_*`` runners are one run of such
+a table.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .errors import ChainLimitExceeded, ConfigError
-from .fft_modem import ArchConfig, bypass, preset, run_demodulator, run_modulator
+from .fft_modem import ArchConfig, bypass, preset, run_demodulator, run_modulator, window_geometry
 from .numerics import MulCounter, check_positive, dft
-from .pulses import GfdmParams, occupied_bands
+from .pulses import occupied_bands
 
 __all__ = [
     "MAX_DIRECT_N",
@@ -50,18 +48,13 @@ __all__ = [
 #: The direct engine's block bound: its transform cores take at most this many points.
 MAX_DIRECT_N = 2048
 
-#: The geometry of a K x M window shape, built and validated once per shape (power-of-two sizes
-#: keep the shapes few; a refused shape raises on every call and is not held).
-_geometry = cache(GfdmParams)
-
-
 def _chain_table(mode: str, window: np.ndarray, l_max: int, full: bool = True) -> ArchConfig:
     """The table of ``mode`` whose chain ``l`` holds row ``partitions[l]`` of the K x M window's stage
     transform: all rows, or with ``full`` unset the occupied ones, on at most ``l_max`` chains.
     Refuses ``l_max``, then N, then the chain count."""
     l_max = check_positive("l_max", l_max)
     w = np.asarray(window, dtype=np.complex128)
-    params, td = _geometry(*w.shape), mode.startswith("TD")
+    params, td = window_geometry(w), mode.startswith("TD")
     if params.n > MAX_DIRECT_N:
         raise ConfigError(f"block length {params.n} exceeds the {MAX_DIRECT_N}-point FFT limit")
     taps = dft(w.T if td else w, inverse=td, normalized=True)

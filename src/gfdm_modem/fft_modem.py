@@ -24,8 +24,9 @@ Presets reproduce the four canonical configurations from a K x M window (or
 tap rows) and hold every layout rule: the table's window, memories and
 ``grid``.  Their stages depend only on (mode, K, M, chains) and their memories
 on the window shape, so each stage tuple and memory pair is built once and
-shared.  Streams between stages are column-major vectors of the current
-logical matrix.  Inverse stages of the presets are
+shared; so is the geometry of a window shape, whose one rule is
+:func:`window_geometry`.  Streams between stages are column-major vectors of
+the current logical matrix.  Inverse stages of the presets are
 ``normalized`` (they divide by their size) so that all block scaling lives in
 the stage table; hand-built stages default to the unnormalized kernel.
 
@@ -67,6 +68,7 @@ __all__ = [
     "modulate_fd",
     "demodulate_td",
     "demodulate_fd",
+    "window_geometry",
 ]
 
 MODES = ("TD_MOD", "FD_MOD", "TD_DEMOD", "FD_DEMOD")
@@ -124,6 +126,19 @@ def bypass(cfg: ArchConfig, *indices: int) -> ArchConfig:
     """``cfg`` with the stages at ``indices`` disabled (passed through)."""
     stages = tuple(replace(s, enabled=False) if i in indices else s for i, s in enumerate(cfg.stages))
     return replace(cfg, stages=stages)
+
+
+#: The geometry of a K x M window shape, built and validated once per shape (power-of-two sizes
+#: keep the shapes few; a refused shape raises on every call and is not held).
+_geometry = cache(GfdmParams)
+
+
+def window_geometry(window: np.ndarray) -> GfdmParams:
+    """The held geometry of a window's K x M shape: the one window-shape rule, refusing any other ndim."""
+    shape = np.shape(window)
+    if len(shape) != 2:
+        raise ConfigError(f"a window must be a K x M matrix, got shape {shape}")
+    return _geometry(*shape)
 
 
 @cache
@@ -276,7 +291,7 @@ def run_demodulator(cfg: ArchConfig, block: np.ndarray, counter: MulCounter | No
 
 def modulate_td(grid: np.ndarray, w_tx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Time-domain block from a K x M symbol grid and the TD transmit window."""
-    return run_modulator(preset("TD_MOD", GfdmParams(*np.shape(w_tx)), w_tx), grid, counter)
+    return run_modulator(preset("TD_MOD", window_geometry(w_tx), w_tx), grid, counter)
 
 
 def modulate_fd(
@@ -291,15 +306,15 @@ def modulate_fd(
     final N-point inverse stage runs and the output equals
     :func:`modulate_td` of the matching TD window.
     """
-    cfg = preset("FD_MOD", GfdmParams(*np.shape(w_tx)), w_tx)
+    cfg = preset("FD_MOD", window_geometry(w_tx), w_tx)
     return run_modulator(cfg if emit_time else bypass(cfg, 3), grid, counter)
 
 
 def demodulate_fd(yf_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate from a frequency-domain equalized block."""
-    return run_demodulator(preset("FD_DEMOD", GfdmParams(*np.shape(w_rx)), w_rx), yf_eq, counter)
+    return run_demodulator(preset("FD_DEMOD", window_geometry(w_rx), w_rx), yf_eq, counter)
 
 
 def demodulate_td(y_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """K x M grid estimate from a time-domain equalized block."""
-    return run_demodulator(bypass(preset("TD_DEMOD", GfdmParams(*np.shape(w_rx)), w_rx), 0), y_eq, counter)
+    return run_demodulator(bypass(preset("TD_DEMOD", window_geometry(w_rx), w_rx), 0), y_eq, counter)

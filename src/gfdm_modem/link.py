@@ -10,31 +10,25 @@ that raises holds and evicts nothing.  :func:`_windows` is one: it holds the
 (``GfdmParams`` sorts and de-duplicates ``k_on, m_on``) and the upper-case
 ``pulse`` with ``alpha, delta``, and keeps no pulse samples; the equalizer's channel responses
 (``channel.channel_response``) are the other.  So a rotation over a few
-geometries synthesizes each pulse once.  The tables of a configuration are held
-per configuration, by builders decorated ``functools.lru_cache``: the arguments
-are the key, only the last configuration's tables are kept, and a build that
-raises inserts nothing.  One table builder, :func:`_table`, serves both
-directions and both engines: it takes the window ``w_tx(d)``, or for a
-demodulator ``rx_window(w_tx(d), rx)``, and makes it an FFT preset or a direct
-chain table, whose tap rows are that window's stage transform.  It is keyed by
-the waveform key, the engine, the table's domain (``"FD"`` for the FFT receiver
-in both domains), ``rx`` for a demodulator and ``l_max`` for a chain table, and
-holds two entries: a plan build looks up its modulator's table and then its
-demodulator's, so the two most recent are the last table of each direction.
-So a ``rx`` switch keeps the modulator, an FFT ``domain`` switch the
-demodulator, and a switch of engine, domain or receiver synthesizes no pulse.
-:func:`_plan` holds the last plan: it pairs the two tables, keyed by the
-waveform key plus ``rx, arch, domain, l_max``, builds the modulator's before
-the receive window and holds its kind's ``analysis.cm_count``;
-:func:`_cm_count` keeps every count it computed, one per kind and geometry.
+geometries synthesizes each pulse once.  The tables of a configuration live
+in its plan, and :func:`_plan` holds the last plan, keyed by the waveform key
+plus ``rx, arch, domain, l_max``.  A plan reads its waveform's geometry and
+windows once and builds, by one unheld table rule (:func:`_table`), the
+modulator's table from ``w_tx(d)``, then the receive window
+``rx_window(w_tx(d_rx), rx)`` and the demodulator's table from it (``d_rx`` is
+``"FD"`` for the FFT receiver in both domains): an FFT preset of the window, or
+the direct chain table whose tap rows are that window's stage transform.  So a
+switch of engine, domain or receiver synthesizes no pulse, and a direct
+configuration with several faults reports the first of block length, chain
+count, singular zero-forcing window.  A plan holds its kind's
+``analysis.cm_count``; :func:`_cm_count` keeps every count it computed, one
+per kind and geometry.
 The channel is the configuration's own checked ``ChannelSpec``,
 ``cfg.channel``; a block passes it to ``apply_channel`` with
 its seed, its only per-block channel input, and to the equalizer.  A refused
 configuration (a singular zero-forcing window, a direct block over
 ``direct_modem.MAX_DIRECT_N`` or ``l_max``) raises on every call and leaves
-the held plan in place; the tables
-it did build (its windows, its modulator's) stay held, which can cost a later
-configuration one rebuild and never changes an output.  A plan's geometry is
+the held plan in place.  A plan's geometry is
 the ``GfdmParams`` held with its windows (equal by value to the configuration's),
 so the symbol gather index (``GfdmParams.active_index``) is built once per held
 geometry, not once per configuration, and a table rebuild validates no
@@ -110,30 +104,24 @@ def _windows(params: GfdmParams, pulse: str, alpha: float, delta: float) -> tupl
     return params, tx_window(proto, "TD"), tx_window(proto, "FD")
 
 
-# The builders below hold the last configuration's tables: holding more costs memory for every
-# configuration ever run.  ``_table``'s two entries are the last table of each direction.
-@lru_cache(maxsize=2)
-def _table(wave: tuple, arch: str, d: str, rx: str | None, l_max: int | None) -> fft_modem.ArchConfig:
-    """The stage table of domain ``d``: a modulator's from ``w_tx(d)``, with ``rx`` a demodulator's
-    from its receive window; an FFT preset of the window, or the direct chain table of it."""
-    params, w_td, w_fd = _windows(*wave)
-    mode = f"{d}_{'MOD' if rx is None else 'DEMOD'}"
-    w_tx = w_td if d == "TD" else w_fd
-    window = w_tx if rx is None else rx_window(w_tx, rx)
+def _table(arch: str, mode: str, params: GfdmParams, window: np.ndarray, l_max: int) -> fft_modem.ArchConfig:
+    """The stage table of ``mode`` from its window: an FFT preset of it, or the direct chain table of it."""
     if arch == "fft":
         return fft_modem.preset(mode, params, window)
     build = getattr(direct_modem, f"precompute_{mode.lower()}")  # looked up per call, so a patched name sees it
-    return build(window, l_max) if d == "TD" else build(window, l_max, force_full=True)
+    return build(window, l_max) if mode.startswith("TD") else build(window, l_max, force_full=True)
 
 
+# Only the last configuration's plan is held: holding more costs memory for every configuration ever run.
 @lru_cache(maxsize=1)
 def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan:
-    d, fft = domain.upper(), arch == "fft"
-    d_rx, l_max = ("FD", None) if fft else (d, l_max)  # the FFT receiver works in frequency in both domains
-    mod = _table(wave, arch, d, None, l_max)
-    demod = _table(wave, arch, d_rx, rx.upper(), l_max)
     # The held geometry (equal to wave[0]), so its gather index is built once per held geometry.
-    params, kind = _windows(*wave)[0], f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}"
+    params, w_td, w_fd = _windows(*wave)
+    d, fft = domain.upper(), arch == "fft"
+    d_rx, w_tx = "FD" if fft else d, {"TD": w_td, "FD": w_fd}  # the FFT receiver works in frequency
+    mod = _table(arch, f"{d}_MOD", params, w_tx[d], l_max)
+    demod = _table(arch, f"{d_rx}_DEMOD", params, rx_window(w_tx[d_rx], rx.upper()), l_max)
+    kind = f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}"
     return ModemPlan(params, kind, _cm_count(kind, params.k, params.m), mod, demod)
 
 

@@ -32,7 +32,7 @@ def emit_config(cfg: RunConfig) -> dict:
 
 
 def clear_builders():
-    """Empty every held table: the per-geometry stores (transmit windows, channel responses) and
-    the link's per-configuration builders, so each table and channel response is built anew."""
-    for builder in (link._windows, link._table, link._plan, channel._response):
+    """Empty every bounded holder: the per-geometry stores (transmit windows, channel responses) and
+    the link's last plan, which holds its tables, so each table and channel response is built anew."""
+    for builder in (link._windows, link._plan, channel._response):
         builder.cache_clear()

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from gfdm_modem import analysis, config, link, pulses
+from gfdm_modem import analysis, config, direct_modem, fft_modem, link, pulses
 from gfdm_modem.channel import (
     ChannelSpec,
     add_cp,
@@ -311,3 +311,26 @@ class TestSingularThreshold:
     def test_taps_with_a_true_null_are_still_singular(self):
         with pytest.raises(SingularChannel):
             channel_response(ChannelSpec(np.array([1.0, -1.0])), 8)
+
+
+#: The eight window-taking builders, each called on a window ``w`` with otherwise valid arguments.
+WINDOW_BUILDERS = {
+    **{f"direct_modem.precompute_{mode}": lambda w, mode=mode: getattr(direct_modem, f"precompute_{mode}")(w, 4)
+       for mode in ("td_mod", "fd_mod", "td_demod", "fd_demod")},
+    "fft_modem.modulate_td": lambda w: fft_modem.modulate_td(np.ones((2, 2)), w),
+    "fft_modem.modulate_fd": lambda w: fft_modem.modulate_fd(np.ones((2, 2)), w),
+    "fft_modem.demodulate_td": lambda w: fft_modem.demodulate_td(np.ones(4), w),
+    "fft_modem.demodulate_fd": lambda w: fft_modem.demodulate_fd(np.ones(4), w),
+}
+
+
+class TestWindowShape:
+    """A window is a K x M matrix: every builder refuses any other ndim through one rule, naming the
+    shape, before a geometry is built (it used to raise ``TypeError`` or a ``k_on`` refusal)."""
+
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 2, 2), (2, 2, 1, 1)], ids=str)
+    @pytest.mark.parametrize("name", sorted(WINDOW_BUILDERS))
+    def test_a_window_that_is_not_2d_is_refused_naming_its_shape(self, monkeypatch, name, shape):
+        monkeypatch.setattr(fft_modem, "_geometry", lambda *a: pytest.fail(f"geometry built from {a}"))
+        with pytest.raises(ConfigError, match=f"^a window must be a K x M matrix, got shape {re.escape(str(shape))}$"):
+            WINDOW_BUILDERS[name](np.ones(shape, complex))
