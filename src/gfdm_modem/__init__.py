@@ -3,7 +3,7 @@
 Two interchangeable block engines, a ground-truth dense reference, a channel
 and equalizer chain, and closed-form cost, latency, and resource figures:
 
-* :mod:`gfdm_modem.numerics` - counted radix-2 transforms, polyphase, Zak.
+* :mod:`gfdm_modem.numerics` - the counted radix-2 transform and the input rules.
 * :mod:`gfdm_modem.pulses` - prototype pulses and modem windows.
 * :mod:`gfdm_modem.fft_modem` - reconfigurable four-stage FFT pipeline.
 * :mod:`gfdm_modem.direct_modem` - parallel multiply-accumulate convolution.

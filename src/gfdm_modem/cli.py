@@ -28,9 +28,9 @@ _EXIT_NUMERICAL = 3
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
-    if getattr(args, "arch", None):
+    if getattr(args, "arch", None):  # pulse has no --arch
         updates["arch"] = args.arch
-    if getattr(args, "domain", None):
+    if args.domain:
         updates["domain"] = args.domain
     return replace(cfg, **updates) if updates else cfg
 
@@ -138,33 +138,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gfdm-modem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, arch: bool = True) -> None:
+        """``--config`` and ``--domain``, which picks the windows ``pulse`` writes, and the engine's ``--arch``."""
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument(
-            "--format",
-            choices=("bin", "csv"),
-            default=None,
-            help="output encoding (input files are recognized by extension/content)",
-        )
-        p.add_argument("--arch", choices=("fft", "direct"), default=None)
+        if arch:
+            p.add_argument("--arch", choices=("fft", "direct"), default=None)
         p.add_argument("--domain", choices=("td", "fd"), default=None)
 
     p = sub.add_parser("pulse", help="write prototype pulse and window files")
-    add_common(p)
+    add_common(p, arch=False)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_pulse)
 
-    p = sub.add_parser("modulate", help="modulate a symbol file into a framed block")
-    add_common(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_modulate)
-
-    p = sub.add_parser("demodulate", help="demodulate a framed block into symbols")
-    add_common(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_demodulate)
+    for name, func, text in (("modulate", _cmd_modulate, "modulate a symbol file into a framed block"),
+                             ("demodulate", _cmd_demodulate, "demodulate a framed block into symbols")):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--format", choices=("bin", "csv"), default=None,
+                       help="output encoding (input files are recognized by extension/content)")
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("loopback", help="run the end-to-end evaluation chain")
     add_common(p)

@@ -96,11 +96,9 @@ def direct_modulate_td(grid: np.ndarray, table: ArchConfig, counter: MulCounter 
     return run_modulator(table, grid, counter)
 
 
-def direct_modulate_fd(
-    grid: np.ndarray, table: ArchConfig, emit_time: bool = False, counter: MulCounter | None = None
-) -> np.ndarray:
-    """Frequency-domain block via M-point DFT bank plus per-band chains (time block with ``emit_time``)."""
-    return run_modulator(table if emit_time else bypass(table, 3), grid, counter)
+def direct_modulate_fd(grid: np.ndarray, table: ArchConfig, counter: MulCounter | None = None) -> np.ndarray:
+    """Time-domain block via M-point DFT bank plus per-band chains and the N-point IDFT."""
+    return run_modulator(table, grid, counter)
 
 
 def direct_demodulate_td(y_eq: np.ndarray, table: ArchConfig, counter: MulCounter | None = None) -> np.ndarray:

@@ -22,9 +22,9 @@ the presets with tap rows, stages 1 and 2 disabled and no memories:
 
 Presets reproduce the four canonical configurations from a K x M window (or
 tap rows) and hold every layout rule: the table's window, memories and
-``grid``.  Their stages depend only on (mode, K, M, chains) and their memories
-on the window shape, so each stage tuple and memory pair is built once and
-shared; so is the geometry of a window shape, whose one rule is
+``grid``.  Their stages and memories depend only on (mode, K, M, chains), so
+each layout, a stage tuple and its memory pair, is built once and shared; so
+is the geometry of a window shape, whose one rule is
 :func:`window_geometry`.  Streams between stages are column-major vectors of
 the current logical matrix.  Inverse stages of the presets are
 ``normalized`` (they divide by their size) so that all block scaling lives in
@@ -142,26 +142,26 @@ def window_geometry(window: np.ndarray) -> GfdmParams:
 
 
 @cache
-def _preset_stages(mode: str, k: int, m: int, chains: bool) -> tuple[StageConfig, ...]:
-    """The four stages of a preset, built once per key and shared (power-of-two sizes keep keys few)."""
+def _preset_stages(mode: str, k: int, m: int, chains: bool) -> tuple:
+    """A preset's layout ``(stages, mem_a, mem_b)``, built once per key and shared (power-of-two sizes
+    keep keys few).  Chains have no memories; memory A writes the transposed window shape, so the
+    window reads its stream in place."""
     def stage(size: int, inverse: bool = False, enabled: bool = True) -> StageConfig:
         return StageConfig(size, inverse, enabled, normalized=inverse)
 
     mid, n = not chains, k * m  # chains compute stage 1 -> window -> stage 2 themselves
     if mode == "TD_MOD":
-        return (stage(k, True), stage(m, False, mid), stage(m, True, mid), stage(n, enabled=False))
-    if mode == "FD_MOD":
-        return (stage(m), stage(k, True, mid), stage(k, False, mid), stage(n, True))
-    if mode == "TD_DEMOD":
-        return (stage(n, True), stage(m, False, mid), stage(m, True, mid), stage(k))
-    return (stage(n, True, False), stage(k, True, mid), stage(k, False, mid), stage(m, True))  # FD_DEMOD
-
-
-@cache
-def _preset_memories(rows: int, cols: int) -> tuple[MemoryConfig, MemoryConfig]:
-    """Memories A and B around a ``rows x cols`` window, built once per shape and shared.  Memory A
-    writes the transposed window shape, so the window reads its stream in place."""
-    return MemoryConfig(cols, rows), MemoryConfig(rows, cols)
+        stages = (stage(k, True), stage(m, False, mid), stage(m, True, mid), stage(n, enabled=False))
+    elif mode == "FD_MOD":
+        stages = (stage(m), stage(k, True, mid), stage(k, False, mid), stage(n, True))
+    elif mode == "TD_DEMOD":
+        stages = (stage(n, True), stage(m, False, mid), stage(m, True, mid), stage(k))
+    else:  # FD_DEMOD
+        stages = (stage(n, True, False), stage(k, True, mid), stage(k, False, mid), stage(m, True))
+    if chains:
+        return stages, None, None
+    rows, cols = (m, k) if mode.startswith("TD") else (k, m)  # the shape of the window the table holds
+    return stages, MemoryConfig(cols, rows), MemoryConfig(rows, cols)
 
 
 def preset(
@@ -193,13 +193,13 @@ def preset(
         # The (rows, L) taps a chain pass hands to matmul, chains descending; ``window`` reads them as (L, rows).
         partitions, held = tuple(partitions), np.array(window[::-1].T, order="C")
         held.flags.writeable = False
-        return ArchConfig(mode, _preset_stages(mode, k, m, True), None, None, held.T[::-1], partitions, (k, m),
+        return ArchConfig(mode, *_preset_stages(mode, k, m, True), held.T[::-1], partitions, (k, m),
                           partitions == tuple(range(cols)))
     if window.shape != (k, m):
         raise ConfigError(f"mode {mode} takes a {k}x{m} window, got {window.shape}")
     view = (window.T if td else window).view()
     view.flags.writeable = False
-    return ArchConfig(mode, _preset_stages(mode, k, m, False), *_preset_memories(*view.shape), view, None, (k, m))
+    return ArchConfig(mode, *_preset_stages(mode, k, m, False), view, None, (k, m))
 
 
 def _run_stage(s: np.ndarray, stage: StageConfig, counter: MulCounter | None) -> np.ndarray:
@@ -294,20 +294,10 @@ def modulate_td(grid: np.ndarray, w_tx: np.ndarray, counter: MulCounter | None =
     return run_modulator(preset("TD_MOD", window_geometry(w_tx), w_tx), grid, counter)
 
 
-def modulate_fd(
-    grid: np.ndarray,
-    w_tx: np.ndarray,
-    emit_time: bool = False,
-    counter: MulCounter | None = None,
-) -> np.ndarray:
-    """Frequency-domain block (or its time block with ``emit_time``).
-
-    ``w_tx`` must be the FD-domain transmit window.  With ``emit_time`` the
-    final N-point inverse stage runs and the output equals
-    :func:`modulate_td` of the matching TD window.
-    """
-    cfg = preset("FD_MOD", window_geometry(w_tx), w_tx)
-    return run_modulator(cfg if emit_time else bypass(cfg, 3), grid, counter)
+def modulate_fd(grid: np.ndarray, w_tx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
+    """Time-domain block from a K x M symbol grid and the FD transmit window: it equals
+    :func:`modulate_td` of the matching TD window."""
+    return run_modulator(preset("FD_MOD", window_geometry(w_tx), w_tx), grid, counter)
 
 
 def demodulate_fd(yf_eq: np.ndarray, w_rx: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Deterministic complex-vector kernels.
 
-Power-of-two DFT/IDFT with an explicit complex-multiplication counter,
-polyphase reshaping, and the discrete Zak transforms in both domains.  The
+One transform, the power-of-two DFT/IDFT :func:`dft`, with an explicit
+complex-multiplication counter, and the numeric input rules.  The
 transform values come from numpy's pocketfft gufuncs
 (``numpy.fft._pocketfft_umath``, numpy >= 2.0), the kernels ``numpy.fft``
 itself calls, called directly so that a transform pays for its arithmetic and
@@ -14,9 +14,6 @@ Conventions
 * The DFT matrix is ``F[a, b] = exp(-2j*pi*a*b/n)`` and the inverse kernel is
   its conjugate ``F^H``.  Neither carries a ``1/n`` factor unless :func:`dft` is
   asked for it (``normalized``); every other scale factor is the caller's.
-* ``polyphase(a, Q, P)`` is the row-major ``Q x P`` reshape, so row ``q`` holds
-  ``a[q*P : (q+1)*P]`` and column ``p`` is ``a`` decimated by ``P`` with
-  phase ``p``.
 * Transform cost is counted as ``(n/2) * log2(n)`` complex multiplications per
   length-``n`` vector for ``n > 2`` and zero for ``n <= 2`` (the 2-point
   butterfly needs additions only).
@@ -59,9 +56,6 @@ __all__ = [
     "finite_result",
     "is_int",
     "is_pow2",
-    "polyphase",
-    "zak_time",
-    "zak_freq",
 ]
 
 
@@ -223,27 +217,3 @@ def dft(
     if counter is not None:
         counter.add(cost * (1 if a.ndim == 1 else a.shape[1]))
     return out
-
-
-def polyphase(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Reshape a length ``rows*cols`` vector into its ``rows x cols`` polyphase matrix.
-
-    ``out[q, p] = a[p + q*cols]``: column ``p`` samples ``a`` by the factor
-    ``cols`` starting at phase ``p``.
-    """
-    v = np.asarray(a)
-    if v.ndim != 1 or v.size != rows * cols:
-        raise ConfigError(
-            f"polyphase needs a vector of length {rows}*{cols}={rows * cols}, got shape {v.shape}"
-        )
-    return v.reshape(rows, cols)
-
-
-def zak_time(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Discrete Zak transform: forward DFT down each polyphase column."""
-    return dft(polyphase(a, rows, cols))
-
-
-def zak_freq(af: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Dual Zak transform of a spectrum: scaled inverse DFT down each polyphase column."""
-    return dft(polyphase(af, rows, cols), inverse=True, normalized=True)

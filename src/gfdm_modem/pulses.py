@@ -22,11 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, SingularWindow
-from .numerics import MAX_N, SINGULAR_EPS, check_grid, check_int, dft, zak_freq, zak_time
+from .numerics import MAX_N, SINGULAR_EPS, check_grid, check_int, dft
 
 __all__ = [
     "GfdmParams",
-    "active_items",
     "PrototypePulse",
     "PULSE_KINDS",
     "check_pulse_spec",
@@ -41,16 +40,6 @@ PULSE_KINDS = ("RC", "RRC", "DIRICHLET", "RECT_TD")
 
 #: A subcarrier band whose peak magnitude is at most this fraction of the spectrum peak is empty.
 BAND_EPS = 1e-12
-
-
-def active_items(name: str, value) -> tuple:
-    """The entries of active set ``name``: a sequence or a 1-D array, with ``None`` (as ``()``) the full
-    range; a string, a mapping, a scalar or an array of another rank is refused."""
-    if value is None:
-        return ()
-    if isinstance(value, (str, bytes)) or not (isinstance(value, Sequence) or np.ndim(value) == 1):
-        raise ConfigError(f"{name} must be a sequence of integers, got {value!r}")
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -69,8 +58,13 @@ class GfdmParams:
             raise ConfigError(f"block length K*M = {k * m} exceeds MAX_N = {MAX_N}")
         active = []
         for name, size in (("k_on", k), ("m_on", m)):
-            items = [check_int(name, item) for item in active_items(name, getattr(self, name))]
-            active.append(tuple(sorted(set(items))) if items else tuple(range(size)))
+            value = getattr(self, name)  # a sequence or a 1-D array, not a string, a mapping or a scalar
+            if value is None:  # the full range
+                value = ()
+            elif isinstance(value, (str, bytes)) or not (isinstance(value, Sequence) or np.ndim(value) == 1):
+                raise ConfigError(f"{name} must be a sequence of integers, got {value!r}")
+            items = {check_int(name, item) for item in value}
+            active.append(tuple(sorted(items)) if items else tuple(range(size)))
         k_on, m_on = active
         if not k_on or k_on[0] < 0 or k_on[-1] >= k:
             raise ConfigError(f"active subcarrier set out of range for K={k}: {k_on}")
@@ -176,15 +170,20 @@ def make_prototype(kind: str, params: GfdmParams, alpha: float = 0.0, delta: flo
 def tx_window(pulse: PrototypePulse, domain: str) -> np.ndarray:
     """K x M transmit window of the given processing domain.
 
-    ``TD`` builds it from the Zak transform of the time pulse, ``FD`` from the
-    dual Zak transform of the spectrum.  The two matrices agree only up to the
-    elementwise phase ``exp(-2j*pi*p*q/N)``.
+    Both are one transform down the columns of a polyphase matrix: the row-major
+    ``Q x P`` reshape of a length-``Q*P`` vector, whose row ``q`` holds
+    ``a[q*P : (q+1)*P]`` and whose column ``p`` is ``a`` decimated by ``P`` with
+    phase ``p``.  ``TD`` is ``K`` times the Zak transform of the time pulse, the
+    DFT down the columns of its M x K polyphase matrix, transposed; ``FD`` is
+    ``K`` times the dual Zak transform of the spectrum, the ``1/K`` inverse DFT
+    down the columns of its K x M polyphase matrix.  The two matrices agree only
+    up to the elementwise phase ``exp(-2j*pi*p*q/N)``.
     """
     k, m = pulse.params.k, pulse.params.m
     if domain == "TD":
-        return k * zak_time(pulse.time, m, k).T
+        return k * dft(pulse.time.reshape(m, k)).T
     if domain == "FD":
-        return k * zak_freq(pulse.freq, k, m)
+        return k * dft(pulse.freq.reshape(k, m), inverse=True, normalized=True)
     raise ConfigError(f"domain must be 'TD' or 'FD', got {domain!r}")
 
 

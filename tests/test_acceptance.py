@@ -101,7 +101,7 @@ def test_criterion_1_oracle_equivalence():
             paths = {
                 "fft": fft_modem.modulate_td(grid, sys_["w_td"]),
                 "direct-td": direct_modulate_td(grid, table_td),
-                "direct-fd": direct_modulate_fd(grid, table_fd, emit_time=True),
+                "direct-fd": direct_modulate_fd(grid, table_fd),
             }
             for name, got in paths.items():
                 err = np.abs(got - ref).max() / scale
@@ -134,10 +134,9 @@ def test_criterion_2_zf_perfect_reconstruction():
 def test_criterion_3_td_fd_duality():
     problems = []
     for sys_ in systems():
-        n = sys_["params"].n
         for i, grid in enumerate(sys_["grids"][:5]):
             x_td = fft_modem.modulate_td(grid, sys_["w_td"])
-            x_fd = dft(fft_modem.modulate_fd(grid, sys_["w_fd"]), inverse=True) / n
+            x_fd = fft_modem.modulate_fd(grid, sys_["w_fd"])
             scale = np.abs(x_td).max()
             if np.abs(x_fd - x_td).max() > 1e-10 * scale:
                 problems.append(f"{sys_['label']} grid {i}: modulator duality")

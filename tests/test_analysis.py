@@ -140,6 +140,37 @@ class TestResources:
         assert (r1.fft_cores, r1.multipliers, r1.rw_rams, r1.r_or_w_rams) == (4, 2, 2, 2)
 
 
+def rams(r):
+    return r.rw_rams + r.r_or_w_rams
+
+
+class TestAbstractClaims:
+    """The abstract's first two claims in the closed-form model: the FFT-based modem needs fewer
+    complex multiplications than the better direct kind, and fewer multipliers and RAMs, at the
+    price of more transform cores."""
+
+    def test_fft_count_is_below_the_better_direct_kind_in_all_100_cells(self):
+        sides = [2**i for i in range(1, 11)]  # K, M in 2..1024
+        ratios = {(k, m): cm_count("FFT_TD_FD", k, m) / min(cm_count("DIR_TD_TD", k, m), cm_count("DIR_FD_FD", k, m))
+                  for k in sides for m in sides}
+        assert len(ratios) == 100 and max(ratios.values()) < 1
+        # As recorded: largest on the thinnest grids (the ratio is symmetric in K and M), smallest on the largest.
+        assert ratios[2, 1024] == ratios[1024, 2] == max(ratios.values()) and round(ratios[2, 1024], 2) == 0.90
+        assert min(ratios, key=ratios.get) == (1024, 1024) and round(ratios[1024, 1024], 3) == 0.020
+
+    def test_fft_based_has_fewer_multipliers_and_rams_from_two_chains(self):
+        fft = resources("FFT_BASED")
+        for l_max in range(2, 65):
+            direct = resources("DIRECT", l_max)
+            assert fft.multipliers < direct.multipliers and rams(fft) < rams(direct), l_max
+            assert (fft.fft_cores, direct.fft_cores) == (7, 4), l_max
+
+    def test_one_chain_row_as_recorded(self):
+        fft, direct = resources("FFT_BASED"), resources("DIRECT", 1)
+        assert (fft.multipliers, direct.multipliers) == (2, 2)
+        assert (rams(fft), rams(direct)) == (6, 4)
+
+
 class TestReconcile:
     def test_idle_run_counts_zero(self):
         from gfdm_modem.numerics import MulCounter

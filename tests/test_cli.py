@@ -1,6 +1,8 @@
 """Tests for configuration handling, sample files, and the command-line front end."""
 
+import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -19,9 +21,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gfdm_modem
-from gfdm_modem import blockio
+from gfdm_modem import blockio, channel, link, reference
 from gfdm_modem.cli import _build_parser, main
-from gfdm_modem.config import RunConfig, parse_config
+from gfdm_modem.config import RunConfig, load_config, parse_config
 from gfdm_modem.errors import ConfigError
 from gfdm_modem.link import qpsk_symbols, run_loopback
 from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
@@ -381,7 +383,7 @@ class TestCommands:
         assert est.read_bytes().startswith(blockio.MAGIC)
         assert np.abs(blockio.read_samples(est) - sent).max() <= 1e-9
         args = _build_parser().parse_args(["loopback", "--config", str(cfg)])
-        assert (args.format, args.arch, args.domain) == (None, None, None)
+        assert (args.arch, args.domain) == (None, None) and not hasattr(args, "format")
 
     def test_modulate_malformed_csv_line_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -497,6 +499,65 @@ class TestCommands:
         assert main(["analyze", "--kinds", "all", "--n", "1024"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 1 + 7 * 11  # header + kinds x factorizations
+
+
+#: The options of each file or link command beside ``--config``, ``--in`` and ``--out``: each changes
+#: what its command writes.
+OPTIONS = {
+    "pulse": {"--domain": "fd"},
+    "modulate": {"--format": "csv", "--arch": "direct", "--domain": "fd"},
+    "demodulate": {"--format": "csv", "--arch": "direct", "--domain": "fd"},
+    "loopback": {"--arch": "direct", "--domain": "fd"},
+}
+
+
+class TestOptions:
+    """A command takes only the options that change its output; argparse refuses any other (exit 2)."""
+
+    def test_the_parser_registers_exactly_these_options(self):
+        commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        for command, options in OPTIONS.items():
+            registered = {s for a in commands[command]._actions for s in a.option_strings}
+            assert registered - {"-h", "--help", "--config", "--in", "--out"} == set(options), command
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("loopback", "--format", "csv"), ("pulse", "--format", "bin"), ("pulse", "--arch", "direct")])
+    def test_an_option_that_changes_nothing_exits_2(self, tmp_path, capsys, command, option, value):
+        # These three used to be accepted and ignored (exit 0).
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path))] + (["--out", str(out)] if command == "pulse" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,option", [(c, o) for c, options in OPTIONS.items() for o in options])
+    def test_every_option_changes_its_commands_output(self, tmp_path, capsys, command, option):
+        value = OPTIONS[command][option]
+        # The FFT receiver demodulates in the frequency domain whatever the domain; the direct one does not.
+        base = {"arch": "direct"} if (command, option) == ("demodulate", "--domain") else {}
+        blockio.write_samples(tmp_path / "sym.bin", qpsk_symbols(5, 32))
+        assert main(["modulate", "--config", str(write_config(tmp_path)), "--in", str(tmp_path / "sym.bin"),
+                     "--out", str(tmp_path / "block.bin")]) == 0
+        infile = tmp_path / ("sym.bin" if command == "modulate" else "block.bin")
+
+        def run(name, *extra, **fields):
+            """What ``command`` writes, with ``extra`` options and ``fields`` set in the configuration."""
+            (tmp_path / name).mkdir()
+            cfg, out = write_config(tmp_path / name, **base, **fields), tmp_path / name / "out"  # no suffix: binary
+            argv = [command, "--config", str(cfg), *extra]
+            argv += {"loopback": [], "pulse": ["--out", str(out)]}.get(command, ["--in", str(infile), "--out", str(out)])
+            capsys.readouterr()
+            assert main(argv) == 0
+            if command == "loopback":
+                return capsys.readouterr().out
+            return sorted((p.name, p.read_bytes()) for p in out.iterdir()) if out.is_dir() else out.read_bytes()
+
+        plain, given = run("plain"), run("given", option, value)
+        assert given != plain
+        if option != "--format":  # an override gives what the configured field gives
+            assert given == run("configured", **{option[2:]: value})
 
 
 class TestTypeRule:
@@ -820,9 +881,68 @@ SAMPLE_PIECES = st.sampled_from([
 ])
 
 
+#: What a byte mutation inserts: non-finite and out-of-range numbers, an underscore literal, a BOM,
+#: NUL, a carriage return, a CSV header and the binary magic.
+TOKENS = [b"nan", b"inf", b"1e999", b"1_0", b"\xef\xbb\xbf", b"\x00", b"\r", b"index,re,im", blockio.MAGIC]
+#: The first words of every refusal ``cli.main`` prints.
+REFUSALS = ("invalid input: ", "invalid configuration: ", "numerical error: ", "i/o error: ")
+
+
+@functools.cache
+def valid_inputs():
+    """The bytes of a valid configuration, its CSV symbol file and the binary block ``modulate`` writes."""
+    config = {"k": 8, "m": 4, "pulse": "rc", "alpha": 0.5, "delta": 0.5, "n_cp": 2, "n_cs": 1,
+              "channel_taps": [1.0, [0.3, -0.1]], "snr_db": 20.0, "seed": 3, "l_max": 8}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, sym, block = Path(tmp, "config.json"), Path(tmp, "symbols.csv"), Path(tmp, "block.bin")
+        cfg.write_text(json.dumps(config))
+        blockio.write_samples(sym, qpsk_symbols(4, 32), "csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["modulate", "--config", str(cfg), "--in", str(sym), "--out", str(block)]) == 0
+        return {"config": cfg.read_bytes(), "symbols": sym.read_bytes(), "block": block.read_bytes()}
+
+
+@st.composite
+def mutated(draw, data):
+    """``data`` after up to three byte mutations: an inserted token, a deletion, a truncation or a
+    self-splice (a piece of the data copied in at another place).  None leaves a valid run."""
+    for _ in range(draw(st.integers(0, 3))):
+        kind, at = draw(st.sampled_from(["insert", "delete", "truncate", "splice"])), draw(st.integers(0, len(data)))
+        if kind == "insert":
+            data = data[:at] + draw(st.sampled_from(TOKENS)) + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[draw(st.integers(at, min(len(data), at + 16))):]
+        elif kind == "truncate":
+            data = data[:at]
+        else:
+            start = draw(st.integers(0, len(data)))
+            data = data[:at] + data[start:start + draw(st.integers(1, 32))] + data[at:]
+    return data
+
+
+def library_output(command, cfg_path, infile):
+    """What the library gives for the input ``command`` parsed: the samples of its output files, or
+    its loopback report line."""
+    cfg = load_config(cfg_path)
+    if command == "loopback":
+        return f"{link.run_loopback(cfg)}\n"
+    if command == "pulse":
+        pulse = make_prototype(cfg.pulse.upper(), cfg.params, cfg.alpha, cfg.delta)
+        w_tx = tx_window(pulse, cfg.domain.upper())
+        arrays = {"pulse_time": pulse.time, "pulse_freq": pulse.freq, "w_tx": w_tx, "w_rx": rx_window(w_tx, cfg.rx.upper())}
+        return {name: data.reshape(-1, order="F") for name, data in arrays.items()}
+    samples = blockio.read_samples(infile)
+    if command == "modulate":
+        return channel.add_cp(link.modulate_block(cfg, reference.map_symbols(samples, cfg.params)), cfg.n_cp, cfg.n_cs)
+    yf_eq = channel.fd_equalize_zf(channel.remove_cp(samples, cfg.n_cp, cfg.n_cs), cfg.channel)
+    return reference.demap_symbols(link.demodulate_block(cfg, yf_eq), cfg.params)
+
+
 class TestCliFuzz:
     """Whatever the configuration and the sample file hold, a run ends in exit 0 with finite
-    output, or in exit 2 or 3 with one stderr line and no output file; ``main`` never raises."""
+    output, or in exit 2 or 3 with one stderr line and no output file; ``main`` never raises.  The
+    byte mutations of a valid configuration, CSV symbol file and binary block reach every file and
+    link command, and an exit 0 writes what the library gives for the same parsed input."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -863,3 +983,41 @@ class TestCliFuzz:
                 assert code in (2, 3)
                 assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
                 assert not out.exists()
+
+    @settings(max_examples=500, deadline=None)
+    @given(command=st.sampled_from(["pulse", "modulate", "demodulate", "loopback"]), data=st.data())
+    def test_every_byte_mutation_exits_cleanly(self, command, data):
+        files = dict(valid_inputs())
+        infile = {"modulate": "symbols", "demodulate": "block"}.get(command)
+        target = data.draw(st.sampled_from(["config"] + ([infile] if infile else [])))
+        files[target] = data.draw(mutated(files[target]))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"config": Path(tmp, "config.json"), "symbols": Path(tmp, "symbols.csv"),
+                     "block": Path(tmp, "block.bin")}
+            for name, path in paths.items():
+                path.write_bytes(files[name])
+            out = Path(tmp, "out")  # no suffix: a sample file is written in binary
+            argv = [command, "--config", str(paths["config"])]
+            if command == "pulse":
+                argv += ["--out", str(out)]
+            elif infile:
+                argv += ["--in", str(paths[infile]), "--out", str(out)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            if code in (2, 3):
+                assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().startswith(REFUSALS)
+                assert not out.exists()
+                return
+            assert code == 0 and stderr.getvalue() == ""
+            want = library_output(command, paths["config"], infile and paths[infile])
+            if command == "loopback":
+                assert stdout.getvalue() == want
+                assert math.isfinite(float(re.search(r"nmse=(\S+)", want).group(1)))
+            elif command == "pulse":
+                for name, samples in want.items():
+                    assert np.isfinite(samples).all()
+                    assert blockio.read_samples(out / f"{name}.bin").tobytes() == samples.tobytes()
+            else:
+                assert np.isfinite(want).all()
+                assert blockio.read_samples(out).tobytes() == want.tobytes()

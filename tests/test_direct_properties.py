@@ -22,7 +22,7 @@ from gfdm_modem.direct_modem import (
     precompute_td_mod,
 )
 from gfdm_modem.errors import SingularMatrix, SingularWindow
-from gfdm_modem.numerics import MulCounter, dft, fft_mul_count, polyphase
+from gfdm_modem.numerics import MulCounter, dft, fft_mul_count
 from gfdm_modem.pulses import GfdmParams, make_prototype, rx_window, tx_window
 from gfdm_modem.reference import build_matrix, oracle_demod_mf, oracle_demod_zf, oracle_modulate
 
@@ -45,7 +45,6 @@ def cases(log2_n_max):
         "delta": st.sampled_from([0.0, 0.5]),
         "rx": st.sampled_from(["ZF", "MF"]),
         "force_full": st.booleans(),
-        "emit_time": st.booleans(),
         "seed": st.integers(0, 2**32 - 1),
     })
 
@@ -72,7 +71,7 @@ def run_all(case):
         ("TD", "mod"): (precompute_td_mod(tx_window(pulse, "TD"), l_max),
                         lambda t, c: direct_modulate_td(grid, t, c)),
         ("FD", "mod"): (precompute_fd_mod(tx_window(pulse, "FD"), l_max, force_full=full),
-                        lambda t, c: direct_modulate_fd(grid, t, case["emit_time"], c)),
+                        lambda t, c: direct_modulate_fd(grid, t, c)),
         ("TD", "demod"): (precompute_td_demod(w_rx["TD"], l_max),
                           lambda t, c: direct_demodulate_td(y, t, c)),
         ("FD", "demod"): (precompute_fd_demod(w_rx["FD"], l_max, force_full=full),
@@ -91,35 +90,34 @@ def loop_chains(key, case, pulse, w_rx, grid, y, partitions):
     domain, direction = key
     if domain == "TD":
         if direction == "mod":
-            base = p.k * polyphase(pulse.time, p.m, p.k).T
+            base = p.k * pulse.time.reshape(p.m, p.k).T
             vec = dft(grid, inverse=True) / p.k
         else:
             base = (dft(w_rx["TD"].T, inverse=True) / p.m).T
-            vec = polyphase(y, p.m, p.k).T
+            vec = y.reshape(p.m, p.k).T
         acc = np.zeros((p.k, p.m), dtype=np.complex128)
         for m in range(p.m):
             acc += np.roll(base, m, axis=1) * vec[:, [m]]
         return acc.flatten(order="F") if direction == "mod" else dft(acc)
     if direction == "mod":
-        bands = polyphase(pulse.freq, p.k, p.m)
+        bands = pulse.freq.reshape(p.k, p.m)
         vec = dft(grid.T)
     else:
         bands = dft(w_rx["FD"])
-        vec = polyphase(dft(y), p.k, p.m).T
+        vec = dft(y).reshape(p.k, p.m).T
     acc = np.zeros((p.m, p.k), dtype=np.complex128)
     for l in partitions:
         mat = np.tile(bands[l, :][:, None], (1, p.k))
         acc += (mat if direction == "mod" else mat / p.k) * np.roll(vec, l, axis=1)
     if direction == "demod":
         return (dft(acc, inverse=True) / p.m).T
-    xf = acc.flatten(order="F")
-    return dft(xf, inverse=True) / p.n if case["emit_time"] else xf
+    return dft(acc.flatten(order="F"), inverse=True) / p.n
 
 
 def closed_form(key, case, params, overlap):
     k, m, n = params.k, params.m, params.n
     bank = m * fft_mul_count(k) if key[0] == "TD" else k * fft_mul_count(m)
-    tail = fft_mul_count(n) if key == ("FD", "mod") and case["emit_time"] else 0
+    tail = fft_mul_count(n) if key == ("FD", "mod") else 0
     return bank + overlap * n + tail
 
 
@@ -156,7 +154,7 @@ def test_chains_match_dense_oracle(case):
             assume(False)
     refs = {
         ("TD", "mod"): x,
-        ("FD", "mod"): x if case["emit_time"] else dft(x),
+        ("FD", "mod"): x,
         ("TD", "demod"): d,
         ("FD", "demod"): d,
     }

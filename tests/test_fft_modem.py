@@ -141,17 +141,15 @@ class TestModulate:
             pulse = make_prototype("RC", params, 0.5, 0.5)
             grid = random_grid(params, k * m)
             x_td = modulate_td(grid, tx_window(pulse, "TD"))
-            x_fd = modulate_fd(grid, tx_window(pulse, "FD"), emit_time=True)
+            x_fd = modulate_fd(grid, tx_window(pulse, "FD"))
             assert np.abs(x_fd - x_td).max() <= 1e-10 * np.abs(x_td).max()
-            spec = modulate_fd(grid, tx_window(pulse, "FD"))
-            assert np.abs(dft(spec, inverse=True) / params.n - x_td).max() <= 1e-10
 
     def test_dirichlet_block_structure(self):
         params = GfdmParams(4, 2)
         pulse = make_prototype("DIRICHLET", params)
         grid = np.zeros((4, 2), dtype=complex)
         grid[2, :] = 1.0  # single active subcarrier
-        spec = modulate_fd(grid, tx_window(pulse, "FD"))
+        spec = dft(modulate_fd(grid, tx_window(pulse, "FD")))
         live = np.abs(spec) > 1e-12
         assert live[2 * 2 : 3 * 2].any()
         assert not live[: 2 * 2].any() and not live[3 * 2 :].any()
@@ -159,8 +157,8 @@ class TestModulate:
     def test_zero_grid(self):
         params = GfdmParams(4, 4)
         pulse = make_prototype("RC", params, 0.5, 0.5)
-        spec = modulate_fd(np.zeros((4, 4), complex), tx_window(pulse, "FD"))
-        assert_allclose(spec, np.zeros(16), atol=1e-14)
+        x = modulate_fd(np.zeros((4, 4), complex), tx_window(pulse, "FD"))
+        assert_allclose(x, np.zeros(16), atol=1e-14)
 
     def test_linearity(self):
         params = GfdmParams(8, 4)

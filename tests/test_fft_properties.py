@@ -34,7 +34,6 @@ def cases(log2_n_max):
         "alpha": st.floats(0.0, 1.0),
         "delta": st.sampled_from([0.0, 0.5]),
         "rx": st.sampled_from(["ZF", "MF"]),
-        "emit_time": st.booleans(),
         "seed": st.integers(0, 2**32 - 1),
     })
 
@@ -58,7 +57,7 @@ def run_all(case):
     y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
     runs = {
         "TD_MOD": lambda c: modulate_td(grid, w_tx["TD"], c),
-        "FD_MOD": lambda c: modulate_fd(grid, w_tx["FD"], case["emit_time"], c),
+        "FD_MOD": lambda c: modulate_fd(grid, w_tx["FD"], c),
         "TD_DEMOD": lambda c: demodulate_td(y, w_rx["TD"], c),
         "FD_DEMOD": lambda c: demodulate_fd(dft(y), w_rx["FD"], c),
     }
@@ -75,7 +74,7 @@ def stage_sum(mode, case):
     n = k * m
     sizes = {
         "TD_MOD": (k, m, m),
-        "FD_MOD": (m, k, k) + ((n,) if case["emit_time"] else ()),
+        "FD_MOD": (m, k, k, n),
         "TD_DEMOD": (m, m, k),
         "FD_DEMOD": (k, k, m),
     }[mode]
@@ -92,10 +91,7 @@ def test_presets_count_per_stage_and_are_dual(case):
     for mode, (_, count) in out.items():
         assert count == stage_sum(mode, case), mode
     assert rel_err(out["TD_DEMOD"][0], out["FD_DEMOD"][0]) <= 1e-10
-    if case["emit_time"]:
-        assert rel_err(out["FD_MOD"][0], out["TD_MOD"][0]) <= 1e-10
-    else:
-        assert rel_err(out["FD_MOD"][0], dft(out["TD_MOD"][0])) <= 1e-10
+    assert rel_err(out["FD_MOD"][0], out["TD_MOD"][0]) <= 1e-10
 
 
 @given(cases(LOG2_N_ORACLE))
@@ -113,7 +109,7 @@ def test_presets_match_dense_oracle(case):
             assume(False)
     refs = {
         "TD_MOD": x,
-        "FD_MOD": x if case["emit_time"] else dft(x),
+        "FD_MOD": x,
         "TD_DEMOD": d,
         "FD_DEMOD": d,
     }

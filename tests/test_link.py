@@ -44,7 +44,7 @@ def engine_block(cfg, grid, counter):
         if d == "TD":
             x = fft_modem.modulate_td(grid, tx_window(pulse, "TD"), counter)
         else:
-            x = fft_modem.modulate_fd(grid, tx_window(pulse, "FD"), emit_time=True, counter=counter)
+            x = fft_modem.modulate_fd(grid, tx_window(pulse, "FD"), counter)
         yf = fd_equalize_zf(x, SPEC, counter=counter)
         return x, fft_modem.demodulate_fd(yf, rx_window(tx_window(pulse, "FD"), rx), counter)
     l_max = cfg.l_max
@@ -57,7 +57,7 @@ def engine_block(cfg, grid, counter):
         table = direct_modem.precompute_td_demod(w_rx, l_max)
         return x, direct_modem.direct_demodulate_td(y, table, counter)
     table = direct_modem.precompute_fd_mod(tx_window(pulse, "FD"), l_max, force_full=True)
-    x = direct_modem.direct_modulate_fd(grid, table, emit_time=True, counter=counter)
+    x = direct_modem.direct_modulate_fd(grid, table, counter)
     yf = fd_equalize_zf(x, SPEC, counter=counter)
     table = direct_modem.precompute_fd_demod(w_rx, l_max, force_full=True)
     return x, direct_modem.direct_demodulate_fd(yf, table, counter)
@@ -138,8 +138,8 @@ class TestPlanReuse:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of pulse syntheses and of Zak transforms (each transmit window is one)."""
-    count = {"make_prototype": 0, "zak": 0}
+    """Counts of the link's pulse syntheses and transmit windows."""
+    count = {"make_prototype": 0, "tx_window": 0}
 
     def counted(module, name, key):
         original = getattr(module, name)
@@ -150,8 +150,7 @@ def builds(monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     counted(link, "make_prototype", "make_prototype")
-    counted(pulses, "zak_time", "zak")
-    counted(pulses, "zak_freq", "zak")
+    counted(link, "tx_window", "tx_window")
     return count
 
 
@@ -193,8 +192,8 @@ class TestWaveformReuse:
         seq = [replace(base, arch=arch, domain=domain, rx=rx, l_max=l_max)
                for l_max in (16, 8) for arch, domain, rx in ENGINES]
         spent = [assert_block_matches_engines(cfg, i, builds) for i, cfg in enumerate(seq + seq[::-1])]
-        assert spent[0] == {"make_prototype": 1, "zak": 2}  # one pulse, its TD and FD windows
-        assert all(s == {"make_prototype": 0, "zak": 0} for s in spent[1:])
+        assert spent[0] == {"make_prototype": 1, "tx_window": 2}  # one pulse, its TD and FD windows
+        assert all(s == {"make_prototype": 0, "tx_window": 0} for s in spent[1:])
 
     @pytest.mark.parametrize(
         "field,value,new_pulse",
@@ -211,7 +210,7 @@ class TestWaveformReuse:
         other = replace(cfg, **{field: value})
         link.plan_for(other)
         assert builds["make_prototype"] - before["make_prototype"] == int(new_pulse)
-        assert builds["zak"] - before["zak"] == 2 * int(new_pulse)
+        assert builds["tx_window"] - before["tx_window"] == 2 * int(new_pulse)
         assert (held_windows(other) is not wave) == new_pulse
         params, w_td, w_fd = held_windows(other)
         pulse = make_prototype(other.pulse.upper(), other.params, other.alpha, other.delta)
@@ -489,7 +488,7 @@ class TestHeldStores:
         for cfg, windows_built, held in steps:
             link.plan_for(cfg)
             entry = 2 * cfg.n * 16
-            assert (builds["zak"], len(store)) == (2 * windows_built, held)  # two transforms per build
+            assert (builds["tx_window"], len(store)) == (2 * windows_built, held)  # two windows per build
             assert store.nbytes == held * entry <= max(HELD_BYTES, entry)
 
     def test_failed_builds_raise_on_every_call_and_leave_the_stores_unchanged(self):
@@ -532,8 +531,7 @@ HOLDERS = {
     "link._cm_count": (False, "closed-form count per kind and geometry; keys bounded by the legal geometries"),
     "numerics._size_cost": (False, "transform cost per power-of-two size: +0.5% cycle time without it"),
     "fft_modem._geometry": (False, "window geometry per K x M shape: +3.0% cycle time without it"),
-    "fft_modem._preset_stages": (False, "stage tuple per mode and grid: with _preset_memories, +4.4% without"),
-    "fft_modem._preset_memories": (False, "memory pair per window shape: with _preset_stages, +4.4% without"),
+    "fft_modem._preset_stages": (False, "stage tuple and memory pair per mode, grid and chains: +4.4% without"),
     "cli._build_parser": (False, "the one argument parser, built on the first command"),
 }
 

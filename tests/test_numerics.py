@@ -1,4 +1,4 @@
-"""Tests for the counted radix-2 kernels, polyphase reshaping, and Zak transforms."""
+"""Tests for the counted radix-2 transform and the numeric input rules."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,6 @@ from gfdm_modem.numerics import (
     dft,
     fft_mul_count,
     finite_only,
-    polyphase,
-    zak_freq,
-    zak_time,
 )
 
 
@@ -244,70 +241,3 @@ class TestNormalized:
         with pytest.raises(ConfigError, match="power of two"):
             dft(np.ones(12, dtype=complex), normalized=True)
 
-
-class TestPolyphase:
-    def test_index_arithmetic(self):
-        v = polyphase(np.arange(6), 2, 3)
-        assert_allclose(v, [[0, 1, 2], [3, 4, 5]])
-
-    def test_impulse(self):
-        a = np.zeros(12)
-        a[0] = 1.0
-        v = polyphase(a, 3, 4)
-        assert v[0, 0] == 1.0
-        assert np.count_nonzero(v) == 1
-
-    def test_round_trips(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert_allclose(polyphase(a, 4, 8).reshape(-1), a)
-        mat = rng.standard_normal((4, 8))
-        assert_allclose(polyphase(mat.reshape(-1), 4, 8), mat)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            polyphase(np.arange(7), 2, 3)
-
-
-class TestZak:
-    def test_time_impulse(self):
-        a = np.zeros(8, dtype=complex)
-        a[0] = 1.0
-        z = zak_time(a, 4, 2)
-        assert_allclose(z[:, 0], np.ones(4), atol=1e-14)
-        assert_allclose(z[:, 1], np.zeros(4), atol=1e-14)
-
-    def test_time_all_ones(self):
-        z = zak_time(np.ones(4, dtype=complex), 2, 2)
-        assert_allclose(z[0], [2, 2], atol=1e-14)
-        assert_allclose(z[1], [0, 0], atol=1e-14)
-
-    def test_time_matches_naive_per_column(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        z = zak_time(a, 8, 4)
-        v = polyphase(a, 8, 4)
-        for p in range(4):
-            assert_allclose(z[:, p], naive_dft(v[:, p]), atol=1e-11)
-
-    def test_freq_impulse(self):
-        af = np.zeros(4, dtype=complex)
-        af[0] = 1.0
-        z = zak_freq(af, 2, 2)
-        assert_allclose(z[:, 0], [0.5, 0.5], atol=1e-14)
-        assert_allclose(z[:, 1], [0, 0], atol=1e-14)
-
-    def test_freq_of_flat_spectrum(self):
-        # Spectrum of a time impulse is all-ones; its dual Zak transform
-        # concentrates on the first polyphase row (computed ground truth).
-        z = zak_freq(np.ones(4, dtype=complex), 2, 2)
-        assert_allclose(z[0], [1, 1], atol=1e-14)
-        assert_allclose(z[1], [0, 0], atol=1e-14)
-
-    def test_freq_matches_naive(self):
-        rng = np.random.default_rng(9)
-        af = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        z = zak_freq(af, 8, 4)
-        v = polyphase(af, 8, 4)
-        for p in range(4):
-            assert_allclose(z[:, p], naive_dft(v[:, p], inverse=True) / 8, atol=1e-11)

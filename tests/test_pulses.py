@@ -138,6 +138,49 @@ class TestTxWindow:
             tx_window(pulse, "XX")
 
 
+def raw_pulse(k, m, time, freq):
+    """A pulse that holds the given samples as they are, so ``tx_window`` reads exactly them."""
+    return PrototypePulse("RC", GfdmParams(k, m), 0.0, 0.0, np.asarray(time, complex), np.asarray(freq, complex))
+
+
+def naive_columns(v, inverse=False):
+    """The O(n^2) unnormalized DFT (or IDFT) down each column, by the matrix of its definition."""
+    n = len(v)
+    return np.exp((1 if inverse else -1) * 2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) @ v
+
+
+class TestZakWindows:
+    """``tx_window`` is K times one transform down the columns of a polyphase matrix, the row-major
+    ``Q x P`` reshape whose row ``q`` holds ``a[q*P : (q+1)*P]``: in TD the DFT of the time pulse's
+    M x K matrix, transposed (the Zak transform); in FD the 1/K inverse DFT of the spectrum's K x M
+    matrix (the dual Zak transform)."""
+
+    def test_time_impulse_fills_row_zero(self):
+        a = np.zeros(8)
+        a[0] = 1.0
+        assert_allclose(tx_window(raw_pulse(2, 4, a, a), "TD"), [[2] * 4, [0] * 4], atol=1e-14)
+
+    def test_time_all_ones_fills_column_zero(self):
+        assert_allclose(tx_window(raw_pulse(2, 2, np.ones(4), np.ones(4)), "TD"), [[4, 0], [4, 0]], atol=1e-14)
+
+    def test_freq_impulse_fills_column_zero(self):
+        af = np.zeros(4)
+        af[0] = 1.0
+        assert_allclose(tx_window(raw_pulse(2, 2, af, af), "FD"), [[1, 0], [1, 0]], atol=1e-14)
+
+    def test_flat_spectrum_fills_row_zero(self):
+        # The spectrum of a time impulse is flat; its dual Zak transform sits on the first polyphase row.
+        assert_allclose(tx_window(raw_pulse(2, 2, np.ones(4), np.ones(4)), "FD"), [[2, 2], [0, 0]], atol=1e-14)
+
+    @pytest.mark.parametrize("k,m", [(4, 8), (8, 4), (2, 16)])
+    def test_both_domains_match_the_naive_transform_per_column(self, k, m):
+        rng = np.random.default_rng(8)
+        a, af = (rng.standard_normal(k * m) + 1j * rng.standard_normal(k * m) for _ in range(2))
+        pulse = raw_pulse(k, m, a, af)
+        assert_allclose(tx_window(pulse, "TD"), k * naive_columns(a.reshape(m, k)).T, atol=1e-11)
+        assert_allclose(tx_window(pulse, "FD"), naive_columns(af.reshape(k, m), inverse=True), atol=1e-11)
+
+
 class TestRxWindow:
     def test_zf_inverts_elementwise(self):
         w_tx = np.full((2, 2), 2.0 + 0j)

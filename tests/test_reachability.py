@@ -9,9 +9,14 @@ root.  What a listed definition reaches is kept with it, so a helper that only a
 calls fails here once the wrapper goes.  ``link._table`` finds the four
 ``direct_modem.precompute_*`` by name, so it reaches them.  The ``__init__`` re-exports are not
 roots.
+
+Beside it, the options guard: every defaulted parameter of a function a root reaches is passed by
+some call in the package, or listed in ``UNSET`` with the reason it is kept, so no option stays that
+only a test sets.  The listed, unreached definitions are outside this guard.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import gfdm_modem
@@ -47,9 +52,10 @@ def _bound_names(node):
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def parse_package(src=SRC):
-    """``(graph, definitions)``: the names each top-level binding refers to, keyed ``(module, name)``
-    (``None`` for a module's import-time code), and the top-level functions and classes."""
+def index_package(src=SRC):
+    """``(trees, bindings, resolve)``: each module's syntax tree, its top-level bindings (the nodes each
+    name is bound to, ``None`` for its import-time code) and ``resolve(module, node)``, the
+    ``(module, name)`` of the top-level binding a name or a module attribute refers to, else ``None``."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     bindings, modules, names = {}, {}, {}
     for module, tree in trees.items():
@@ -71,22 +77,33 @@ def parse_package(src=SRC):
             else:
                 bound.setdefault(None, []).append(node)
 
-    def resolve(module, name):
+    def by_name(module, name):
         if name in bindings[module]:
             return module, name
         if name in names[module]:
-            return resolve(*names[module][name])
+            return by_name(*names[module][name])
         return None
 
+    def resolve(module, node):
+        if isinstance(node, ast.Name):
+            return by_name(module, node.id)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules[module]:
+            return by_name(modules[module][node.value.id], node.attr)
+        return None
+
+    return trees, bindings, resolve
+
+
+def parse_package(src=SRC):
+    """``(graph, definitions)``: the names each top-level binding refers to, keyed ``(module, name)``
+    (``None`` for a module's import-time code), and the top-level functions and classes."""
+    trees, bindings, resolve = index_package(src)
     graph = {}
     for module, bound in bindings.items():
         for name, nodes in bound.items():
             refs = set(BY_NAME.get((module, name), ()))
             for node in (n for tree in nodes if tree is not None for n in ast.walk(tree)):
-                if isinstance(node, ast.Name):
-                    refs.add(resolve(module, node.id))
-                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules[module]:
-                    refs.add(resolve(modules[module][node.value.id], node.attr))
+                refs.add(resolve(module, node))
             graph[module, name] = refs - {None}
     definitions = {(module, node.name) for module, tree in trees.items() for node in tree.body
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -135,3 +152,60 @@ def test_an_unreached_helper_fails(tmp_path):
     with (tmp_path / "numerics.py").open("a") as f:
         f.write("\n\ndef _orphan():\n    return dft\n")
     assert unreached(tmp_path)[1] == {("numerics", "_orphan")}
+
+
+#: Defaulted parameters of reached functions that no ``src/`` call passes, each kept for a reason.
+UNSET = {
+    ("link", "modulate_block", "counter"): "the meter API",
+    ("link", "demodulate_block", "counter"): "the meter API",
+    ("cli", "main", "argv"): "the entry point",
+}
+
+
+def _defaulted(fn):
+    """``(positional, defaulted)``: a function's positional parameter names and those with a default."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    return positional, defaulted + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def unset_options(src=SRC):
+    """The defaulted parameters ``(module, function, parameter)`` of the top-level functions a root
+    reaches that no call in ``src`` passes, by keyword, by position or through ``*`` or ``**``.  In a
+    ``BY_NAME`` caller, a call of a name that is no top-level binding and no builtin calls each target."""
+    trees, bindings, resolve = index_package(src)
+    graph, _ = parse_package(src)
+    from_roots = reached(graph, ROOTS | {key for key in graph if key[1] is None})
+    functions = {(module, node.name): node for module, tree in trees.items() for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    passed = set()
+    for module, bound in bindings.items():
+        for name, nodes in bound.items():
+            for call in (n for tree in nodes if tree is not None for n in ast.walk(tree) if isinstance(n, ast.Call)):
+                targets = {resolve(module, call.func)}
+                if targets == {None} and isinstance(call.func, ast.Name) and not hasattr(builtins, call.func.id):
+                    targets = BY_NAME.get((module, name), set())
+                for target in targets & set(functions):
+                    positional, defaulted = _defaulted(functions[target])
+                    if any(k.arg is None for k in call.keywords):  # ``**`` passes them all
+                        names = defaulted
+                    else:
+                        starred = any(isinstance(a, ast.Starred) for a in call.args)  # so does ``*``
+                        names = (positional if starred else positional[:len(call.args)]) + [k.arg for k in call.keywords]
+                    passed.update((*target, param) for param in names)
+    return {(*key, param) for key in from_roots & set(functions) for param in _defaulted(functions[key])[1]
+            if (*key, param) not in passed}
+
+
+def test_every_option_of_a_reached_function_is_set_or_listed():
+    assert sorted(unset_options()) == sorted(UNSET), "an option no src/ call sets: set it, list it or delete it"
+
+
+def test_an_option_nothing_sets_fails(tmp_path):
+    # The guard on a copy of the package whose transform gains a keyword that no call passes.
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    text = (tmp_path / "numerics.py").read_text()
+    (tmp_path / "numerics.py").write_text(text.replace("normalized: bool = False\n", "normalized: bool = False, spare=0\n", 1))
+    assert unset_options(tmp_path) == set(UNSET) | {("numerics", "dft", "spare")}

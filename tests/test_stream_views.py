@@ -110,8 +110,8 @@ def read_only(a):
     return a
 
 
-#: (mode, stage disabled): the presets, ``modulate_fd(emit_time=False)``, ``demodulate_td`` and
-#: the single-stage table.
+#: (mode, stage disabled): the presets, the FD modulator without its final stage, ``demodulate_td``
+#: and the single-stage table.
 VARIANTS = [(mode, None) for mode in MODES] + [("FD_MOD", 3), ("TD_DEMOD", 0), ("SINGLE", None)]
 
 
