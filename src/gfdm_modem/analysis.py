@@ -5,12 +5,12 @@ N-point equalizer transform of a frequency-domain-equalized link; a loopback
 report compares its total against the instrumented counter of the run
 (``LoopbackReport.cm_match``).  Latency figures model pipelined block processing
 from first symbol in to last symbol out, built on the paper's fixed table of
-FFT-core processing cycles per size and its multiplier delay.
+FFT-core processing cycles per size and its multiplier delay.  :func:`sweep`
+writes the ``analyze`` command's CSV table of both.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -21,13 +21,11 @@ __all__ = [
     "ARCH_KINDS",
     "LATENCY_KINDS",
     "ResourceCount",
-    "AnalysisRow",
     "cm_count",
     "latency",
     "latency_delta",
     "resources",
     "sweep",
-    "rows_to_csv",
 ]
 
 ARCH_KINDS = (
@@ -134,57 +132,25 @@ def resources(kind: str, l_max: int = 16) -> ResourceCount:
     raise ConfigError(f"resource kind must be 'FFT_BASED' or 'DIRECT', got {kind!r}")
 
 
-@dataclass(frozen=True)
-class AnalysisRow:
-    kind: str
-    k: int
-    m: int
-    n: int
-    cm: int
-    latency: int | None
-    delta: int | None
-    increase_pct: float | None
-    status: str = "ok"
-
-
-def sweep(
-    kinds: list[str],
-    geometries: list[tuple[int, int]],
-    l: int | None = None,
-) -> list[AnalysisRow]:
-    """Evaluate counts and latency over kind/geometry combinations.
+def sweep(kinds: list[str], geometries: list[tuple[int, int]], l: int | None = None) -> str:
+    """The ``analyze`` table: a ``kind,K,M,N,cm,latency,delta,increase_pct,status`` CSV row per
+    kind and geometry, kinds outermost, each kind checked before any of its geometries.
 
     Rows whose transform sizes are missing from the cost table are emitted
     with empty latency fields and a ``missing cost entry`` status instead of
     failing the whole sweep.
     """
-    rows = []
+    lines = ["kind,K,M,N,cm,latency,delta,increase_pct,status"]
     for kind in kinds:
         if kind not in ARCH_KINDS:
             raise ConfigError(f"unknown architecture kind {kind!r}")
         for k, m in geometries:
-            cm = cm_count(kind, k, m, l)
-            lat = delta = pct = None
-            status = "ok"
+            cells = [kind, k, m, k * m, cm_count(kind, k, m, l), "", "", "", "ok"]
             if kind in LATENCY_KINDS:
                 try:
-                    lat = latency(kind, k, m)
-                    delta = latency_delta(k, m)
-                    base = latency("DIR_TD_TD", k, m)
-                    pct = 100.0 * delta / base
+                    lat, delta, base = latency(kind, k, m), latency_delta(k, m), latency("DIR_TD_TD", k, m)
+                    cells[5:8] = lat, delta, f"{100.0 * delta / base:.1f}"
                 except MissingCostEntry:
-                    status = "missing cost entry"
-                    lat = delta = pct = None
-            rows.append(AnalysisRow(kind, k, m, k * m, cm, lat, delta, pct, status))
-    return rows
-
-
-def rows_to_csv(rows: list[AnalysisRow]) -> str:
-    buf = io.StringIO()
-    buf.write("kind,K,M,N,cm,latency,delta,increase_pct,status\n")
-    for r in rows:
-        lat = "" if r.latency is None else str(r.latency)
-        delta = "" if r.delta is None else str(r.delta)
-        pct = "" if r.increase_pct is None else f"{r.increase_pct:.1f}"
-        buf.write(f"{r.kind},{r.k},{r.m},{r.n},{r.cm},{lat},{delta},{pct},{r.status}\n")
-    return buf.getvalue()
+                    cells[8] = "missing cost entry"
+            lines.append(",".join(map(str, cells)))
+    return "\n".join(lines) + "\n"

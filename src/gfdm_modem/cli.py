@@ -71,6 +71,9 @@ def _cmd_modulate(args: argparse.Namespace) -> int:
 
 def _cmd_demodulate(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    if args.domain and cfg.arch == "fft":
+        raise ConfigError("demodulate --domain is for the direct engine: the FFT one demodulates in frequency "
+                          "in both domains")
     framed = blockio.read_samples(args.infile)
     expected = cfg.n + cfg.n_cp + cfg.n_cs
     if framed.size != expected:
@@ -122,8 +125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("analyze needs either --n or both --k-list and --m-list")
 
-    rows = analysis.sweep(kinds, geometries, l=args.overlap)
-    csv_text = analysis.rows_to_csv(rows)
+    csv_text = analysis.sweep(kinds, geometries, l=args.overlap)
     if args.out:
         blockio.rewrite(args.out, csv_text.replace("\n", os.linesep).encode())  # as write_text writes it
         print(args.out)

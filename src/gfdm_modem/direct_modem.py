@@ -10,10 +10,12 @@ The chains compute what the FFT pipeline's stage 1 -> window -> stage 2
 computes, so every table comes from its mode's own K x M window by one rule:
 the tap rows are the window's stage transform, stages 1 and 2 folded in.  In
 the time domain all M rows are held, in frequency one row per occupied
-subcarrier band, which is where sparse windows pay off.  The rule checks the
-chain budget ``l_max``, a plain int under the one count rule
-(``numerics.check_positive``), then the block length against
-:data:`MAX_DIRECT_N` and the chain count against ``l_max``, and returns the
+subcarrier band (all K with ``force_full``, as the link builds them), which is
+where sparse windows pay off.  The rule checks the chain budget ``l_max``, a
+plain int under the one count rule (``numerics.check_positive``), then the
+block length against :data:`MAX_DIRECT_N` and the chain count against
+``l_max``: a full set is refused as "L chains needed", a sparse one as
+"(receive) pulse occupies L subcarrier bands".  It returns the
 mode's :mod:`fft_modem` stage table with the tap rows in the window slot; the
 counter charges L*N multiplications per pass.  A table build validates no
 geometry anew: it takes ``fft_modem.window_geometry``, held per window shape.
@@ -61,7 +63,7 @@ def _chain_table(mode: str, window: np.ndarray, l_max: int, full: bool = True) -
     parts = range(len(taps)) if full else tuple(occupied_bands(taps).tolist())
     if len(parts) > l_max:
         raise ChainLimitExceeded(
-            f"{len(parts)} chains needed, only {l_max} available" if td else
+            f"{len(parts)} chains needed, only {l_max} available" if full else
             f"{'receive ' if mode == 'FD_DEMOD' else ''}pulse occupies {len(parts)} subcarrier bands, "
             f"only {l_max} chains available"
         )

@@ -28,8 +28,10 @@ class SingularChannel(GfdmError):
 class ChainLimitExceeded(GfdmError):
     """A direct-convolution table needs more parallel multiplier chains than available.
 
-    Raised when a table is built, after the block-length check: a time-domain table
-    needs M chains, a frequency-domain one a chain per occupied subcarrier band.
+    Raised when a table is built, after the block-length check: a full chain set (every
+    time-domain table, M chains, and the link's frequency-domain ones, K chains) says
+    "L chains needed"; a sparse frequency-domain set needs a chain per occupied subcarrier
+    band and says how many bands its pulse occupies.
     """
 
 

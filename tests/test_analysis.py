@@ -1,5 +1,7 @@
 """Tests for the closed-form complexity, latency, and resource figures."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -11,7 +13,6 @@ from gfdm_modem.analysis import (
     latency,
     latency_delta,
     resources,
-    rows_to_csv,
     sweep,
 )
 from gfdm_modem.config import RunConfig
@@ -21,6 +22,11 @@ from gfdm_modem.link import run_loopback
 
 def log2(n):
     return int(math.log2(n))
+
+
+def table(csv_text):
+    """The rows of a :func:`sweep` table, each a dict of its cells by column name."""
+    return list(csv.DictReader(io.StringIO(csv_text)))
 
 
 class TestCmCount:
@@ -139,15 +145,19 @@ class TestResources:
         r1 = resources("DIRECT", 1)
         assert (r1.fft_cores, r1.multipliers, r1.rw_rams, r1.r_or_w_rams) == (4, 2, 2, 2)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="^resource kind must be 'FFT_BASED' or 'DIRECT', got 'FOO'$"):
+            resources("FOO")
+
 
 def rams(r):
     return r.rw_rams + r.r_or_w_rams
 
 
 class TestAbstractClaims:
-    """The abstract's first two claims in the closed-form model: the FFT-based modem needs fewer
-    complex multiplications than the better direct kind, and fewer multipliers and RAMs, at the
-    price of more transform cores."""
+    """The abstract's claims in the closed-form model: the FFT-based modem needs fewer complex
+    multiplications than the better direct kind, and fewer multipliers and RAMs, at the price of
+    more transform cores; its latency premium is pinned as recorded rows."""
 
     def test_fft_count_is_below_the_better_direct_kind_in_all_100_cells(self):
         sides = [2**i for i in range(1, 11)]  # K, M in 2..1024
@@ -170,6 +180,17 @@ class TestAbstractClaims:
         assert (fft.multipliers, direct.multipliers) == (2, 2)
         assert (rams(fft), rams(direct)) == (6, 4)
 
+    def test_latency_premium_as_recorded_rows(self):
+        # "Similar latency for larger block size" is not monotone in the cycle model, and no threshold
+        # says what "similar" is: the premium over DIR_TD_TD, as analyze prints it, is pinned as recorded.
+        k8 = table(sweep(["FFT_TD_FD"], [(8, n // 8) for n in (64, 128, 256, 512, 1024, 2048)]))
+        assert [row["increase_pct"] for row in k8] == ["17.8", "25.9", "18.5", "16.4", "13.5", "12.5"]
+        square = table(sweep(["FFT_TD_FD"], [(16, 16), (32, 32), (64, 32)]))
+        assert [row["increase_pct"] for row in square] == ["16.0", "6.2", "3.8"]
+        # FFT_CYCLES stops at 2048: a larger block has no premium to print.
+        beyond = table(sweep(["FFT_TD_FD"], [(8, 512), (64, 64)]))
+        assert [(row["increase_pct"], row["status"]) for row in beyond] == [("", "missing cost entry")] * 2
+
 
 class TestReconcile:
     def test_idle_run_counts_zero(self):
@@ -181,16 +202,16 @@ class TestReconcile:
 
 class TestSweep:
     def test_rows_and_missing_entries(self):
-        rows = sweep(["DIR_TD_TD"], [(16, 16), (4, 16)])
-        assert rows[0].latency == 2330 and rows[0].status == "ok"
-        assert rows[1].latency is None and rows[1].status == "missing cost entry"
-        csv_text = rows_to_csv(rows)
-        assert "missing cost entry" in csv_text
-        assert csv_text.splitlines()[1].startswith("DIR_TD_TD,16,16,256,")
+        csv_text = sweep(["DIR_TD_TD"], [(16, 16), (4, 16)])
+        assert csv_text.splitlines()[0] == "kind,K,M,N,cm,latency,delta,increase_pct,status"
+        rows = table(csv_text)
+        assert rows[0]["latency"] == "2330" and rows[0]["status"] == "ok"
+        assert rows[1]["latency"] == "" and rows[1]["status"] == "missing cost entry"
+        assert csv_text.splitlines()[1].startswith("DIR_TD_TD,16,16,256,") and csv_text.endswith("\n")
 
     def test_all_kinds(self):
-        rows = sweep(list(ARCH_KINDS), [(16, 16)], l=2)
-        assert len(rows) == len(ARCH_KINDS)
+        rows = table(sweep(list(ARCH_KINDS), [(16, 16)], l=2))
+        assert [row["kind"] for row in rows] == list(ARCH_KINDS)
 
 
 class TestOverlapRule:

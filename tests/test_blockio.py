@@ -356,6 +356,12 @@ class TestHeaderCount:
         for name in ("exact.bin", "raw.bin"):
             assert blockio.read_samples(tmp_path / name).tobytes() == self.DATA.tobytes()
 
+    def test_an_unknown_format_is_refused_and_writes_no_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ConfigError, match="^unknown sample format 'txt', expected 'bin' or 'csv'$"):
+            blockio.write_samples(path, self.DATA, "txt")
+        assert not path.exists()
+
     def test_truncated_payload_is_still_refused(self, tmp_path):
         path = tmp_path / "short.bin"
         blockio.write_samples(path, self.DATA)

@@ -75,6 +75,10 @@ class TestFraming:
         with pytest.raises(ConfigError, match=r"^prefix/suffix lengths must lie in \[0, N\]$"):
             remove_cp(np.arange(8.0), n_cp, n_cs)
 
+    def test_remove_cp_refuses_a_block_with_no_core(self):
+        with pytest.raises(ConfigError, match="^framed block shorter than its prefix plus suffix$"):
+            remove_cp(np.ones(3), 2, 2)
+
     @pytest.mark.parametrize("value", [True, np.bool_(True), 1.5, 2.0, "1", None])
     @pytest.mark.parametrize("frame", [add_cp, remove_cp])
     def test_a_length_that_is_no_integer_is_refused(self, frame, value):

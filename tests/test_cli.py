@@ -535,7 +535,7 @@ class TestOptions:
     @pytest.mark.parametrize("command,option", [(c, o) for c, options in OPTIONS.items() for o in options])
     def test_every_option_changes_its_commands_output(self, tmp_path, capsys, command, option):
         value = OPTIONS[command][option]
-        # The FFT receiver demodulates in the frequency domain whatever the domain; the direct one does not.
+        # demodulate takes --domain only on the direct engine; the FFT one demodulates in frequency in both.
         base = {"arch": "direct"} if (command, option) == ("demodulate", "--domain") else {}
         blockio.write_samples(tmp_path / "sym.bin", qpsk_symbols(5, 32))
         assert main(["modulate", "--config", str(write_config(tmp_path)), "--in", str(tmp_path / "sym.bin"),
@@ -558,6 +558,25 @@ class TestOptions:
         assert given != plain
         if option != "--format":  # an override gives what the configured field gives
             assert given == run("configured", **{option[2:]: value})
+
+    @pytest.mark.parametrize("configured,extra", [
+        ("fft", ["--domain", "td"]), ("fft", ["--domain", "fd"]), ("direct", ["--arch", "fft", "--domain", "fd"])])
+    def test_demodulate_domain_on_the_fft_engine_exits_2(self, tmp_path, capsys, configured, extra):
+        # The FFT receiver demodulates in frequency in both domains: --domain td and fd used to write
+        # byte-identical estimates with exit 0.  --arch is applied first.
+        cfg, sym = write_config(tmp_path, arch=configured), tmp_path / "sym.bin"
+        block, est = tmp_path / "block.bin", tmp_path / "est.bin"
+        blockio.write_samples(sym, qpsk_symbols(5, 32))
+        assert main(["modulate", "--config", str(cfg), "--in", str(sym), "--out", str(block)]) == 0
+        capsys.readouterr()
+        assert main(["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "invalid configuration: demodulate --domain is for the direct engine: "
+            "the FFT one demodulates in frequency in both domains\n")
+        assert not est.exists()
+        assert main(["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est),
+                     "--arch", "direct", "--domain", "fd"]) == 0
 
 
 class TestTypeRule:
@@ -656,6 +675,34 @@ class TestCliRefusals:
         assert main(["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est)]) == 2
         assert "longer than its header" in capsys.readouterr().err
         assert not est.exists()
+
+    def test_demodulate_refuses_a_block_of_another_length(self, tmp_path, capsys):
+        cfg, block, est = write_config(tmp_path, n_cp=2), tmp_path / "block.bin", tmp_path / "est.bin"
+        blockio.write_samples(block, np.ones(33))  # K=8, M=4 and n_cp=2 frame 34 samples
+        assert main(["demodulate", "--config", str(cfg), "--in", str(block), "--out", str(est)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invalid configuration: expected 34 framed samples, got 33\n" and captured.out == ""
+        assert not est.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("[8, 4]", "configuration must be a JSON object"),
+        ('{"k": 8}', "configuration needs at least 'k' and 'm'"),
+        ('{"m": 4}', "configuration needs at least 'k' and 'm'"),
+        ('{"k": 8, "m": 4, "channel_taps": [[1, 0, 0]]}', "channel tap [1, 0, 0] is not a [re, im] pair"),
+    ])
+    def test_a_malformed_configuration_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["loopback", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid configuration: {message}\n" and captured.out == ""
+
+    def test_a_configuration_that_does_not_exist_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["loopback", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: cannot read configuration: ") and captured.out == ""
+        assert str(path) in captured.err and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("arch", ["fft", "direct"])
     def test_loopback_with_overflowing_channel_taps_exits_2(self, tmp_path, capsys, arch):
@@ -760,6 +807,15 @@ class TestCliRefusals:
     ])
     def test_analyze_list_with_no_entry_exits_2(self, capsys, argv, message):
         # An empty list used to print only the CSV header and exit 0.
+        assert main(["analyze", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid configuration: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "12"], "N must be a power of two, got 12"),
+        (["--kinds", "FOO", "--n", "8"], "unknown architecture kind 'FOO'"),
+    ])
+    def test_analyze_refusals_exit_2(self, capsys, argv, message):
         assert main(["analyze", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"invalid configuration: {message}\n" and captured.out == ""

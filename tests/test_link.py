@@ -744,14 +744,26 @@ class TestChainLimitAtPlanBuild:
         with pytest.raises(ConfigError, match="^block length 4096 exceeds the 2048-point FFT limit$"):
             link.plan_for(cfg)
 
-    @pytest.mark.parametrize("domain,message", [
-        ("td", "^32 chains needed, only 16 available$"),
-        ("fd", "^pulse occupies 32 subcarrier bands, only 16 chains available$"),
-    ])
-    def test_modulator_chain_count_refused_before_receive_window(self, domain, message):
+    def test_a_full_frequency_domain_set_counts_its_chains_not_bands(self, tmp_path, capsys):
+        # RC alpha=0.5 on 8 x 4 occupies the two bands 0 and 7, yet the link's full FD set needs all
+        # K = 8 chains; the refusal used to say "pulse occupies 8 subcarrier bands".
+        cfg = RunConfig(k=8, m=4, arch="direct", domain="fd", l_max=4)
+        with pytest.raises(ChainLimitExceeded, match="^8 chains needed, only 4 available$"):
+            link.plan_for(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(emit_config(cfg)))
+        assert main(["loopback", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "invalid configuration: 8 chains needed, only 4 available\n"
+        # The sparse set of the same window holds the two occupied bands and fits the budget.
+        w_fd = tx_window(make_prototype("RC", cfg.params, 0.5, 0.5), "FD")
+        assert direct_modem.precompute_fd_mod(w_fd, 4).partitions == (0, 7)
+
+    @pytest.mark.parametrize("domain", ["td", "fd"])
+    def test_modulator_chain_count_refused_before_receive_window(self, domain):
         # delta=0 makes the zero-forcing window singular too; the modulator's table is built first.
+        # Both are full chain sets (M chains in TD, all K in FD), so both count chains, not bands.
         cfg = RunConfig(k=32, m=32, delta=0.0, arch="direct", domain=domain, l_max=16)
         with pytest.raises(SingularWindow):
             link.plan_for(replace(cfg, arch="fft"))
-        with pytest.raises(ChainLimitExceeded, match=message):
+        with pytest.raises(ChainLimitExceeded, match="^32 chains needed, only 16 available$"):
             link.plan_for(cfg)
