@@ -5,7 +5,7 @@ A ``RunConfig`` is checked once, when built, and holds what its rules built: the
 ``channel`` (``channel.ChannelSpec`` of ``(channel_taps, snr_db)``, the one home of the taps and SNR
 rules), each evaluated in ``__post_init__``, so a block run on it runs neither rule again.  Its
 fields hold the checked values, the active sets sorted without repeats (``None`` for the full
-range), so two configurations of one geometry are equal.
+range) and the pulse name in lower case, so two configurations of one geometry and waveform are equal.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ class RunConfig:
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not isinstance(self.pulse, str):
             raise ConfigError(f"pulse must be a string, got {self.pulse!r}")
+        object.__setattr__(self, "pulse", self.pulse.lower())  # held in lower case, as parse_config passes it
         check_pulse_spec(self.pulse.upper(), self.alpha, self.delta)
         for name, choices in _CHOICES.items():
             value = getattr(self, name)
@@ -94,10 +95,17 @@ class RunConfig:
 
 
 def _as_float(name: str, value) -> float:
-    """``float(value)`` for a JSON number, numeric string or ``null``; a JSON boolean is no number."""
+    """``float(value)`` for a JSON number or numeric string.  A boolean, ``null``, array, object, other
+    string or integer beyond float range is refused, naming ``name``."""
     if isinstance(value, bool):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        rule = "a real number within float range"
+    except (TypeError, ValueError):
+        rule = f"a real number, got {value!r}"
+    raise ConfigError(f"malformed configuration value: {name} must be {rule}")
 
 
 def _as_array(name: str, raw) -> list:

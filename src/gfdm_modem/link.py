@@ -21,8 +21,7 @@ the direct chain table whose tap rows are that window's stage transform.  So a
 switch of engine, domain or receiver synthesizes no pulse, and a direct
 configuration with several faults reports the first of block length, chain
 count, singular zero-forcing window.  A plan holds its kind's
-``analysis.cm_count``; :func:`_cm_count` keeps every count it computed, one
-per kind and geometry.
+``analysis.cm_count``.
 The channel is the configuration's own checked ``ChannelSpec``,
 ``cfg.channel``; a block passes it to ``apply_channel`` with
 its seed, its only per-block channel input, and to the equalizer.  A refused
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,12 +121,7 @@ def _plan(wave: tuple, rx: str, arch: str, domain: str, l_max: int) -> ModemPlan
     mod = _table(arch, f"{d}_MOD", params, w_tx[d], l_max)
     demod = _table(arch, f"{d_rx}_DEMOD", params, rx_window(w_tx[d_rx], rx.upper()), l_max)
     kind = f"{'FFT' if fft else 'DIR'}_{d}_{d_rx}"
-    return ModemPlan(params, kind, _cm_count(kind, params.k, params.m), mod, demod)
-
-
-# The closed-form count per (kind, K, M), held like ``numerics._size_cost``: the keys are bounded
-# by the kinds times the legal geometries, and a refused argument raises on every call.
-_cm_count = cache(analysis.cm_count)
+    return ModemPlan(params, kind, analysis.cm_count(kind, params.k, params.m), mod, demod)
 
 
 def plan_for(cfg: RunConfig) -> ModemPlan:

@@ -599,11 +599,20 @@ class TestTypeRule:
          ("delta", True, "delta must be a real number, got True"),
          ("channel_taps", [True], "channel_taps entry must be a real number, got True"),
          ("channel_taps", [[1, True]], "channel_taps part must be a real number, got True"),
-         ("channel_taps", [1, [False, 0.5]], "channel_taps part must be a real number, got False")],
+         ("channel_taps", [1, [False, 0.5]], "channel_taps part must be a real number, got False"),
+         ("alpha", [1], "malformed configuration value: alpha must be a real number, got [1]"),
+         ("alpha", None, "malformed configuration value: alpha must be a real number, got None"),
+         ("delta", {"a": 1}, "malformed configuration value: delta must be a real number, got {'a': 1}"),
+         ("snr_db", "abc", "malformed configuration value: snr_db must be a real number, got 'abc'"),
+         ("channel_taps", [None], "malformed configuration value: channel_taps entry must be a real number, got None"),
+         ("channel_taps", [{"re": 1}], "malformed configuration value: channel_taps entry must be a real number, "
+                                       "got {'re': 1}"),
+         ("channel_taps", [[1, [2]]], "malformed configuration value: channel_taps part must be a real number, got [2]")],
     )
-    def test_json_booleans_are_refused_naming_the_field(self, tmp_path, capsys, field, value, message):
-        # float() used to turn them into 1.0 and 0.0: snr_db true ran a 1 dB link and exited 0.
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+    def test_a_non_number_is_refused_naming_the_field(self, tmp_path, capsys, field, value, message):
+        # float() used to turn booleans into 1.0 and 0.0: snr_db true ran a 1 dB link and exited 0.  A null,
+        # array, object or other string escaped as CPython's float() text, naming no field.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config({"k": 8, "m": 4, "n_cp": 1, field: value})
         assert main(["loopback", "--config", str(write_config(tmp_path, **{field: value}))]) == 2
         assert message in capsys.readouterr().err

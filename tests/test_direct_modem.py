@@ -20,11 +20,8 @@ from gfdm_modem.direct_modem import (
     precompute_td_mod,
 )
 from gfdm_modem.errors import ChainLimitExceeded, ConfigError, SingularWindow
-from gfdm_modem.fft_modem import demodulate_fd, modulate_fd, modulate_td
-from gfdm_modem.fft_modem import demodulate_td as fft_demodulate_td
-from gfdm_modem.numerics import MulCounter, dft, fft_mul_count
+from gfdm_modem.numerics import dft
 from gfdm_modem.pulses import GfdmParams, make_prototype, occupied_bands, rx_window, tx_window
-from gfdm_modem.reference import build_matrix, oracle_modulate
 
 
 def random_grid(params, seed):
@@ -125,22 +122,6 @@ class TestPrecomputeMod:
 
 
 class TestModulate:
-    def test_td_matches_fft_engine(self):
-        params = GfdmParams(8, 4)
-        pulse = make_prototype("RC", params, 0.5, 0.5)
-        grid = random_grid(params, 0)
-        ref = modulate_td(grid, tx_window(pulse, "TD"))
-        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD"), 16))
-        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-
-    def test_td_matches_oracle(self):
-        params = GfdmParams(8, 4)
-        pulse = make_prototype("RRC", params, 0.5, 0.5)
-        grid = random_grid(params, 1)
-        ref = oracle_modulate(build_matrix(pulse), grid)
-        got = direct_modulate_td(grid, precompute_td_mod(tx_window(pulse, "TD"), 16))
-        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-
     def test_single_subsymbol_is_windowed_idft(self):
         params = GfdmParams(8, 1)
         pulse = make_prototype("RECT_TD", params)
@@ -173,14 +154,6 @@ class TestModulate:
         for _ in range(2):
             with pytest.raises(ConfigError, match=f"^{re.escape(str(want.value))}$"):
                 build(np.ones((12, 4), complex), 16)
-
-    def test_fd_matches_fft_engine(self):
-        params = GfdmParams(8, 8)
-        pulse = make_prototype("RC", params, 0.5, 0.5)
-        grid = random_grid(params, 4)
-        ref = modulate_fd(grid, tx_window(pulse, "FD"))
-        got = direct_modulate_fd(grid, precompute_fd_mod(tx_window(pulse, "FD"), 16))
-        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_fd_zero_grid(self):
         params = GfdmParams(8, 4)
@@ -241,54 +214,11 @@ class TestDemodulate:
         est = direct_demodulate_fd(spec, table)
         assert np.abs(est - grid).max() <= 1e-9
 
-    def test_matches_fft_demodulator_on_arbitrary_input(self):
-        params = GfdmParams(8, 4)
-        pulse = make_prototype("RC", params, 0.5, 0.5)
-        rng = np.random.default_rng(20)
-        y = rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)
-        w_rx_td = rx_window(tx_window(pulse, "TD"), "ZF")
-        ref_td = fft_demodulate_td(y, w_rx_td)
-        got_td = direct_demodulate_td(y, precompute_td_demod(w_rx_td, 16))
-        assert np.abs(got_td - ref_td).max() <= 1e-10 * np.abs(ref_td).max()
-        w_rx_fd = rx_window(tx_window(pulse, "FD"), "ZF")
-        ref_fd = demodulate_fd(dft(y), w_rx_fd)
-        got_fd = direct_demodulate_fd(dft(y), precompute_fd_demod(w_rx_fd, 16, force_full=True))
-        assert np.abs(got_fd - ref_fd).max() <= 1e-10 * np.abs(ref_fd).max()
-
-    def test_matches_fft_demodulator_mf_dirichlet(self):
-        params = GfdmParams(8, 4)
-        pulse = make_prototype("DIRICHLET", params)
-        w_rx = rx_window(tx_window(pulse, "FD"), "MF")
-        grid = random_grid(params, 7)
-        spec = dft(modulate_td(grid, tx_window(pulse, "TD")))
-        ref = demodulate_fd(spec, w_rx)
-        got = direct_demodulate_fd(spec, precompute_fd_demod(w_rx, 16))
-        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-
     def test_zero_input(self):
         params = GfdmParams(4, 4)
         w_rx = rx_window(tx_window(make_prototype("DIRICHLET", params), "TD"), "ZF")
         est = direct_demodulate_td(np.zeros(16, complex), precompute_td_demod(w_rx, 16))
         assert_allclose(est, np.zeros((4, 4)), atol=1e-14)
-
-
-class TestInstrumentation:
-    def test_td_modulation_count(self):
-        params = GfdmParams(16, 8)
-        pulse = make_prototype("RC", params, 0.5, 0.5)
-        counter = MulCounter()
-        direct_modulate_td(random_grid(params, 8), precompute_td_mod(tx_window(pulse, "TD"), 16), counter=counter)
-        n = params.n
-        assert counter.count == params.m * fft_mul_count(params.k) + params.m * n
-
-    def test_fd_sparse_demod_count(self):
-        params = GfdmParams(16, 8)
-        pulse = make_prototype("DIRICHLET", params)
-        w_rx = rx_window(tx_window(pulse, "FD"), "MF")
-        table = precompute_fd_demod(w_rx, 16)
-        counter = MulCounter()
-        direct_demodulate_fd(np.ones(params.n, complex), table, counter=counter)
-        assert counter.count == params.k * fft_mul_count(params.m) + len(table.window) * params.n
 
 
 class TestAliasing:

@@ -236,6 +236,7 @@ class TestWaveformReuse:
     def test_pulse_kind_in_any_case_shares_waveform_and_plan(self, builds, first, second):
         a = RunConfig(k=8, m=4, pulse=first, alpha=0.0, delta=0.0, rx="mf")
         b = replace(a, pulse=second)
+        assert a == b and hash(a) == hash(b) and a.pulse == b.pulse == second.lower()
         plan, wave = link.plan_for(a), held_windows(a)
         before = dict(builds)
         assert link.plan_for(b) is plan and held_windows(b) is wave
@@ -435,19 +436,6 @@ class TestTableReuse:
         plan = link.plan_for(RunConfig(k=k, m=m, arch=arch, domain=domain, rx="mf", l_max=64))
         assert plan.formula_cm == cm_count(KINDS[engine], k, m)
 
-    def test_a_counted_kind_and_geometry_is_not_counted_again(self):
-        held = link._cm_count
-        held.cache_clear()
-        cfg = RunConfig(k=16, m=8)
-        for rx in ("zf", "mf", "zf"):  # three plan builds of one kind and geometry
-            link._plan.cache_clear()
-            assert link.plan_for(replace(cfg, rx=rx)).formula_cm == cm_count("FFT_TD_FD", 16, 8)
-        assert (held.cache_info().misses, held.cache_info().hits) == (1, 2)
-        for _ in range(2):
-            with pytest.raises(ConfigError):
-                held("FFT_TD_FD", 3, 8)
-        assert held.cache_info().currsize == 1
-
 
 #: Six waveforms on six geometries, N from 32 to 2048, each valid for every engine with ``l_max = 64``.
 ROTATION = [dict(k=8, m=4, pulse="rc", alpha=0.5, delta=0.5), dict(k=4, m=8, pulse="rrc", alpha=0.3, delta=0.5),
@@ -528,11 +516,11 @@ HOLDERS = {
     "channel._response": (True, "equalizer channel responses per taps and N, bounded by HELD_BYTES"),
     "link._windows": (True, "transmit windows per waveform key: a rotation synthesizes each pulse once"),
     "link._plan": (True, "the last configuration's plan, the one holder of its tables"),
-    "link._cm_count": (False, "closed-form count per kind and geometry; keys bounded by the legal geometries"),
     "numerics._size_cost": (False, "transform cost per power-of-two size: +0.5% cycle time without it"),
     "fft_modem._geometry": (False, "window geometry per K x M shape: +3.0% cycle time without it"),
     "fft_modem._preset_stages": (False, "stage tuple and memory pair per mode, grid and chains: +4.4% without"),
-    "cli._build_parser": (False, "the one argument parser, built on the first command"),
+    "cli._build_parser": (False, "the one argument parser, built on the first command: ~0.7 ms per build, and a "
+                                 "cli-files-mix block calls cli.main twice"),
 }
 
 

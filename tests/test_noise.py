@@ -346,7 +346,8 @@ class TestSnrRange:
         path = tmp_path / "config.json"
         path.write_text(f'{{"k": 8, "m": 4, "{field}": {value}}}')
         assert main(["loopback", "--config", str(path)]) == 2
-        assert "malformed configuration value" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"malformed configuration value: {field}" in err and "must be a real number within float range" in err
 
     def test_cli_still_runs_a_large_finite_snr(self, tmp_path, capsys):
         assert main(["loopback", "--config", loopback_config(tmp_path, snr_db=3000.0)]) == 0
