@@ -607,7 +607,12 @@ class TestTypeRule:
          ("channel_taps", [None], "malformed configuration value: channel_taps entry must be a real number, got None"),
          ("channel_taps", [{"re": 1}], "malformed configuration value: channel_taps entry must be a real number, "
                                        "got {'re': 1}"),
-         ("channel_taps", [[1, [2]]], "malformed configuration value: channel_taps part must be a real number, got [2]")],
+         ("channel_taps", [[1, [2]]], "malformed configuration value: channel_taps part must be a real number, got [2]"),
+         ("channel_taps", ["x"], "malformed configuration value: channel_taps entry must be a real number, got 'x'"),
+         pytest.param("delta", 10**400, "malformed configuration value: delta must be a real number within float range",
+                      id="delta-10**400"),
+         ("channel_taps", [[1, 10**400]],
+          "malformed configuration value: channel_taps part must be a real number within float range")],
     )
     def test_a_non_number_is_refused_naming_the_field(self, tmp_path, capsys, field, value, message):
         # float() used to turn booleans into 1.0 and 0.0: snr_db true ran a 1 dB link and exited 0.  A null,
@@ -624,6 +629,11 @@ class TestTypeRule:
     )
     def test_numeric_strings_and_null_keep_their_values(self, field, value, held):
         assert getattr(parse_config({"k": 8, "m": 4, "n_cp": 1, field: value}), field) == held
+
+    def test_a_file_and_a_constructor_spell_one_pulse_alike(self):
+        # RunConfig held the name as given and parse_config lower-cased it, so "RRC" made two unequal configurations.
+        read, built = parse_config({"k": 8, "m": 4, "pulse": "RRC"}), RunConfig(k=8, m=4, pulse="RRC")
+        assert read == built and hash(read) == hash(built) and read.pulse == built.pulse == "rrc"
 
     @pytest.mark.parametrize(
         "field,value,message",

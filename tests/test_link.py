@@ -232,7 +232,7 @@ class TestWaveformReuse:
         assert link.plan_for(a) is plan
         assert builds == before
 
-    @pytest.mark.parametrize("first,second", [("RC", "rc"), ("rrc", "RRC"), ("Rect_TD", "rect_td")])
+    @pytest.mark.parametrize("first,second", [("RC", "rc"), ("rrc", "RRC"), ("Rect_TD", "rect_td"), ("DIRICHLET", "Dirichlet")])
     def test_pulse_kind_in_any_case_shares_waveform_and_plan(self, builds, first, second):
         a = RunConfig(k=8, m=4, pulse=first, alpha=0.0, delta=0.0, rx="mf")
         b = replace(a, pulse=second)
